@@ -7,11 +7,12 @@ parameter manifolds, and assembles the post-selected dual-rail CNOT."""
 from .analysis import (ManifoldSample, NlpsgVerdict, OffResonanceReport,
                        OptimalPoint, SampleResiduals, S11_FIXED, T1_OPTIMAL,
                        T2_OPTIMAL, align_line_phases, beta_sq_of_t1,
-                       compensated_network, curve_eta_of_tau, curve_network,
-                       curve_ring, intersect_delta2, off_resonance_check,
-                       optimal_point, optimize_t1, ring_phase_arg,
-                       surface_network, surface_theta, t2_from_equality,
-                       t3_of_t1, verdict, wrap_angle)
+                       compensated_network, compensated_network_stack,
+                       curve_eta_of_tau, curve_network, curve_ring, curve_stack,
+                       intersect_delta2, off_resonance_check, optimal_point,
+                       optimize_t1, ring_phase_arg, surface_network,
+                       surface_stack, surface_theta, surface_theta_stack,
+                       t2_from_equality, t3_of_t1, verdict, wrap_angle)
 from .cnot import (CnotNetwork, CoherenceReport, DualRailQubit, TruthTableRow,
                    build_cnot, conditional_logical_matrix, embed,
                    normalize_global_phase, verify_coherence, verify_truth_table)
@@ -19,12 +20,15 @@ from .errors import (ConfigError, ConstraintError, DomainError, PoleError,
                      RingsimError, SingularPivotError, UndefinedPhaseError)
 from .fock import (SUCCESS_PATTERN, MeasurementPattern, NlpsgInput,
                    OccupationBasis, SectoredState, enumerate_basis, evolve,
-                   lift_unitary, nlpsg_closed_form, permanent, project)
-from .network import (NetworkParams, block_transfer, closed_form_resonant,
-                      compose_scattering, mode_swap3, unitarity_residual)
-from .ring import (RESONANT_THETA, TWO_PI, EffectiveCoupling, RingCoupler,
-                   RingTransfer, build_coupler, effective_coupling,
-                   invert_effective, on_resonance_transfer, transfer_matrix)
+                   heralded_success_stack, lift_unitary, nlpsg_closed_form,
+                   permanent, project)
+from .network import (NetworkParams, NetworkStack, block_transfer,
+                      closed_form_resonant, compose_scattering,
+                      compose_scattering_stack, mode_swap3, unitarity_residual)
+from .ring import (RESONANT_THETA, TWO_PI, CouplerStack, EffectiveCoupling,
+                   RingCoupler, RingTransfer, build_coupler, build_couplers,
+                   effective_coupling, invert_effective, on_resonance_transfer,
+                   transfer_matrix, transfer_matrix_stack)
 
 __version__ = "0.1.0"
 
@@ -33,18 +37,22 @@ __all__ = [
     "RingsimError", "SingularPivotError", "UndefinedPhaseError",
     "RingCoupler", "RingTransfer", "EffectiveCoupling", "TWO_PI",
     "RESONANT_THETA", "build_coupler", "transfer_matrix",
+    "CouplerStack", "build_couplers", "transfer_matrix_stack",
     "effective_coupling", "invert_effective", "on_resonance_transfer",
     "NetworkParams", "mode_swap3", "block_transfer", "compose_scattering",
+    "NetworkStack", "compose_scattering_stack",
     "closed_form_resonant", "unitarity_residual",
     "OccupationBasis", "SectoredState", "MeasurementPattern", "NlpsgInput",
     "SUCCESS_PATTERN", "enumerate_basis", "permanent", "lift_unitary",
-    "evolve", "project", "nlpsg_closed_form",
+    "evolve", "project", "nlpsg_closed_form", "heralded_success_stack",
     "NlpsgVerdict", "OptimalPoint", "ManifoldSample", "SampleResiduals",
     "OffResonanceReport", "S11_FIXED", "T1_OPTIMAL", "T2_OPTIMAL",
     "verdict", "t3_of_t1", "beta_sq_of_t1", "optimize_t1",
     "t2_from_equality", "optimal_point", "curve_ring", "curve_network",
-    "curve_eta_of_tau", "surface_theta", "ring_phase_arg",
-    "compensated_network", "surface_network", "off_resonance_check",
+    "curve_eta_of_tau", "curve_stack", "surface_theta",
+    "surface_theta_stack", "surface_stack", "ring_phase_arg",
+    "compensated_network", "compensated_network_stack", "surface_network",
+    "off_resonance_check",
     "intersect_delta2", "align_line_phases", "wrap_angle",
     "DualRailQubit", "CnotNetwork", "TruthTableRow", "CoherenceReport",
     "embed", "build_cnot", "verify_truth_table", "verify_coherence",

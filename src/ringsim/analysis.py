@@ -1,5 +1,9 @@
 """Success constraints of the heralded phase gate and the parameter
-manifolds on which the network attains its optimal operating point."""
+manifolds on which the network attains its optimal operating point.
+
+The resonant-curve and detuned-surface sweeps each have one stacked core
+(``curve_stack``, ``surface_stack``) that builds every network of a grid
+in one numpy pass; the per-point functions are wrappers over them."""
 
 from __future__ import annotations
 
@@ -11,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError, UndefinedPhaseError
-from .network import NetworkParams, compose_scattering, closed_form_resonant
-from .ring import (RESONANT_THETA, TWO_PI, RingCoupler, build_coupler,
-                   invert_effective, transfer_matrix)
+from .network import (NetworkParams, NetworkStack, closed_form_resonant,
+                      compose_scattering, compose_scattering_stack)
+from .ring import (RESONANT_THETA, TWO_PI, CouplerStack, RingCoupler, build_coupler,
+                   build_couplers, invert_effective, transfer_matrix_stack)
 
 log = logging.getLogger(__name__)
 
@@ -285,58 +290,115 @@ def surface_theta(transmission: float, eta: float, tau: float) -> tuple[float, .
     magnitude is unreachable. Cosines within 1e-12 beyond the unit
     interval are clamped (rounding at manifold edges). When eta*tau = 0
     the magnitude is phase-independent, so a match returns the
-    representatives (0, pi) and a mismatch returns nothing.
+    representatives (0, pi) and a mismatch returns nothing. This is the
+    one-point case of ``surface_theta_stack``.
 
     Raises
     ------
     DomainError
         If |transmission| >= 1 or either coupler amplitude is outside (-1, 1).
     """
+    _, theta = surface_theta_stack(transmission, [eta], [tau])
+    return tuple(theta.tolist())
+
+
+def surface_theta_stack(transmission: float, eta, tau) -> tuple[np.ndarray, np.ndarray]:
+    """``surface_theta`` over parallel 1-D arrays of eta and tau.
+
+    Returns (point, theta): every branch angle, in point order and with
+    each pair ascending, and the index of the grid point it belongs to.
+
+    Raises
+    ------
+    DomainError
+        If |transmission| >= 1 or any coupler amplitude is outside (-1, 1).
+    """
+    eta, tau = np.broadcast_arrays(np.atleast_1d(np.asarray(eta, dtype=float)),
+                                   np.atleast_1d(np.asarray(tau, dtype=float)))
     if not abs(transmission) < 1.0:
         raise DomainError(f"|transmission| < 1 required, got {transmission}")
-    if not (abs(eta) < 1.0 and abs(tau) < 1.0):
+    if not (np.all(np.abs(eta) < 1.0) and np.all(np.abs(tau) < 1.0)):
         raise DomainError("eta and tau must lie in (-1, 1)")
     t_sq = transmission * transmission
-    if eta * tau == 0.0:
-        reachable = (eta * eta + tau * tau) / (1.0 + eta * eta * tau * tau)
-        if abs(reachable - t_sq) <= 1e-10:
-            return (0.0, math.pi)
-        return ()
-    cos_theta = (eta * eta + tau * tau - t_sq - t_sq * eta * eta * tau * tau) \
-        / (2.0 * eta * tau * (1.0 - t_sq))
-    if abs(cos_theta) > 1.0 + 1e-12:
-        return ()
-    cos_theta = min(1.0, max(-1.0, cos_theta))
-    theta = math.acos(cos_theta)
-    if theta == 0.0 or theta == math.pi:
-        return (theta,)
-    return (theta, TWO_PI - theta)
+    degenerate = eta * tau == 0.0
+    reachable = (eta * eta + tau * tau) / (1.0 + eta * eta * tau * tau)
+    matched = degenerate & (np.abs(reachable - t_sq) <= 1e-10)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_theta = (eta * eta + tau * tau - t_sq - t_sq * eta * eta * tau * tau) \
+            / (2.0 * eta * tau * (1.0 - t_sq))
+    solved = ~degenerate & (np.abs(cos_theta) <= 1.0 + 1e-12)
+    theta = np.arccos(np.clip(np.where(solved, cos_theta, 1.0), -1.0, 1.0))
+    branches = np.stack([np.where(matched, 0.0, theta),
+                         np.where(matched, math.pi, TWO_PI - theta)], axis=1)
+    keep = np.stack([matched | solved,
+                     matched | (solved & (theta != 0.0) & (theta != math.pi))], axis=1)
+    point = np.repeat(np.arange(len(eta)), 2).reshape(-1, 2)
+    return point[keep], branches[keep]
 
 
 def compensated_network(ring1: RingCoupler, ring2: RingCoupler,
                         ring3: RingCoupler,
                         deltas13: tuple[float, float] = (0.0, 0.0)) -> NetworkParams:
     """Assemble the network with the middle line phase that cancels the
-    internal loop phase.
+    internal loop phase: the one-network case of
+    ``compensated_network_stack``."""
+    stack = compensated_network_stack(
+        tuple(CouplerStack.of([r]) for r in (ring1, ring2, ring3)), deltas13)
+    return NetworkParams(rings=(ring1, ring2, ring3),
+                         deltas=tuple(stack.deltas[0].tolist()))
+
+
+def compensated_network_stack(rings: tuple[CouplerStack, CouplerStack, CouplerStack],
+                              deltas13: tuple[float, float] = (0.0, 0.0)) -> NetworkStack:
+    """Stack of networks with the middle line phase that cancels the
+    internal loop phase of each.
 
     The three blocks enclose one feedback loop (outer rings' cross legs
     plus the middle ring's through leg). Detuned rings give those legs
     nonzero phases; setting the middle in-line phase to their sum makes
     the loop constructive again, which is what restores the heralded
-    amplitude to magnitude 1/2 on the detuned manifolds.
+    amplitude to magnitude 1/2 on the detuned manifolds. Ring stacks of
+    length 1 broadcast against the others.
     """
-    m1 = transfer_matrix(ring1)
-    m2 = transfer_matrix(ring2.flipped())
-    m3 = transfer_matrix(ring3)
-    delta2 = (np.angle(m1.c) + np.angle(m2.d) + np.angle(m3.b)) % TWO_PI
-    return NetworkParams(rings=(ring1, ring2, ring3),
-                         deltas=(deltas13[0], float(delta2), deltas13[1]))
+    m1 = transfer_matrix_stack(rings[0])
+    m2 = transfer_matrix_stack(rings[1].flipped())
+    m3 = transfer_matrix_stack(rings[2])
+    delta2 = (np.angle(m1[:, 1, 0]) + np.angle(m2[:, 1, 1])
+              + np.angle(m3[:, 0, 1])) % TWO_PI
+    deltas = np.stack(np.broadcast_arrays(deltas13[0], delta2, deltas13[1]), axis=1)
+    return NetworkStack(rings=rings, deltas=deltas)
 
 
-def _sample_from_network(net: NetworkParams, ring_index: int,
+def surface_stack(slot: int, eta, tau) -> tuple[np.ndarray, NetworkStack]:
+    """Detuned-surface branches of one ring slot over a grid of couplers.
+
+    For every (eta, tau) pair the swept ring in ``slot`` (1, 2 or 3) takes
+    each round-trip phase of ``surface_theta`` for the slot's optimal
+    transmission; the other slots hold their resonant optimal rings at
+    tau = 0, and the middle line phase cancels the loop phase. Returns the
+    branch angles, in grid order with each pair ascending, and their
+    networks; the swept ring's couplers are in ``networks.rings[slot - 1]``.
+    """
+    if slot not in (1, 2, 3):
+        raise DomainError(f"slot must be 1, 2 or 3, got {slot}")
+    eta, tau = np.broadcast_arrays(np.atleast_1d(np.asarray(eta, dtype=float)),
+                                   np.atleast_1d(np.asarray(tau, dtype=float)))
+    point, theta = surface_theta_stack(_slot_transmission(slot), eta, tau)
+    swept = build_couplers(tau[point], eta[point], theta)
+    return theta, compensated_network_stack(_optimal_rings_with(slot, swept))
+
+
+def _optimal_rings_with(slot: int, swept: CouplerStack) -> tuple[CouplerStack, ...]:
+    """The resonant optimal rings at tau = 0, with ``swept`` in ``slot``."""
+    return tuple(swept if s == slot else CouplerStack.of([curve_ring(s, 0.0)])
+                 for s in (1, 2, 3))
+
+
+def _sample_from_network(net: NetworkParams, ring_index: int, s: np.ndarray,
                          solver_mag: float = 0.0,
                          solver_arg: float = 0.0) -> ManifoldSample:
-    v = verdict(compose_scattering(net))
+    """Sample of a network whose scattering matrix s is already composed."""
+    v = verdict(s)
     phases = []
     for c in net.rings:
         try:
@@ -363,29 +425,43 @@ def curve_eta_of_tau(transmission: float, tau_grid,
     Each grid point fixes the slot's lower coupler and solves the upper
     one so the effective transmission stays at the target; the other two
     slots sit at their canonical optimal points. Grid points at the
-    inversion pole are skipped and logged.
+    inversion pole or outside the coupler domain are skipped and logged.
+    A wrapper over ``curve_stack``.
+    """
+    networks = curve_stack(transmission, tau_grid, ring)
+    matrices = compose_scattering_stack(networks)
+    return [_sample_from_network(networks.member(i), ring, matrices[i])
+            for i in range(len(networks))]
+
+
+def curve_stack(transmission: float, tau_grid, ring: int = 1) -> NetworkStack:
+    """Networks of the resonant curve of one ring slot, one per usable grid
+    point: ``invert_effective`` and ``build_coupler`` over the whole grid,
+    with the points either would reject left out and logged.
+
+    Raises
+    ------
+    DomainError
+        If ring is not 1, 2 or 3.
     """
     if ring not in (1, 2, 3):
         raise DomainError(f"ring must be 1, 2 or 3, got {ring}")
-    samples = []
-    skipped = 0
-    for tau in tau_grid:
-        try:
-            swept = build_coupler(float(tau),
-                                  invert_effective(transmission, float(tau)),
-                                  RESONANT_THETA)
-        except (PoleError, DomainError) as err:
-            skipped += 1
-            log.info("curve point tau=%s skipped: %s", tau, err)
-            continue
-        rings = [curve_ring(s, 0.0) for s in (1, 2, 3)]
-        rings[ring - 1] = swept
-        net = NetworkParams(rings=tuple(rings))
-        samples.append(_sample_from_network(net, ring))
-    if skipped:
-        log.info("curve trace skipped %d of %d grid points", skipped,
-                 skipped + len(samples))
-    return samples
+    tau = np.asarray(tau_grid, dtype=float).reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = 1.0 + transmission * tau
+        eta = (transmission + tau) / den
+    usable = ((abs(transmission) <= 1.0) & (np.abs(tau) <= 1.0)
+              & (np.abs(den) >= 1e-15) & (np.abs(eta) <= 1.0)
+              & (np.abs(tau * eta) < 1.0))
+    skipped = np.flatnonzero(~usable)
+    for i in skipped:
+        log.info("curve point tau=%s skipped: inversion pole or coupler "
+                 "outside its domain", tau[i])
+    if skipped.size:
+        log.info("curve trace skipped %d of %d grid points", skipped.size, tau.size)
+    swept = build_couplers(tau[usable], eta[usable], RESONANT_THETA)
+    return NetworkStack(rings=_optimal_rings_with(ring, swept),
+                        deltas=np.zeros((len(swept), 3)))
 
 
 def surface_network(ring1: RingCoupler, ring3: RingCoupler,
@@ -416,8 +492,9 @@ def off_resonance_check(ring1: RingCoupler, ring3: RingCoupler,
     through phases (the resonant middle ring contributes zero).
     """
     net = surface_network(ring1, ring3, tau2)
-    sample = _sample_from_network(net, 0)
-    v = verdict(compose_scattering(net))
+    s = compose_scattering(net)
+    sample = _sample_from_network(net, 0, s)
+    v = verdict(s)
     heralded = math.atan2(v.beta0.imag, v.beta0.real)
     predicted = sum(sample.residuals.ring_phases)
     return OffResonanceReport(
@@ -450,12 +527,13 @@ def intersect_delta2(delta2: float, tau2_grid=None,
     internal loop phase, so every converged sample composes to a network
     with heralded amplitude 1/2. Non-converged grid points are skipped
     and counted, never fabricated. delta2 = 0 degenerates to the
-    resonant curve.
+    resonant curve. The converged networks are composed in one stacked
+    call after the solve.
     """
     if tau2_grid is None:
         tau2_grid = np.linspace(0.0, 0.999, 401)
     target_arg = wrap_angle(delta2)
-    samples = []
+    solved = []
     skipped = 0
     seed = None
     for tau2 in np.asarray(tau2_grid, dtype=float):
@@ -515,8 +593,10 @@ def intersect_delta2(delta2: float, tau2_grid=None,
             rings=(curve_ring(1, 0.0), ring2, curve_ring(3, 0.0)),
             deltas=(0.0, float(delta2), 0.0),
         )
-        samples.append(_sample_from_network(
-            net, 2, solver_mag=abs(f[0]), solver_arg=abs(f[1])))
+        solved.append((net, abs(f[0]), abs(f[1])))
+    matrices = compose_scattering_stack(NetworkStack.of(net for net, _, _ in solved))
+    samples = [_sample_from_network(net, 2, s, solver_mag=mag, solver_arg=arg)
+               for (net, mag, arg), s in zip(solved, matrices)]
     if skipped:
         log.info("intersection trace skipped %d of %d grid points",
                  skipped, skipped + len(samples))

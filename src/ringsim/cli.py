@@ -4,27 +4,36 @@ sweeps, the optimal constants, and the CNOT truth table, as CSV or JSON."""
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import analysis
-from .analysis import (T1_OPTIMAL, T2_OPTIMAL, curve_ring, curve_network,
-                       compensated_network, intersect_delta2, optimize_t1,
-                       surface_theta, t2_from_equality, verdict)
+from .analysis import (T1_OPTIMAL, T2_OPTIMAL, curve_network, curve_stack,
+                       intersect_delta2, optimize_t1, surface_stack,
+                       t2_from_equality, verdict)
 from .cnot import build_cnot, verify_coherence, verify_truth_table
 from .errors import (ConfigError, ConstraintError, DomainError, PoleError,
                      RingsimError, SingularPivotError, UndefinedPhaseError)
-from .fock import SUCCESS_PATTERN, NlpsgInput, evolve, nlpsg_closed_form, project
-from .network import (NetworkParams, closed_form_resonant, compose_scattering,
+from .fock import (SUCCESS_PATTERN, NlpsgInput, evolve, heralded_success_stack,
+                   nlpsg_closed_form, project)
+from .network import (NetworkParams, NetworkStack, closed_form_resonant,
+                      compose_scattering, compose_scattering_stack,
                       unitarity_residual)
 from .ring import build_coupler, effective_coupling
 
 _RING_FIELDS = ("tau", "eta", "theta", "delta")
+
+# Signal superposition the manifold sweeps simulate: equal weights on
+# zero, one and two photons.
+_SWEEP_INPUT = NlpsgInput(*[1.0 / math.sqrt(3.0)] * 3)
+
+# Grid points per stacked batch of a sweep. Each point holds about 1 kB of
+# numpy temporaries, so batching keeps memory flat for any grid size.
+_BATCH_POINTS = 4096
 
 
 def _fmt(x: float) -> str:
@@ -37,17 +46,6 @@ def _round9(x: float) -> float:
 
 def _complex_pair(z: complex) -> list[float]:
     return [_round9(z.real), _round9(z.imag)]
-
-
-def _max_workers() -> int:
-    env = os.environ.get("RINGSIM_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as err:
-            raise ConfigError(f"RINGSIM_THREADS must be an integer, got {env!r}",
-                              field="RINGSIM_THREADS") from err
-    return min(8, os.cpu_count() or 1)
 
 
 def _load_config(path: str | None) -> dict:
@@ -71,10 +69,25 @@ def _float_field(obj: dict, name: str, where: str, default=None) -> float:
             return default
         raise ConfigError(f"missing field {where}.{name}", field=f"{where}.{name}")
     try:
-        return float(obj[name])
-    except (TypeError, ValueError) as err:
+        value = float(obj[name])
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"field {where}.{name} must be a number, "
                           f"got {obj[name]!r}", field=f"{where}.{name}") from err
+    if not math.isfinite(value):
+        raise ConfigError(f"field {where}.{name} must be finite, got {obj[name]!r}",
+                          field=f"{where}.{name}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the float options: NaN and infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _network_from_config(cfg: dict, where: str = "rings") -> NetworkParams:
@@ -93,10 +106,9 @@ def _network_from_config(cfg: dict, where: str = "rings") -> NetworkParams:
         eta = _float_field(ring_cfg, "eta", label)
         theta = _float_field(ring_cfg, "theta", label)
         deltas.append(_float_field(ring_cfg, "delta", label, default=0.0))
-        phi = ring_cfg.get("phi")
+        phi = None if ring_cfg.get("phi") is None else _float_field(ring_cfg, "phi", label)
         try:
-            rings.append(build_coupler(tau, eta, theta,
-                                       None if phi is None else float(phi)))
+            rings.append(build_coupler(tau, eta, theta, phi))
         except DomainError as err:
             # PoleError propagates: it is a numerical condition (exit 3),
             # not a malformed config (exit 2).
@@ -125,10 +137,15 @@ def _parse_alpha(args, cfg: dict) -> NlpsgInput:
             raise ConfigError(f"bad alpha entry: {err}", field="alpha") from err
     if raw is None:
         raw = [1.0 / math.sqrt(3.0)] * 3
-    norm = math.sqrt(sum(abs(z) ** 2 for z in raw))
+    if not all(cmath.isfinite(z) for z in raw):
+        raise ConfigError(f"alpha must be finite, got {raw}", field="alpha")
+    try:
+        norm = math.sqrt(sum(abs(z) ** 2 for z in raw))
+    except OverflowError as err:
+        raise ConfigError(f"alpha too large to normalize: {raw}", field="alpha") from err
     if norm == 0.0:
         raise ConfigError("alpha must not be all zero", field="alpha")
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         print("warning: alpha renormalized", file=sys.stderr)
     return NlpsgInput(*(z / norm for z in raw))
 
@@ -140,14 +157,6 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _simulated_success(s: np.ndarray, inp: NlpsgInput | None = None) -> float:
-    if inp is None:
-        a = 1.0 / math.sqrt(3.0)
-        inp = NlpsgInput(a, a, a)
-    prob, _ = project(evolve(inp.state(), s), SUCCESS_PATTERN)
-    return prob
 
 
 def _is_resonant(net: NetworkParams) -> bool:
@@ -217,32 +226,10 @@ def cmd_verify(args) -> int:
     return code
 
 
-def _curve_rows(ring: int, grid: np.ndarray) -> list[str]:
-    transmission = T2_OPTIMAL if ring == 2 else T1_OPTIMAL
-    rows = []
-    for sample in analysis.curve_eta_of_tau(transmission, grid, ring=ring):
-        c = sample.network.rings[ring - 1]
-        beta_sq = _simulated_success(compose_scattering(sample.network))
-        rows.append(",".join([str(ring), _fmt(c.tau), _fmt(c.eta),
-                              _fmt(c.tau ** 2), _fmt(c.eta ** 2), _fmt(beta_sq)]))
-    return rows
-
-
-def _surface_row(ring: int, eta: float, tau: float) -> list[str]:
-    transmission = T2_OPTIMAL if ring == 2 else T1_OPTIMAL
-    rows = []
-    for theta in surface_theta(transmission, eta, tau):
-        swept = build_coupler(tau, eta, theta)
-        if ring == 1:
-            net = compensated_network(swept, curve_ring(2, 0.0), curve_ring(3, 0.0))
-        elif ring == 3:
-            net = compensated_network(curve_ring(1, 0.0), curve_ring(2, 0.0), swept)
-        else:
-            net = compensated_network(curve_ring(1, 0.0), swept, curve_ring(3, 0.0))
-        beta_sq = _simulated_success(compose_scattering(net))
-        rows.append(",".join([str(ring), _fmt(tau), _fmt(eta),
-                              _fmt(theta), _fmt(beta_sq)]))
-    return rows
+def _sweep_success(networks: NetworkStack) -> list[float]:
+    """Simulated heralded success probability of every network of a sweep."""
+    return heralded_success_stack(compose_scattering_stack(networks),
+                                  _SWEEP_INPUT).tolist()
 
 
 def cmd_manifold(args) -> int:
@@ -258,25 +245,35 @@ def cmd_manifold(args) -> int:
         rings = (1, 2, 3) if args.ring == 0 else (args.ring,)
         lines = ["ring,tau,eta,tau_sq,eta_sq,beta_sq"]
         for ring in rings:
-            lines.extend(_curve_rows(ring, grid))
+            transmission = T2_OPTIMAL if ring == 2 else T1_OPTIMAL
+            for start in range(0, grid_n, _BATCH_POINTS):
+                networks = curve_stack(transmission, grid[start:start + _BATCH_POINTS],
+                                       ring=ring)
+                swept = networks.rings[ring - 1]
+                for tau, eta, beta_sq in zip(swept.tau.tolist(), swept.eta.tolist(),
+                                             _sweep_success(networks)):
+                    lines.append(",".join([str(ring), _fmt(tau), _fmt(eta),
+                                           _fmt(tau ** 2), _fmt(eta ** 2),
+                                           _fmt(beta_sq)]))
         _write_lines(args.output, lines)
         return 0
 
     if args.kind == "surface":
         ring = args.ring if args.ring != 0 else 1
         axis = np.linspace(0.05, 0.98, grid_n)
-        points = [(ring, eta, tau) for eta in axis for tau in axis]
+        points = grid_n * grid_n
         lines = ["ring,tau,eta,theta,beta_sq"]
-        workers = _max_workers()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for rows in pool.map(lambda p: _surface_row(*p), points):
-                    lines.extend(rows)
-        else:
-            for p in points:
-                lines.extend(_surface_row(*p))
-        emitted = len(lines) - 1
-        print(f"emitted {emitted} of {2 * len(points)} candidate branches",
+        for start in range(0, points, _BATCH_POINTS):
+            # Grid points in row-major (eta, tau) order, as the CSV lists them.
+            point = np.arange(start, min(start + _BATCH_POINTS, points))
+            theta, networks = surface_stack(ring, axis[point // grid_n],
+                                            axis[point % grid_n])
+            swept = networks.rings[ring - 1]
+            for tau, eta, th, beta_sq in zip(swept.tau.tolist(), swept.eta.tolist(),
+                                             theta.tolist(), _sweep_success(networks)):
+                lines.append(",".join([str(ring), _fmt(tau), _fmt(eta), _fmt(th),
+                                       _fmt(beta_sq)]))
+        print(f"emitted {len(lines) - 1} of {2 * points} candidate branches",
               file=sys.stderr)
         _write_lines(args.output, lines)
         return 0
@@ -360,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--alpha", default=None,
                    help="three comma-separated complex amplitudes")
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", type=_finite_float, default=None)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -370,9 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", type=int, default=0, choices=(0, 1, 2, 3),
                    help="ring slot to sweep; 0 = all (curve) or 1 (surface)")
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tau-min", type=float, default=0.0)
-    p.add_argument("--tau-max", type=float, default=0.999)
-    p.add_argument("--delta2", type=float, default=math.pi / 30.0,
+    p.add_argument("--tau-min", type=_finite_float, default=0.0)
+    p.add_argument("--tau-max", type=_finite_float, default=0.999)
+    p.add_argument("--delta2", type=_finite_float, default=math.pi / 30.0,
                    help="middle line phase for the intersect kind")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_manifold)
@@ -385,8 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cnot", help="simulate the post-selected CNOT truth table")
     p.add_argument("--config", default=None,
                    help="JSON config with gate_a and gate_b ring objects")
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--probe-phase", type=float, default=0.0,
+    p.add_argument("--tolerance", type=_finite_float, default=None)
+    p.add_argument("--probe-phase", type=_finite_float, default=0.0,
                    help="diagnostic phase on one interferometer arm")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_cnot)

@@ -158,9 +158,15 @@ def lift_unitary(s: np.ndarray, n_photons: int) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {s.shape}")
-    if unitarity_residual(s) > LIFT_UNITARITY_TOL:
-        raise DomainError("scattering matrix is not unitary within 1e-10")
+    _require_unitary(s)
     return _lift_block(s, enumerate_basis(s.shape[0], n_photons))
+
+
+def _require_unitary(s: np.ndarray) -> None:
+    """Raise DomainError unless s, or every matrix of an (N, n, n) stack,
+    is unitary within LIFT_UNITARITY_TOL. A NaN residual fails."""
+    if not np.all(unitarity_residual(s) <= LIFT_UNITARITY_TOL):
+        raise DomainError("scattering matrix is not unitary within 1e-10")
 
 
 class SectoredState:
@@ -253,8 +259,7 @@ def evolve(state: SectoredState, s: np.ndarray) -> SectoredState:
     if s.shape != (state.n_modes, state.n_modes):
         raise DomainError(
             f"matrix shape {s.shape} does not match {state.n_modes} modes")
-    if unitarity_residual(s) > LIFT_UNITARITY_TOL:
-        raise DomainError("scattering matrix is not unitary within 1e-10")
+    _require_unitary(s)
     out = {}
     for n, vec in state.sectors.items():
         basis = enumerate_basis(state.n_modes, n)
@@ -323,7 +328,7 @@ class NlpsgInput:
 
     def __post_init__(self):
         norm = abs(self.alpha0) ** 2 + abs(self.alpha1) ** 2 + abs(self.alpha2) ** 2
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise DomainError(f"amplitudes must be normalized, |alpha|^2 = {norm}")
 
     def state(self) -> SectoredState:
@@ -338,6 +343,38 @@ class NlpsgInput:
 
 # Success pattern of the heralded gate: one photon on mode 2, none on mode 3.
 SUCCESS_PATTERN = MeasurementPattern(((1, 1), (2, 0)))
+
+# The herald-consistent output rows (k, 1, 0) of the 1-, 2- and 3-photon
+# sectors as repeated mode indices. They are also the input states that
+# carry alpha_k, so each sector contributes one permanent.
+_HERALD_MODES = ((1,), (0, 1), (0, 0, 1))
+
+
+def heralded_success_stack(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:
+    """Heralded-gate success probability of each matrix in an (N, 3, 3) stack.
+
+    Per matrix this is project(evolve(inp.state(), s), SUCCESS_PATTERN)[0],
+    summed over the sectors in the same order, but only the permanents of
+    the herald-consistent rows are evaluated.
+
+    Raises
+    ------
+    DomainError
+        If the stack has the wrong shape or any matrix is not unitary
+        within LIFT_UNITARITY_TOL.
+    """
+    s = np.asarray(s, dtype=complex)
+    if s.ndim != 3 or s.shape[1:] != (3, 3):
+        raise DomainError(f"expected an (N, 3, 3) stack, got shape {s.shape}")
+    _require_unitary(s)
+    prob = np.zeros(len(s))
+    for k, (alpha, modes) in enumerate(zip((inp.alpha0, inp.alpha1, inp.alpha2),
+                                           _HERALD_MODES)):
+        sub = s[:, modes][:, :, modes]
+        # The row and column state (k, 1, 0) both carry the norm sqrt(k!).
+        amp = _permanent_batch(sub) / factorial(k) * alpha
+        prob += np.abs(amp) ** 2
+    return prob
 
 
 def nlpsg_closed_form(s: np.ndarray, inp: NlpsgInput):

@@ -2,7 +2,10 @@
 
 Each block is a 3x3 transfer matrix that maps a mixed vector of true
 inputs and internal lines; the mode-swap algebra exchanges dependent and
-independent variables until the product becomes input -> output."""
+independent variables until the product becomes input -> output.
+
+Block embedding, the mode swap and composition all act on stacks of N
+networks; the single-network functions are the N = 1 case."""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PoleError, SingularPivotError
-from .ring import RingCoupler, RingTransfer, transfer_matrix
+from .ring import CouplerStack, RingCoupler, RingTransfer, transfer_matrix_stack
 
 SWAP_PIVOT_TOL = 1e-12
 
@@ -36,6 +39,51 @@ class NetworkParams:
                 raise DomainError("rings must be RingCoupler instances")
 
 
+@dataclass(frozen=True, eq=False)
+class NetworkStack:
+    """N three-ring networks: the stacked form of NetworkParams.
+
+    ``rings`` holds one CouplerStack per slot and ``deltas`` the (N, 3) line
+    phases. A ring stack of length 1 stands for the same ring in all N
+    networks.
+    """
+
+    rings: tuple[CouplerStack, CouplerStack, CouplerStack]
+    deltas: np.ndarray
+
+    def __post_init__(self):
+        rings = tuple(self.rings)
+        deltas = np.asarray(self.deltas, dtype=float)
+        if len(rings) != 3:
+            raise DomainError(f"exactly 3 ring stacks required, got {len(rings)}")
+        if deltas.ndim != 2 or deltas.shape[1] != 3:
+            raise DomainError(f"line phases must have shape (N, 3), got {deltas.shape}")
+        for r in rings:
+            if not isinstance(r, CouplerStack):
+                raise DomainError("rings must be CouplerStack instances")
+            if len(r) not in (1, len(deltas)):
+                raise DomainError(f"ring stack of length {len(r)} does not match "
+                                  f"{len(deltas)} networks")
+        object.__setattr__(self, "rings", rings)
+        object.__setattr__(self, "deltas", deltas)
+
+    @classmethod
+    def of(cls, networks) -> "NetworkStack":
+        """Stack a sequence of NetworkParams."""
+        networks = list(networks)
+        return cls(rings=tuple(CouplerStack.of(n.rings[slot] for n in networks)
+                               for slot in range(3)),
+                   deltas=np.array([n.deltas for n in networks], dtype=float).reshape(-1, 3))
+
+    def __len__(self) -> int:
+        return len(self.deltas)
+
+    def member(self, i: int) -> NetworkParams:
+        """The i-th network as NetworkParams."""
+        return NetworkParams(rings=tuple(r.member(i if len(r) > 1 else 0) for r in self.rings),
+                             deltas=tuple(self.deltas[i].tolist()))
+
+
 def mode_swap3(g: np.ndarray, j: int, pivot_tol: float = SWAP_PIVOT_TOL) -> np.ndarray:
     """Exchange the roles of input j and output j of a 3x3 linear relation.
 
@@ -45,7 +93,7 @@ def mode_swap3(g: np.ndarray, j: int, pivot_tol: float = SWAP_PIVOT_TOL) -> np.n
 
     Parameters
     ----------
-    g : (3, 3) complex array
+    g : (3, 3) complex array, or an (N, 3, 3) stack swapped matrix by matrix
     j : int
         1-based mode index to swap.
     pivot_tol : float
@@ -54,56 +102,65 @@ def mode_swap3(g: np.ndarray, j: int, pivot_tol: float = SWAP_PIVOT_TOL) -> np.n
     Raises
     ------
     SingularPivotError
-        If |g_jj| <= pivot_tol.
+        If |g_jj| <= pivot_tol, or is NaN, for any matrix; the error carries
+        the first such pivot.
     """
     g = np.asarray(g, dtype=complex)
-    if g.shape != (3, 3):
-        raise DomainError(f"expected a 3x3 matrix, got shape {g.shape}")
+    if g.ndim not in (2, 3) or g.shape[-2:] != (3, 3):
+        raise DomainError(f"expected a 3x3 matrix or a stack of them, got shape {g.shape}")
     if j not in (1, 2, 3):
         raise DomainError(f"mode index must be 1, 2 or 3, got {j}")
     p = j - 1
-    pivot = g[p, p]
-    if abs(pivot) <= pivot_tol:
+    pivot = g[..., p:p + 1, p:p + 1]
+    bad = ~(np.abs(pivot) > pivot_tol)
+    if bad.any():
+        first = complex(pivot[bad][0])
         raise SingularPivotError(
-            f"mode-{j} pivot magnitude {abs(pivot):.3e} below {pivot_tol:.1e}",
-            mode=j, pivot=pivot,
+            f"mode-{j} pivot magnitude {abs(first):.3e} below {pivot_tol:.1e}",
+            mode=j, pivot=first,
         )
-    out = np.empty_like(g)
-    for i in range(3):
-        for k in range(3):
-            if i == p and k == p:
-                out[i, k] = 1.0
-            elif i == p:
-                out[i, k] = -g[p, k]
-            elif k == p:
-                out[i, k] = g[i, p]
-            else:
-                out[i, k] = g[i, k] * pivot - g[i, p] * g[p, k]
-    return out / pivot
+    col = g[..., :, p:p + 1]
+    row = g[..., p:p + 1, :]
+    out = g * pivot
+    out -= col * row
+    out[..., p, :] = -row[..., 0, :]
+    out[..., :, p] = col[..., :, 0]
+    out[..., p, p] = 1.0
+    out /= pivot
+    return out
 
 
-def block_transfer(block: int, m: RingTransfer, delta: float) -> np.ndarray:
-    """Embed one ring transfer into its 3x3 network block.
+def block_transfer(block: int, m, delta) -> np.ndarray:
+    """Embed ring transfers into their 3x3 network blocks.
 
     Blocks 1 and 3 put the in-line phase e^{-i delta} on the first slot and
     the ring on slots 2..3; block 2 puts the ring on slots 1..2 and the
-    phase on slot 3.
+    phase on slot 3. ``m`` is a RingTransfer or an (N, 2, 2) stack and
+    ``delta`` a phase or N phases; a stack gives (N, 3, 3) blocks.
     """
     if block not in (1, 2, 3):
         raise DomainError(f"block must be 1, 2 or 3, got {block}")
-    phase = np.exp(-1j * delta)
-    out = np.zeros((3, 3), dtype=complex)
+    m = m.matrix if isinstance(m, RingTransfer) else np.asarray(m, dtype=complex)
+    phase = np.exp(-1j * np.asarray(delta, dtype=float))
+    out = np.zeros(np.broadcast_shapes(m.shape[:-2], phase.shape) + (3, 3),
+                   dtype=complex)
     if block == 2:
-        out[0:2, 0:2] = m.matrix
-        out[2, 2] = phase
+        out[..., 0:2, 0:2] = m
+        out[..., 2, 2] = phase
     else:
-        out[0, 0] = phase
-        out[1:3, 1:3] = m.matrix
+        out[..., 0, 0] = phase
+        out[..., 1:3, 1:3] = m
     return out
 
 
 def compose_scattering(params: NetworkParams) -> np.ndarray:
-    """Global 3x3 scattering matrix of the three-ring network.
+    """Global 3x3 scattering matrix of the three-ring network: the N = 1
+    case of ``compose_scattering_stack``, which documents the errors."""
+    return compose_scattering_stack(NetworkStack.of([params]))[0]
+
+
+def compose_scattering_stack(networks: NetworkStack) -> np.ndarray:
+    """Global scattering matrices of N three-ring networks, shape (N, 3, 3).
 
     The middle ring is mounted mirror-imaged, so its transfer matrix is
     built from the flipped coupler. Each block is swapped on mode 2 to
@@ -113,13 +170,15 @@ def compose_scattering(params: NetworkParams) -> np.ndarray:
     Raises
     ------
     SingularPivotError
-        If any block's through amplitude (or the chain's mode-2 pivot)
-        vanishes; the error carries the offending block when applicable.
+        If any network's block through amplitude (or its chain's mode-2
+        pivot) vanishes; the error carries the offending block when
+        applicable.
     """
-    couplers = (params.rings[0], params.rings[1].flipped(), params.rings[2])
+    couplers = (networks.rings[0], networks.rings[1].flipped(), networks.rings[2])
     swapped = []
     for slot, coupler in zip((1, 2, 3), couplers):
-        t3 = block_transfer(slot, transfer_matrix(coupler), params.deltas[slot - 1])
+        t3 = block_transfer(slot, transfer_matrix_stack(coupler),
+                            networks.deltas[:, slot - 1])
         try:
             swapped.append(mode_swap3(t3, 2))
         except SingularPivotError as err:
@@ -159,8 +218,10 @@ def closed_form_resonant(t1: float, t2: float, t3: float) -> np.ndarray:
     return s / den
 
 
-def unitarity_residual(s: np.ndarray) -> float:
-    """Max-norm deviation of S†S from the identity."""
+def unitarity_residual(s: np.ndarray):
+    """Max-norm deviation of S†S from the identity: a float for one matrix,
+    an (N,) array for an (N, n, n) stack."""
     s = np.asarray(s, dtype=complex)
-    eye = np.eye(s.shape[0])
-    return float(np.max(np.abs(s.conj().T @ s - eye)))
+    eye = np.eye(s.shape[-1])
+    r = np.max(np.abs(np.swapaxes(s.conj(), -1, -2) @ s - eye), axis=(-2, -1))
+    return float(r) if s.ndim == 2 else r

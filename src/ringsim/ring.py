@@ -1,9 +1,12 @@
 """Single double-bus microring resonator: couplers, 2x2 transfer matrix,
-and the effective transmission/reflection picture valid on resonance."""
+and the effective transmission/reflection picture valid on resonance.
+
+Couplers and transfer matrices also come in a stacked form over N rings
+(``CouplerStack``, ``transfer_matrix_stack``), which the manifold sweeps
+evaluate in one numpy pass."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -115,22 +118,123 @@ def build_coupler(tau: float, eta: float, theta: float,
     )
 
 
-def transfer_matrix(coupler: RingCoupler) -> RingTransfer:
-    """Bus-to-bus transfer matrix of one ring.
+_COUPLER_DTYPES = {"tau": float, "eta": float, "theta": float, "phi": float,
+                   "kappa": complex, "gamma": complex}
+
+
+@dataclass(frozen=True, eq=False)
+class CouplerStack:
+    """N rings as parallel 1-D arrays: the stacked form of RingCoupler.
+
+    Every member passes the checks of RingCoupler on construction (domain,
+    pole, reciprocity); the error names the first failing value, and NaN
+    fails every check.
+    """
+
+    tau: np.ndarray
+    eta: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+    kappa: np.ndarray
+    gamma: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _COUPLER_DTYPES.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        shapes = {getattr(self, name).shape for name in _COUPLER_DTYPES}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise DomainError(f"coupler fields must be 1-D arrays of one length, "
+                              f"got shapes {sorted(shapes)}")
+        for name, value in (("tau", self.tau), ("eta", self.eta)):
+            bad = ~(np.abs(value) <= 1.0)
+            if bad.any():
+                raise DomainError(f"{name} must lie in [-1, 1], got {value[bad][0]}")
+        product = np.abs(self.tau * self.eta)
+        bad = ~(product < 1.0)
+        if bad.any():
+            raise PoleError(f"|tau*eta| = {product[bad][0]} puts the resonance "
+                            "denominator at zero")
+        for t, k, label in ((self.tau, self.kappa, "kappa"),
+                            (self.eta, self.gamma, "gamma")):
+            if not np.all(np.abs(np.abs(k) ** 2 + t * t - 1.0) <= _RECIPROCITY_TOL):
+                raise DomainError(f"|{label}|^2 + transmission^2 != 1")
+            if not np.all(np.abs(k * t + k.conj() * t) <= _RECIPROCITY_TOL):
+                raise DomainError(f"{label} violates the reciprocity phase condition")
+
+    @classmethod
+    def _checked_already(cls, **fields) -> "CouplerStack":
+        """Stack from 1-D arrays whose members are known to pass the checks."""
+        stack = object.__new__(cls)
+        for name in _COUPLER_DTYPES:
+            object.__setattr__(stack, name, fields[name])
+        return stack
+
+    @classmethod
+    def of(cls, couplers) -> "CouplerStack":
+        """Stack a sequence of RingCoupler instances, which have each passed
+        the checks on construction."""
+        couplers = list(couplers)
+        return cls._checked_already(**{
+            name: np.array([getattr(c, name) for c in couplers], dtype=dtype)
+            for name, dtype in _COUPLER_DTYPES.items()})
+
+    def __len__(self) -> int:
+        return len(self.tau)
+
+    def member(self, i: int) -> RingCoupler:
+        """The i-th ring as a RingCoupler."""
+        return RingCoupler(tau=float(self.tau[i]), eta=float(self.eta[i]),
+                           theta=float(self.theta[i]), phi=float(self.phi[i]),
+                           kappa=complex(self.kappa[i]), gamma=complex(self.gamma[i]))
+
+    def flipped(self) -> "CouplerStack":
+        """Every ring mounted mirror-imaged, as RingCoupler.flipped. The
+        checks are symmetric under the swap, so they are not repeated."""
+        return self._checked_already(tau=self.eta, eta=self.tau, theta=self.theta,
+                                     phi=self.phi, kappa=self.gamma, gamma=self.kappa)
+
+
+def build_couplers(tau, eta, theta) -> CouplerStack:
+    """Stacked build_coupler, with the default phase partition phi = theta/2,
+    over arrays that broadcast to one 1-D shape.
+
+    Raises the errors of build_coupler for the first failing member.
+    """
+    tau, eta, theta = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (tau, eta, theta)))
+    # Out-of-domain members give NaN here and are rejected by CouplerStack.
+    with np.errstate(invalid="ignore"):
+        kappa = 1j * np.sqrt(1.0 - tau * tau)
+        gamma = 1j * np.sqrt(1.0 - eta * eta)
+    return CouplerStack(tau=tau, eta=eta, theta=theta % TWO_PI, phi=0.5 * theta,
+                        kappa=kappa, gamma=gamma)
+
+
+def transfer_matrix_stack(couplers: CouplerStack) -> np.ndarray:
+    """Bus-to-bus transfer matrices of N rings, shape (N, 2, 2).
 
     The through amplitudes interpolate between the coupler transmissions
     with the round-trip phasor; the cross amplitudes share the ring loss
     factor and split the round trip according to the phase partition.
     """
-    tau, eta, theta, phi = coupler.tau, coupler.eta, coupler.theta, coupler.phi
-    z = cmath.exp(-1j * theta)
+    tau, eta, theta, phi = couplers.tau, couplers.eta, couplers.theta, couplers.phi
+    z = np.exp(-1j * theta)
     den = 1.0 - eta * tau * z
-    cross = coupler.gamma * coupler.kappa.conjugate()
-    a = (eta - tau * z) / den
-    b = -cross * cmath.exp(-1j * phi) / den
-    c = -coupler.kappa * coupler.gamma.conjugate() * cmath.exp(-1j * (theta - phi)) / den
-    d = (tau - eta * z) / den
-    return RingTransfer(a=a, b=b, c=c, d=d)
+    cross = couplers.gamma * couplers.kappa.conj()
+    out = np.empty((len(couplers), 2, 2), dtype=complex)
+    out[:, 0, 0] = (eta - tau * z) / den
+    out[:, 0, 1] = -cross * np.exp(-1j * phi) / den
+    out[:, 1, 0] = -couplers.kappa * couplers.gamma.conj() * np.exp(-1j * (theta - phi)) / den
+    out[:, 1, 1] = (tau - eta * z) / den
+    return out
+
+
+def transfer_matrix(coupler: RingCoupler) -> RingTransfer:
+    """Bus-to-bus transfer matrix of one ring: the N = 1 case of
+    ``transfer_matrix_stack``."""
+    m = transfer_matrix_stack(CouplerStack.of([coupler]))[0]
+    return RingTransfer(a=complex(m[0, 0]), b=complex(m[0, 1]),
+                        c=complex(m[1, 0]), d=complex(m[1, 1]))
 
 
 def effective_coupling(tau: float, eta: float) -> EffectiveCoupling:

@@ -8,7 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from ringsim import T1_OPTIMAL, T2_OPTIMAL, invert_effective
+from ringsim import (SUCCESS_PATTERN, NetworkParams, NlpsgInput, T1_OPTIMAL,
+                     T2_OPTIMAL, build_coupler, compensated_network,
+                     compose_scattering, curve_ring, evolve, invert_effective,
+                     project, surface_theta)
+from ringsim import cli
 from ringsim.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -151,22 +155,121 @@ def test_manifold_surface(tmp_path, capsys):
     assert "of 18 candidate branches" in captured.err
 
 
-def test_manifold_surface_thread_count_invariant(tmp_path, monkeypatch):
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    monkeypatch.setenv("RINGSIM_THREADS", "1")
-    assert main(["manifold", "surface", "--grid", "3",
-                 "--output", str(out_a)]) == 0
-    monkeypatch.setenv("RINGSIM_THREADS", "4")
-    assert main(["manifold", "surface", "--grid", "3",
-                 "--output", str(out_b)]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
+def _fmt(x):
+    return f"{x:.8e}"
 
 
-def test_manifold_bad_thread_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("RINGSIM_THREADS", "many")
-    assert main(["manifold", "surface", "--grid", "3"]) == 2
-    assert "RINGSIM_THREADS" in capsys.readouterr().err
+def _rebuilt_success(net):
+    a = 1.0 / np.sqrt(3.0)
+    prob, _ = project(evolve(NlpsgInput(a, a, a).state(), compose_scattering(net)),
+                      SUCCESS_PATTERN)
+    return prob
+
+
+def _rebuild_surface(ring, grid):
+    """The surface CSV rebuilt point by point through the scalar API."""
+    transmission = T2_OPTIMAL if ring == 2 else T1_OPTIMAL
+    axis = np.linspace(0.05, 0.98, grid)
+    lines = ["ring,tau,eta,theta,beta_sq"]
+    for eta in axis:
+        for tau in axis:
+            for theta in surface_theta(transmission, eta, tau):
+                rings = [curve_ring(s, 0.0) for s in (1, 2, 3)]
+                rings[ring - 1] = build_coupler(tau, eta, theta)
+                net = compensated_network(*rings)
+                lines.append(",".join([str(ring), _fmt(tau), _fmt(eta), _fmt(theta),
+                                       _fmt(_rebuilt_success(net))]))
+    return lines
+
+
+def _rebuild_curve(grid):
+    lines = ["ring,tau,eta,tau_sq,eta_sq,beta_sq"]
+    for ring in (1, 2, 3):
+        for tau in np.linspace(0.0, 0.999, grid):
+            rings = [curve_ring(s, 0.0) for s in (1, 2, 3)]
+            rings[ring - 1] = curve_ring(ring, float(tau))
+            c = rings[ring - 1]
+            beta_sq = _rebuilt_success(NetworkParams(rings=tuple(rings)))
+            lines.append(",".join([str(ring), _fmt(c.tau), _fmt(c.eta), _fmt(c.tau ** 2),
+                                   _fmt(c.eta ** 2), _fmt(beta_sq)]))
+    return lines
+
+
+@pytest.mark.parametrize("ring", [1, 2, 3])
+def test_manifold_surface_equals_pointwise_rebuild(ring, capsys):
+    assert main(["manifold", "surface", "--ring", str(ring), "--grid", "5"]) == 0
+    captured = capsys.readouterr()
+    expected = _rebuild_surface(ring, 5)
+    assert captured.out.splitlines() == expected
+    assert f"emitted {len(expected) - 1} of 50 candidate branches" in captured.err
+
+
+def test_manifold_curve_equals_pointwise_rebuild(capsys):
+    assert main(["manifold", "curve", "--grid", "7"]) == 0
+    assert capsys.readouterr().out.splitlines() == _rebuild_curve(7)
+
+
+def test_manifold_output_independent_of_batch_size(monkeypatch, capsys):
+    argvs = (["manifold", "surface", "--ring", "2", "--grid", "5"],
+             ["manifold", "curve", "--grid", "7"])
+    whole = []
+    for argv in argvs:
+        assert main(argv) == 0
+        whole.append(capsys.readouterr())
+    monkeypatch.setattr(cli, "_BATCH_POINTS", 3)
+    for argv, expected in zip(argvs, whole):
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["manifold", "curve", "--tau-min", "nan"],
+    ["manifold", "curve", "--tau-max", "inf"],
+    ["manifold", "intersect", "--delta2=-inf"],
+    ["cnot", "--tolerance", "nan"],
+    ["cnot", "--probe-phase", "inf"],
+])
+def test_non_finite_option_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("theta", float("nan")),
+    ("tau", float("inf")),
+    ("delta", float("-inf")),
+    ("phi", float("nan")),
+])
+def test_non_finite_ring_field_exits_2(tmp_path, capsys, field, value):
+    entry = ring_entry(1)
+    entry[field] = value
+    cfg = {"rings": [entry, ring_entry(2), ring_entry(3)]}
+    assert main(["smatrix", "--config", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"rings[0].{field} must be finite" in captured.err
+
+
+@pytest.mark.parametrize("grid", [float("inf"), float("nan"), 10 ** 400])
+def test_non_finite_grid_exits_2(tmp_path, capsys, grid):
+    path = write_config(tmp_path, {"grid": grid})
+    assert main(["manifold", "curve", "--config", path]) == 2
+    assert "config.grid" in capsys.readouterr().err
+
+
+def test_non_finite_alpha_exits_2(tmp_path, capsys):
+    assert main(["verify", "--config", optimal_config(tmp_path),
+                 "--alpha", "nan,1,0"]) == 2
+    assert "alpha must be finite" in capsys.readouterr().err
+    cfg = {"rings": [ring_entry(s) for s in (1, 2, 3)],
+           "alpha": [[1.0, 0.0], [float("inf"), 0.0], [0.0, 0.0]]}
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "alpha must be finite" in capsys.readouterr().err
+    assert main(["verify", "--config", optimal_config(tmp_path),
+                 "--alpha", "1e200,1e200,0"]) == 2
+    assert "alpha too large" in capsys.readouterr().err
 
 
 def test_manifold_intersect(tmp_path, capsys):

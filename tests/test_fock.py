@@ -132,6 +132,19 @@ def test_lift_rejects_non_unitary():
         lift_unitary(np.ones((2, 2)), 2)
 
 
+def test_lift_rejects_nan_matrix():
+    with pytest.raises(DomainError):
+        lift_unitary(np.full((2, 2), np.nan), 2)
+
+
+def test_evolve_rejects_nan_matrix():
+    state = SectoredState.from_occupations(3, {(1, 0, 0): 1.0})
+    s = np.eye(3, dtype=complex)
+    s[0, 0] = np.nan
+    with pytest.raises(DomainError):
+        evolve(state, s)
+
+
 def test_evolve_vacuum_untouched():
     rng = np.random.default_rng(43)
     state = SectoredState.from_occupations(3, {(0, 0, 0): 1.0})
@@ -210,6 +223,11 @@ def test_pattern_rejects_duplicate_modes():
 def test_nlpsg_input_must_be_normalized():
     with pytest.raises(DomainError):
         NlpsgInput(alpha0=1.0, alpha1=1.0, alpha2=0.0)
+
+
+def test_nlpsg_input_rejects_nan():
+    with pytest.raises(DomainError):
+        NlpsgInput(alpha0=np.nan, alpha1=0.0, alpha2=0.0)
 
 
 def test_nlpsg_closed_form_examples():
