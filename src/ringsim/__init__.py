@@ -9,7 +9,8 @@ from .analysis import (ManifoldSample, NlpsgVerdict, OffResonanceReport,
                        T2_OPTIMAL, align_line_phases, beta_sq_of_t1,
                        compensated_network, compensated_network_stack,
                        curve_eta_of_tau, curve_network, curve_ring, curve_stack,
-                       intersect_delta2, off_resonance_check, optimal_point,
+                       intersect_delta2, intersect_stack, off_resonance_check,
+                       optimal_point,
                        optimize_t1, ring_phase_arg, surface_network,
                        surface_stack, surface_theta, surface_theta_stack,
                        t2_from_equality, t3_of_t1, verdict, wrap_angle)
@@ -53,7 +54,7 @@ __all__ = [
     "surface_theta_stack", "surface_stack", "ring_phase_arg",
     "compensated_network", "compensated_network_stack", "surface_network",
     "off_resonance_check",
-    "intersect_delta2", "align_line_phases", "wrap_angle",
+    "intersect_delta2", "intersect_stack", "align_line_phases", "wrap_angle",
     "DualRailQubit", "CnotNetwork", "TruthTableRow", "CoherenceReport",
     "embed", "build_cnot", "verify_truth_table", "verify_coherence",
     "conditional_logical_matrix", "normalize_global_phase",

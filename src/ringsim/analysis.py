@@ -1,9 +1,10 @@
 """Success constraints of the heralded phase gate and the parameter
 manifolds on which the network attains its optimal operating point.
 
-The resonant-curve and detuned-surface sweeps each have one stacked core
-(``curve_stack``, ``surface_stack``) that builds every network of a grid
-in one numpy pass; the per-point functions are wrappers over them."""
+The resonant-curve, detuned-surface and fixed-line-phase sweeps each have
+one stacked core (``curve_stack``, ``surface_stack``, ``intersect_stack``)
+that solves every point of a grid in one numpy pass; the per-point
+functions are wrappers over them."""
 
 from __future__ import annotations
 
@@ -505,102 +506,89 @@ def off_resonance_check(ring1: RingCoupler, ring3: RingCoupler,
     )
 
 
-def _through_amplitude_jacobian(eta: float, tau: float, theta: float):
-    """A, dA/deta, dA/dtheta of the through amplitude."""
-    z = cmath.exp(-1j * theta)
-    den = 1.0 - eta * tau * z
-    a = (eta - tau * z) / den
-    da_deta = (1.0 - tau * tau * z * z) / (den * den)
-    da_dtheta = 1j * tau * z * (1.0 - eta * eta) / (den * den)
-    return a, da_deta, da_dtheta
-
-
 def intersect_delta2(delta2: float, tau2_grid=None,
-                     transmission: float = T2_OPTIMAL,
-                     max_iter: int = 50, tol: float = 1e-12) -> list[ManifoldSample]:
-    """Middle-ring parameters compatible with a fixed middle line phase.
+                     transmission: float = T2_OPTIMAL) -> list[ManifoldSample]:
+    """Middle-ring samples compatible with a fixed middle line phase.
 
-    For each lower-coupler value, damped Newton solves the two conditions
-    |A(eta2, tau2, theta2)| = transmission and arg A = delta2 for
-    (eta2, theta2), seeded by continuation from the previous converged
-    point. With the line phase set to delta2 the solved ring cancels the
-    internal loop phase, so every converged sample composes to a network
-    with heralded amplitude 1/2. Non-converged grid points are skipped
-    and counted, never fabricated. delta2 = 0 degenerates to the
-    resonant curve. The converged networks are composed in one stacked
-    call after the solve.
+    The rings of ``intersect_stack`` sit between the resonant optimal outer
+    rings at tau = 0, with the middle line phase set to delta2. The solved
+    ring cancels the internal loop phase, so every sample composes to a
+    network with heralded amplitude 1/2; delta2 = 0 degenerates to the
+    resonant curve. The networks are composed in one stacked call.
     """
     if tau2_grid is None:
         tau2_grid = np.linspace(0.0, 0.999, 401)
-    target_arg = wrap_angle(delta2)
-    solved = []
-    skipped = 0
-    seed = None
-    for tau2 in np.asarray(tau2_grid, dtype=float):
-        if seed is None:
-            try:
-                eta = invert_effective(transmission, tau2)
-            except (PoleError, DomainError):
-                skipped += 1
-                continue
-            theta = wrap_angle(target_arg)
-        else:
-            eta, theta = seed
-        converged = False
-        for _ in range(max_iter):
-            a, da_deta, da_dtheta = _through_amplitude_jacobian(eta, tau2, theta)
-            mag = abs(a)
-            if mag < 1e-14:
-                break
-            f = np.array([mag - transmission,
-                          wrap_angle(math.atan2(a.imag, a.real) - target_arg)])
-            if max(abs(f[0]), abs(f[1])) < tol:
-                converged = True
-                break
-            ac = a.conjugate()
-            jac = np.array([
-                [(ac * da_deta).real / mag, (ac * da_dtheta).real / mag],
-                [(ac * da_deta).imag / mag ** 2, (ac * da_dtheta).imag / mag ** 2],
-            ])
-            try:
-                step = np.linalg.solve(jac, -f)
-            except np.linalg.LinAlgError:
-                break
-            scale = 1.0
-            base = max(abs(f[0]), abs(f[1]))
-            for _ in range(10):
-                new_eta = min(1.0 - 1e-12, max(1e-12, eta + scale * step[0]))
-                new_theta = wrap_angle(theta + scale * step[1])
-                a_new, _, _ = _through_amplitude_jacobian(new_eta, tau2, new_theta)
-                if abs(a_new) < 1e-14:
-                    scale *= 0.5
-                    continue
-                f_new = max(abs(abs(a_new) - transmission),
-                            abs(wrap_angle(math.atan2(a_new.imag, a_new.real)
-                                           - target_arg)))
-                if f_new < base:
-                    break
-                scale *= 0.5
-            eta, theta = new_eta, new_theta
-        if not converged:
-            skipped += 1
-            log.debug("intersect point tau2=%s did not converge", tau2)
-            seed = None
-            continue
-        seed = (eta, theta)
-        ring2 = build_coupler(tau2, eta, theta)
-        net = NetworkParams(
-            rings=(curve_ring(1, 0.0), ring2, curve_ring(3, 0.0)),
-            deltas=(0.0, float(delta2), 0.0),
-        )
-        solved.append((net, abs(f[0]), abs(f[1])))
-    matrices = compose_scattering_stack(NetworkStack.of(net for net, _, _ in solved))
-    samples = [_sample_from_network(net, 2, s, solver_mag=mag, solver_arg=arg)
-               for (net, mag, arg), s in zip(solved, matrices)]
+    tau2, eta2, theta2, residual_mag, residual_arg = intersect_stack(
+        delta2, tau2_grid, transmission)
+    networks = NetworkStack(
+        rings=_optimal_rings_with(2, build_couplers(tau2, eta2, theta2)),
+        deltas=np.tile([0.0, float(delta2), 0.0], (len(tau2), 1)))
+    matrices = compose_scattering_stack(networks)
+    return [_sample_from_network(networks.member(i), 2, matrices[i],
+                                 solver_mag=float(residual_mag[i]),
+                                 solver_arg=float(residual_arg[i]))
+            for i in range(len(networks))]
+
+
+def intersect_stack(delta2: float, tau2_grid,
+                    transmission: float = T2_OPTIMAL) -> tuple[np.ndarray, ...]:
+    """Middle rings whose through amplitude is A = t e^{i delta2}, with
+    t = transmission, solved in closed form over a grid of lower couplers.
+
+    Solving A = (eta - tau z) / (1 - eta tau z) for z = e^{-i theta} gives
+    z = (A - eta) / (tau (A eta - 1)), and |z| = 1 is the real quadratic
+    (1 - tau^2 t^2) eta^2 - 2 t cos(delta2) (1 - tau^2) eta + t^2 - tau^2 = 0.
+    A grid point is kept when |tau| < 1 and the larger root lies in (0, 1);
+    the smaller root is a second real branch and is not returned. At
+    tau = 0 the through amplitude is eta for every theta, so that point is
+    kept, with eta = t and theta = 0, only when delta2 wraps to 0. Skipped
+    points are counted in the log.
+
+    Returns (tau2, eta2, theta2, residual_mag, residual_arg) over the kept
+    points in grid order, with theta2 in (-pi, pi]. The residuals are
+    ||A| - t| and |arg A - delta2| (mod 2 pi) of A re-evaluated from the
+    returned ring.
+
+    Raises
+    ------
+    DomainError
+        If transmission is outside (0, 1).
+    """
+    if not 0.0 < transmission < 1.0:
+        raise DomainError(f"transmission must lie in (0, 1), got {transmission}")
+    tau = np.asarray(tau2_grid, dtype=float).reshape(-1)
+    t = transmission
+    target = wrap_angle(delta2)
+    a = t * cmath.exp(1j * target)
+    # The quadratic as q eta^2 - 2 b eta + c = 0, with every coefficient and
+    # the quarter discriminant b^2 - q c = lo^2 - hi^2 written as products,
+    # which keep their precision as tau approaches t or 1.
+    rest = (1.0 - tau) * (1.0 + tau)
+    q = (1.0 - tau * t) * (1.0 + tau * t)
+    b = a.real * rest
+    c = (t - tau) * (t + tau)
+    lo, hi = tau * (1.0 - t) * (1.0 + t), abs(a.imag) * rest
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt((lo - hi) * (lo + hi))
+        # The larger root, in the form without cancellation for either sign of b.
+        eta = np.where(b >= 0.0, (b + root) / q, c / (b - root))
+    # e^{-i theta} = (a - eta) / (tau (a eta - 1)); theta is free where that
+    # is 0/0, as at tau = 0, whose only root is eta = t on resonance.
+    w = (a - eta) * np.conj(a * eta - 1.0) * np.sign(tau)
+    at_zero = tau == 0.0
+    eta = np.where(at_zero, t, eta)
+    keep = (eta > 0.0) & (eta < 1.0) & (np.abs(tau) < 1.0) & (~at_zero | (target == 0.0))
+    tau, eta = tau[keep], eta[keep]
+    # theta = -arg z, mapped to (-pi, pi] as wrap_angle does.
+    theta = -((np.angle(np.where(w == 0.0, 1.0, w)[keep]) + math.pi) % TWO_PI - math.pi)
+    z = np.exp(-1j * theta)
+    through = (eta - tau * z) / (1.0 - eta * tau * z)
+    skipped = keep.size - tau.size
     if skipped:
-        log.info("intersection trace skipped %d of %d grid points",
-                 skipped, skipped + len(samples))
-    return samples
+        log.info("intersection trace skipped %d of %d grid points: no root "
+                 "with eta in (0, 1)", skipped, keep.size)
+    return (tau, eta, theta, np.abs(np.abs(through) - t),
+            np.abs(np.angle(through / a)))
 
 
 def align_line_phases(params: NetworkParams,

@@ -11,9 +11,8 @@ import sys
 
 import numpy as np
 
-from . import analysis
 from .analysis import (T1_OPTIMAL, T2_OPTIMAL, curve_network, curve_stack,
-                       intersect_delta2, optimize_t1, surface_stack,
+                       intersect_stack, optimize_t1, surface_stack,
                        t2_from_equality, verdict)
 from .cnot import build_cnot, verify_coherence, verify_truth_table
 from .errors import (ConfigError, ConstraintError, DomainError, PoleError,
@@ -255,6 +254,8 @@ def cmd_manifold(args) -> int:
                     lines.append(",".join([str(ring), _fmt(tau), _fmt(eta),
                                            _fmt(tau ** 2), _fmt(eta ** 2),
                                            _fmt(beta_sq)]))
+        print(f"emitted {len(lines) - 1} of {len(rings) * grid_n} grid points",
+              file=sys.stderr)
         _write_lines(args.output, lines)
         return 0
 
@@ -278,15 +279,11 @@ def cmd_manifold(args) -> int:
         _write_lines(args.output, lines)
         return 0
 
-    samples = intersect_delta2(args.delta2, np.linspace(0.0, 0.999, grid_n))
+    columns = intersect_stack(args.delta2, np.linspace(0.0, 0.999, grid_n))
     lines = ["tau2,eta2,theta2,residual_mag,residual_arg"]
-    for sample in samples:
-        c = sample.network.rings[1]
-        theta2 = analysis.wrap_angle(c.theta)
-        lines.append(",".join([_fmt(c.tau), _fmt(c.eta), _fmt(theta2),
-                               _fmt(sample.residuals.solver_mag),
-                               _fmt(sample.residuals.solver_arg)]))
-    print(f"converged {len(samples)} of {grid_n} grid points", file=sys.stderr)
+    for row in zip(*(c.tolist() for c in columns)):
+        lines.append(",".join(map(_fmt, row)))
+    print(f"converged {len(lines) - 1} of {grid_n} grid points", file=sys.stderr)
     _write_lines(args.output, lines)
     return 0
 

@@ -53,9 +53,9 @@ class RingCoupler:
             )
         for t, k, label in ((self.tau, self.kappa, "kappa"),
                             (self.eta, self.gamma, "gamma")):
-            if abs(abs(k) ** 2 + t * t - 1.0) > _RECIPROCITY_TOL:
+            if not abs(abs(k) ** 2 + t * t - 1.0) <= _RECIPROCITY_TOL:
                 raise DomainError(f"|{label}|^2 + transmission^2 != 1")
-            if abs(k * t + k.conjugate() * t) > _RECIPROCITY_TOL:
+            if not abs(k * t + k.conjugate() * t) <= _RECIPROCITY_TOL:
                 raise DomainError(f"{label} violates the reciprocity phase condition")
 
     def flipped(self) -> "RingCoupler":

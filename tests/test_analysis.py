@@ -21,6 +21,7 @@ from ringsim import (
     curve_ring,
     evolve,
     intersect_delta2,
+    intersect_stack,
     invert_effective,
     off_resonance_check,
     optimal_point,
@@ -303,6 +304,15 @@ def test_intersect_zero_line_phase_reduces_to_curve():
         ring2 = sample.network.rings[1]
         assert abs(ring2.eta - invert_effective(T2_OPTIMAL, tau2)) < 1e-9
         assert abs(wrap_angle(ring2.theta)) < 1e-9
+
+
+def test_intersect_at_zero_lower_coupler():
+    # At tau2 = 0 the through amplitude is eta for every theta.
+    tau, eta, theta, residual_mag, residual_arg = intersect_stack(0.0, [0.0])
+    assert tau.tolist() == [0.0] and eta.tolist() == [T2_OPTIMAL]
+    assert theta.tolist() == [0.0]
+    assert residual_mag.tolist() == [0.0] and residual_arg.tolist() == [0.0]
+    assert all(x.size == 0 for x in intersect_stack(np.pi / 30.0, [0.0]))
 
 
 def test_align_line_phases_restores_equality():

@@ -119,21 +119,31 @@ def test_verify_detuned_fails(tmp_path, capsys):
 
 def test_manifold_curve_single_ring(tmp_path, capsys):
     assert main(["manifold", "curve", "--ring", "1", "--grid", "5"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
     assert lines[0] == "ring,tau,eta,tau_sq,eta_sq,beta_sq"
     assert len(lines) == 6
     for line in lines[1:]:
         fields = line.split(",")
         assert fields[0] == "1"
         assert abs(float(fields[5]) - 0.25) < 1e-9
+    assert "emitted 5 of 5 grid points" in captured.err
+    # tau = -1 and tau = 1 put the ring on its pole and are skipped.
+    assert main(["manifold", "curve", "--ring", "1", "--grid", "5",
+                 "--tau-min", "-1", "--tau-max", "1"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.strip().splitlines()) == 4
+    assert "emitted 3 of 5 grid points" in captured.err
 
 
 def test_manifold_curve_all_rings(tmp_path, capsys):
     assert main(["manifold", "curve", "--grid", "3"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
     assert len(lines) == 10
     assert [line.split(",")[0] for line in lines[1:]] == \
         ["1", "1", "1", "2", "2", "2", "3", "3", "3"]
+    assert "emitted 9 of 9 grid points" in captured.err
 
 
 def test_manifold_curve_deterministic_output(tmp_path):
@@ -284,6 +294,19 @@ def test_manifold_intersect(tmp_path, capsys):
         assert fields[3] < 1e-9
         assert fields[4] < 1e-9
     assert "converged" in captured.err
+
+
+@pytest.mark.parametrize("delta2, rows", [(0.105, 919), (2.0, 453)])
+def test_manifold_intersect_row_count(capsys, delta2, rows):
+    assert main(["manifold", "intersect", "--delta2", str(delta2),
+                 "--grid", "1001"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == rows + 1
+    assert f"converged {rows} of 1001 grid points" in captured.err
+    for line in lines[1:]:
+        residual_mag, residual_arg = (float(x) for x in line.split(",")[3:])
+        assert residual_mag < 1e-12 and residual_arg < 1e-12
 
 
 def test_optimize_report(capsys):

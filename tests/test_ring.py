@@ -6,6 +6,7 @@ import pytest
 from ringsim import (
     DomainError,
     PoleError,
+    RingCoupler,
     build_coupler,
     effective_coupling,
     invert_effective,
@@ -51,6 +52,15 @@ def test_build_coupler_rejects_out_of_range():
 def test_build_coupler_pole():
     with pytest.raises(PoleError):
         build_coupler(1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("field", ["kappa", "gamma"])
+def test_ring_coupler_rejects_nan_cross_amplitude(field):
+    fields = dict(tau=0.5, eta=0.5, theta=0.0, phi=0.0,
+                  kappa=1j * np.sqrt(0.75), gamma=1j * np.sqrt(0.75))
+    fields[field] = complex("nan")
+    with pytest.raises(DomainError):
+        RingCoupler(**fields)
 
 
 def test_flipped_swaps_waveguide_and_loop_sides():

@@ -1,4 +1,5 @@
-"""Property tests of the stacked (N-network) forms against the scalar API."""
+"""Property tests of the stacked (N-network) forms against the scalar API,
+and of the closed-form fixed-line-phase intersection."""
 
 import math
 
@@ -23,6 +24,8 @@ from ringsim import (
     compose_scattering_stack,
     evolve,
     heralded_success_stack,
+    intersect_stack,
+    invert_effective,
     project,
 )
 
@@ -137,3 +140,45 @@ def test_stack_members_round_trip():
     with pytest.raises(DomainError):
         NetworkStack(rings=(stack, stack, CouplerStack.of([c] * 3)),
                      deltas=np.zeros((2, 3)))
+
+
+phases = st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True)
+lower_couplers = st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                                    exclude_max=True), min_size=1, max_size=20)
+targets = st.floats(min_value=0.05, max_value=0.95)
+
+
+def rounding_slack(tau, eta, theta):
+    """First-order change of the through amplitude when tau, eta and theta
+    each move by 64 ulps. It grows without bound as tau approaches 1, where
+    no pair of doubles (eta, theta) meets the target to 1e-12."""
+    z = np.exp(-1j * theta)
+    den = np.abs(1.0 - eta * tau * z) ** 2
+    return 64.0 * np.finfo(float).eps * (
+        np.abs(1.0 - tau * tau * z * z) * eta + (1.0 - eta * eta) * tau
+        + tau * (1.0 - eta * eta) * np.abs(theta)) / den
+
+
+@EXAMPLES
+@given(phases, lower_couplers, targets)
+def test_intersect_rows_meet_the_target(delta2, tau2, t):
+    tau, eta, theta, residual_mag, residual_arg = intersect_stack(delta2, tau2, t)
+    assert np.all((eta > 0.0) & (eta < 1.0))
+    assert np.all((theta > -math.pi) & (theta <= math.pi))
+    z = np.exp(-1j * theta)
+    a = (eta - tau * z) / (1.0 - eta * tau * z)
+    bound = 1e-12 + rounding_slack(tau, eta, theta)
+    assert np.all(np.abs(np.abs(a) - t) < bound)
+    assert np.all(np.abs(np.angle(a * np.exp(-1j * delta2))) < bound / t)
+    assert np.all(residual_mag < bound) and np.all(residual_arg < bound / t)
+
+
+@EXAMPLES
+@given(lower_couplers, targets)
+def test_intersect_at_zero_line_phase_is_the_resonant_curve(tau2, t):
+    tau, eta, theta, _, _ = intersect_stack(0.0, tau2, t)
+    expected = {x: invert_effective(t, x) for x in tau2}
+    # Only a root within rounding of eta = 1 may be left out.
+    assert set(tau.tolist()) >= {x for x, e in expected.items() if e < 1.0 - 1e-12}
+    assert np.max(np.abs(eta - [expected[x] for x in tau.tolist()]), initial=0.0) < 1e-12
+    assert np.all(theta == 0.0)
