@@ -37,8 +37,8 @@ _T1_SQ_LIMIT = 12.0 * SQRT2 - 16.0
 
 
 def wrap_angle(x: float) -> float:
-    """Map an angle to (-pi, pi]."""
-    w = -((-x + math.pi) % TWO_PI - math.pi)
+    """Map an angle to (-pi, pi]. Zero maps to +0.0, never -0.0."""
+    w = -((-x + math.pi) % TWO_PI - math.pi) + 0.0
     return math.pi if w == -math.pi else w
 
 
@@ -579,8 +579,8 @@ def intersect_stack(delta2: float, tau2_grid,
     eta = np.where(at_zero, t, eta)
     keep = (eta > 0.0) & (eta < 1.0) & (np.abs(tau) < 1.0) & (~at_zero | (target == 0.0))
     tau, eta = tau[keep], eta[keep]
-    # theta = -arg z, mapped to (-pi, pi] as wrap_angle does.
-    theta = -((np.angle(np.where(w == 0.0, 1.0, w)[keep]) + math.pi) % TWO_PI - math.pi)
+    # theta = -arg z, mapped to (-pi, pi] as wrap_angle does (0 as +0.0).
+    theta = -((np.angle(np.where(w == 0.0, 1.0, w)[keep]) + math.pi) % TWO_PI - math.pi) + 0.0
     z = np.exp(-1j * theta)
     through = (eta - tau * z) / (1.0 - eta * tau * z)
     skipped = keep.size - tau.size

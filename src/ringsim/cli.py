@@ -22,7 +22,7 @@ from .fock import (SUCCESS_PATTERN, NlpsgInput, evolve, heralded_success_stack,
 from .network import (NetworkParams, NetworkStack, closed_form_resonant,
                       compose_scattering, compose_scattering_stack,
                       unitarity_residual)
-from .ring import build_coupler, effective_coupling
+from .ring import TWO_PI, build_coupler, effective_coupling
 
 _RING_FIELDS = ("tau", "eta", "theta", "delta")
 
@@ -105,7 +105,13 @@ def _network_from_config(cfg: dict, where: str = "rings") -> NetworkParams:
         eta = _float_field(ring_cfg, "eta", label)
         theta = _float_field(ring_cfg, "theta", label)
         deltas.append(_float_field(ring_cfg, "delta", label, default=0.0))
-        phi = None if ring_cfg.get("phi") is None else _float_field(ring_cfg, "phi", label)
+        if ring_cfg.get("phi") is None:
+            # Default phi = theta/2 of theta reduced into (0, 2 pi], so every
+            # representative of one angle gets the same phase partition and
+            # theta = 0 gets phi = pi, as RESONANT_THETA = 2 pi does.
+            phi = 0.5 * (theta % TWO_PI or TWO_PI)
+        else:
+            phi = _float_field(ring_cfg, "phi", label)
         try:
             rings.append(build_coupler(tau, eta, theta, phi))
         except DomainError as err:

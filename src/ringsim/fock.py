@@ -26,9 +26,16 @@ class OccupationBasis:
     States are ordered descending lexicographically, so the first state
     piles every photon into the first mode. The ordering is deterministic
     across runs.
+
+    Besides ``occupancy`` (one row of photon counts per state), each basis
+    carries the index tables that the permanent lift reads: ``mode_indices``
+    repeats each mode by its occupation, one sorted row of ``n_photons``
+    modes per state, and ``norms`` is the product of the occupation
+    factorials.
     """
 
-    __slots__ = ("n_modes", "n_photons", "states", "_index", "occupancy")
+    __slots__ = ("n_modes", "n_photons", "states", "_index", "occupancy",
+                 "mode_indices", "norms")
 
     def __init__(self, n_modes: int, n_photons: int):
         if n_modes < 1:
@@ -50,6 +57,13 @@ class OccupationBasis:
         self.states = tuple(states)
         self._index = {occ: i for i, occ in enumerate(self.states)}
         self.occupancy = np.array(self.states, dtype=np.int64)
+        self.mode_indices = np.repeat(
+            np.tile(np.arange(n_modes), len(self.states)),
+            self.occupancy.ravel()).reshape(len(self.states), n_photons)
+        factorials = np.array([factorial(k) for k in range(n_photons + 1)], dtype=float)
+        self.norms = np.prod(factorials[self.occupancy], axis=1)
+        for table in (self.occupancy, self.mode_indices, self.norms):
+            table.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -110,34 +124,18 @@ def _permanent_batch(stack: np.ndarray) -> np.ndarray:
     return total if k % 2 == 0 else -total
 
 
-def _mode_indices(basis: OccupationBasis) -> np.ndarray:
-    """(size, n_photons) array of repeated mode indices per basis state."""
-    out = np.empty((basis.size, basis.n_photons), dtype=np.int64)
-    for i, occ in enumerate(basis.states):
-        pos = 0
-        for mode, count in enumerate(occ):
-            out[i, pos:pos + count] = mode
-            pos += count
-    return out
-
-
-def _factorial_norms(basis: OccupationBasis) -> np.ndarray:
-    return np.array([np.prod([factorial(c) for c in occ]) for occ in basis.states],
-                    dtype=float)
-
-
 def _lift_block(s: np.ndarray, basis: OccupationBasis,
                 cols: np.ndarray | None = None) -> np.ndarray:
     """Sector matrix restricted to the given input-state columns."""
     n = basis.n_photons
     if n == 0:
         return np.ones((1, 1), dtype=complex)
-    rows_idx = _mode_indices(basis)
+    rows_idx = basis.mode_indices
     cols_idx = rows_idx if cols is None else rows_idx[cols]
     subs = s[rows_idx[:, None, :, None], cols_idx[None, :, None, :]]
     m_out, m_in = subs.shape[:2]
     perms = _permanent_batch(subs.reshape(-1, n, n)).reshape(m_out, m_in)
-    norms = _factorial_norms(basis)
+    norms = basis.norms
     col_norms = norms if cols is None else norms[cols]
     return perms / np.sqrt(np.outer(norms, col_norms))
 

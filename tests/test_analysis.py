@@ -1,5 +1,7 @@
 """Tests for the heralded-gate constraint analysis and its optimal manifolds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,15 @@ def test_wrap_angle_edges():
     assert np.isclose(wrap_angle(np.pi), np.pi)
     assert np.isclose(wrap_angle(-np.pi), np.pi)
     assert np.isclose(wrap_angle(-0.3), -0.3, atol=1e-12)
+
+
+def test_wrap_angle_zero_is_positive():
+    for x in (0.0, -0.0, 2.0 * np.pi, -2.0 * np.pi):
+        assert math.copysign(1.0, wrap_angle(x)) == 1.0
+    # Away from zero the value is the plain modular reduction's.
+    for x in np.linspace(-20.0, 20.0, 401):
+        if x != 0.0:
+            assert wrap_angle(x) == -((-x + math.pi) % (2.0 * math.pi) - math.pi)
 
 
 def test_optimal_point_constants():

@@ -66,6 +66,22 @@ def test_smatrix_closed_form_agreement(tmp_path, capsys):
     assert out["closed_form_max_diff"] < 1e-12
 
 
+@pytest.mark.parametrize("command", [["smatrix", "--closed-form"], ["verify"]])
+def test_resonance_output_independent_of_theta_representative(tmp_path, capsys,
+                                                              command):
+    # theta = 0, 2 pi and 4 pi are one resonance; without a phi the default
+    # phase partition is taken from theta reduced into (0, 2 pi].
+    outputs = []
+    for theta in (0.0, TWO_PI, 2.0 * TWO_PI):
+        cfg = {"rings": [ring_entry(s, tau=0.3, theta=theta) for s in (1, 2, 3)]}
+        path = write_config(tmp_path, cfg, name=f"theta_{len(outputs)}.json")
+        assert main([command[0], "--config", path] + command[1:]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    if command[0] == "smatrix":
+        assert json.loads(outputs[0])["closed_form_max_diff"] <= 1e-12
+
+
 def test_smatrix_closed_form_rejected_off_resonance(tmp_path, capsys):
     cfg = {"rings": [ring_entry(1, theta=0.3), ring_entry(2), ring_entry(3)]}
     code = main(["smatrix", "--config", write_config(tmp_path, cfg),
@@ -307,6 +323,15 @@ def test_manifold_intersect_row_count(capsys, delta2, rows):
     for line in lines[1:]:
         residual_mag, residual_arg = (float(x) for x in line.split(",")[3:])
         assert residual_mag < 1e-12 and residual_arg < 1e-12
+
+
+def test_manifold_intersect_zero_line_phase_has_no_negative_zero(capsys):
+    assert main(["manifold", "intersect", "--delta2", "0", "--grid", "11"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 12
+    for line in lines[1:]:
+        assert "-0.00000000e+00" not in line
+        assert math.copysign(1.0, float(line.split(",")[2])) == 1.0
 
 
 def test_optimize_report(capsys):

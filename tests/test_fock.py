@@ -1,5 +1,7 @@
 """Tests for the Fock-space engine: bases, permanents, lifts, projection."""
 
+from math import factorial, prod
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,27 @@ def test_basis_index_roundtrip():
         assert basis.index_of(occ) == i
     with pytest.raises(DomainError):
         basis.index_of((4, 0, 0, 0))
+
+
+@pytest.mark.parametrize("n_modes", range(1, 9))
+def test_basis_tables_match_state_definition(n_modes):
+    for n_photons in range(5):
+        basis = enumerate_basis(n_modes, n_photons)
+        assert basis.mode_indices.shape == (basis.size, n_photons)
+        assert basis.mode_indices.dtype == np.int64
+        assert basis.norms.shape == (basis.size,)
+        assert basis.norms.dtype == float
+        for occ, modes, norm in zip(basis.states, basis.mode_indices, basis.norms):
+            expected = sorted(m for m, count in enumerate(occ) for _ in range(count))
+            assert modes.tolist() == expected
+            assert norm == prod(factorial(c) for c in occ)
+
+
+def test_basis_tables_are_read_only():
+    basis = enumerate_basis(3, 2)
+    for table in (basis.occupancy, basis.mode_indices, basis.norms):
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_permanent_examples():
@@ -174,6 +197,23 @@ def test_evolve_conserves_norm():
         state = SectoredState(3, sectors)
         out = evolve(state, random_network_matrix(rng))
         assert np.isclose(out.norm_sq(), state.norm_sq(), atol=1e-12)
+
+
+@pytest.mark.parametrize("seed, amplitudes", [
+    (41, {(4, 0, 0, 0, 0, 0, 0, 0): 1.0}),
+    (43, {(0, 0, 0, 1, 0, 0, 0, 3): 1.0}),
+    (47, {(1, 0, 1, 0, 1, 0, 1, 0): 0.6, (0, 1, 0, 1, 0, 1, 0, 1): 0.8j}),
+    (53, {(2, 0, 0, 0, 0, 0, 2, 0): 0.8, (0, 0, 1, 1, 0, 1, 1, 0): -0.6}),
+])
+def test_sparse_evolve_matches_full_lift(seed, amplitudes):
+    # One or two of the 330 four-photon states are occupied, so evolve lifts
+    # only those columns; the result must equal the full sector matrix.
+    s = random_unitary(np.random.default_rng(seed), 8)
+    state = SectoredState.from_occupations(8, amplitudes)
+    vec = state.sectors[4]
+    assert 0 < np.count_nonzero(vec) <= enumerate_basis(8, 4).size // 4
+    out = evolve(state, s)
+    assert np.max(np.abs(out.sectors[4] - lift_unitary(s, 4) @ vec)) < 1e-12
 
 
 def test_evolve_mode_mismatch():
