@@ -21,8 +21,8 @@ from .errors import (ConfigError, ConstraintError, DomainError, PoleError,
                      RingsimError, SingularPivotError, UndefinedPhaseError)
 from .fock import (SUCCESS_PATTERN, MeasurementPattern, NlpsgInput,
                    OccupationBasis, SectoredState, enumerate_basis, evolve,
-                   heralded_success_stack, lift_unitary, nlpsg_closed_form,
-                   permanent, project)
+                   evolve_project, heralded_success_stack, lift_unitary,
+                   nlpsg_closed_form, permanent, project)
 from .network import (NetworkParams, NetworkStack, block_transfer,
                       closed_form_resonant, compose_scattering,
                       compose_scattering_stack, mode_swap3, unitarity_residual)
@@ -45,7 +45,8 @@ __all__ = [
     "closed_form_resonant", "unitarity_residual",
     "OccupationBasis", "SectoredState", "MeasurementPattern", "NlpsgInput",
     "SUCCESS_PATTERN", "enumerate_basis", "permanent", "lift_unitary",
-    "evolve", "project", "nlpsg_closed_form", "heralded_success_stack",
+    "evolve", "project", "evolve_project", "nlpsg_closed_form",
+    "heralded_success_stack",
     "NlpsgVerdict", "OptimalPoint", "ManifoldSample", "SampleResiduals",
     "OffResonanceReport", "S11_FIXED", "T1_OPTIMAL", "T2_OPTIMAL",
     "verdict", "t3_of_t1", "beta_sq_of_t1", "optimize_t1",

@@ -35,6 +35,9 @@ T2_OPTIMAL = (1.0 + 2.0 * SQRT2) / 7.0
 # Largest t1^2 for which the companion outer transmission stays real.
 _T1_SQ_LIMIT = 12.0 * SQRT2 - 16.0
 
+# Largest re-evaluated residual of a ring that intersect_stack returns.
+INTERSECT_RESIDUAL_TOL = 1e-9
+
 
 def wrap_angle(x: float) -> float:
     """Map an angle to (-pi, pi]. Zero maps to +0.0, never -0.0."""
@@ -538,11 +541,15 @@ def intersect_stack(delta2: float, tau2_grid,
     Solving A = (eta - tau z) / (1 - eta tau z) for z = e^{-i theta} gives
     z = (A - eta) / (tau (A eta - 1)), and |z| = 1 is the real quadratic
     (1 - tau^2 t^2) eta^2 - 2 t cos(delta2) (1 - tau^2) eta + t^2 - tau^2 = 0.
-    A grid point is kept when |tau| < 1 and the larger root lies in (0, 1);
-    the smaller root is a second real branch and is not returned. At
-    tau = 0 the through amplitude is eta for every theta, so that point is
-    kept, with eta = t and theta = 0, only when delta2 wraps to 0. Skipped
-    points are counted in the log.
+    A grid point is kept when |tau| < 1, the larger root lies in (0, 1)
+    and the ring meets the target: both residuals below are at most
+    INTERSECT_RESIDUAL_TOL. The smaller root is a second real branch and is
+    not returned. At tau = 0 the through amplitude is eta for every theta,
+    so that point is kept, with eta = t and theta = 0, only when delta2
+    wraps to 0. As tau approaches 1 the through amplitude's sensitivity to
+    eta and theta grows like 1/(1 - tau), and within about 1e-6 of tau = 1
+    no ring of doubles meets the target; such points are dropped. Skipped
+    points are counted by reason in the log.
 
     Returns (tau2, eta2, theta2, residual_mag, residual_arg) over the kept
     points in grid order, with theta2 in (-pi, pi]. The residuals are
@@ -583,12 +590,16 @@ def intersect_stack(delta2: float, tau2_grid,
     theta = -((np.angle(np.where(w == 0.0, 1.0, w)[keep]) + math.pi) % TWO_PI - math.pi) + 0.0
     z = np.exp(-1j * theta)
     through = (eta - tau * z) / (1.0 - eta * tau * z)
-    skipped = keep.size - tau.size
-    if skipped:
-        log.info("intersection trace skipped %d of %d grid points: no root "
-                 "with eta in (0, 1)", skipped, keep.size)
-    return (tau, eta, theta, np.abs(np.abs(through) - t),
-            np.abs(np.angle(through / a)))
+    residual_mag = np.abs(np.abs(through) - t)
+    residual_arg = np.abs(np.angle(through / a))
+    hit = (residual_mag <= INTERSECT_RESIDUAL_TOL) & (residual_arg <= INTERSECT_RESIDUAL_TOL)
+    no_root, missed = keep.size - tau.size, tau.size - int(hit.sum())
+    if no_root or missed:
+        log.info("intersection trace skipped %d of %d grid points: %d with no "
+                 "root with eta in (0, 1), %d missing the target by more than "
+                 "%.0e", no_root + missed, keep.size, no_root, missed,
+                 INTERSECT_RESIDUAL_TOL)
+    return tau[hit], eta[hit], theta[hit], residual_mag[hit], residual_arg[hit]
 
 
 def align_line_phases(params: NetworkParams,

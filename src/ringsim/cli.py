@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -17,8 +18,8 @@ from .analysis import (T1_OPTIMAL, T2_OPTIMAL, curve_network, curve_stack,
 from .cnot import build_cnot, verify_coherence, verify_truth_table
 from .errors import (ConfigError, ConstraintError, DomainError, PoleError,
                      RingsimError, SingularPivotError, UndefinedPhaseError)
-from .fock import (SUCCESS_PATTERN, NlpsgInput, evolve, heralded_success_stack,
-                   nlpsg_closed_form, project)
+from .fock import (SUCCESS_PATTERN, NlpsgInput, evolve_project,
+                   heralded_success_stack, nlpsg_closed_form)
 from .network import (NetworkParams, NetworkStack, closed_form_resonant,
                       compose_scattering, compose_scattering_stack,
                       unitarity_residual)
@@ -201,7 +202,7 @@ def cmd_verify(args) -> int:
         _float_field(cfg, "tolerance", "config", default=1e-9)
     s = compose_scattering(net)
     v = verdict(s)
-    prob, cond = project(evolve(inp.state(), s), SUCCESS_PATTERN)
+    [(prob, cond)] = evolve_project([inp.state()], s, SUCCESS_PATTERN)
     coeffs, failure = nlpsg_closed_form(s, inp)
 
     lines = []
@@ -340,7 +341,10 @@ def cmd_cnot(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once: parse_args leaves it unchanged and starts
+    each call from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="ringsim",
         description="Three-ring photonic network simulator: heralded phase "
@@ -353,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use the resonant closed form and report the "
                         "max difference against composition")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_smatrix)
 
     p = sub.add_parser("verify", help="run the success-constraint verdict and "
                                       "a full Fock simulation")
@@ -362,7 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="three comma-separated complex amplitudes")
     p.add_argument("--tolerance", type=_finite_float, default=None)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("manifold", help="trace optimal-operation manifolds to CSV")
     p.add_argument("kind", choices=("curve", "surface", "intersect"))
@@ -375,12 +377,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta2", type=_finite_float, default=math.pi / 30.0,
                    help="middle line phase for the intersect kind")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_manifold)
 
     p = sub.add_parser("optimize", help="report the optimal transmissions and "
                                         "both success-profile variants")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("cnot", help="simulate the post-selected CNOT truth table")
     p.add_argument("--config", default=None,
@@ -389,14 +389,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-phase", type=_finite_float, default=0.0,
                    help="diagnostic phase on one interferometer arm")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_cnot)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Looked up on each call, not stored in the cached parser, so a rebinding
+    # of a command function takes effect.
+    command = {"smatrix": cmd_smatrix, "verify": cmd_verify,
+               "manifold": cmd_manifold, "optimize": cmd_optimize,
+               "cnot": cmd_cnot}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

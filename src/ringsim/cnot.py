@@ -9,11 +9,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import NlpsgVerdict, verdict
-from .errors import ConstraintError, DomainError
-from .fock import MeasurementPattern, SectoredState, evolve, project
-from .network import NetworkParams, compose_scattering
+from .errors import ConstraintError, DomainError, SingularPivotError
+from .fock import MeasurementPattern, SectoredState, evolve_project
+from .network import (NetworkParams, NetworkStack, compose_scattering,
+                      compose_scattering_stack)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# Computational basis inputs (control, target), in the order 00, 01, 10, 11.
+_COMPUTATIONAL = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 # Real symmetric 50/50 splitter.
 _SPLITTER = np.array([[_INV_SQRT2, _INV_SQRT2],
@@ -120,17 +124,24 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
         If either gate's success constraints fail at ``tol``; the verdict
         rides along on the exception.
     """
+    gates = (gate_a, gate_b)
+    try:
+        matrices = list(compose_scattering_stack(NetworkStack.of(gates)))
+    except SingularPivotError:
+        # The stacked error does not say which gate failed. Compose one gate
+        # at a time below, so errors come in gate order: gate A's verdict
+        # before gate B's composition.
+        matrices = [None, None]
     verdicts = []
-    matrices = []
-    for label, params in (("A", gate_a), ("B", gate_b)):
-        s = compose_scattering(params)
-        v = verdict(s)
+    for i, (label, params) in enumerate(zip("AB", gates)):
+        if matrices[i] is None:
+            matrices[i] = compose_scattering(params)
+        v = verdict(matrices[i])
         if not v.residual < tol:
             raise ConstraintError(
                 f"gate {label} violates the success constraints "
                 f"(residual {v.residual:.3e} >= {tol:.1e})", verdict=v)
         verdicts.append(v)
-        matrices.append(s)
 
     n = 8
     target_mix = embed(_SPLITTER, (2, 3), n)
@@ -182,23 +193,27 @@ def verify_truth_table(net: CnotNetwork) -> list[TruthTableRow]:
     """
     logical = _logical_occupations(net)
     rows = []
-    for c_in in (0, 1):
-        for t_in in (0, 1):
-            out = evolve(_computational_input(net, c_in, t_in), net.matrix)
-            prob, cond = project(out, net.herald_pattern)
-            amps = {bits: cond.amplitude_of(occ) for bits, occ in logical.items()}
-            dominant = max(amps, key=lambda b: abs(amps[b]))
-            comp_weight = sum(abs(a) ** 2 for a in amps.values())
-            rows.append(TruthTableRow(
-                control_in=c_in,
-                target_in=t_in,
-                probability=prob,
-                control_out=dominant[0],
-                target_out=dominant[1],
-                fidelity=abs(amps[dominant]) ** 2,
-                leakage=1.0 - comp_weight,
-            ))
+    for (c_in, t_in), (prob, cond) in zip(_COMPUTATIONAL, _heralded_outputs(net)):
+        amps = {bits: cond.amplitude_of(occ) for bits, occ in logical.items()}
+        dominant = max(amps, key=lambda b: abs(amps[b]))
+        comp_weight = sum(abs(a) ** 2 for a in amps.values())
+        rows.append(TruthTableRow(
+            control_in=c_in,
+            target_in=t_in,
+            probability=prob,
+            control_out=dominant[0],
+            target_out=dominant[1],
+            fidelity=abs(amps[dominant]) ** 2,
+            leakage=1.0 - comp_weight,
+        ))
     return rows
+
+
+def _heralded_outputs(net: CnotNetwork) -> list:
+    """(probability, conditional) of each computational input after both
+    heralds, in _COMPUTATIONAL order, from one evolve_project call."""
+    inputs = [_computational_input(net, c, t) for c, t in _COMPUTATIONAL]
+    return evolve_project(inputs, net.matrix, net.herald_pattern)
 
 
 def verify_coherence(net: CnotNetwork) -> CoherenceReport:
@@ -216,7 +231,7 @@ def verify_coherence(net: CnotNetwork) -> CoherenceReport:
         tuple(occ0): _INV_SQRT2,
         tuple(occ1): _INV_SQRT2,
     })
-    prob, cond = project(evolve(state, net.matrix), net.herald_pattern)
+    [(prob, cond)] = evolve_project([state], net.matrix, net.herald_pattern)
     if prob == 0.0:
         return CoherenceReport(overlap=0.0, probability=0.0)
     logical = _logical_occupations(net)
@@ -232,13 +247,10 @@ def conditional_logical_matrix(net: CnotNetwork) -> np.ndarray:
     computational output, with basis order 00, 01, 10, 11.
     """
     logical = _logical_occupations(net)
-    order = [(0, 0), (0, 1), (1, 0), (1, 1)]
     m = np.zeros((4, 4), dtype=complex)
-    for col, (c_in, t_in) in enumerate(order):
-        out = evolve(_computational_input(net, c_in, t_in), net.matrix)
-        prob, cond = project(out, net.herald_pattern)
+    for col, (prob, cond) in enumerate(_heralded_outputs(net)):
         scale = math.sqrt(prob)
-        for row, bits in enumerate(order):
+        for row, bits in enumerate(_COMPUTATIONAL):
             m[row, col] = scale * cond.amplitude_of(logical[bits])
     return m
 

@@ -125,19 +125,18 @@ def _permanent_batch(stack: np.ndarray) -> np.ndarray:
 
 
 def _lift_block(s: np.ndarray, basis: OccupationBasis,
+                rows: np.ndarray | None = None,
                 cols: np.ndarray | None = None) -> np.ndarray:
-    """Sector matrix restricted to the given input-state columns."""
+    """Sector matrix restricted to the given output-state rows and
+    input-state columns (all of them where None)."""
     n = basis.n_photons
-    if n == 0:
-        return np.ones((1, 1), dtype=complex)
-    rows_idx = basis.mode_indices
-    cols_idx = rows_idx if cols is None else rows_idx[cols]
+    idx, norms = basis.mode_indices, basis.norms
+    rows_idx, row_norms = (idx, norms) if rows is None else (idx[rows], norms[rows])
+    cols_idx, col_norms = (idx, norms) if cols is None else (idx[cols], norms[cols])
+    m_out, m_in = len(rows_idx), len(cols_idx)
     subs = s[rows_idx[:, None, :, None], cols_idx[None, :, None, :]]
-    m_out, m_in = subs.shape[:2]
-    perms = _permanent_batch(subs.reshape(-1, n, n)).reshape(m_out, m_in)
-    norms = basis.norms
-    col_norms = norms if cols is None else norms[cols]
-    return perms / np.sqrt(np.outer(norms, col_norms))
+    perms = _permanent_batch(subs.reshape(m_out * m_in, n, n)).reshape(m_out, m_in)
+    return perms / np.sqrt(np.outer(row_norms, col_norms))
 
 
 def lift_unitary(s: np.ndarray, n_photons: int) -> np.ndarray:
@@ -271,6 +270,71 @@ def evolve(state: SectoredState, s: np.ndarray) -> SectoredState:
     return SectoredState(state.n_modes, out)
 
 
+def evolve_project(states, s: np.ndarray, pattern: MeasurementPattern) -> list:
+    """``project(evolve(state, s), pattern)`` for each of several states,
+    lifting only the output rows that the pattern keeps.
+
+    The unitarity check runs once. Per photon sector, one permanent block
+    covers the kept output rows and the union of the input columns that
+    evolve would read for each state: its occupied states if sparse, else
+    all. Each state's kept amplitudes are the products evolve forms for
+    those rows; they go into a zero vector that ``project`` post-selects.
+
+    Returns
+    -------
+    list of (probability, conditional)
+        One pair per state, as ``project`` returns it.
+
+    Raises
+    ------
+    DomainError
+        As evolve and project do: a matrix that does not match a state's
+        modes or is not unitary, or a constrained mode out of range.
+    """
+    states = list(states)
+    s = np.asarray(s, dtype=complex)
+    for state in states:
+        if s.shape != (state.n_modes, state.n_modes):
+            raise DomainError(
+                f"matrix shape {s.shape} does not match {state.n_modes} modes")
+    _require_unitary(s)
+    if not states:
+        return []
+    n_modes = states[0].n_modes
+    modes, counts = _pattern_arrays(pattern, n_modes)
+    kept: list[dict[int, np.ndarray]] = [{} for _ in states]
+    for n in {n for state in states for n in state.sectors}:
+        basis = enumerate_basis(n_modes, n)
+        rows = np.flatnonzero(np.all(basis.occupancy[:, modes] == counts, axis=1))
+        picks = []
+        for i, state in enumerate(states):
+            if n in state.sectors:
+                vec = state.sectors[n]
+                nz = np.flatnonzero(np.abs(vec) > 0.0)
+                picks.append((i, vec, nz if nz.size <= basis.size // 4
+                              else np.arange(basis.size)))
+        cols = np.unique(np.concatenate([c for _, _, c in picks]))
+        block = _lift_block(s, basis, rows=rows, cols=cols)
+        for i, vec, c in picks:
+            out = np.zeros(basis.size, dtype=complex)
+            out[rows] = block[:, np.searchsorted(cols, c)] @ vec[c]
+            kept[i][n] = out
+    # Each state keeps its own sector order, which fixes project's sums.
+    return [project(SectoredState(n_modes, {n: sectors[n] for n in state.sectors}),
+                    pattern)
+            for state, sectors in zip(states, kept)]
+
+
+def _pattern_arrays(pattern: MeasurementPattern, n_modes: int):
+    """The pattern's constrained modes and their counts, checked against
+    the number of modes."""
+    modes = [m for m, _ in pattern.constraints]
+    for m in modes:
+        if m >= n_modes:
+            raise DomainError(f"constrained mode {m} outside 0..{n_modes - 1}")
+    return modes, np.array([c for _, c in pattern.constraints], dtype=np.int64)
+
+
 def project(state: SectoredState, pattern: MeasurementPattern):
     """Post-select on exact photon counts.
 
@@ -281,11 +345,7 @@ def project(state: SectoredState, pattern: MeasurementPattern):
         the unconstrained modes. Zero probability yields an explicitly
         empty conditional state rather than an error.
     """
-    modes = [m for m, _ in pattern.constraints]
-    for m in modes:
-        if m >= state.n_modes:
-            raise DomainError(f"constrained mode {m} outside 0..{state.n_modes - 1}")
-    counts = np.array([c for _, c in pattern.constraints], dtype=np.int64)
+    modes, counts = _pattern_arrays(pattern, state.n_modes)
     keep = [m for m in range(state.n_modes) if m not in set(modes)]
     removed = int(counts.sum())
 

@@ -326,6 +326,26 @@ def test_intersect_at_zero_lower_coupler():
     assert all(x.size == 0 for x in intersect_stack(np.pi / 30.0, [0.0]))
 
 
+def test_intersect_drops_rows_that_miss_the_target_near_unit_coupler():
+    # Near tau2 = 1 no ring of doubles meets the target, so those rows are
+    # dropped; every returned row, re-evaluated here, is within 1e-9.
+    delta2, t = -0.538, 0.0813
+    body = np.linspace(0.0, 0.999, 1000)
+    tail = 1.0 - np.logspace(-4, -12, 200)
+    tau, eta, theta, residual_mag, residual_arg = intersect_stack(
+        delta2, np.concatenate([body, tail]), t)
+    assert np.all(residual_mag <= 1e-9) and np.all(residual_arg <= 1e-9)
+    z = np.exp(-1j * theta)
+    a = (eta - tau * z) / (1.0 - eta * tau * z)
+    assert np.all(np.abs(np.abs(a) - t) <= 1e-9)
+    assert np.all(np.abs(np.angle(a * np.exp(-1j * delta2))) <= 1e-9)
+    # The well-conditioned body keeps all 958 of its roots; only tail points
+    # within 1e-5 of tau2 = 1 are dropped, and the tail keeps some rows.
+    assert np.count_nonzero(tau <= 0.999) == 958
+    assert np.all(1.0 - np.setdiff1d(tail, tau) < 1e-5)
+    assert 0 < np.count_nonzero(tau > 0.999) < tail.size
+
+
 def test_align_line_phases_restores_equality():
     params = curve_network(deltas=(0.4, 0.0, 0.7))
     assert verdict(compose_scattering(params)).residual > 0.1

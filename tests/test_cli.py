@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -325,6 +326,21 @@ def test_manifold_intersect_row_count(capsys, delta2, rows):
         assert residual_mag < 1e-12 and residual_arg < 1e-12
 
 
+@pytest.mark.parametrize("delta2, rows, digest", [
+    ("0", 1001, "a2a1418e5dbff8fbc713ae5f43e746f24df466b7b948b77826723c246a596eec"),
+    ("0.105", 919, "b7ba503e3ba6b5a89cff57feaadfca8748f66bd906cbd515014c6bbddd108c58"),
+    ("2", 453, "6ffd2118cb2673a6cb6f7298770ac40e93a9368f257cad65e3b33388c28b56b5"),
+])
+def test_manifold_intersect_output_is_pinned(capsys, delta2, rows, digest):
+    # Every residual on the CLI grid is far below the 1e-9 drop threshold,
+    # so the CSV is the one printed before rows missing the target were
+    # dropped.
+    assert main(["manifold", "intersect", "--grid", "1001", "--delta2", delta2]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == f"converged {rows} of 1001 grid points\n"
+
+
 def test_manifold_intersect_zero_line_phase_has_no_negative_zero(capsys):
     assert main(["manifold", "intersect", "--delta2", "0", "--grid", "11"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -360,6 +376,37 @@ def test_cnot_default(capsys):
     assert overlap > 1.0 - 1e-9
 
 
+# Two gates on the resonant optimal curve (lower couplers 0.35, 0.1, 0.6 and
+# 0.7, 0.45, 0.2), written out so the pinned output below depends on nothing
+# but the CNOT simulation.
+_GOLDEN_CNOT_CONFIG = {
+    "gate_a": {"rings": [
+        {"tau": 0.35, "eta": 0.9557221114266732, "theta": 6.283185307179586},
+        {"tau": 0.1, "eta": 0.6133717459664435, "theta": 6.283185307179586},
+        {"tau": 0.6, "eta": 0.9767622213723187, "theta": 6.283185307179586}]},
+    "gate_b": {"rings": [
+        {"tau": 0.7, "eta": 0.9835406151537832, "theta": 6.283185307179586},
+        {"tau": 0.45, "eta": 0.8000221671952046, "theta": 6.283185307179586},
+        {"tau": 0.2, "eta": 0.9392097816893757, "theta": 6.283185307179586}]},
+}
+
+
+def test_cnot_probe_phase_output_is_pinned(tmp_path, capsys):
+    # At probe phase 0 every row prints 1/16, 1 and 0 whatever the gates, so
+    # a numeric drift shows only with the interference broken.
+    path = write_config(tmp_path, _GOLDEN_CNOT_CONFIG)
+    assert main(["cnot", "--config", path, "--probe-phase", "0.3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "control_in,target_in,control_out,target_out,probability,fidelity,leakage\n"
+        "0,0,0,0,6.25000000e-02,9.83251183e-01,1.11658777e-02\n"
+        "0,1,0,1,6.25000000e-02,9.83251183e-01,1.11658777e-02\n"
+        "1,0,1,1,6.25000000e-02,9.39585087e-01,5.48319740e-02\n"
+        "1,1,1,0,6.25000000e-02,9.39585087e-01,5.48319740e-02\n")
+    assert captured.err == ("bell_overlap = 9.77732005e-01\n"
+                            "herald_probability = 6.25000000e-02\n")
+
+
 def test_cnot_detuned_gate_fails(tmp_path, capsys):
     cfg = {"gate_a": {"rings": [ring_entry(1, theta=0.3), ring_entry(2),
                                 ring_entry(3)]}}
@@ -367,6 +414,83 @@ def test_cnot_detuned_gate_fails(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "constraint violation" in err
     assert "residual = " in err
+
+
+def test_cnot_errors_name_the_gate_in_gate_order(tmp_path, capsys):
+    detuned = {"rings": [ring_entry(1, theta=0.3), ring_entry(2), ring_entry(3)]}
+    # A balanced ring (eta = tau on resonance) has a vanishing mode-2 pivot.
+    balanced = {"rings": [{"tau": 0.5, "eta": 0.5, "theta": TWO_PI},
+                          ring_entry(2), ring_entry(3)]}
+    optimal = {"rings": [ring_entry(s) for s in (1, 2, 3)]}
+    cases = [({"gate_a": optimal, "gate_b": detuned}, 4, "gate B violates"),
+             ({"gate_a": detuned, "gate_b": balanced}, 4, "gate A violates"),
+             ({"gate_a": balanced, "gate_b": optimal}, 3, "block 1: mode-2 pivot")]
+    for cfg, code, message in cases:
+        assert main(["cnot", "--config", write_config(tmp_path, cfg)]) == code
+        assert message in capsys.readouterr().err
+
+
+def test_cached_parser_keeps_calls_apart(tmp_path, monkeypatch):
+    # The parser is built once; each call must still see only its own
+    # arguments and the defaults, whatever ran before it.
+    seen = []
+    for name in ("cmd_smatrix", "cmd_verify", "cmd_manifold", "cmd_optimize",
+                 "cmd_cnot"):
+        monkeypatch.setattr(cli, name,
+                            lambda args, name=name: seen.append((name, vars(args))) or 0)
+    config = optimal_config(tmp_path)
+    manifold = {"command": "manifold", "config": None, "ring": 0, "grid": None,
+                "tau_min": 0.0, "tau_max": 0.999, "delta2": math.pi / 30.0,
+                "output": None}
+    calls = [
+        (["manifold", "curve", "--ring", "2", "--grid", "5", "--tau-min", "0.2",
+          "--tau-max", "0.5", "--delta2", "1.5", "--output", "x.csv"],
+         dict(manifold, kind="curve", ring=2, grid=5, tau_min=0.2, tau_max=0.5,
+              delta2=1.5, output="x.csv")),
+        (["manifold", "intersect"], dict(manifold, kind="intersect")),
+        (["cnot", "--config", config, "--tolerance", "1e-6", "--probe-phase", "0.3"],
+         {"command": "cnot", "config": config, "tolerance": 1e-6,
+          "probe_phase": 0.3, "output": None}),
+        (["cnot"], {"command": "cnot", "config": None, "tolerance": None,
+                    "probe_phase": 0.0, "output": None}),
+        (["verify", "--config", config, "--alpha", "1,0,0", "--tolerance", "1e-3"],
+         {"command": "verify", "config": config, "alpha": "1,0,0",
+          "tolerance": 1e-3, "output": None}),
+        (["verify", "--config", config],
+         {"command": "verify", "config": config, "alpha": None,
+          "tolerance": None, "output": None}),
+        (["smatrix", "--config", config, "--closed-form"],
+         {"command": "smatrix", "config": config, "closed_form": True,
+          "output": None}),
+        (["smatrix", "--config", config],
+         {"command": "smatrix", "config": config, "closed_form": False,
+          "output": None}),
+        (["optimize"], {"command": "optimize", "output": None}),
+    ]
+    for _ in range(2):
+        for argv, expected in calls:
+            assert main(argv) == 0
+            assert seen.pop() == ("cmd_" + argv[0], expected)
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ["manifold", "curve", "--grid", "x"],
+    ["manifold", "curve", "--ring", "5"],
+    ["cnot", "--probe-phase"],
+    ["verify"],
+    ["frobnicate"],
+    [],
+])
+def test_cached_parser_still_rejects_bad_arguments(argv, capsys):
+    assert main(["optimize"]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "usage: ringsim" in capsys.readouterr().err
+    assert main(["optimize"]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_missing_field_is_named(tmp_path, capsys):
