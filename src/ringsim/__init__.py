@@ -6,12 +6,12 @@ parameter manifolds, and assembles the post-selected dual-rail CNOT."""
 
 from .analysis import (ManifoldSample, NlpsgVerdict, OffResonanceReport,
                        OptimalPoint, SampleResiduals, S11_FIXED, T1_OPTIMAL,
-                       T2_OPTIMAL, align_line_phases, beta_sq_of_t1,
+                       T2_OPTIMAL, beta_sq_of_t1,
                        compensated_network, compensated_network_stack,
                        curve_eta_of_tau, curve_network, curve_ring, curve_stack,
                        intersect_delta2, intersect_stack, off_resonance_check,
                        optimal_point,
-                       optimize_t1, ring_phase_arg, surface_network,
+                       optimize_t1, ring_phase_arg,
                        surface_stack, surface_theta, surface_theta_stack,
                        t2_from_equality, t3_of_t1, verdict, wrap_angle)
 from .cnot import (CnotNetwork, CoherenceReport, DualRailQubit, TruthTableRow,
@@ -53,9 +53,9 @@ __all__ = [
     "t2_from_equality", "optimal_point", "curve_ring", "curve_network",
     "curve_eta_of_tau", "curve_stack", "surface_theta",
     "surface_theta_stack", "surface_stack", "ring_phase_arg",
-    "compensated_network", "compensated_network_stack", "surface_network",
+    "compensated_network", "compensated_network_stack",
     "off_resonance_check",
-    "intersect_delta2", "intersect_stack", "align_line_phases", "wrap_angle",
+    "intersect_delta2", "intersect_stack", "wrap_angle",
     "DualRailQubit", "CnotNetwork", "TruthTableRow", "CoherenceReport",
     "embed", "build_cnot", "verify_truth_table", "verify_coherence",
     "conditional_logical_matrix", "normalize_global_phase",

@@ -468,13 +468,6 @@ def curve_stack(transmission: float, tau_grid, ring: int = 1) -> NetworkStack:
                         deltas=np.zeros((len(swept), 3)))
 
 
-def surface_network(ring1: RingCoupler, ring3: RingCoupler,
-                    tau2: float = 0.0) -> NetworkParams:
-    """Embed detuned outer rings over a resonant middle-curve ring, with
-    the loop-phase-cancelling middle line phase."""
-    return compensated_network(ring1, curve_ring(2, tau2), ring3)
-
-
 @dataclass(frozen=True)
 class OffResonanceReport:
     """Detuned-network health: constraint verdict plus the heralded phase
@@ -495,7 +488,7 @@ def off_resonance_check(ring1: RingCoupler, ring3: RingCoupler,
     keeps magnitude 1/2 and its phase equals the sum of the rings'
     through phases (the resonant middle ring contributes zero).
     """
-    net = surface_network(ring1, ring3, tau2)
+    net = compensated_network(ring1, curve_ring(2, tau2), ring3)
     s = compose_scattering(net)
     sample = _sample_from_network(net, 0, s)
     v = verdict(s)
@@ -600,40 +593,3 @@ def intersect_stack(delta2: float, tau2_grid,
                  "%.0e", no_root + missed, keep.size, no_root, missed,
                  INTERSECT_RESIDUAL_TOL)
     return tau[hit], eta[hit], theta[hit], residual_mag[hit], residual_arg[hit]
-
-
-def align_line_phases(params: NetworkParams,
-                      grid: int = 720) -> tuple[NetworkParams, NlpsgVerdict]:
-    """Scan the outer line phases for the setting that makes the three
-    heralded amplitudes complex-equal, and report the re-composed verdict.
-
-    Only the sum of the two outer phases matters: it rotates the one- and
-    two-photon amplitudes once and twice respectively while leaving the
-    zero-photon one fixed. The scan reports the best setting without
-    asserting any closed-form compensation law.
-    """
-    v = verdict(compose_scattering(params))
-
-    def residual_at(sigma: float) -> float:
-        rot = cmath.exp(-1j * sigma)
-        b1 = v.beta1 * rot
-        b2 = v.beta2 * rot * rot
-        return max(abs(v.beta0 - b1), abs(v.beta0 - b2), abs(b1 - b2))
-
-    sigmas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    best = min(sigmas, key=residual_at)
-    width = TWO_PI / grid
-    a, b = best - width, best + width
-    for _ in range(80):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if residual_at(m1) < residual_at(m2):
-            b = m2
-        else:
-            a = m1
-    sigma = 0.5 * (a + b)
-    aligned = NetworkParams(
-        rings=params.rings,
-        deltas=(params.deltas[0] + sigma, params.deltas[1], params.deltas[2]),
-    )
-    return aligned, verdict(compose_scattering(aligned))

@@ -135,11 +135,12 @@ def _parse_alpha(args, cfg: dict) -> NlpsgInput:
             raise ConfigError(f"cannot parse --alpha: {err}", field="alpha") from err
     elif "alpha" in cfg:
         pairs = cfg["alpha"]
-        if not isinstance(pairs, list) or len(pairs) != 3:
+        if not (isinstance(pairs, list) and len(pairs) == 3
+                and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
             raise ConfigError("config alpha must be 3 [re, im] pairs", field="alpha")
         try:
-            raw = [complex(float(p[0]), float(p[1])) for p in pairs]
-        except (TypeError, ValueError, IndexError) as err:
+            raw = [complex(float(re), float(im)) for re, im in pairs]
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"bad alpha entry: {err}", field="alpha") from err
     if raw is None:
         raw = [1.0 / math.sqrt(3.0)] * 3
@@ -240,9 +241,13 @@ def _sweep_success(networks: NetworkStack) -> list[float]:
 
 def cmd_manifold(args) -> int:
     cfg = _load_config(args.config)
-    grid_n = args.grid if args.grid is not None else \
-        int(_float_field(cfg, "grid", "config",
-                         default=401 if args.kind != "surface" else 101))
+    grid = args.grid if args.grid is not None else \
+        _float_field(cfg, "grid", "config",
+                     default=401 if args.kind != "surface" else 101)
+    if grid != int(grid):
+        raise ConfigError(f"field config.grid must be a whole number, got {grid!r}",
+                          field="config.grid")
+    grid_n = int(grid)
     if grid_n < 2:
         raise ConfigError("grid must have at least 2 points", field="grid")
 

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .analysis import NlpsgVerdict, verdict
 from .errors import ConstraintError, DomainError, SingularPivotError
-from .fock import MeasurementPattern, SectoredState, evolve_project
+from .fock import (MeasurementPattern, SectoredState, _evolve_kept,
+                   _herald_table, _post_select)
 from .network import (NetworkParams, NetworkStack, compose_scattering,
                       compose_scattering_stack)
 
@@ -18,6 +20,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # Computational basis inputs (control, target), in the order 00, 01, 10, 11.
 _COMPUTATIONAL = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+# Photons of every input: one per qubit and one per ancilla pair.
+_PHOTONS = 4
 
 # Real symmetric 50/50 splitter.
 _SPLITTER = np.array([[_INV_SQRT2, _INV_SQRT2],
@@ -59,6 +64,19 @@ class CnotNetwork:
     def herald_pattern(self) -> MeasurementPattern:
         (a_occ, a_vac), (b_occ, b_vac) = self.ancillas
         return MeasurementPattern(((a_occ, 1), (a_vac, 0), (b_occ, 1), (b_vac, 0)))
+
+    @cached_property
+    def _kept_block(self) -> np.ndarray:
+        """Amplitudes of the herald-consistent four-photon outputs, one row
+        per row of the herald table, one column per computational input in
+        _COMPUTATIONAL order. Every check reads this one block."""
+        inputs = [_computational_input(self, c, t) for c, t in _COMPUTATIONAL]
+        kept = _evolve_kept(inputs, self.matrix, self.herald_pattern)
+        return np.column_stack([k[_PHOTONS] for k in kept])
+
+    def _heralded(self, amps: np.ndarray):
+        """(probability, conditional) of kept amplitudes, as project gives it."""
+        return _post_select(self.matrix.shape[0], self.herald_pattern, {_PHOTONS: amps})
 
 
 @dataclass(frozen=True)
@@ -153,6 +171,7 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
 
     u = control_flip @ target_mix @ inner @ gate_on_b @ gate_on_a \
         @ probe @ inner @ target_mix
+    u.flags.writeable = False  # the network caches what it computes from u
     return CnotNetwork(
         matrix=u,
         control=DualRailQubit(0, 1),
@@ -193,7 +212,8 @@ def verify_truth_table(net: CnotNetwork) -> list[TruthTableRow]:
     """
     logical = _logical_occupations(net)
     rows = []
-    for (c_in, t_in), (prob, cond) in zip(_COMPUTATIONAL, _heralded_outputs(net)):
+    for (c_in, t_in), column in zip(_COMPUTATIONAL, net._kept_block.T):
+        prob, cond = net._heralded(column)
         amps = {bits: cond.amplitude_of(occ) for bits, occ in logical.items()}
         dominant = max(amps, key=lambda b: abs(amps[b]))
         comp_weight = sum(abs(a) ** 2 for a in amps.values())
@@ -209,29 +229,15 @@ def verify_truth_table(net: CnotNetwork) -> list[TruthTableRow]:
     return rows
 
 
-def _heralded_outputs(net: CnotNetwork) -> list:
-    """(probability, conditional) of each computational input after both
-    heralds, in _COMPUTATIONAL order, from one evolve_project call."""
-    inputs = [_computational_input(net, c, t) for c, t in _COMPUTATIONAL]
-    return evolve_project(inputs, net.matrix, net.herald_pattern)
-
-
 def verify_coherence(net: CnotNetwork) -> CoherenceReport:
     """Feed (|0> + |1>)_control |0>_target and compare the heralded output
-    against the maximally entangled (|00> + |11>)/sqrt(2)."""
-    n = net.matrix.shape[0]
-    base = [0] * n
-    for occupied, _ in net.ancillas:
-        base[occupied] = 1
-    base[net.target.rail(0)] = 1
-    occ0, occ1 = list(base), list(base)
-    occ0[net.control.rail(0)] = 1
-    occ1[net.control.rail(1)] = 1
-    state = SectoredState.from_occupations(n, {
-        tuple(occ0): _INV_SQRT2,
-        tuple(occ1): _INV_SQRT2,
-    })
-    [(prob, cond)] = evolve_project([state], net.matrix, net.herald_pattern)
+    against the maximally entangled (|00> + |11>)/sqrt(2).
+
+    By linearity the heralded amplitudes are those of the inputs 00 and 10
+    from the truth table's block, summed with weight 1/sqrt(2) each."""
+    inputs = [_COMPUTATIONAL.index((0, 0)), _COMPUTATIONAL.index((1, 0))]
+    weights = np.full(2, _INV_SQRT2, dtype=complex)
+    prob, cond = net._heralded(net._kept_block[:, inputs] @ weights)
     if prob == 0.0:
         return CoherenceReport(overlap=0.0, probability=0.0)
     logical = _logical_occupations(net)
@@ -246,13 +252,12 @@ def conditional_logical_matrix(net: CnotNetwork) -> np.ndarray:
     Entry [out, in] is the heralded amplitude from computational input to
     computational output, with basis order 00, 01, 10, 11.
     """
+    _, targets, remaining = _herald_table(net.matrix.shape[0], _PHOTONS,
+                                          net.herald_pattern)
     logical = _logical_occupations(net)
-    m = np.zeros((4, 4), dtype=complex)
-    for col, (prob, cond) in enumerate(_heralded_outputs(net)):
-        scale = math.sqrt(prob)
-        for row, bits in enumerate(_COMPUTATIONAL):
-            m[row, col] = scale * cond.amplitude_of(logical[bits])
-    return m
+    lands = targets.tolist()
+    return net._kept_block[[lands.index(remaining.index_of(logical[bits]))
+                            for bits in _COMPUTATIONAL]]
 
 
 def normalize_global_phase(m: np.ndarray) -> np.ndarray:

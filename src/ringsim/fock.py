@@ -3,14 +3,17 @@
 States are stored per total-photon-number sector; a unitary acts on each
 sector through matrix permanents of its sub-matrices. Includes projective
 post-selection and the closed-form heralded-gate output used as an
-independent oracle."""
+independent oracle. Which rows survive a measurement pattern, and where
+each lands among the remaining modes, is one cached herald table per
+(modes, photons, pattern), which every post-selecting function reads."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,15 +130,16 @@ def _permanent_batch(stack: np.ndarray) -> np.ndarray:
 def _lift_block(s: np.ndarray, basis: OccupationBasis,
                 rows: np.ndarray | None = None,
                 cols: np.ndarray | None = None) -> np.ndarray:
-    """Sector matrix restricted to the given output-state rows and
-    input-state columns (all of them where None)."""
+    """Sector matrix of s, or of each matrix of an (N, n, n) stack,
+    restricted to the given output-state rows and input-state columns (all
+    of them where None)."""
     n = basis.n_photons
     idx, norms = basis.mode_indices, basis.norms
     rows_idx, row_norms = (idx, norms) if rows is None else (idx[rows], norms[rows])
     cols_idx, col_norms = (idx, norms) if cols is None else (idx[cols], norms[cols])
-    m_out, m_in = len(rows_idx), len(cols_idx)
-    subs = s[rows_idx[:, None, :, None], cols_idx[None, :, None, :]]
-    perms = _permanent_batch(subs.reshape(m_out * m_in, n, n)).reshape(m_out, m_in)
+    subs = s[..., rows_idx[:, None, :, None], cols_idx[None, :, None, :]]
+    lead = subs.shape[:-2]
+    perms = _permanent_batch(subs.reshape(prod(lead), n, n)).reshape(lead)
     return perms / np.sqrt(np.outer(row_norms, col_norms))
 
 
@@ -274,12 +278,6 @@ def evolve_project(states, s: np.ndarray, pattern: MeasurementPattern) -> list:
     """``project(evolve(state, s), pattern)`` for each of several states,
     lifting only the output rows that the pattern keeps.
 
-    The unitarity check runs once. Per photon sector, one permanent block
-    covers the kept output rows and the union of the input columns that
-    evolve would read for each state: its occupied states if sparse, else
-    all. Each state's kept amplitudes are the products evolve forms for
-    those rows; they go into a zero vector that ``project`` post-selects.
-
     Returns
     -------
     list of (probability, conditional)
@@ -292,20 +290,30 @@ def evolve_project(states, s: np.ndarray, pattern: MeasurementPattern) -> list:
         modes or is not unitary, or a constrained mode out of range.
     """
     states = list(states)
+    return [_post_select(state.n_modes, pattern, kept)
+            for state, kept in zip(states, _evolve_kept(states, s, pattern))]
+
+
+def _evolve_kept(states, s: np.ndarray, pattern: MeasurementPattern) -> list:
+    """Per state, the amplitudes ``evolve`` gives on the rows the pattern
+    keeps: a dict from photon count to the amplitudes on the herald table's
+    rows, in the state's own sector order.
+
+    The unitarity check runs once. Per photon sector, one permanent block
+    covers the kept output rows and the union of the input columns that
+    evolve would read for each state: its occupied states if sparse, else
+    all. Each state's kept amplitudes are the products evolve forms for
+    those rows.
+    """
     s = np.asarray(s, dtype=complex)
     for state in states:
         if s.shape != (state.n_modes, state.n_modes):
             raise DomainError(
                 f"matrix shape {s.shape} does not match {state.n_modes} modes")
     _require_unitary(s)
-    if not states:
-        return []
-    n_modes = states[0].n_modes
-    modes, counts = _pattern_arrays(pattern, n_modes)
     kept: list[dict[int, np.ndarray]] = [{} for _ in states]
     for n in {n for state in states for n in state.sectors}:
-        basis = enumerate_basis(n_modes, n)
-        rows = np.flatnonzero(np.all(basis.occupancy[:, modes] == counts, axis=1))
+        basis = enumerate_basis(len(s), n)
         picks = []
         for i, state in enumerate(states):
             if n in state.sectors:
@@ -314,15 +322,11 @@ def evolve_project(states, s: np.ndarray, pattern: MeasurementPattern) -> list:
                 picks.append((i, vec, nz if nz.size <= basis.size // 4
                               else np.arange(basis.size)))
         cols = np.unique(np.concatenate([c for _, _, c in picks]))
-        block = _lift_block(s, basis, rows=rows, cols=cols)
+        block = _lift_block(s, basis, rows=_herald_table(len(s), n, pattern).rows,
+                            cols=cols)
         for i, vec, c in picks:
-            out = np.zeros(basis.size, dtype=complex)
-            out[rows] = block[:, np.searchsorted(cols, c)] @ vec[c]
-            kept[i][n] = out
-    # Each state keeps its own sector order, which fixes project's sums.
-    return [project(SectoredState(n_modes, {n: sectors[n] for n in state.sectors}),
-                    pattern)
-            for state, sectors in zip(states, kept)]
+            kept[i][n] = block[:, np.searchsorted(cols, c)] @ vec[c]
+    return [{n: k[n] for n in state.sectors} for state, k in zip(states, kept)]
 
 
 def _pattern_arrays(pattern: MeasurementPattern, n_modes: int):
@@ -335,6 +339,60 @@ def _pattern_arrays(pattern: MeasurementPattern, n_modes: int):
     return modes, np.array([c for _, c in pattern.constraints], dtype=np.int64)
 
 
+class _HeraldTable(NamedTuple):
+    """The rows of one sector that a pattern keeps, ascending, and the index
+    of each in ``remaining``, the basis of the unconstrained modes (None
+    where the pattern asks for more photons than the sector holds)."""
+
+    rows: np.ndarray
+    targets: np.ndarray
+    remaining: OccupationBasis | None
+
+
+@lru_cache(maxsize=None)
+def _herald_table(n_modes: int, n_photons: int,
+                  pattern: MeasurementPattern) -> _HeraldTable:
+    """Cached herald table of one sector. With every mode constrained, the
+    remaining basis is the one-mode vacuum (0,)."""
+    modes, counts = _pattern_arrays(pattern, n_modes)
+    occ = enumerate_basis(n_modes, n_photons).occupancy
+    rows = np.flatnonzero(np.all(occ[:, modes] == counts, axis=1))
+    rows.flags.writeable = False
+    rest = n_photons - int(counts.sum())
+    if rest < 0:  # then no row is kept
+        return _HeraldTable(rows, rows, None)
+    keep = [m for m in range(n_modes) if m not in modes]
+    remaining = enumerate_basis(max(len(keep), 1), rest)
+    targets = np.array([remaining.index_of(occ[i, keep].tolist() or [0]) for i in rows],
+                       dtype=np.int64)
+    targets.flags.writeable = False
+    return _HeraldTable(rows, targets, remaining)
+
+
+def _post_select(n_modes: int, pattern: MeasurementPattern, kept: dict):
+    """``project``'s result from the amplitudes of each sector on the rows
+    the pattern keeps; ``kept`` maps photon count to those amplitudes, in
+    the state's sector order, which fixes the order of the sums."""
+    modes, _ = _pattern_arrays(pattern, n_modes)
+    prob = 0.0
+    cond: dict[int, np.ndarray] = {}
+    for n, amps in kept.items():
+        nz = np.flatnonzero(np.abs(amps) > 0.0)
+        if nz.size == 0:
+            continue
+        prob += float(np.sum(np.abs(amps[nz]) ** 2))
+        _, targets, remaining = _herald_table(n_modes, n, pattern)
+        target = cond.setdefault(remaining.n_photons,
+                                 np.zeros(remaining.size, dtype=complex))
+        target[targets[nz]] += amps[nz]
+
+    n_keep = max(n_modes - len(modes), 1)
+    if prob <= 0.0:
+        return 0.0, SectoredState(n_keep, {})
+    scale = 1.0 / np.sqrt(prob)
+    return prob, SectoredState(n_keep, {n: v * scale for n, v in cond.items()})
+
+
 def project(state: SectoredState, pattern: MeasurementPattern):
     """Post-select on exact photon counts.
 
@@ -345,35 +403,9 @@ def project(state: SectoredState, pattern: MeasurementPattern):
         the unconstrained modes. Zero probability yields an explicitly
         empty conditional state rather than an error.
     """
-    modes, counts = _pattern_arrays(pattern, state.n_modes)
-    keep = [m for m in range(state.n_modes) if m not in set(modes)]
-    removed = int(counts.sum())
-
-    prob = 0.0
-    cond: dict[int, np.ndarray] = {}
-    for n, vec in state.sectors.items():
-        if n < removed:
-            continue
-        basis = enumerate_basis(state.n_modes, n)
-        occ = basis.occupancy
-        mask = np.ones(basis.size, dtype=bool) if not modes else \
-            np.all(occ[:, modes] == counts, axis=1)
-        idx = np.flatnonzero(mask & (np.abs(vec) > 0.0))
-        if idx.size == 0:
-            continue
-        prob += float(np.sum(np.abs(vec[idx]) ** 2))
-        rem_basis = enumerate_basis(max(len(keep), 1), n - removed)
-        target = cond.setdefault(n - removed,
-                                 np.zeros(rem_basis.size, dtype=complex))
-        for i in idx:
-            rem_occ = tuple(int(occ[i, k]) for k in keep) if keep else (0,)
-            target[rem_basis.index_of(rem_occ)] += vec[i]
-
-    n_keep = max(len(keep), 1)
-    if prob <= 0.0:
-        return 0.0, SectoredState(n_keep, {})
-    scale = 1.0 / np.sqrt(prob)
-    return prob, SectoredState(n_keep, {n: v * scale for n, v in cond.items()})
+    return _post_select(state.n_modes, pattern, {
+        n: vec[_herald_table(state.n_modes, n, pattern).rows]
+        for n, vec in state.sectors.items()})
 
 
 @dataclass(frozen=True)
@@ -402,12 +434,6 @@ class NlpsgInput:
 # Success pattern of the heralded gate: one photon on mode 2, none on mode 3.
 SUCCESS_PATTERN = MeasurementPattern(((1, 1), (2, 0)))
 
-# The herald-consistent output rows (k, 1, 0) of the 1-, 2- and 3-photon
-# sectors as repeated mode indices. They are also the input states that
-# carry alpha_k, so each sector contributes one permanent.
-_HERALD_MODES = ((1,), (0, 1), (0, 0, 1))
-
-
 def heralded_success_stack(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:
     """Heralded-gate success probability of each matrix in an (N, 3, 3) stack.
 
@@ -426,11 +452,12 @@ def heralded_success_stack(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:
         raise DomainError(f"expected an (N, 3, 3) stack, got shape {s.shape}")
     _require_unitary(s)
     prob = np.zeros(len(s))
-    for k, (alpha, modes) in enumerate(zip((inp.alpha0, inp.alpha1, inp.alpha2),
-                                           _HERALD_MODES)):
-        sub = s[:, modes][:, :, modes]
-        # The row and column state (k, 1, 0) both carry the norm sqrt(k!).
-        amp = _permanent_batch(sub) / factorial(k) * alpha
+    for k, alpha in enumerate((inp.alpha0, inp.alpha1, inp.alpha2)):
+        # The one kept row of sector k + 1, (k, 1, 0), is also the input
+        # state that carries alpha_k.
+        rows = _herald_table(3, k + 1, SUCCESS_PATTERN).rows
+        perm = _lift_block(s, enumerate_basis(3, k + 1), rows=rows, cols=rows)
+        amp = perm[:, 0, 0] * alpha
         prob += np.abs(amp) ** 2
     return prob
 

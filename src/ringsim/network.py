@@ -10,7 +10,7 @@ networks; the single-network functions are the N = 1 case."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,7 @@ class NetworkStack:
                              deltas=tuple(self.deltas[i].tolist()))
 
 
-def mode_swap3(g: np.ndarray, j: int, pivot_tol: float = SWAP_PIVOT_TOL) -> np.ndarray:
+def mode_swap3(g: np.ndarray, j: int) -> np.ndarray:
     """Exchange the roles of input j and output j of a 3x3 linear relation.
 
     Given y = G x, returns G' such that y' = G' x' where x' carries y_j in
@@ -96,13 +96,11 @@ def mode_swap3(g: np.ndarray, j: int, pivot_tol: float = SWAP_PIVOT_TOL) -> np.n
     g : (3, 3) complex array, or an (N, 3, 3) stack swapped matrix by matrix
     j : int
         1-based mode index to swap.
-    pivot_tol : float
-        Minimum |g_jj| for the exchange to be well posed.
 
     Raises
     ------
     SingularPivotError
-        If |g_jj| <= pivot_tol, or is NaN, for any matrix; the error carries
+        If |g_jj| <= SWAP_PIVOT_TOL, or is NaN, for any matrix; the error carries
         the first such pivot.
     """
     g = np.asarray(g, dtype=complex)
@@ -112,11 +110,11 @@ def mode_swap3(g: np.ndarray, j: int, pivot_tol: float = SWAP_PIVOT_TOL) -> np.n
         raise DomainError(f"mode index must be 1, 2 or 3, got {j}")
     p = j - 1
     pivot = g[..., p:p + 1, p:p + 1]
-    bad = ~(np.abs(pivot) > pivot_tol)
+    bad = ~(np.abs(pivot) > SWAP_PIVOT_TOL)
     if bad.any():
         first = complex(pivot[bad][0])
         raise SingularPivotError(
-            f"mode-{j} pivot magnitude {abs(first):.3e} below {pivot_tol:.1e}",
+            f"mode-{j} pivot magnitude {abs(first):.3e} below {SWAP_PIVOT_TOL:.1e}",
             mode=j, pivot=first,
         )
     col = g[..., :, p:p + 1]

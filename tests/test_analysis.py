@@ -13,13 +13,11 @@ from ringsim import (
     T1_OPTIMAL,
     T2_OPTIMAL,
     UndefinedPhaseError,
-    align_line_phases,
     beta_sq_of_t1,
     build_coupler,
     closed_form_resonant,
     compose_scattering,
     curve_eta_of_tau,
-    curve_network,
     curve_ring,
     evolve,
     intersect_delta2,
@@ -345,10 +343,3 @@ def test_intersect_drops_rows_that_miss_the_target_near_unit_coupler():
     assert np.all(1.0 - np.setdiff1d(tail, tau) < 1e-5)
     assert 0 < np.count_nonzero(tau > 0.999) < tail.size
 
-
-def test_align_line_phases_restores_equality():
-    params = curve_network(deltas=(0.4, 0.0, 0.7))
-    assert verdict(compose_scattering(params)).residual > 0.1
-    aligned, v = align_line_phases(params)
-    assert v.residual < 1e-9
-    assert aligned.deltas[1] == 0.0

@@ -134,6 +134,88 @@ def test_verify_detuned_fails(tmp_path, capsys):
     assert "constraints not satisfied" in capsys.readouterr().out
 
 
+# The optimal config of the README and a detuned one, written out so the
+# pinned reports below depend on nothing but the simulation.
+_README_OPTIMAL_CONFIG = {"rings": [
+    {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586},
+    {"tau": 0.0, "eta": 0.5469181606780271, "theta": 6.283185307179586},
+    {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586}]}
+_DETUNED_CONFIG = {"rings": [
+    {"tau": 0.3, "eta": 0.8, "theta": 1.0, "delta": 0.2},
+    {"tau": 0.1, "eta": 0.5469181606780271, "theta": 6.283185307179586},
+    {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586}]}
+_OPTIMAL_HEAD = (
+    "beta0 = 5.00000000e-01 3.84584929e-34j\n"
+    "beta1 = 5.00000000e-01 8.54256782e-34j\n"
+    "beta2 = 5.00000000e-01 -2.09309849e-33j\n"
+    "constraint_residual = 9.99200722e-16\n"
+    "s11_residual = 5.55111512e-16\n"
+    "magnitude_residual = 7.77156117e-16\n"
+    "success_probability_simulated = 2.50000000e-01\n"
+    "success_probability_verdict = 2.50000000e-01\n"
+    "success_probability_closed_form = 2.50000000e-01\n"
+    "failure_norm = 7.50000000e-01\n")
+
+
+@pytest.mark.parametrize("cfg, alpha, code, out", [
+    (_README_OPTIMAL_CONFIG, None, 0, _OPTIMAL_HEAD + (
+        "conditional_0_photon = 5.77350269e-01 4.44080425e-34j\n"
+        "conditional_1_photon = 5.77350269e-01 1.42327830e-32j\n"
+        "conditional_2_photon = -5.77350269e-01 0.00000000e+00j\n"
+        "constraints satisfied\n")),
+    # A zero component leaves its sector without a kept amplitude.
+    (_README_OPTIMAL_CONFIG, "0.6,0,0.8", 0, _OPTIMAL_HEAD + (
+        "conditional_0_photon = 6.00000000e-01 4.61501915e-34j\n"
+        "conditional_1_photon = 0.00000000e+00 0.00000000e+00j\n"
+        "conditional_2_photon = -8.00000000e-01 0.00000000e+00j\n"
+        "constraints satisfied\n")),
+    (_DETUNED_CONFIG, None, 4, (
+        "beta0 = 2.93653958e-01 6.72079560e-02j\n"
+        "beta1 = 2.60571095e-01 7.51949680e-02j\n"
+        "beta2 = 4.44851918e-01 -9.60065403e-02j\n"
+        "constraint_residual = 2.51534050e-01\n"
+        "s11_residual = 2.91955659e-01\n"
+        "magnitude_residual = 2.28796057e-01\n"
+        "success_probability_simulated = 1.23803873e-01\n"
+        "success_probability_verdict = 9.07495563e-02\n"
+        "success_probability_closed_form = 1.23803873e-01\n"
+        "failure_norm = 8.76196127e-01\n"
+        "conditional_0_photon = 4.81845841e-01 1.10279032e-01j\n"
+        "conditional_1_photon = 4.27561403e-01 1.23384622e-01j\n"
+        "conditional_2_photon = -7.29940943e-01 1.57533556e-01j\n"
+        "constraints not satisfied\n")),
+])
+def test_verify_output_is_pinned(tmp_path, capsys, cfg, alpha, code, out):
+    argv = ["verify", "--config", write_config(tmp_path, cfg)]
+    if alpha is not None:
+        argv += ["--alpha", alpha]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("entry", [{"re": 1}, [1, 0, 7], [1], 1.0, "10", [10 ** 400, 0]])
+def test_config_alpha_entry_must_be_a_pair_of_numbers(tmp_path, capsys, entry):
+    cfg = dict(_README_OPTIMAL_CONFIG, alpha=[entry, [0, 0], [0, 0]])
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert "alpha" in captured.err
+
+
+def test_config_grid_must_be_a_whole_number(tmp_path, capsys):
+    path = write_config(tmp_path, {"grid": 2.9})
+    assert main(["manifold", "curve", "--config", path]) == 2
+    assert "config.grid must be a whole number" in capsys.readouterr().err
+    path = write_config(tmp_path, {"grid": 5.0})
+    assert main(["manifold", "curve", "--config", path]) == 0
+    from_config = capsys.readouterr()
+    assert main(["manifold", "curve", "--grid", "5"]) == 0
+    assert capsys.readouterr() == from_config
+
+
 def test_manifold_curve_single_ring(tmp_path, capsys):
     assert main(["manifold", "curve", "--ring", "1", "--grid", "5"]) == 0
     captured = capsys.readouterr()

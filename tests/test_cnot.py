@@ -132,3 +132,19 @@ def test_conditional_singular_values_uniform():
     sv = np.linalg.svd(conditional_logical_matrix(net), compute_uv=False)
     assert np.max(np.abs(sv - sv[0])) < 1e-8
     assert np.isclose(sv[0], 0.25, atol=1e-8)
+
+
+@pytest.mark.parametrize("probe_phase", [0.0, 0.3])
+def test_conditional_matrix_agrees_with_truth_table(probe_phase):
+    net = build_cnot(curve_network(0.35, 0.1, 0.6), curve_network(0.7, 0.45, 0.2),
+                     probe_phase=probe_phase)
+    m = conditional_logical_matrix(net)
+    order = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for col, row in enumerate(verify_truth_table(net)):
+        out = order.index((row.control_out, row.target_out))
+        assert abs(abs(m[out, col]) ** 2 - row.probability * row.fidelity) < 1e-12
+        assert abs(np.sum(np.abs(m[:, col]) ** 2)
+                   - row.probability * (1.0 - row.leakage)) < 1e-12
+    if probe_phase == 0.0:
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        assert np.max(np.abs(normalize_global_phase(m) - cnot)) < 1e-9

@@ -25,6 +25,7 @@ from ringsim import (
     project,
 )
 from ringsim.errors import DomainError
+from ringsim.fock import _herald_table
 
 HOM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
@@ -95,6 +96,48 @@ def test_basis_tables_are_read_only():
     for table in (basis.occupancy, basis.mode_indices, basis.norms):
         with pytest.raises(ValueError):
             table[0] = 0
+
+
+def herald_patterns(n_modes):
+    """The patterns the herald table is checked on at n_modes modes."""
+    out = [MeasurementPattern(()),                           # keeps everything
+           MeasurementPattern(((0, 5),)),                    # unmeetable
+           MeasurementPattern(tuple((m, 0) for m in range(n_modes))),
+           MeasurementPattern(((0, 2),) + tuple((m, 0) for m in range(1, n_modes)))]
+    if n_modes >= 3:
+        out.append(SUCCESS_PATTERN)
+    if n_modes == 8:
+        out.append(MeasurementPattern(((4, 1), (5, 0), (6, 1), (7, 0))))
+    return out
+
+
+@pytest.mark.parametrize("n_modes", range(1, 9))
+def test_herald_table_matches_its_definition(n_modes):
+    for n_photons in range(5):
+        basis = enumerate_basis(n_modes, n_photons)
+        for pattern in herald_patterns(n_modes):
+            table = _herald_table(n_modes, n_photons, pattern)
+            counts = dict(pattern.constraints)
+            keep = [m for m in range(n_modes) if m not in counts]
+            rest = n_photons - sum(counts.values())
+            rows = [i for i, occ in enumerate(basis.states)
+                    if all(occ[m] == c for m, c in counts.items())]
+            assert table.rows.tolist() == rows
+            if rest < 0:
+                assert table.targets.size == 0 and table.remaining is None
+                continue
+            remaining = enumerate_basis(max(len(keep), 1), rest)
+            assert table.remaining is remaining
+            assert table.targets.tolist() == [
+                remaining.index_of(tuple(basis.states[i][k] for k in keep) or (0,))
+                for i in rows]
+            assert _herald_table(n_modes, n_photons,
+                                 MeasurementPattern(pattern.constraints)) is table
+            for array in (table.rows, table.targets):
+                with pytest.raises(ValueError):
+                    array[:1] = 0
+    with pytest.raises(DomainError):
+        _herald_table(n_modes, 1, MeasurementPattern(((n_modes, 0),)))
 
 
 def test_permanent_examples():
@@ -247,6 +290,15 @@ def test_project_empty_pattern_is_identity():
     assert np.isclose(prob, 1.0, atol=1e-12)
     assert np.isclose(cond.amplitude_of((1, 0, 1)), 0.6)
     assert np.isclose(cond.amplitude_of((0, 1, 0)), 0.8)
+
+
+def test_project_sums_onto_zeros():
+    # Kept amplitudes are added onto a zero vector, so a negative zero part
+    # comes out positive, as the printed conditional amplitudes rely on.
+    state = SectoredState(2, {1: np.array([complex(0.6, -0.0), complex(-0.0, 0.8)])})
+    _, cond = project(state, MeasurementPattern(()))
+    vec = cond.sectors[1]
+    assert not np.any(np.signbit(vec.real)) and not np.any(np.signbit(vec.imag))
 
 
 def test_project_rejects_unknown_mode():
