@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError, UndefinedPhaseError
-from .network import (NetworkParams, NetworkStack, closed_form_resonant,
+from .network import (NetworkParams, NetworkStack, _ring_transfers, closed_form_resonant,
                       compose_scattering, compose_scattering_stack)
 from .ring import (RESONANT_THETA, TWO_PI, CouplerStack, RingCoupler, build_coupler,
-                   build_couplers, invert_effective, transfer_matrix_stack)
+                   build_couplers, invert_effective)
 
 log = logging.getLogger(__name__)
 
@@ -364,9 +364,7 @@ def compensated_network_stack(rings: tuple[CouplerStack, CouplerStack, CouplerSt
     amplitude to magnitude 1/2 on the detuned manifolds. Ring stacks of
     length 1 broadcast against the others.
     """
-    m1 = transfer_matrix_stack(rings[0])
-    m2 = transfer_matrix_stack(rings[1].flipped())
-    m3 = transfer_matrix_stack(rings[2])
+    m1, m2, m3 = _ring_transfers(rings)
     delta2 = (np.angle(m1[:, 1, 0]) + np.angle(m2[:, 1, 1])
               + np.angle(m3[:, 0, 1])) % TWO_PI
     deltas = np.stack(np.broadcast_arrays(deltas13[0], delta2, deltas13[1]), axis=1)

@@ -17,7 +17,7 @@ from .analysis import (T1_OPTIMAL, T2_OPTIMAL, curve_network, curve_stack,
                        t2_from_equality, verdict)
 from .cnot import build_cnot, verify_coherence, verify_truth_table
 from .errors import (ConfigError, ConstraintError, DomainError, PoleError,
-                     RingsimError, SingularPivotError, UndefinedPhaseError)
+                     RingsimError, UndefinedPhaseError)
 from .fock import (SUCCESS_PATTERN, NlpsgInput, evolve_project,
                    heralded_success_stack, nlpsg_closed_form)
 from .network import (NetworkParams, NetworkStack, closed_form_resonant,
@@ -250,6 +250,11 @@ def cmd_manifold(args) -> int:
     grid_n = int(grid)
     if grid_n < 2:
         raise ConfigError("grid must have at least 2 points", field="grid")
+    # Every row is held in memory before it is written, so the points are
+    # bounded before any array is allocated; a curve counts them per ring.
+    points = grid_n * grid_n if args.kind == "surface" else grid_n
+    if points > 10 ** 6:
+        raise ConfigError(f"{points} grid points, more than 10^6", field="grid")
 
     if args.kind == "curve":
         grid = np.linspace(args.tau_min, args.tau_max, grid_n)
@@ -274,7 +279,6 @@ def cmd_manifold(args) -> int:
     if args.kind == "surface":
         ring = args.ring if args.ring != 0 else 1
         axis = np.linspace(0.05, 0.98, grid_n)
-        points = grid_n * grid_n
         lines = ["ring,tau,eta,theta,beta_sq"]
         for start in range(0, points, _BATCH_POINTS):
             # Grid points in row-major (eta, tau) order, as the CSV lists them.
@@ -409,7 +413,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (PoleError, SingularPivotError, UndefinedPhaseError) as err:
+    except (PoleError, UndefinedPhaseError) as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 3
     except ConstraintError as err:

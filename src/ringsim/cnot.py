@@ -9,12 +9,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import NlpsgVerdict, verdict
-from .errors import ConstraintError, DomainError, SingularPivotError
+from .analysis import verdict
+from .errors import ConstraintError, DomainError
 from .fock import (MeasurementPattern, SectoredState, _evolve_kept,
                    _herald_table, _post_select)
-from .network import (NetworkParams, NetworkStack, compose_scattering,
-                      compose_scattering_stack)
+from .network import NetworkParams, NetworkStack, compose_scattering_stack
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -58,7 +57,6 @@ class CnotNetwork:
     control: DualRailQubit
     target: DualRailQubit
     ancillas: tuple[tuple[int, int], tuple[int, int]]
-    gate_verdicts: tuple[NlpsgVerdict, NlpsgVerdict]
 
     @property
     def herald_pattern(self) -> MeasurementPattern:
@@ -139,27 +137,23 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
     Raises
     ------
     ConstraintError
-        If either gate's success constraints fail at ``tol``; the verdict
-        rides along on the exception.
+        If either gate's success constraints fail at ``tol``, or its
+        heralded amplitude beta0 is at most ``tol`` so it never heralds;
+        gate A is checked first and the verdict rides along on the exception.
+    PoleError
+        If either gate's network sits on its loop pole.
     """
-    gates = (gate_a, gate_b)
-    try:
-        matrices = list(compose_scattering_stack(NetworkStack.of(gates)))
-    except SingularPivotError:
-        # The stacked error does not say which gate failed. Compose one gate
-        # at a time below, so errors come in gate order: gate A's verdict
-        # before gate B's composition.
-        matrices = [None, None]
-    verdicts = []
-    for i, (label, params) in enumerate(zip("AB", gates)):
-        if matrices[i] is None:
-            matrices[i] = compose_scattering(params)
-        v = verdict(matrices[i])
+    matrices = compose_scattering_stack(NetworkStack.of([gate_a, gate_b]))
+    for label, s in zip("AB", matrices):
+        v = verdict(s)
         if not v.residual < tol:
             raise ConstraintError(
                 f"gate {label} violates the success constraints "
                 f"(residual {v.residual:.3e} >= {tol:.1e})", verdict=v)
-        verdicts.append(v)
+        if not abs(v.beta0) > tol:
+            raise ConstraintError(
+                f"gate {label} never heralds (|beta0| {abs(v.beta0):.3e} "
+                f"<= {tol:.1e})", verdict=v)
 
     n = 8
     target_mix = embed(_SPLITTER, (2, 3), n)
@@ -177,7 +171,6 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
         control=DualRailQubit(0, 1),
         target=DualRailQubit(2, 3),
         ancillas=((4, 5), (6, 7)),
-        gate_verdicts=(verdicts[0], verdicts[1]),
     )
 
 

@@ -22,15 +22,12 @@ class SingularPivotError(RingsimError):
         1-based index of the mode whose pivot vanished.
     pivot : complex
         The offending pivot value.
-    block : int or None
-        1-based network block the failure came from, when known.
     """
 
-    def __init__(self, message, mode, pivot, block=None):
+    def __init__(self, message, mode, pivot):
         super().__init__(message)
         self.mode = mode
         self.pivot = pivot
-        self.block = block
 
 
 class UndefinedPhaseError(RingsimError):

@@ -1,8 +1,8 @@
 """Compose three ring blocks into the global 3x3 scattering matrix.
 
-Each block is a 3x3 transfer matrix that maps a mixed vector of true
-inputs and internal lines; the mode-swap algebra exchanges dependent and
-independent variables until the product becomes input -> output.
+The rings enclose one feedback loop, so the composition is a closed form
+over that loop. The paper's mode-swap algebra, which exchanges dependent
+and independent variables of each block, gives the same matrix.
 
 Block embedding, the mode swap and composition all act on stacks of N
 networks; the single-network functions are the N = 1 case."""
@@ -160,30 +160,36 @@ def compose_scattering(params: NetworkParams) -> np.ndarray:
 def compose_scattering_stack(networks: NetworkStack) -> np.ndarray:
     """Global scattering matrices of N three-ring networks, shape (N, 3, 3).
 
-    The middle ring is mounted mirror-imaged, so its transfer matrix is
-    built from the flipped coupler. Each block is swapped on mode 2 to
-    expose its internal line, the chain is multiplied in slot order 3,2,1,
-    and a final mode-2 swap returns an input -> output map.
+    With ring transfers [[a_k, b_k], [c_k, d_k]] and line phasors
+    p_k = e^{-i delta_k}, the one internal loop runs through the legs c1, d2
+    and b3: every entry that crosses it carries g = 1 / (1 - L), with loop
+    gain L = b3 c1 d2 p2. The ``mode_swap3`` chain gives the same functions.
 
     Raises
     ------
-    SingularPivotError
-        If any network's block through amplitude (or its chain's mode-2
-        pivot) vanishes; the error carries the offending block when
-        applicable.
+    PoleError
+        If |1 - L| < 1e-15, or is NaN, for any network; the message names
+        the first such network.
     """
-    couplers = (networks.rings[0], networks.rings[1].flipped(), networks.rings[2])
-    swapped = []
-    for slot, coupler in zip((1, 2, 3), couplers):
-        t3 = block_transfer(slot, transfer_matrix_stack(coupler),
-                            networks.deltas[:, slot - 1])
-        try:
-            swapped.append(mode_swap3(t3, 2))
-        except SingularPivotError as err:
-            raise SingularPivotError(
-                f"block {slot}: {err}", mode=err.mode, pivot=err.pivot, block=slot
-            ) from err
-    return mode_swap3(swapped[2] @ swapped[1] @ swapped[0], 2)
+    (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3) = (
+        m.reshape(-1, 4).T for m in _ring_transfers(networks.rings))
+    p1, p2, p3 = np.exp(-1j * networks.deltas.T)
+    den = 1.0 - b3 * c1 * d2 * p2
+    bad = np.flatnonzero(~(np.abs(den) >= 1e-15))
+    if bad.size:
+        raise PoleError(f"network {bad[0]}: loop gain b3 c1 d2 e^(-i delta2) = 1")
+    g = 1.0 / den
+    return np.stack([
+        a2 * p1 * p3 + b2 * c2 * b3 * c1 * p1 * p2 * p3 * g,
+        a3 * b2 * p3 * g, b2 * b3 * d1 * p2 * p3 * g,
+        a1 * c2 * p1 * g, a1 * a3 * d2 * g, b1 + a1 * b3 * d1 * d2 * p2 * g,
+        c1 * c2 * d3 * p1 * p2 * g, c3 + a3 * c1 * d2 * d3 * p2 * g, d1 * d3 * p2 * g,
+    ], axis=-1).reshape(-1, 3, 3)
+
+
+def _ring_transfers(rings) -> tuple[np.ndarray, ...]:
+    """Transfer matrices of the three slots; the middle ring is mounted flipped."""
+    return tuple(transfer_matrix_stack(r) for r in (rings[0], rings[1].flipped(), rings[2]))
 
 
 def closed_form_resonant(t1: float, t2: float, t3: float) -> np.ndarray:

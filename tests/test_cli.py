@@ -98,11 +98,29 @@ def test_smatrix_pole_is_numerical_error(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_smatrix_singular_pivot_is_numerical_error(tmp_path, capsys):
-    cfg = {"rings": [{"tau": 0.4, "eta": 0.4, "theta": TWO_PI},
+@pytest.mark.parametrize("eta", [0.4, 0.4 + 1e-8])
+def test_smatrix_balanced_ring_composes(tmp_path, capsys, eta):
+    # eta = tau on resonance is a full-drop ring (t = 0): zero through
+    # amplitude, no pole.
+    cfg = {"rings": [{"tau": 0.4, "eta": eta, "theta": TWO_PI},
                      ring_entry(2), ring_entry(3)]}
+    assert main(["smatrix", "--config", write_config(tmp_path, cfg),
+                 "--closed-form"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["closed_form_max_diff"] <= 1e-12
+    assert out["unitarity_residual"] <= 1e-12
+
+
+def test_smatrix_loop_pole_is_numerical_error(tmp_path, capsys):
+    # Full-drop outer rings and a full-through middle ring close the
+    # feedback loop with gain 1.
+    balanced = {"tau": 0.5, "eta": 0.5, "theta": TWO_PI}
+    cfg = {"rings": [balanced, {"tau": 1.0, "eta": 0.0, "theta": TWO_PI,
+                                "delta": math.pi}, balanced]}
     assert main(["smatrix", "--config", write_config(tmp_path, cfg)]) == 3
-    assert "numerical error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: network 0: loop gain")
 
 
 def test_verify_optimal(tmp_path, capsys):
@@ -145,12 +163,12 @@ _DETUNED_CONFIG = {"rings": [
     {"tau": 0.1, "eta": 0.5469181606780271, "theta": 6.283185307179586},
     {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586}]}
 _OPTIMAL_HEAD = (
-    "beta0 = 5.00000000e-01 3.84584929e-34j\n"
-    "beta1 = 5.00000000e-01 8.54256782e-34j\n"
-    "beta2 = 5.00000000e-01 -2.09309849e-33j\n"
-    "constraint_residual = 9.99200722e-16\n"
-    "s11_residual = 5.55111512e-16\n"
-    "magnitude_residual = 7.77156117e-16\n"
+    "beta0 = 5.00000000e-01 3.45124485e-34j\n"
+    "beta1 = 5.00000000e-01 4.82031661e-34j\n"
+    "beta2 = 5.00000000e-01 -1.30918781e-33j\n"
+    "constraint_residual = 2.22044605e-16\n"
+    "s11_residual = 1.24997381e-33\n"
+    "magnitude_residual = 2.22044605e-16\n"
     "success_probability_simulated = 2.50000000e-01\n"
     "success_probability_verdict = 2.50000000e-01\n"
     "success_probability_closed_form = 2.50000000e-01\n"
@@ -159,15 +177,15 @@ _OPTIMAL_HEAD = (
 
 @pytest.mark.parametrize("cfg, alpha, code, out", [
     (_README_OPTIMAL_CONFIG, None, 0, _OPTIMAL_HEAD + (
-        "conditional_0_photon = 5.77350269e-01 4.44080425e-34j\n"
-        "conditional_1_photon = 5.77350269e-01 1.42327830e-32j\n"
-        "conditional_2_photon = -5.77350269e-01 0.00000000e+00j\n"
+        "conditional_0_photon = 5.77350269e-01 3.98515429e-34j\n"
+        "conditional_1_photon = 5.77350269e-01 7.11639150e-33j\n"
+        "conditional_2_photon = -5.77350269e-01 -7.11639150e-33j\n"
         "constraints satisfied\n")),
     # A zero component leaves its sector without a kept amplitude.
     (_README_OPTIMAL_CONFIG, "0.6,0,0.8", 0, _OPTIMAL_HEAD + (
-        "conditional_0_photon = 6.00000000e-01 4.61501915e-34j\n"
+        "conditional_0_photon = 6.00000000e-01 4.14149382e-34j\n"
         "conditional_1_photon = 0.00000000e+00 0.00000000e+00j\n"
-        "conditional_2_photon = -8.00000000e-01 0.00000000e+00j\n"
+        "conditional_2_photon = -8.00000000e-01 -9.86076132e-33j\n"
         "constraints satisfied\n")),
     (_DETUNED_CONFIG, None, 4, (
         "beta0 = 2.93653958e-01 6.72079560e-02j\n"
@@ -214,6 +232,22 @@ def test_config_grid_must_be_a_whole_number(tmp_path, capsys):
     from_config = capsys.readouterr()
     assert main(["manifold", "curve", "--grid", "5"]) == 0
     assert capsys.readouterr() == from_config
+
+
+@pytest.mark.parametrize("argv, grid", [
+    (["manifold", "curve"], 1e20),
+    (["manifold", "curve", "--grid", "100000000000000000000"], None),
+    (["manifold", "intersect", "--grid", "1000001"], None),
+    (["manifold", "surface", "--grid", "1001"], None),
+])
+def test_sweep_grid_is_bounded(tmp_path, capsys, argv, grid):
+    if grid is not None:
+        argv = argv + ["--config", write_config(tmp_path, {"grid": grid})]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert "grid points, more than 10^6" in captured.err
 
 
 def test_manifold_curve_single_ring(tmp_path, capsys):
@@ -500,13 +534,14 @@ def test_cnot_detuned_gate_fails(tmp_path, capsys):
 
 def test_cnot_errors_name_the_gate_in_gate_order(tmp_path, capsys):
     detuned = {"rings": [ring_entry(1, theta=0.3), ring_entry(2), ring_entry(3)]}
-    # A balanced ring (eta = tau on resonance) has a vanishing mode-2 pivot.
+    # A balanced ring (eta = tau on resonance) has zero through amplitude,
+    # so its gate meets the constraints with beta0 = 0 and never heralds.
     balanced = {"rings": [{"tau": 0.5, "eta": 0.5, "theta": TWO_PI},
                           ring_entry(2), ring_entry(3)]}
     optimal = {"rings": [ring_entry(s) for s in (1, 2, 3)]}
     cases = [({"gate_a": optimal, "gate_b": detuned}, 4, "gate B violates"),
              ({"gate_a": detuned, "gate_b": balanced}, 4, "gate A violates"),
-             ({"gate_a": balanced, "gate_b": optimal}, 3, "block 1: mode-2 pivot")]
+             ({"gate_a": balanced, "gate_b": optimal}, 4, "gate A never heralds")]
     for cfg, code, message in cases:
         assert main(["cnot", "--config", write_config(tmp_path, cfg)]) == code
         assert message in capsys.readouterr().err

@@ -14,6 +14,7 @@ from ringsim import (
     build_coupler,
     closed_form_resonant,
     compose_scattering,
+    effective_coupling,
     invert_effective,
     mode_swap3,
     on_resonance_transfer,
@@ -138,15 +139,30 @@ def test_compose_unitary_off_resonance():
         assert np.isclose(abs(np.linalg.det(s)), 1.0, atol=1e-12)
 
 
-def test_compose_singular_block_pivot():
-    # A ring with equal transmissions has zero resonant through amplitude,
-    # so its block cannot be swapped.
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("offset", [0.0, 1e-8])
+def test_compose_balanced_ring_matches_closed_form(slot, offset):
+    # eta = tau on resonance is a full-drop ring (t = 0): its through
+    # amplitude vanishes, which no mode-swap pivot may, but the network
+    # composes like any other.
     rng = np.random.default_rng(5)
-    bad = build_coupler(0.4, 0.4, RESONANT_THETA)
-    with pytest.raises(SingularPivotError) as info:
-        compose_scattering(NetworkParams(rings=(
-            bad, resonant_ring(0.5, rng), resonant_ring(0.5, rng))))
-    assert info.value.block == 1
+    t = [0.5, 0.5, 0.5]
+    rings = [resonant_ring(ti, rng) for ti in t]
+    rings[slot] = build_coupler(0.4, 0.4 + offset, RESONANT_THETA)
+    t[slot] = effective_coupling(0.4, 0.4 + offset).t
+    s = compose_scattering(NetworkParams(rings=tuple(rings)))
+    assert np.max(np.abs(s - closed_form_resonant(*t))) < 1e-12
+    assert abs(np.linalg.det(s) + 1.0) < 1e-12
+
+
+def test_compose_loop_pole():
+    # Full-drop outer rings and a full-through middle ring close the
+    # feedback loop with gain exactly 1.
+    outer = build_coupler(0.5, 0.5, RESONANT_THETA)
+    middle = build_coupler(1.0, 0.0, RESONANT_THETA)
+    with pytest.raises(PoleError, match="network 0: loop gain"):
+        compose_scattering(NetworkParams(rings=(outer, middle, outer),
+                                         deltas=(0.0, np.pi, 0.0)))
 
 
 def test_closed_form_optimal_row():
