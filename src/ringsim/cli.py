@@ -35,9 +35,11 @@ _SWEEP_INPUT = NlpsgInput(*[1.0 / math.sqrt(3.0)] * 3)
 # numpy temporaries, so batching keeps memory flat for any grid size.
 _BATCH_POINTS = 4096
 
+_NUM = "%.8e"  # the format of every printed float: 9 significant digits
+
 
 def _fmt(x: float) -> str:
-    return f"{x:.8e}"
+    return _NUM % x
 
 
 def _round9(x: float) -> float:
@@ -262,15 +264,14 @@ def cmd_manifold(args) -> int:
         lines = ["ring,tau,eta,tau_sq,eta_sq,beta_sq"]
         for ring in rings:
             transmission = T2_OPTIMAL if ring == 2 else T1_OPTIMAL
+            row = f"{ring}," + ",".join([_NUM] * 5)
             for start in range(0, grid_n, _BATCH_POINTS):
                 networks = curve_stack(transmission, grid[start:start + _BATCH_POINTS],
                                        ring=ring)
                 swept = networks.rings[ring - 1]
-                for tau, eta, beta_sq in zip(swept.tau.tolist(), swept.eta.tolist(),
-                                             _sweep_success(networks)):
-                    lines.append(",".join([str(ring), _fmt(tau), _fmt(eta),
-                                           _fmt(tau ** 2), _fmt(eta ** 2),
-                                           _fmt(beta_sq)]))
+                lines += [row % (tau, eta, tau ** 2, eta ** 2, beta_sq)
+                          for tau, eta, beta_sq in zip(swept.tau.tolist(), swept.eta.tolist(),
+                                                       _sweep_success(networks))]
         print(f"emitted {len(lines) - 1} of {len(rings) * grid_n} grid points",
               file=sys.stderr)
         _write_lines(args.output, lines)
@@ -280,16 +281,15 @@ def cmd_manifold(args) -> int:
         ring = args.ring if args.ring != 0 else 1
         axis = np.linspace(0.05, 0.98, grid_n)
         lines = ["ring,tau,eta,theta,beta_sq"]
+        row = f"{ring}," + ",".join([_NUM] * 4)
         for start in range(0, points, _BATCH_POINTS):
             # Grid points in row-major (eta, tau) order, as the CSV lists them.
             point = np.arange(start, min(start + _BATCH_POINTS, points))
             theta, networks = surface_stack(ring, axis[point // grid_n],
                                             axis[point % grid_n])
             swept = networks.rings[ring - 1]
-            for tau, eta, th, beta_sq in zip(swept.tau.tolist(), swept.eta.tolist(),
-                                             theta.tolist(), _sweep_success(networks)):
-                lines.append(",".join([str(ring), _fmt(tau), _fmt(eta), _fmt(th),
-                                       _fmt(beta_sq)]))
+            lines += map(row.__mod__, zip(swept.tau.tolist(), swept.eta.tolist(),
+                                          theta.tolist(), _sweep_success(networks)))
         print(f"emitted {len(lines) - 1} of {2 * points} candidate branches",
               file=sys.stderr)
         _write_lines(args.output, lines)
@@ -297,8 +297,8 @@ def cmd_manifold(args) -> int:
 
     columns = intersect_stack(args.delta2, np.linspace(0.0, 0.999, grid_n))
     lines = ["tau2,eta2,theta2,residual_mag,residual_arg"]
-    for row in zip(*(c.tolist() for c in columns)):
-        lines.append(",".join(map(_fmt, row)))
+    row = ",".join([_NUM] * len(columns))
+    lines += map(row.__mod__, zip(*(c.tolist() for c in columns)))
     print(f"converged {len(lines) - 1} of {grid_n} grid points", file=sys.stderr)
     _write_lines(args.output, lines)
     return 0

@@ -10,10 +10,11 @@ from functools import cached_property
 import numpy as np
 
 from .analysis import verdict
-from .errors import ConstraintError, DomainError
+from .errors import ConstraintError, DomainError, PoleError
 from .fock import (MeasurementPattern, SectoredState, _evolve_kept,
                    _herald_table, _post_select)
-from .network import NetworkParams, NetworkStack, compose_scattering_stack
+from .network import (NetworkParams, NetworkStack, compose_scattering,
+                      compose_scattering_stack)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -58,7 +59,7 @@ class CnotNetwork:
     target: DualRailQubit
     ancillas: tuple[tuple[int, int], tuple[int, int]]
 
-    @property
+    @cached_property
     def herald_pattern(self) -> MeasurementPattern:
         (a_occ, a_vac), (b_occ, b_vac) = self.ancillas
         return MeasurementPattern(((a_occ, 1), (a_vac, 0), (b_occ, 1), (b_vac, 0)))
@@ -141,11 +142,23 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
         heralded amplitude beta0 is at most ``tol`` so it never heralds;
         gate A is checked first and the verdict rides along on the exception.
     PoleError
-        If either gate's network sits on its loop pole.
+        If either gate's network sits on its loop pole; the message names
+        the gate, and gate A's verdict comes before gate B's pole.
     """
-    matrices = compose_scattering_stack(NetworkStack.of([gate_a, gate_b]))
-    for label, s in zip("AB", matrices):
-        v = verdict(s)
+    gates = (gate_a, gate_b)
+    try:
+        matrices = list(compose_scattering_stack(NetworkStack.of(gates)))
+    except PoleError:
+        # A pole must not pre-empt an earlier gate's verdict: compose the
+        # gates one at a time below, each right before its verdict.
+        matrices = [None, None]
+    for i, label in enumerate("AB"):
+        if matrices[i] is None:
+            try:
+                matrices[i] = compose_scattering(gates[i])
+            except PoleError as err:
+                raise PoleError(f"gate {label}: {err}") from err
+        v = verdict(matrices[i])
         if not v.residual < tol:
             raise ConstraintError(
                 f"gate {label} violates the success constraints "

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringsim import (SUCCESS_PATTERN, NetworkParams, NlpsgInput, T1_OPTIMAL,
                      T2_OPTIMAL, build_coupler, compensated_network,
@@ -457,6 +459,37 @@ def test_manifold_intersect_output_is_pinned(capsys, delta2, rows, digest):
     assert captured.err == f"converged {rows} of 1001 grid points\n"
 
 
+@pytest.mark.parametrize("argv, digest, err", [
+    (["surface", "--ring", "1", "--grid", "101"],
+     "efc84cb6bf63ef0ff627b5a98bb41639ae33c0640f617830911fa0ac2c540c4f",
+     "emitted 6694 of 20402 candidate branches\n"),
+    (["surface", "--ring", "3", "--grid", "101"],
+     "7a4075048108e7e9890a9df1305b62661aafcfdc18efcd8fd82dec865bc37b95",
+     "emitted 6694 of 20402 candidate branches\n"),
+    (["curve", "--ring", "0", "--grid", "1001", "--tau-min", "0.01", "--tau-max", "0.99"],
+     "68fdf8cabd30f0478aaff909034dfd5c60e0245d5baeb31b42652bd71e286aaf",
+     "emitted 3003 of 3003 grid points\n"),
+])
+def test_manifold_sweep_output_is_pinned(capsys, argv, digest, err):
+    # Captured when every value was formatted on its own with f"{x:.8e}".
+    assert main(["manifold"] + argv) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == err
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(), min_size=1, max_size=6), st.sampled_from(["", "3,"]))
+@example([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0], "")
+@example([5e-324, -5e-324, 2.2250738585072014e-308, 1e-308, 9.99999999e-308], "1,")
+@example([sys.float_info.max, -sys.float_info.max, 1e308, 9.999999995e307, 1e-320], "")
+def test_manifold_row_format_equals_per_value_format(values, prefix):
+    row = prefix + ",".join([cli._NUM] * len(values))
+    expected = prefix + ",".join(map(cli._fmt, values))
+    assert row % tuple(values) == expected
+    assert expected == prefix + ",".join(f"{x:.8e}" for x in values)
+
+
 def test_manifold_intersect_zero_line_phase_has_no_negative_zero(capsys):
     assert main(["manifold", "intersect", "--delta2", "0", "--grid", "11"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -539,9 +572,17 @@ def test_cnot_errors_name_the_gate_in_gate_order(tmp_path, capsys):
     balanced = {"rings": [{"tau": 0.5, "eta": 0.5, "theta": TWO_PI},
                           ring_entry(2), ring_entry(3)]}
     optimal = {"rings": [ring_entry(s) for s in (1, 2, 3)]}
+    # Outer rings tau = eta on resonance and a fully transmitting middle ring
+    # with delta2 = pi put the loop gain exactly at 1.
+    pole = {"rings": [{"tau": 0.5, "eta": 0.5, "theta": TWO_PI},
+                      {"tau": 1.0, "eta": 0.0, "theta": TWO_PI, "delta": math.pi},
+                      {"tau": 0.5, "eta": 0.5, "theta": TWO_PI}]}
     cases = [({"gate_a": optimal, "gate_b": detuned}, 4, "gate B violates"),
              ({"gate_a": detuned, "gate_b": balanced}, 4, "gate A violates"),
-             ({"gate_a": balanced, "gate_b": optimal}, 4, "gate A never heralds")]
+             ({"gate_a": balanced, "gate_b": optimal}, 4, "gate A never heralds"),
+             ({"gate_a": detuned, "gate_b": pole}, 4, "gate A violates"),
+             ({"gate_a": pole, "gate_b": optimal}, 3, "numerical error: gate A: "),
+             ({"gate_a": optimal, "gate_b": pole}, 3, "numerical error: gate B: ")]
     for cfg, code, message in cases:
         assert main(["cnot", "--config", write_config(tmp_path, cfg)]) == code
         assert message in capsys.readouterr().err

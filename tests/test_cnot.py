@@ -74,6 +74,7 @@ def test_build_cnot_unitary_and_herald():
     net = build_cnot(curve_network(), curve_network())
     assert unitarity_residual(net.matrix) < 1e-12
     assert net.herald_pattern.constraints == ((4, 1), (5, 0), (6, 1), (7, 0))
+    assert net.herald_pattern is net.herald_pattern
 
 
 def test_build_cnot_rejects_detuned_gate():
