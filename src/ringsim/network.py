@@ -18,6 +18,7 @@ from .errors import DomainError, PoleError, SingularPivotError
 from .ring import CouplerStack, RingCoupler, RingTransfer, transfer_matrix_stack
 
 SWAP_PIVOT_TOL = 1e-12
+_LOOP_POLE = "loop gain b3 c1 d2 e^(-i delta2) = 1"
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def compose_scattering_stack(networks: NetworkStack) -> np.ndarray:
     den = 1.0 - b3 * c1 * d2 * p2
     bad = np.flatnonzero(~(np.abs(den) >= 1e-15))
     if bad.size:
-        raise PoleError(f"network {bad[0]}: loop gain b3 c1 d2 e^(-i delta2) = 1")
+        raise PoleError(f"network {bad[0]}: {_LOOP_POLE}")
     g = 1.0 / den
     return np.stack([
         a2 * p1 * p3 + b2 * c2 * b3 * c1 * p1 * p2 * p3 * g,

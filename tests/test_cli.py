@@ -485,9 +485,7 @@ def test_manifold_sweep_output_is_pinned(capsys, argv, digest, err):
 @example([sys.float_info.max, -sys.float_info.max, 1e308, 9.999999995e307, 1e-320], "")
 def test_manifold_row_format_equals_per_value_format(values, prefix):
     row = prefix + ",".join([cli._NUM] * len(values))
-    expected = prefix + ",".join(map(cli._fmt, values))
-    assert row % tuple(values) == expected
-    assert expected == prefix + ",".join(f"{x:.8e}" for x in values)
+    assert row % tuple(values) == prefix + ",".join(f"{x:.8e}" for x in values)
 
 
 def test_manifold_intersect_zero_line_phase_has_no_negative_zero(capsys):
@@ -581,8 +579,10 @@ def test_cnot_errors_name_the_gate_in_gate_order(tmp_path, capsys):
              ({"gate_a": detuned, "gate_b": balanced}, 4, "gate A violates"),
              ({"gate_a": balanced, "gate_b": optimal}, 4, "gate A never heralds"),
              ({"gate_a": detuned, "gate_b": pole}, 4, "gate A violates"),
-             ({"gate_a": pole, "gate_b": optimal}, 3, "numerical error: gate A: "),
-             ({"gate_a": optimal, "gate_b": pole}, 3, "numerical error: gate B: ")]
+             ({"gate_a": pole, "gate_b": optimal}, 3,
+              "numerical error: gate A: loop gain b3 c1 d2 e^(-i delta2) = 1\n"),
+             ({"gate_a": optimal, "gate_b": pole}, 3,
+              "numerical error: gate B: loop gain b3 c1 d2 e^(-i delta2) = 1\n")]
     for cfg, code, message in cases:
         assert main(["cnot", "--config", write_config(tmp_path, cfg)]) == code
         assert message in capsys.readouterr().err
