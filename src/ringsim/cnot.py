@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import verdict
 from .errors import ConstraintError, DomainError, PoleError
-from .fock import (MeasurementPattern, SectoredState, _evolve_kept,
-                   _herald_table, _post_select)
+from .fock import (MeasurementPattern, _herald_table, _lift_block,
+                   _require_unitary, enumerate_basis)
 from .network import (_LOOP_POLE, NetworkParams, NetworkStack,
                       compose_scattering, compose_scattering_stack)
 
@@ -24,9 +25,15 @@ _COMPUTATIONAL = ((0, 0), (0, 1), (1, 0), (1, 1))
 # Photons of every input: one per qubit and one per ancilla pair.
 _PHOTONS = 4
 
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
 # Real symmetric 50/50 splitter.
-_SPLITTER = np.array([[_INV_SQRT2, _INV_SQRT2],
-                      [_INV_SQRT2, -_INV_SQRT2]], dtype=complex)
+_SPLITTER = _frozen(np.array([[_INV_SQRT2, _INV_SQRT2],
+                              [_INV_SQRT2, -_INV_SQRT2]], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -46,12 +53,57 @@ class DualRailQubit:
         return self.one_rail if bit else self.zero_rail
 
 
+def _herald_pattern(ancillas) -> MeasurementPattern:
+    (a_occ, a_vac), (b_occ, b_vac) = ancillas
+    return MeasurementPattern(((a_occ, 1), (a_vac, 0), (b_occ, 1), (b_vac, 0)))
+
+
+class _Register(NamedTuple):
+    """Where the CNOT's four-photon register sits in the Fock space.
+
+    ``cols`` is the basis index of each computational input, ``rows`` the
+    herald table's kept rows, and ``outputs`` the position among those rows
+    of each logical output; inputs and outputs in _COMPUTATIONAL order."""
+
+    cols: np.ndarray
+    rows: np.ndarray
+    outputs: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _register_table(n_modes: int, control: DualRailQubit, target: DualRailQubit,
+                    ancillas) -> _Register:
+    """Cached register table of one mode assignment. Each logical output is
+    read among the unheralded modes, wherever the rails sit."""
+    basis = enumerate_basis(n_modes, _PHOTONS)
+    rows, targets, remaining = _herald_table(n_modes, _PHOTONS,
+                                             _herald_pattern(ancillas))
+    heralded = {m for pair in ancillas for m in pair}
+    unheralded = [m for m in range(n_modes) if m not in heralded]
+    lands = targets.tolist()
+    cols, outputs = [], []
+    for c, t in _COMPUTATIONAL:
+        occ = [0] * n_modes
+        occ[control.rail(c)] = occ[target.rail(t)] = 1
+        outputs.append(lands.index(remaining.index_of([occ[m] for m in unheralded])))
+        for occupied, _ in ancillas:
+            occ[occupied] = 1
+        cols.append(basis.index_of(occ))
+    return _Register(_frozen(np.array(cols)), rows, _frozen(np.array(outputs)))
+
+
 @dataclass(frozen=True, eq=False)
 class CnotNetwork:
     """Global 8-mode unitary with its rail and ancilla assignments.
 
     Each ancilla pair must herald exactly (1, 0) photons for the gate to
     have acted.
+
+    Raises
+    ------
+    DomainError
+        If the matrix is not square, or the eight assigned modes are not
+        distinct modes of it.
     """
 
     matrix: np.ndarray
@@ -59,23 +111,36 @@ class CnotNetwork:
     target: DualRailQubit
     ancillas: tuple[tuple[int, int], tuple[int, int]]
 
+    def __post_init__(self):
+        shape = np.shape(self.matrix)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise DomainError(f"expected a square matrix, got shape {shape}")
+        modes = [*(q.rail(bit) for q in (self.control, self.target) for bit in (0, 1)),
+                 *(m for pair in self.ancillas for m in pair)]
+        if len(modes) != 8 or len(set(modes)) != 8:
+            raise DomainError(f"CNOT modes {modes} are not eight distinct modes")
+        if not all(0 <= m < shape[0] for m in modes):
+            raise DomainError(f"CNOT modes {modes} outside 0..{shape[0] - 1}")
+
     @cached_property
     def herald_pattern(self) -> MeasurementPattern:
-        (a_occ, a_vac), (b_occ, b_vac) = self.ancillas
-        return MeasurementPattern(((a_occ, 1), (a_vac, 0), (b_occ, 1), (b_vac, 0)))
+        return _herald_pattern(self.ancillas)
+
+    @property
+    def _register(self) -> _Register:
+        return _register_table(len(self.matrix), self.control, self.target,
+                               self.ancillas)
 
     @cached_property
     def _kept_block(self) -> np.ndarray:
         """Amplitudes of the herald-consistent four-photon outputs, one row
         per row of the herald table, one column per computational input in
         _COMPUTATIONAL order. Every check reads this one block."""
-        inputs = [_computational_input(self, c, t) for c, t in _COMPUTATIONAL]
-        kept = _evolve_kept(inputs, self.matrix, self.herald_pattern)
-        return np.column_stack([k[_PHOTONS] for k in kept])
-
-    def _heralded(self, amps: np.ndarray):
-        """(probability, conditional) of kept amplitudes, as project gives it."""
-        return _post_select(self.matrix.shape[0], self.herald_pattern, {_PHOTONS: amps})
+        s = np.asarray(self.matrix, dtype=complex)
+        _require_unitary(s)
+        reg = self._register
+        return _lift_block(s, enumerate_basis(len(s), _PHOTONS),
+                           rows=reg.rows, cols=reg.cols)
 
 
 @dataclass(frozen=True)
@@ -117,6 +182,14 @@ def embed(s: np.ndarray, mode_map, n_total: int) -> np.ndarray:
     out = np.eye(n_total, dtype=complex)
     out[np.ix_(modes, modes)] = s
     return out
+
+
+# The fixed parts of build_cnot's network: the 50/50 mixer on the target
+# rails, the inner splitter between the control one-rail and the target
+# zero-rail, and the pi phase on the control one-rail.
+_TARGET_MIX = _frozen(embed(_SPLITTER, (2, 3), 8))
+_INNER = _frozen(embed(_SPLITTER, (1, 2), 8))
+_CONTROL_FLIP = _frozen(np.diag([1, -1, 1, 1, 1, 1, 1, 1]).astype(complex))
 
 
 def _compose_gate(label: str, gate: NetworkParams) -> np.ndarray:
@@ -174,16 +247,12 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
                 f"<= {tol:.1e})", verdict=v)
         judged.append(s)
 
-    n = 8
-    target_mix = embed(_SPLITTER, (2, 3), n)
-    inner = embed(_SPLITTER, (1, 2), n)
-    gate_on_a = embed(judged[0], (1, 4, 5), n)
-    gate_on_b = embed(judged[1], (2, 6, 7), n)
-    control_flip = np.diag([1, -1, 1, 1, 1, 1, 1, 1]).astype(complex)
+    gate_on_a = embed(judged[0], (1, 4, 5), 8)
+    gate_on_b = embed(judged[1], (2, 6, 7), 8)
     probe = np.diag([1, np.exp(1j * probe_phase), 1, 1, 1, 1, 1, 1]).astype(complex)
 
-    u = control_flip @ target_mix @ inner @ gate_on_b @ gate_on_a \
-        @ probe @ inner @ target_mix
+    u = _CONTROL_FLIP @ _TARGET_MIX @ _INNER @ gate_on_b @ gate_on_a \
+        @ probe @ _INNER @ _TARGET_MIX
     u.flags.writeable = False  # the network caches what it computes from u
     return CnotNetwork(
         matrix=u,
@@ -193,26 +262,16 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
     )
 
 
-def _computational_input(net: CnotNetwork, control: int, target: int) -> SectoredState:
-    occ = [0] * net.matrix.shape[0]
-    occ[net.control.rail(control)] = 1
-    occ[net.target.rail(target)] = 1
-    for occupied, _ in net.ancillas:
-        occ[occupied] = 1
-    return SectoredState.from_occupations(len(occ), {tuple(occ): 1.0})
-
-
-def _logical_occupations(net: CnotNetwork) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Dual-rail occupations of the post-selected 4-mode register,
-    assuming rails come first and in order (they do by construction)."""
-    out = {}
-    for c in (0, 1):
-        for t in (0, 1):
-            occ = [0, 0, 0, 0]
-            occ[net.control.rail(c)] = 1
-            occ[net.target.rail(t)] = 1
-            out[(c, t)] = tuple(occ)
-    return out
+def _post_selected(amps: np.ndarray, outputs: np.ndarray):
+    """Herald probability of a column of kept amplitudes, and the conditional
+    amplitudes of the logical outputs, as project gives them: the
+    probability sums |amp|^2 over the nonzero entries in row order, which
+    fixes the order of the sum."""
+    nz = np.flatnonzero(np.abs(amps) > 0.0)
+    prob = float(np.sum(np.abs(amps[nz]) ** 2))
+    if prob <= 0.0:
+        return 0.0, [0j] * len(outputs)
+    return prob, (amps[outputs] * (1.0 / np.sqrt(prob))).tolist()
 
 
 def verify_truth_table(net: CnotNetwork) -> list[TruthTableRow]:
@@ -222,11 +281,11 @@ def verify_truth_table(net: CnotNetwork) -> list[TruthTableRow]:
     its fidelity within the post-selected state, and the leakage outside
     the dual-rail computational subspace.
     """
-    logical = _logical_occupations(net)
+    outputs = net._register.outputs
     rows = []
     for (c_in, t_in), column in zip(_COMPUTATIONAL, net._kept_block.T):
-        prob, cond = net._heralded(column)
-        amps = {bits: cond.amplitude_of(occ) for bits, occ in logical.items()}
+        prob, logical = _post_selected(column, outputs)
+        amps = dict(zip(_COMPUTATIONAL, logical))
         dominant = max(amps, key=lambda b: abs(amps[b]))
         comp_weight = sum(abs(a) ** 2 for a in amps.values())
         rows.append(TruthTableRow(
@@ -249,13 +308,9 @@ def verify_coherence(net: CnotNetwork) -> CoherenceReport:
     from the truth table's block, summed with weight 1/sqrt(2) each."""
     inputs = [_COMPUTATIONAL.index((0, 0)), _COMPUTATIONAL.index((1, 0))]
     weights = np.full(2, _INV_SQRT2, dtype=complex)
-    prob, cond = net._heralded(net._kept_block[:, inputs] @ weights)
-    if prob == 0.0:
-        return CoherenceReport(overlap=0.0, probability=0.0)
-    logical = _logical_occupations(net)
-    bell = _INV_SQRT2 * (cond.amplitude_of(logical[(0, 0)])
-                         + cond.amplitude_of(logical[(1, 1)]))
-    return CoherenceReport(overlap=abs(bell), probability=prob)
+    prob, (a00, _, _, a11) = _post_selected(net._kept_block[:, inputs] @ weights,
+                                            net._register.outputs)
+    return CoherenceReport(overlap=abs(_INV_SQRT2 * (a00 + a11)), probability=prob)
 
 
 def conditional_logical_matrix(net: CnotNetwork) -> np.ndarray:
@@ -264,12 +319,7 @@ def conditional_logical_matrix(net: CnotNetwork) -> np.ndarray:
     Entry [out, in] is the heralded amplitude from computational input to
     computational output, with basis order 00, 01, 10, 11.
     """
-    _, targets, remaining = _herald_table(net.matrix.shape[0], _PHOTONS,
-                                          net.herald_pattern)
-    logical = _logical_occupations(net)
-    lands = targets.tolist()
-    return net._kept_block[[lands.index(remaining.index_of(logical[bits]))
-                            for bits in _COMPUTATIONAL]]
+    return net._kept_block[net._register.outputs]
 
 
 def normalize_global_phase(m: np.ndarray) -> np.ndarray:

@@ -1,24 +1,37 @@
 """Tests for the dual-rail CNOT built from two heralded gates."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringsim import (
+    CnotNetwork,
+    CoherenceReport,
     ConstraintError,
     DualRailQubit,
     NetworkParams,
+    SectoredState,
+    TruthTableRow,
     build_cnot,
     build_coupler,
     conditional_logical_matrix,
     curve_network,
     curve_ring,
     embed,
+    evolve,
     normalize_global_phase,
+    project,
     unitarity_residual,
     verify_coherence,
     verify_truth_table,
 )
+from ringsim.cnot import _CONTROL_FLIP, _INNER, _SPLITTER, _TARGET_MIX
 from ringsim.errors import DomainError
+
+_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def detuned_params():
@@ -149,3 +162,131 @@ def test_conditional_matrix_agrees_with_truth_table(probe_phase):
     if probe_phase == 0.0:
         cnot = np.eye(4)[[0, 1, 3, 2]]
         assert np.max(np.abs(normalize_global_phase(m) - cnot)) < 1e-9
+
+
+def test_cnot_network_validates_modes():
+    u = np.eye(8, dtype=complex)
+    rails = (DualRailQubit(0, 1), DualRailQubit(2, 3))
+    CnotNetwork(u, *rails, ((4, 5), (6, 7)))
+    for ancillas in (((4, 5), (6, 3)), ((4, 5), (6, 8)), ((4, 5), (-1, 7)),
+                     ((4, 5), (6,))):
+        with pytest.raises(DomainError):
+            CnotNetwork(u, *rails, ancillas)
+    with pytest.raises(DomainError):
+        CnotNetwork(u, DualRailQubit(0, 1), DualRailQubit(1, 2), ((4, 5), (6, 7)))
+    with pytest.raises(DomainError):
+        CnotNetwork(u[:7], *rails, ((4, 5), (6, 7)))
+
+
+def permuted(net, perm):
+    """The same network with mode m renamed perm[m]: P u P^T and the mode
+    assignment moved to match."""
+    p = np.eye(len(perm))[:, perm]
+    u = p @ net.matrix @ p.T
+    return CnotNetwork(
+        matrix=u,
+        control=DualRailQubit(perm[net.control.zero_rail], perm[net.control.one_rail]),
+        target=DualRailQubit(perm[net.target.zero_rail], perm[net.target.one_rail]),
+        ancillas=tuple((perm[a], perm[b]) for a, b in net.ancillas),
+    )
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.permutations(range(8)))
+# Ancillas on (0, 1), (2, 3) and the rails on 4-7.
+@example([4, 5, 6, 7, 0, 1, 2, 3])
+@example(list(range(8)))
+def test_mode_permuted_network_gives_the_same_checks(perm):
+    # A permanent reads its sub-matrix in the permuted mode order, so the
+    # floats agree to rounding, not bit for bit.
+    net = build_cnot(curve_network(0.35, 0.1, 0.6), curve_network(0.7, 0.45, 0.2),
+                     probe_phase=0.3)
+    moved = permuted(net, perm)
+    for row, got in zip(verify_truth_table(net), verify_truth_table(moved)):
+        for field in ("control_in", "target_in", "control_out", "target_out"):
+            assert getattr(got, field) == getattr(row, field)
+        for field in ("probability", "fidelity", "leakage"):
+            assert abs(getattr(got, field) - getattr(row, field)) < 1e-12
+    want, got = verify_coherence(net), verify_coherence(moved)
+    assert abs(got.overlap - want.overlap) < 1e-12
+    assert abs(got.probability - want.probability) < 1e-12
+    assert np.max(np.abs(conditional_logical_matrix(moved)
+                         - conditional_logical_matrix(net))) < 1e-12
+
+
+def _oracle_checks(net):
+    """Truth table and coherence report built from evolve and project on
+    explicit input states, read through amplitude_of."""
+    n = len(net.matrix)
+    heralded = {m for pair in net.ancillas for m in pair}
+    unheralded = [m for m in range(n) if m not in heralded]
+
+    def occupation(bits, ancillas):
+        occ = [0] * n
+        occ[net.control.rail(bits[0])] = occ[net.target.rail(bits[1])] = 1
+        for occupied, _ in ancillas:
+            occ[occupied] = 1
+        return tuple(occ)
+
+    def heralded_output(amplitudes):
+        state = SectoredState.from_occupations(
+            n, {occupation(bits, net.ancillas): a for bits, a in amplitudes.items()})
+        prob, cond = project(evolve(state, net.matrix), net.herald_pattern)
+        return prob, {bits: cond.amplitude_of([occupation(bits, ())[m] for m in unheralded])
+                      for bits in _ORDER}
+
+    rows = []
+    for c_in, t_in in _ORDER:
+        prob, amps = heralded_output({(c_in, t_in): 1.0})
+        dominant = max(amps, key=lambda b: abs(amps[b]))
+        rows.append(TruthTableRow(
+            control_in=c_in, target_in=t_in, probability=prob,
+            control_out=dominant[0], target_out=dominant[1],
+            fidelity=abs(amps[dominant]) ** 2,
+            leakage=1.0 - sum(abs(a) ** 2 for a in amps.values())))
+    w = 1.0 / math.sqrt(2.0)
+    prob, amps = heralded_output({(0, 0): w, (1, 0): w})
+    report = (CoherenceReport(overlap=0.0, probability=0.0) if prob == 0.0 else
+              CoherenceReport(overlap=abs(w * (amps[(0, 0)] + amps[(1, 1)])),
+                              probability=prob))
+    return rows, report
+
+
+couplers = st.floats(min_value=0.0, max_value=0.9)
+optimal_gates = st.builds(curve_network, couplers, couplers, couplers)
+
+
+@settings(deadline=None, max_examples=40)
+@given(optimal_gates, optimal_gates, st.floats(min_value=-math.pi, max_value=math.pi))
+@example(curve_network(), curve_network(), 0.0)
+@example(curve_network(), curve_network(), math.pi)
+def test_checks_equal_evolve_project_oracle(gate_a, gate_b, probe_phase):
+    net = build_cnot(gate_a, gate_b, probe_phase=probe_phase)
+    rows, report = _oracle_checks(net)
+    assert verify_truth_table(net) == rows
+    assert verify_coherence(net) == report
+
+
+def test_never_heralding_network_equals_oracle():
+    # Swapping each ancilla pair's modes sends every ancilla photon to the
+    # mode that must read 0, so nothing heralds.
+    u = np.eye(8, dtype=complex)[[0, 1, 2, 3, 5, 4, 7, 6]]
+    net = CnotNetwork(u, DualRailQubit(0, 1), DualRailQubit(2, 3), ((4, 5), (6, 7)))
+    rows, report = _oracle_checks(net)
+    assert verify_truth_table(net) == rows
+    assert all(row.probability == 0.0 and row.leakage == 1.0 for row in rows)
+    assert verify_coherence(net) == report == CoherenceReport(0.0, 0.0)
+    assert not conditional_logical_matrix(net).any()
+
+
+def test_cnot_constants_are_read_only():
+    constants = (_SPLITTER, _TARGET_MIX, _INNER, _CONTROL_FLIP)
+    before = [c.copy() for c in constants]
+    for c in constants:
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0, 0] = 0.0
+    for probe_phase in (0.0, 0.3, math.pi, -1.7):
+        build_cnot(curve_network(0.2, 0.5, 0.8), curve_network(), probe_phase=probe_phase)
+    for c, b in zip(constants, before):
+        assert np.array_equal(c, b)
