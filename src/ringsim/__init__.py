@@ -21,8 +21,8 @@ from .errors import (ConfigError, ConstraintError, DomainError, PoleError,
                      RingsimError, SingularPivotError, UndefinedPhaseError)
 from .fock import (SUCCESS_PATTERN, MeasurementPattern, NlpsgInput,
                    OccupationBasis, SectoredState, enumerate_basis, evolve,
-                   evolve_project, heralded_success_stack, lift_unitary,
-                   nlpsg_closed_form, permanent, project)
+                   heralded_success_stack, lift_unitary, nlpsg_closed_form,
+                   permanent, project)
 from .network import (NetworkParams, NetworkStack, block_transfer,
                       closed_form_resonant, compose_scattering,
                       compose_scattering_stack, mode_swap3, unitarity_residual)
@@ -45,7 +45,7 @@ __all__ = [
     "closed_form_resonant", "unitarity_residual",
     "OccupationBasis", "SectoredState", "MeasurementPattern", "NlpsgInput",
     "SUCCESS_PATTERN", "enumerate_basis", "permanent", "lift_unitary",
-    "evolve", "project", "evolve_project", "nlpsg_closed_form",
+    "evolve", "project", "nlpsg_closed_form",
     "heralded_success_stack",
     "NlpsgVerdict", "OptimalPoint", "ManifoldSample", "SampleResiduals",
     "OffResonanceReport", "S11_FIXED", "T1_OPTIMAL", "T2_OPTIMAL",

@@ -18,8 +18,8 @@ from .analysis import (T1_OPTIMAL, T2_OPTIMAL, curve_network, curve_stack,
 from .cnot import build_cnot, verify_coherence, verify_truth_table
 from .errors import (ConfigError, ConstraintError, DomainError, PoleError,
                      RingsimError, UndefinedPhaseError)
-from .fock import (SUCCESS_PATTERN, NlpsgInput, evolve_project,
-                   heralded_success_stack, nlpsg_closed_form)
+from .fock import (SUCCESS_PATTERN, NlpsgInput, evolve,
+                   heralded_success_stack, nlpsg_closed_form, project)
 from .network import (NetworkParams, NetworkStack, closed_form_resonant,
                       compose_scattering, compose_scattering_stack,
                       unitarity_residual)
@@ -205,7 +205,7 @@ def cmd_verify(args) -> int:
         _float_field(cfg, "tolerance", "config", default=1e-9)
     s = compose_scattering(net)
     v = verdict(s)
-    [(prob, cond)] = evolve_project([inp.state()], s, SUCCESS_PATTERN)
+    prob, cond = project(evolve(inp.state(), s), SUCCESS_PATTERN)
     coeffs, failure = nlpsg_closed_form(s, inp)
 
     lines = []
@@ -220,7 +220,7 @@ def cmd_verify(args) -> int:
                  f"{_fmt(float(np.sum(np.abs(coeffs) ** 2)))}")
     lines.append(f"failure_norm = {_fmt(failure)}")
     for n in (0, 1, 2):
-        amp = cond.amplitude_of((n,)) if not cond.is_empty else 0.0j
+        amp = cond.amplitude_of((n,))
         lines.append(f"conditional_{n}_photon = {_fmt(amp.real)} {_fmt(amp.imag)}j")
     if v.satisfied(tol):
         lines.append("constraints satisfied")

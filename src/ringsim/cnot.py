@@ -13,7 +13,7 @@ import numpy as np
 from .analysis import verdict
 from .errors import ConstraintError, DomainError, PoleError
 from .fock import (MeasurementPattern, _herald_table, _lift_block,
-                   _require_unitary, enumerate_basis)
+                   _require_unitary, _whole, enumerate_basis)
 from .network import (_LOOP_POLE, NetworkParams, NetworkStack,
                       compose_scattering, compose_scattering_stack)
 
@@ -44,6 +44,8 @@ class DualRailQubit:
     one_rail: int
 
     def __post_init__(self):
+        for name in ("zero_rail", "one_rail"):
+            object.__setattr__(self, name, _whole(getattr(self, name), "rail mode"))
         if self.zero_rail == self.one_rail:
             raise DomainError("dual-rail modes must be distinct")
         if min(self.zero_rail, self.one_rail) < 0:
@@ -103,7 +105,7 @@ class CnotNetwork:
     ------
     DomainError
         If the matrix is not square, or the eight assigned modes are not
-        distinct modes of it.
+        distinct integer modes of it.
     """
 
     matrix: np.ndarray
@@ -115,6 +117,8 @@ class CnotNetwork:
         shape = np.shape(self.matrix)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise DomainError(f"expected a square matrix, got shape {shape}")
+        object.__setattr__(self, "ancillas", tuple(
+            tuple(_whole(m, "ancilla mode") for m in pair) for pair in self.ancillas))
         modes = [*(q.rail(bit) for q in (self.control, self.target) for bit in (0, 1)),
                  *(m for pair in self.ancillas for m in pair)]
         if len(modes) != 8 or len(set(modes)) != 8:

@@ -9,6 +9,7 @@ each lands among the remaining modes, is one cached herald table per
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -21,6 +22,15 @@ from .errors import DomainError
 from .network import unitarity_residual
 
 LIFT_UNITARITY_TOL = 1e-10
+
+
+def _whole(x, what: str) -> int:
+    """x as a Python int. Python and numpy integers pass; a float or any
+    other type raises DomainError instead of being truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {x!r}") from None
 
 
 class OccupationBasis:
@@ -41,6 +51,8 @@ class OccupationBasis:
                  "mode_indices", "norms")
 
     def __init__(self, n_modes: int, n_photons: int):
+        n_modes = _whole(n_modes, "n_modes")
+        n_photons = _whole(n_photons, "n_photons")
         if n_modes < 1:
             raise DomainError(f"n_modes must be >= 1, got {n_modes}")
         if n_photons < 0:
@@ -180,15 +192,16 @@ class SectoredState:
     __slots__ = ("n_modes", "sectors")
 
     def __init__(self, n_modes: int, sectors):
-        self.n_modes = int(n_modes)
+        self.n_modes = _whole(n_modes, "n_modes")
         clean = {}
         for n, vec in sectors.items():
+            n = _whole(n, "photon count")
             v = np.asarray(vec, dtype=complex)
-            expected = enumerate_basis(self.n_modes, int(n)).size
+            expected = enumerate_basis(self.n_modes, n).size
             if v.shape != (expected,):
                 raise DomainError(
                     f"sector {n} needs {expected} amplitudes, got shape {v.shape}")
-            clean[int(n)] = v
+            clean[n] = v
         self.sectors = clean
 
     @classmethod
@@ -196,7 +209,7 @@ class SectoredState:
         """Build from a mapping of occupation tuples to amplitudes."""
         sectors: dict[int, np.ndarray] = {}
         for occ, amp in amplitudes.items():
-            occ = tuple(int(x) for x in occ)
+            occ = tuple(_whole(x, "occupation") for x in occ)
             if len(occ) != n_modes:
                 raise DomainError(f"occupation {occ} does not have {n_modes} modes")
             basis = enumerate_basis(n_modes, sum(occ))
@@ -205,7 +218,7 @@ class SectoredState:
         return cls(n_modes, sectors)
 
     def amplitude_of(self, occ) -> complex:
-        occ = tuple(int(x) for x in occ)
+        occ = tuple(_whole(x, "occupation") for x in occ)
         n = sum(occ)
         if n not in self.sectors:
             return 0.0 + 0.0j
@@ -213,14 +226,6 @@ class SectoredState:
 
     def norm_sq(self) -> float:
         return float(sum(np.sum(np.abs(v) ** 2) for v in self.sectors.values()))
-
-    def normalized(self) -> "SectoredState":
-        n2 = self.norm_sq()
-        if n2 <= 0.0:
-            raise DomainError("cannot normalize a zero state")
-        scale = 1.0 / np.sqrt(n2)
-        return SectoredState(self.n_modes,
-                             {n: v * scale for n, v in self.sectors.items()})
 
     @property
     def is_empty(self) -> bool:
@@ -239,7 +244,8 @@ class MeasurementPattern:
     def __post_init__(self):
         object.__setattr__(
             self, "constraints",
-            tuple((int(m), int(c)) for m, c in self.constraints))
+            tuple((_whole(m, "mode index"), _whole(c, "photon count"))
+                  for m, c in self.constraints))
         modes = [m for m, _ in self.constraints]
         if len(set(modes)) != len(modes):
             raise DomainError("constrained modes must be distinct")
@@ -253,8 +259,10 @@ class MeasurementPattern:
 def evolve(state: SectoredState, s: np.ndarray) -> SectoredState:
     """Apply a unitary mode map to every photon-number sector.
 
-    Sparse sectors are evolved column by column so that only the needed
-    permanents are computed.
+    Each sector's output is the lift restricted to the input states the
+    sector occupies, applied to their amplitudes. That is never more
+    permanents than the full lift, exactly the full lift when every state
+    is occupied, and zeros when none is.
     """
     s = np.asarray(s, dtype=complex)
     if s.shape != (state.n_modes, state.n_modes):
@@ -263,70 +271,9 @@ def evolve(state: SectoredState, s: np.ndarray) -> SectoredState:
     _require_unitary(s)
     out = {}
     for n, vec in state.sectors.items():
-        basis = enumerate_basis(state.n_modes, n)
         nz = np.flatnonzero(np.abs(vec) > 0.0)
-        if nz.size == 0:
-            out[n] = np.zeros_like(vec)
-        elif nz.size <= basis.size // 4:
-            out[n] = _lift_block(s, basis, cols=nz) @ vec[nz]
-        else:
-            out[n] = _lift_block(s, basis) @ vec
+        out[n] = _lift_block(s, enumerate_basis(state.n_modes, n), cols=nz) @ vec[nz]
     return SectoredState(state.n_modes, out)
-
-
-def evolve_project(states, s: np.ndarray, pattern: MeasurementPattern) -> list:
-    """``project(evolve(state, s), pattern)`` for each of several states,
-    lifting only the output rows that the pattern keeps.
-
-    Returns
-    -------
-    list of (probability, conditional)
-        One pair per state, as ``project`` returns it.
-
-    Raises
-    ------
-    DomainError
-        As evolve and project do: a matrix that does not match a state's
-        modes or is not unitary, or a constrained mode out of range.
-    """
-    states = list(states)
-    return [_post_select(state.n_modes, pattern, kept)
-            for state, kept in zip(states, _evolve_kept(states, s, pattern))]
-
-
-def _evolve_kept(states, s: np.ndarray, pattern: MeasurementPattern) -> list:
-    """Per state, the amplitudes ``evolve`` gives on the rows the pattern
-    keeps: a dict from photon count to the amplitudes on the herald table's
-    rows, in the state's own sector order.
-
-    The unitarity check runs once. Per photon sector, one permanent block
-    covers the kept output rows and the union of the input columns that
-    evolve would read for each state: its occupied states if sparse, else
-    all. Each state's kept amplitudes are the products evolve forms for
-    those rows.
-    """
-    s = np.asarray(s, dtype=complex)
-    for state in states:
-        if s.shape != (state.n_modes, state.n_modes):
-            raise DomainError(
-                f"matrix shape {s.shape} does not match {state.n_modes} modes")
-    _require_unitary(s)
-    kept: list[dict[int, np.ndarray]] = [{} for _ in states]
-    for n in {n for state in states for n in state.sectors}:
-        basis = enumerate_basis(len(s), n)
-        picks = []
-        for i, state in enumerate(states):
-            if n in state.sectors:
-                vec = state.sectors[n]
-                nz = np.flatnonzero(np.abs(vec) > 0.0)
-                picks.append((i, vec, nz if nz.size <= basis.size // 4
-                              else np.arange(basis.size)))
-        cols = np.unique(np.concatenate([c for _, _, c in picks]))
-        block = _lift_block(s, basis, rows=_herald_table(len(s), n, pattern).rows,
-                            cols=cols)
-        for i, vec, c in picks:
-            kept[i][n] = block[:, np.searchsorted(cols, c)] @ vec[c]
-    return [{n: k[n] for n in state.sectors} for state, k in zip(states, kept)]
 
 
 def _pattern_arrays(pattern: MeasurementPattern, n_modes: int):
@@ -369,32 +316,11 @@ def _herald_table(n_modes: int, n_photons: int,
     return _HeraldTable(rows, targets, remaining)
 
 
-def _post_select(n_modes: int, pattern: MeasurementPattern, kept: dict):
-    """``project``'s result from the amplitudes of each sector on the rows
-    the pattern keeps; ``kept`` maps photon count to those amplitudes, in
-    the state's sector order, which fixes the order of the sums."""
-    modes, _ = _pattern_arrays(pattern, n_modes)
-    prob = 0.0
-    cond: dict[int, np.ndarray] = {}
-    for n, amps in kept.items():
-        nz = np.flatnonzero(np.abs(amps) > 0.0)
-        if nz.size == 0:
-            continue
-        prob += float(np.sum(np.abs(amps[nz]) ** 2))
-        _, targets, remaining = _herald_table(n_modes, n, pattern)
-        target = cond.setdefault(remaining.n_photons,
-                                 np.zeros(remaining.size, dtype=complex))
-        target[targets[nz]] += amps[nz]
-
-    n_keep = max(n_modes - len(modes), 1)
-    if prob <= 0.0:
-        return 0.0, SectoredState(n_keep, {})
-    scale = 1.0 / np.sqrt(prob)
-    return prob, SectoredState(n_keep, {n: v * scale for n, v in cond.items()})
-
-
 def project(state: SectoredState, pattern: MeasurementPattern):
     """Post-select on exact photon counts.
+
+    The probability sums |amplitude|^2 over each sector's nonzero kept
+    amplitudes, in row order and in the state's sector order.
 
     Returns
     -------
@@ -403,9 +329,25 @@ def project(state: SectoredState, pattern: MeasurementPattern):
         the unconstrained modes. Zero probability yields an explicitly
         empty conditional state rather than an error.
     """
-    return _post_select(state.n_modes, pattern, {
-        n: vec[_herald_table(state.n_modes, n, pattern).rows]
-        for n, vec in state.sectors.items()})
+    modes, _ = _pattern_arrays(pattern, state.n_modes)
+    prob = 0.0
+    cond: dict[int, np.ndarray] = {}
+    for n, vec in state.sectors.items():
+        rows, targets, remaining = _herald_table(state.n_modes, n, pattern)
+        amps = vec[rows]
+        nz = np.flatnonzero(np.abs(amps) > 0.0)
+        if nz.size == 0:
+            continue
+        prob += float(np.sum(np.abs(amps[nz]) ** 2))
+        target = cond.setdefault(remaining.n_photons,
+                                 np.zeros(remaining.size, dtype=complex))
+        target[targets[nz]] += amps[nz]
+
+    n_keep = max(state.n_modes - len(modes), 1)
+    if prob <= 0.0:
+        return 0.0, SectoredState(n_keep, {})
+    scale = 1.0 / np.sqrt(prob)
+    return prob, SectoredState(n_keep, {n: v * scale for n, v in cond.items()})
 
 
 @dataclass(frozen=True)

@@ -154,8 +154,9 @@ def test_verify_detuned_fails(tmp_path, capsys):
     assert "constraints not satisfied" in capsys.readouterr().out
 
 
-# The optimal config of the README and a detuned one, written out so the
-# pinned reports below depend on nothing but the simulation.
+# The optimal config of the README, a detuned one and one whose ring 1 is
+# balanced, written out so the pinned reports below depend on nothing but
+# the simulation.
 _README_OPTIMAL_CONFIG = {"rings": [
     {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586},
     {"tau": 0.0, "eta": 0.5469181606780271, "theta": 6.283185307179586},
@@ -164,6 +165,9 @@ _DETUNED_CONFIG = {"rings": [
     {"tau": 0.3, "eta": 0.8, "theta": 1.0, "delta": 0.2},
     {"tau": 0.1, "eta": 0.5469181606780271, "theta": 6.283185307179586},
     {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586}]}
+_BALANCED_RING1_CONFIG = {"rings": [
+    {"tau": 0.5, "eta": 0.5, "theta": 6.283185307179586},
+    _README_OPTIMAL_CONFIG["rings"][1], _README_OPTIMAL_CONFIG["rings"][2]]}
 _OPTIMAL_HEAD = (
     "beta0 = 5.00000000e-01 3.45124485e-34j\n"
     "beta1 = 5.00000000e-01 4.82031661e-34j\n"
@@ -203,6 +207,23 @@ _OPTIMAL_HEAD = (
         "conditional_0_photon = 4.81845841e-01 1.10279032e-01j\n"
         "conditional_1_photon = 4.27561403e-01 1.23384622e-01j\n"
         "conditional_2_photon = -7.29940943e-01 1.57533556e-01j\n"
+        "constraints not satisfied\n")),
+    # A balanced ring 1 never heralds: probability 0 and an empty
+    # conditional state, every amplitude printed as zero.
+    (_BALANCED_RING1_CONFIG, "1,0,0", 4, (
+        "beta0 = 0.00000000e+00 0.00000000e+00j\n"
+        "beta1 = 0.00000000e+00 0.00000000e+00j\n"
+        "beta2 = 0.00000000e+00 0.00000000e+00j\n"
+        "constraint_residual = 0.00000000e+00\n"
+        "s11_residual = 2.42640687e-01\n"
+        "magnitude_residual = 5.00000000e-01\n"
+        "success_probability_simulated = 0.00000000e+00\n"
+        "success_probability_verdict = 0.00000000e+00\n"
+        "success_probability_closed_form = 0.00000000e+00\n"
+        "failure_norm = 1.00000000e+00\n"
+        "conditional_0_photon = 0.00000000e+00 0.00000000e+00j\n"
+        "conditional_1_photon = 0.00000000e+00 0.00000000e+00j\n"
+        "conditional_2_photon = 0.00000000e+00 0.00000000e+00j\n"
         "constraints not satisfied\n")),
 ])
 def test_verify_output_is_pinned(tmp_path, capsys, cfg, alpha, code, out):
@@ -533,8 +554,6 @@ def test_cnot_skips_the_generic_fock_state_path(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("the cnot path reached the generic Fock state path")
 
-    monkeypatch.setattr(fock, "_post_select", forbidden)
-    monkeypatch.setattr(fock, "_evolve_kept", forbidden)
     monkeypatch.setattr(fock.SectoredState, "__init__", forbidden)
     monkeypatch.setattr(fock.SectoredState, "amplitude_of", forbidden)
     assert main(["cnot"]) == 0

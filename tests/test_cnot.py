@@ -12,6 +12,7 @@ from ringsim import (
     CoherenceReport,
     ConstraintError,
     DualRailQubit,
+    MeasurementPattern,
     NetworkParams,
     SectoredState,
     TruthTableRow,
@@ -21,6 +22,7 @@ from ringsim import (
     curve_network,
     curve_ring,
     embed,
+    enumerate_basis,
     evolve,
     normalize_global_phase,
     project,
@@ -176,6 +178,47 @@ def test_cnot_network_validates_modes():
         CnotNetwork(u, DualRailQubit(0, 1), DualRailQubit(1, 2), ((4, 5), (6, 7)))
     with pytest.raises(DomainError):
         CnotNetwork(u[:7], *rails, ((4, 5), (6, 7)))
+
+
+_EYE8 = np.eye(8, dtype=complex)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DualRailQubit(0.0, 1),
+    lambda: DualRailQubit(0, 1.5),
+    lambda: CnotNetwork(_EYE8, DualRailQubit(0, 1), DualRailQubit(2, 3),
+                        ((4.0, 5), (6, 7))),
+    lambda: MeasurementPattern(((1.7, 1), (2, 0.9))),
+    lambda: MeasurementPattern(((1, 1), (2, 0.0))),
+    lambda: SectoredState.from_occupations(3, {(0.6, 1, 0): 1.0}),
+    lambda: SectoredState.from_occupations(3, {(1, 1, 0): 1.0}).amplitude_of((1.0, 1, 0)),
+    lambda: SectoredState(3.7, {1: np.array([1.0, 0.0, 0.0])}),
+    lambda: SectoredState(3, {1.9: np.array([1.0, 0.0, 0.0])}),
+    lambda: enumerate_basis(2.5, 1),
+], ids=["rail", "rail-fraction", "ancilla", "pattern", "pattern-count",
+        "occupation", "amplitude-of", "state-modes", "state-sector", "basis"])
+def test_non_integer_modes_and_counts_are_rejected(build):
+    # Truncating would silently move a rail, herald or photon to another
+    # mode; a float must fail as a domain error, not later as a TypeError.
+    with pytest.raises(DomainError, match="must be an integer"):
+        build()
+
+
+def test_numpy_integer_modes_and_counts_pass():
+    i = np.int64
+    net = CnotNetwork(_EYE8, DualRailQubit(i(0), np.int32(1)), DualRailQubit(2, 3),
+                      ((i(4), 5), (6, np.int8(7))))
+    reference = CnotNetwork(_EYE8, DualRailQubit(0, 1), DualRailQubit(2, 3),
+                            ((4, 5), (6, 7)))
+    assert net.control == reference.control and net.ancillas == reference.ancillas
+    assert all(type(m) is int for pair in net.ancillas for m in pair)
+    assert verify_truth_table(net) == verify_truth_table(reference)
+    pattern = MeasurementPattern(((i(1), i(1)), (np.uint8(2), 0)))
+    assert pattern == MeasurementPattern(((1, 1), (2, 0)))
+    state = SectoredState.from_occupations(i(3), {(i(0), i(1), 0): 1.0})
+    assert state.amplitude_of((0, 1, i(0))) == 1.0
+    assert SectoredState(i(3), {i(1): [0.0, 1.0, 0.0]}).sectors.keys() == {1}
+    assert enumerate_basis(np.int32(2), i(1)) is enumerate_basis(2, 1)
 
 
 def permuted(net, perm):

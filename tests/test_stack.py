@@ -1,6 +1,6 @@
 """Property tests of the stacked (N-network) forms against the scalar API,
-of the heralded-row Fock lift against evolve + project, and of the
-closed-form fixed-line-phase intersection."""
+of evolve + project against the full sector lift, and of the closed-form
+fixed-line-phase intersection."""
 
 import math
 
@@ -27,10 +27,10 @@ from ringsim import (
     compose_scattering_stack,
     enumerate_basis,
     evolve,
-    evolve_project,
     heralded_success_stack,
     intersect_stack,
     invert_effective,
+    lift_unitary,
     mode_swap3,
     project,
     transfer_matrix_stack,
@@ -171,8 +171,9 @@ units = st.floats(min_value=-1.0, max_value=1.0)
 @st.composite
 def fock_states(draw):
     """An 8-mode state with 1-3 occupied four-photon states, sometimes
-    joined by sparse sectors of fewer photons or by a dense two-photon
-    sector (which evolve lifts in full), in random sector order."""
+    joined by sparse sectors of fewer photons, a dense two-photon sector, a
+    half-filled sector (more than a quarter of its states occupied, not
+    all) or an all-zero sector, in random sector order."""
     sectors = {}
     for n in [4] + draw(st.lists(st.integers(0, 3), max_size=2)):
         basis = enumerate_basis(8, n)
@@ -182,6 +183,16 @@ def fock_states(draw):
     if draw(st.booleans()):
         parts = np.array(draw(st.lists(units, min_size=72, max_size=72)))
         sectors[2] = parts[:36] + 1j * parts[36:]
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        size = enumerate_basis(8, n).size
+        rng = np.random.default_rng(draw(seeds))
+        picks = rng.choice(size, draw(st.integers(size // 4 + 1, size - 1)), replace=False)
+        sectors[n] = np.zeros(size, dtype=complex)
+        sectors[n][picks] = rng.normal(size=picks.size) + 1j * rng.normal(size=picks.size)
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 3))
+        sectors[n] = np.zeros(enumerate_basis(8, n).size, dtype=complex)
     order = draw(st.permutations(list(sectors)))
     return SectoredState(8, {n: sectors[n] for n in order})
 
@@ -197,36 +208,22 @@ def patterns(draw):
 
 
 @EXAMPLES
-@given(seeds, st.lists(fock_states(), min_size=1, max_size=4), patterns())
-def test_evolve_project_equals_project_of_evolve(seed, states, pattern):
+@given(seeds, fock_states(), patterns())
+def test_project_of_evolve_equals_full_lift(seed, state, pattern):
     s = random_unitary(seed, 8)
-    got = evolve_project(states, s, pattern)
-    assert len(got) == len(states)
-    for state, (prob, cond) in zip(states, got):
-        expected_prob, expected = project(evolve(state, s), pattern)
-        assert abs(prob - expected_prob) <= 1e-12
-        assert cond.n_modes == expected.n_modes
-        assert list(cond.sectors) == list(expected.sectors)
-        for n, vec in expected.sectors.items():
-            assert np.max(np.abs(cond.sectors[n] - vec), initial=0.0) <= 1e-12
-
-
-@EXAMPLES
-@given(seeds, st.lists(fock_states(), min_size=1, max_size=3), patterns(), st.data())
-def test_evolve_project_raises_as_the_reference(seed, states, pattern, data):
-    s = random_unitary(seed, 8)
-    nan = s.copy()
-    nan[data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))] = np.nan
-    outside = MeasurementPattern(pattern.constraints
-                                 + ((data.draw(st.integers(8, 20)), 0),))
-    for matrix, pat in ((nan, pattern), (s, outside)):
-        with pytest.raises(DomainError):
-            project(evolve(states[0], matrix), pat)
-        with pytest.raises(DomainError):
-            evolve_project(states, matrix, pat)
-    with pytest.raises(DomainError):
-        evolve_project(states + [SectoredState.from_occupations(3, {(1, 0, 0): 1.0})],
-                       s, pattern)
+    lifted = SectoredState(8, {n: lift_unitary(s, n) @ vec
+                               for n, vec in state.sectors.items()})
+    evolved = evolve(state, s)
+    assert list(evolved.sectors) == list(lifted.sectors)
+    for n, vec in lifted.sectors.items():
+        assert np.max(np.abs(evolved.sectors[n] - vec)) <= 1e-12
+    prob, cond = project(evolved, pattern)
+    expected_prob, expected = project(lifted, pattern)
+    assert abs(prob - expected_prob) <= 1e-12
+    assert cond.n_modes == expected.n_modes
+    assert list(cond.sectors) == list(expected.sectors)
+    for n, vec in expected.sectors.items():
+        assert np.max(np.abs(cond.sectors[n] - vec), initial=0.0) <= 1e-12
 
 
 def test_stack_members_round_trip():
