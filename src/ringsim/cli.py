@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
 import math
 import sys
@@ -40,6 +41,16 @@ _NUM = "%.8e"  # the format of every printed float: 9 significant digits
 
 def _fmt(x: float) -> str:
     return _NUM % x
+
+
+def _column(values) -> list[str]:
+    """``_NUM % x`` for every float of a CSV column, formatting each distinct
+    value once. Values are told apart by their bits, so 0.0 and -0.0, and
+    NaNs of different payloads, each keep their own string."""
+    bits, row = np.unique(np.asarray(values, dtype=float).view(np.int64),
+                          return_inverse=True)
+    text = np.array([_NUM % x for x in bits.view(float).tolist()], dtype=object)
+    return text[row].tolist()
 
 
 def _round9(x: float) -> float:
@@ -235,10 +246,9 @@ def cmd_verify(args) -> int:
     return code
 
 
-def _sweep_success(networks: NetworkStack) -> list[float]:
+def _sweep_success(networks: NetworkStack) -> np.ndarray:
     """Simulated heralded success probability of every network of a sweep."""
-    return heralded_success_stack(compose_scattering_stack(networks),
-                                  _SWEEP_INPUT).tolist()
+    return heralded_success_stack(compose_scattering_stack(networks), _SWEEP_INPUT)
 
 
 def cmd_manifold(args) -> int:
@@ -261,17 +271,25 @@ def cmd_manifold(args) -> int:
     if args.kind == "curve":
         grid = np.linspace(args.tau_min, args.tau_max, grid_n)
         rings = (1, 2, 3) if args.ring == 0 else (args.ring,)
-        lines = ["ring,tau,eta,tau_sq,eta_sq,beta_sq"]
+        # The rows of every ring are gathered first: the rings share the
+        # tau grid, so each column is formatted once for all of them.
+        label, tau, eta, beta_sq = [], [], [], []
         for ring in rings:
             transmission = T2_OPTIMAL if ring == 2 else T1_OPTIMAL
-            row = f"{ring}," + ",".join([_NUM] * 5)
             for start in range(0, grid_n, _BATCH_POINTS):
                 networks = curve_stack(transmission, grid[start:start + _BATCH_POINTS],
                                        ring=ring)
                 swept = networks.rings[ring - 1]
-                lines += [row % (tau, eta, tau ** 2, eta ** 2, beta_sq)
-                          for tau, eta, beta_sq in zip(swept.tau.tolist(), swept.eta.tolist(),
-                                                       _sweep_success(networks))]
+                label += [str(ring)] * len(swept)
+                tau += swept.tau.tolist()
+                eta += swept.eta.tolist()
+                beta_sq.append(_sweep_success(networks))
+        # Squares by Python's float **, which numpy's ** 2 does not match on
+        # every float.
+        columns = (tau, eta, [x ** 2 for x in tau], [x ** 2 for x in eta],
+                   np.concatenate(beta_sq))
+        lines = ["ring,tau,eta,tau_sq,eta_sq,beta_sq"]
+        lines += map(",".join, zip(label, *map(_column, columns)))
         print(f"emitted {len(lines) - 1} of {len(rings) * grid_n} grid points",
               file=sys.stderr)
         _write_lines(args.output, lines)
@@ -281,15 +299,14 @@ def cmd_manifold(args) -> int:
         ring = args.ring if args.ring != 0 else 1
         axis = np.linspace(0.05, 0.98, grid_n)
         lines = ["ring,tau,eta,theta,beta_sq"]
-        row = f"{ring}," + ",".join([_NUM] * 4)
         for start in range(0, points, _BATCH_POINTS):
             # Grid points in row-major (eta, tau) order, as the CSV lists them.
             point = np.arange(start, min(start + _BATCH_POINTS, points))
             theta, networks = surface_stack(ring, axis[point // grid_n],
                                             axis[point % grid_n])
             swept = networks.rings[ring - 1]
-            lines += map(row.__mod__, zip(swept.tau.tolist(), swept.eta.tolist(),
-                                          theta.tolist(), _sweep_success(networks)))
+            columns = (swept.tau, swept.eta, theta, _sweep_success(networks))
+            lines += map(",".join, zip(itertools.repeat(str(ring)), *map(_column, columns)))
         print(f"emitted {len(lines) - 1} of {2 * points} candidate branches",
               file=sys.stderr)
         _write_lines(args.output, lines)

@@ -227,10 +227,6 @@ class SectoredState:
     def norm_sq(self) -> float:
         return float(sum(np.sum(np.abs(v) ** 2) for v in self.sectors.values()))
 
-    @property
-    def is_empty(self) -> bool:
-        return self.norm_sq() == 0.0
-
 
 @dataclass(frozen=True)
 class MeasurementPattern:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError, SingularPivotError
-from .ring import CouplerStack, RingCoupler, RingTransfer, transfer_matrix_stack
+from .ring import CouplerStack, RingCoupler, RingTransfer
 
 SWAP_PIVOT_TOL = 1e-12
 _LOOP_POLE = "loop gain b3 c1 d2 e^(-i delta2) = 1"
@@ -189,8 +189,10 @@ def compose_scattering_stack(networks: NetworkStack) -> np.ndarray:
 
 
 def _ring_transfers(rings) -> tuple[np.ndarray, ...]:
-    """Transfer matrices of the three slots; the middle ring is mounted flipped."""
-    return tuple(transfer_matrix_stack(r) for r in (rings[0], rings[1].flipped(), rings[2]))
+    """Transfer matrices of the three slots; the middle ring is mounted flipped.
+    Each stack evaluates its transfers once, so a network built from these
+    rings and then composed shares them."""
+    return rings[0].transfers, rings[1].flipped().transfers, rings[2].transfers
 
 
 def closed_form_resonant(t1: float, t2: float, t3: float) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -128,7 +129,8 @@ class CouplerStack:
 
     Every member passes the checks of RingCoupler on construction (domain,
     pole, reciprocity); the error names the first failing value, and NaN
-    fails every check.
+    fails every check. The field arrays are read-only views, so the
+    transfer matrices and the flipped stack, each computed once, stay valid.
     """
 
     tau: np.ndarray
@@ -140,7 +142,8 @@ class CouplerStack:
 
     def __post_init__(self):
         for name, dtype in _COUPLER_DTYPES.items():
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            object.__setattr__(self, name,
+                               _read_only(np.asarray(getattr(self, name), dtype=dtype)))
         shapes = {getattr(self, name).shape for name in _COUPLER_DTYPES}
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise DomainError(f"coupler fields must be 1-D arrays of one length, "
@@ -166,7 +169,7 @@ class CouplerStack:
         """Stack from 1-D arrays whose members are known to pass the checks."""
         stack = object.__new__(cls)
         for name in _COUPLER_DTYPES:
-            object.__setattr__(stack, name, fields[name])
+            object.__setattr__(stack, name, _read_only(fields[name]))
         return stack
 
     @classmethod
@@ -188,10 +191,28 @@ class CouplerStack:
                            kappa=complex(self.kappa[i]), gamma=complex(self.gamma[i]))
 
     def flipped(self) -> "CouplerStack":
-        """Every ring mounted mirror-imaged, as RingCoupler.flipped. The
-        checks are symmetric under the swap, so they are not repeated."""
+        """Every ring mounted mirror-imaged, as RingCoupler.flipped: one
+        stack per instance, so its transfers are evaluated once too."""
+        return self._flipped
+
+    @cached_property
+    def _flipped(self) -> "CouplerStack":
+        # The checks are symmetric under the swap, so they are not repeated.
         return self._checked_already(tau=self.eta, eta=self.tau, theta=self.theta,
                                      phi=self.phi, kappa=self.gamma, gamma=self.kappa)
+
+    @cached_property
+    def transfers(self) -> np.ndarray:
+        """``transfer_matrix_stack`` of these rings, evaluated once and
+        read-only, so every function that needs them shares one array."""
+        return _read_only(transfer_matrix_stack(self))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that cannot be written through."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def build_couplers(tau, eta, theta) -> CouplerStack:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import struct
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from ringsim import (SUCCESS_PATTERN, NetworkParams, NlpsgInput, T1_OPTIMAL,
                      compose_scattering, curve_ring, evolve, invert_effective,
                      project, surface_theta)
 from ringsim import cli, fock
+from ringsim import ring as ring_module
 from ringsim.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -123,6 +125,45 @@ def test_smatrix_loop_pole_is_numerical_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical error: network 0: loop gain")
+
+
+_DETUNED_WITH_LINE_PHASES = {"rings": [
+    {"tau": 0.3, "eta": 0.8, "theta": 0.7, "delta": 0.25},
+    {"tau": 0.45, "eta": 0.6, "theta": 2.1, "phi": 0.4, "delta": 1.3},
+    {"tau": 0.2, "eta": 0.9, "theta": 5.5, "delta": -0.6}]}
+
+
+@pytest.mark.parametrize("cfg, expected", [
+    # The README's optimal config.
+    ({"rings": [
+        {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586},
+        {"tau": 0.0, "eta": 0.5469181606780271, "theta": 6.283185307179586},
+        {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586}]},
+     {"det": [-1.0, 2.46782653e-32],
+      "matrix": [[[-0.414213562, 1.24997381e-33], [0.840896415, 1.0298011e-16],
+                  [-0.3483107, -8.53115167e-17]],
+                 [[0.840896415, -1.0298011e-16], [0.5, 3.45124485e-34],
+                  [0.207106781, 2.53632657e-17]],
+                 [[-0.3483107, 8.53115167e-17], [0.207106781, -2.53632657e-17],
+                  [0.914213562, 6.3103497e-34]]],
+      "unitarity_residual": 2.22044605e-16}),
+    (_DETUNED_WITH_LINE_PHASES,
+     {"det": [0.996201698, 0.0870756916],
+      "matrix": [[[0.685598539, 0.524765556], [-0.46230334, -0.0743090973],
+                  [-0.0388170142, -0.183909689]],
+                 [[0.0925873203, 0.376803362], [0.372894586, 0.22243799],
+                  [-0.621368725, 0.524231524]],
+                 [[0.288284336, 0.144619195], [0.758240021, 0.131517367],
+                  [0.199233713, -0.513866335]]],
+      "unitarity_residual": 5.55112234e-16}),
+])
+def test_smatrix_output_is_pinned(tmp_path, capsys, cfg, expected):
+    # The whole stdout, so a change to the arithmetic of unitarity_residual
+    # shows even where the residual stays at rounding level.
+    assert main(["smatrix", "--config", write_config(tmp_path, cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert captured.err == ""
 
 
 def test_verify_optimal(tmp_path, capsys):
@@ -490,6 +531,14 @@ def test_manifold_intersect_output_is_pinned(capsys, delta2, rows, digest):
     (["curve", "--ring", "0", "--grid", "1001", "--tau-min", "0.01", "--tau-max", "0.99"],
      "68fdf8cabd30f0478aaff909034dfd5c60e0245d5baeb31b42652bd71e286aaf",
      "emitted 3003 of 3003 grid points\n"),
+    # The flipped middle ring.
+    (["surface", "--ring", "2", "--grid", "101"],
+     "8110414fe7d20084c4cfaea3a61cbcaa59dc536815340ae8e8ebbea7d12441b3",
+     "emitted 10204 of 20402 candidate branches\n"),
+    # tau = -1 and tau = 1 are skipped in every ring.
+    (["curve", "--ring", "0", "--grid", "1001", "--tau-min", "-1", "--tau-max", "1"],
+     "c98765b997f184e89fb3e1247852ee19d269a0fe9b613362cccc7ea337322edd",
+     "emitted 2997 of 3003 grid points\n"),
 ])
 def test_manifold_sweep_output_is_pinned(capsys, argv, digest, err):
     # Captured when every value was formatted on its own with f"{x:.8e}".
@@ -507,6 +556,50 @@ def test_manifold_sweep_output_is_pinned(capsys, argv, digest, err):
 def test_manifold_row_format_equals_per_value_format(values, prefix):
     row = prefix + ",".join([cli._NUM] * len(values))
     assert row % tuple(values) == prefix + ",".join(f"{x:.8e}" for x in values)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                   -5e-324, 2.2250738585072014e-308, sys.float_info.max,
+                   -sys.float_info.max]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(), min_size=1, max_size=5).flatmap(
+    lambda distinct: st.lists(st.sampled_from(distinct), min_size=0, max_size=30)))
+@example([0.0, -0.0, 0.0, -0.0, 0.0])
+@example(_SPECIAL_FLOATS + _SPECIAL_FLOATS[::-1])
+@example([struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0], math.nan,
+          -math.nan, 1e308, 9.999999995e307, 1e-320, 1e-320])
+def test_column_equals_per_value_format(values):
+    assert cli._column(values) == [f"{x:.8e}" for x in values]
+    assert cli._column(np.array(values, dtype=float)) == [f"{x:.8e}" for x in values]
+
+
+@pytest.mark.parametrize("ring", [1, 2, 3])
+def test_surface_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring):
+    # The swept ring's transfers serve both the compensating line phase and
+    # the composition. The middle ring is evaluated mounted flipped.
+    evaluated, swept = [], []
+    transfer_matrix_stack, surface_stack = ring_module.transfer_matrix_stack, cli.surface_stack
+
+    def counted(couplers):
+        evaluated.append(couplers)
+        return transfer_matrix_stack(couplers)
+
+    def recorded(*args):
+        theta, networks = surface_stack(*args)
+        rings = networks.rings[ring - 1]
+        swept.append(rings.flipped() if ring == 2 else rings)
+        return theta, networks
+
+    monkeypatch.setattr(ring_module, "transfer_matrix_stack", counted)
+    monkeypatch.setattr(cli, "surface_stack", recorded)
+    monkeypatch.setattr(cli, "_BATCH_POINTS", 10)
+    assert main(["manifold", "surface", "--ring", str(ring), "--grid", "5"]) == 0
+    capsys.readouterr()
+    assert len(swept) == 3  # batches of 10, 10 and 5 grid points
+    for stack in swept:
+        assert sum(c is stack for c in evaluated) == 1
 
 
 def test_manifold_intersect_zero_line_phase_has_no_negative_zero(capsys):

@@ -281,7 +281,7 @@ def test_project_zero_probability():
     state = SectoredState.from_occupations(3, {(0, 0, 0): 1.0})
     prob, cond = project(state, MeasurementPattern(((1, 1),)))
     assert prob == 0.0
-    assert cond.is_empty
+    assert cond.norm_sq() == 0.0
 
 
 def test_project_empty_pattern_is_identity():

@@ -236,6 +236,23 @@ def test_stack_members_round_trip():
                      deltas=np.zeros((2, 3)))
 
 
+
+def test_stack_shares_its_transfers_read_only():
+    stack = build_couplers([0.2, -0.5, 0.7], [0.6, 0.3, -0.1], [0.4, 2.0, 5.9])
+    assert stack.flipped() is stack.flipped()
+    assert stack.transfers is stack.transfers
+    assert np.array_equal(stack.transfers, transfer_matrix_stack(stack))
+    assert np.array_equal(stack.flipped().transfers, transfer_matrix_stack(stack.flipped()))
+    for array in (stack.transfers, stack.tau, stack.flipped().kappa):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # A caller's own array stays writable.
+    tau = np.array([0.1, 0.2])
+    CouplerStack(tau=tau, eta=tau, theta=tau, phi=tau,
+                 kappa=1j * np.sqrt(1.0 - tau * tau), gamma=1j * np.sqrt(1.0 - tau * tau))
+    tau[0] = 0.3
+
+
 phases = st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True)
 lower_couplers = st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
                                     exclude_max=True), min_size=1, max_size=20)
