@@ -28,7 +28,7 @@ from .ring import TWO_PI, build_coupler, effective_coupling
 
 _RING_FIELDS = ("tau", "eta", "theta", "delta")
 
-# Signal superposition the manifold sweeps simulate: equal weights on
+# Signal superposition the manifold sweeps evaluate: equal weights on
 # zero, one and two photons.
 _SWEEP_INPUT = NlpsgInput(*[1.0 / math.sqrt(3.0)] * 3)
 
@@ -175,8 +175,11 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ConfigError(f"cannot write output {path}: {err}") from err
 
 
 def _is_resonant(net: NetworkParams) -> bool:
@@ -247,7 +250,8 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_success(networks: NetworkStack) -> np.ndarray:
-    """Simulated heralded success probability of every network of a sweep."""
+    """Heralded success probability of every network of a sweep, from the
+    stacked closed form of the success amplitudes."""
     return heralded_success_stack(compose_scattering_stack(networks), _SWEEP_INPUT)
 
 

@@ -2,10 +2,10 @@
 
 States are stored per total-photon-number sector; a unitary acts on each
 sector through matrix permanents of its sub-matrices. Includes projective
-post-selection and the closed-form heralded-gate output used as an
-independent oracle. Which rows survive a measurement pattern, and where
-each lands among the remaining modes, is one cached herald table per
-(modes, photons, pattern), which every post-selecting function reads."""
+post-selection and the heralded gate's success amplitudes in closed form.
+Which rows survive a measurement pattern, and where each lands among the
+remaining modes, is one cached herald table per (modes, photons, pattern),
+which project and the CNOT read."""
 
 from __future__ import annotations
 
@@ -372,12 +372,22 @@ class NlpsgInput:
 # Success pattern of the heralded gate: one photon on mode 2, none on mode 3.
 SUCCESS_PATTERN = MeasurementPattern(((1, 1), (2, 0)))
 
+
+def _success_amplitudes(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:
+    """The (..., 3) success-branch amplitudes of an (..., 3, 3) stack."""
+    s00, s01, s10, s11 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
+    cross = s10 * s01
+    pair = s00 * s11 + cross
+    return np.stack([inp.alpha0 * s11, inp.alpha1 * pair,
+                     inp.alpha2 * s00 * (pair + cross)], axis=-1)
+
+
 def heralded_success_stack(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:
     """Heralded-gate success probability of each matrix in an (N, 3, 3) stack.
 
-    Per matrix this is project(evolve(inp.state(), s), SUCCESS_PATTERN)[0],
-    summed over the sectors in the same order, but only the permanents of
-    the herald-consistent rows are evaluated.
+    Per matrix, the squared norm of nlpsg_closed_form's amplitudes, bit for
+    bit, from one stacked closed form: no Fock state, no permanent. The
+    reference is project(evolve(inp.state(), s), SUCCESS_PATTERN)[0].
 
     Raises
     ------
@@ -389,15 +399,7 @@ def heralded_success_stack(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:
     if s.ndim != 3 or s.shape[1:] != (3, 3):
         raise DomainError(f"expected an (N, 3, 3) stack, got shape {s.shape}")
     _require_unitary(s)
-    prob = np.zeros(len(s))
-    for k, alpha in enumerate((inp.alpha0, inp.alpha1, inp.alpha2)):
-        # The one kept row of sector k + 1, (k, 1, 0), is also the input
-        # state that carries alpha_k.
-        rows = _herald_table(3, k + 1, SUCCESS_PATTERN).rows
-        perm = _lift_block(s, enumerate_basis(3, k + 1), rows=rows, cols=rows)
-        amp = perm[:, 0, 0] * alpha
-        prob += np.abs(amp) ** 2
-    return prob
+    return np.sum(np.abs(_success_amplitudes(s, inp)) ** 2, axis=-1)
 
 
 def nlpsg_closed_form(s: np.ndarray, inp: NlpsgInput):
@@ -405,17 +407,12 @@ def nlpsg_closed_form(s: np.ndarray, inp: NlpsgInput):
 
     Returns the three amplitudes of the signal mode's zero-, one- and
     two-photon components after a successful herald, plus the total norm
-    of the failure branch. Serves as the independent oracle for
-    evolve + project.
+    of the failure branch. The one-matrix case of heralded_success_stack's
+    closed form; evolve + project is its independent check.
     """
     s = np.asarray(s, dtype=complex)
     if s.shape != (3, 3):
         raise DomainError(f"expected a 3x3 matrix, got shape {s.shape}")
-    pair = s[0, 0] * s[1, 1] + s[1, 0] * s[0, 1]
-    coeffs = np.array([
-        inp.alpha0 * s[1, 1],
-        inp.alpha1 * pair,
-        inp.alpha2 * s[0, 0] * (pair + s[1, 0] * s[0, 1]),
-    ], dtype=complex)
+    coeffs = _success_amplitudes(s[np.newaxis], inp)[0]
     failure_norm = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
     return coeffs, failure_norm

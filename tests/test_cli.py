@@ -548,6 +548,29 @@ def test_manifold_sweep_output_is_pinned(capsys, argv, digest, err):
     assert captured.err == err
 
 
+@pytest.mark.parametrize("argv, digest, err", [
+    (["surface", "--ring", "1", "--grid", "5"],
+     "c12435c2976cd7c441cda5ea5e7cd6b1d1a45bb046ed5589e74e1260e8b7fe42",
+     "emitted 12 of 50 candidate branches\n"),
+    (["curve", "--grid", "7"],
+     "5e112e180c0c8aec036b91207f73cb0f33d879a038042df607fd5aa5bf24e44d",
+     "emitted 21 of 21 grid points\n"),
+])
+def test_sweeps_skip_the_fock_lift(monkeypatch, capsys, argv, digest, err):
+    # The sweeps read beta^2 from the stacked closed form; the permanent
+    # lift stays the oracle only. Digests captured while the sweeps still
+    # lifted every network.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep reached the Fock lift")
+
+    monkeypatch.setattr(fock, "_lift_block", forbidden)
+    monkeypatch.setattr(fock, "_permanent_batch", forbidden)
+    assert main(["manifold"] + argv) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == err
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.lists(st.floats(), min_size=1, max_size=6), st.sampled_from(["", "3,"]))
 @example([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0], "")
@@ -815,3 +838,32 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "t1_closed_form" in proc.stdout
+
+
+@pytest.mark.parametrize("command", [
+    ["smatrix"], ["verify"], ["manifold", "curve", "--grid", "7"], ["optimize"], ["cnot"],
+])
+@pytest.mark.parametrize("where, reason", [("missing/dir/out.txt", "No such file or directory"),
+                                           (".", "Is a directory")])
+def test_unwritable_output_is_config_error(tmp_path, capsys, command, where, reason):
+    argv = list(command)
+    if command[0] in ("smatrix", "verify"):
+        argv += ["--config", optimal_config(tmp_path)]
+    target = tmp_path / where
+    assert main(argv + ["--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    last = captured.err.splitlines()[-1]
+    assert last.startswith(f"config error: cannot write output {target}: ")
+    assert reason in last
+
+
+def test_console_script_unwritable_output_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x"
+    proc = subprocess.run([sys.executable, "-m", "ringsim.cli", "optimize",
+                           "--output", str(target)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"config error: cannot write output {target}: "
+                           f"[Errno 2] No such file or directory: '{target}'\n")

@@ -32,6 +32,7 @@ from ringsim import (
     invert_effective,
     lift_unitary,
     mode_swap3,
+    nlpsg_closed_form,
     project,
     transfer_matrix_stack,
     unitarity_residual,
@@ -88,6 +89,18 @@ def test_stacked_heralded_success_equals_project(nets, inp):
     except DomainError:
         assume(False)
     assert np.max(np.abs(heralded_success_stack(s, inp) - expected)) <= TOL
+
+
+@EXAMPLES
+@given(network_lists, signal_inputs())
+def test_stacked_heralded_success_is_closed_form_bit_for_bit(nets, inp):
+    # One code path: every member of the stack is the one-matrix closed
+    # form, to the last bit.
+    s = composed(nets)
+    got = heralded_success_stack(s, inp)
+    for i, m in enumerate(s):
+        coeffs, _ = nlpsg_closed_form(m, inp)
+        assert got[i] == np.sum(np.abs(coeffs) ** 2)
 
 
 @EXAMPLES
