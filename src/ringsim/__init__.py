@@ -4,16 +4,16 @@ Builds the three-ring heralded phase gate, verifies its success
 constraints by full Fock-space simulation, traces its optimal-operation
 parameter manifolds, and assembles the post-selected dual-rail CNOT."""
 
-from .analysis import (ManifoldSample, NlpsgVerdict, OffResonanceReport,
-                       OptimalPoint, SampleResiduals, S11_FIXED, T1_OPTIMAL,
-                       T2_OPTIMAL, beta_sq_of_t1,
+from .analysis import (NlpsgVerdict, OffResonanceReport, OptimalPoint,
+                       S11_FIXED, T1_OPTIMAL, T2_OPTIMAL, beta_sq_of_t1,
                        compensated_network, compensated_network_stack,
-                       curve_eta_of_tau, curve_network, curve_ring, curve_stack,
+                       curve_network, curve_ring, curve_stack,
                        intersect_delta2, intersect_stack, off_resonance_check,
                        optimal_point,
                        optimize_t1, ring_phase_arg,
                        surface_stack, surface_theta, surface_theta_stack,
-                       t2_from_equality, t3_of_t1, verdict, wrap_angle)
+                       t2_from_equality, t3_of_t1, verdict, verdict_stack,
+                       wrap_angle)
 from .cnot import (CnotNetwork, CoherenceReport, DualRailQubit, TruthTableRow,
                    build_cnot, conditional_logical_matrix, embed,
                    normalize_global_phase, verify_coherence, verify_truth_table)
@@ -47,11 +47,11 @@ __all__ = [
     "SUCCESS_PATTERN", "enumerate_basis", "permanent", "lift_unitary",
     "evolve", "project", "nlpsg_closed_form",
     "heralded_success_stack",
-    "NlpsgVerdict", "OptimalPoint", "ManifoldSample", "SampleResiduals",
+    "NlpsgVerdict", "OptimalPoint",
     "OffResonanceReport", "S11_FIXED", "T1_OPTIMAL", "T2_OPTIMAL",
-    "verdict", "t3_of_t1", "beta_sq_of_t1", "optimize_t1",
+    "verdict", "verdict_stack", "t3_of_t1", "beta_sq_of_t1", "optimize_t1",
     "t2_from_equality", "optimal_point", "curve_ring", "curve_network",
-    "curve_eta_of_tau", "curve_stack", "surface_theta",
+    "curve_stack", "surface_theta",
     "surface_theta_stack", "surface_stack", "ring_phase_arg",
     "compensated_network", "compensated_network_stack",
     "off_resonance_check",

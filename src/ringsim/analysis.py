@@ -11,13 +11,14 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError, PoleError, UndefinedPhaseError
+from .fock import _betas
 from .network import (NetworkParams, NetworkStack, _ring_transfers, closed_form_resonant,
-                      compose_scattering, compose_scattering_stack)
+                      compose_scattering_stack)
 from .ring import (RESONANT_THETA, TWO_PI, CouplerStack, RingCoupler, build_coupler,
                    build_couplers, invert_effective)
 
@@ -60,58 +61,78 @@ def optimal_point() -> OptimalPoint:
 
 @dataclass(frozen=True)
 class NlpsgVerdict:
-    """Success-constraint diagnostics of one scattering matrix.
+    """Success-constraint diagnostics of a scattering matrix or a stack.
 
     The three beta candidates must coincide for the heralded gate to act
     uniformly on every photon-number component; ``residual`` is their
     largest pairwise distance. Off resonance the candidates pick up a
     common phase, so magnitude-based residuals are reported alongside the
-    complex ones.
+    complex ones. Fields are scalars from ``verdict`` and (N,) arrays from
+    ``verdict_stack``; both criteria work on either.
     """
 
-    beta0: complex
-    beta1: complex
-    beta2: complex
-    residual: float
-    s11_residual: float
-    success_probability: float
-    magnitude_residual: float
-    s11_magnitude_residual: float
-    offdiag_probability: float
+    beta0: complex | np.ndarray
+    beta1: complex | np.ndarray
+    beta2: complex | np.ndarray
+    residual: float | np.ndarray
+    s11_residual: float | np.ndarray
+    success_probability: float | np.ndarray
+    magnitude_residual: float | np.ndarray
+    s11_magnitude_residual: float | np.ndarray
+    offdiag_probability: float | np.ndarray
 
-    def satisfied(self, tol: float = 1e-9) -> bool:
+    def satisfied(self, tol: float = 1e-9) -> bool | np.ndarray:
         """Strict (complex) success criterion."""
-        return self.residual < tol and self.s11_residual < tol
+        return (self.residual < tol) & (self.s11_residual < tol)
 
-    def magnitudes_satisfied(self, tol: float = 1e-9) -> bool:
+    def magnitudes_satisfied(self, tol: float = 1e-9) -> bool | np.ndarray:
         """Phase-blind criterion appropriate for detuned networks."""
-        return self.magnitude_residual < tol and self.s11_magnitude_residual < tol
+        return (self.magnitude_residual < tol) & (self.s11_magnitude_residual < tol)
+
+
+def verdict_stack(s) -> NlpsgVerdict:
+    """Evaluate the success constraints on every matrix of an (N, 3, 3)
+    stack in one numpy pass; any other shape raises DomainError. Every field
+    is an (N,) array, and member i is the verdict of s[i:i + 1] to the bit."""
+    s = np.asarray(s, dtype=complex)
+    if s.ndim != 3 or s.shape[1:] != (3, 3):
+        raise DomainError(f"expected an (N, 3, 3) stack, got shape {s.shape}")
+    beta = _betas(s)
+    magnitude = np.abs(beta)
+    s00 = s[:, 0, 0]
+    return NlpsgVerdict(
+        *beta.T,
+        residual=np.abs(beta[:, :, None] - beta[:, None, :]).max(axis=(1, 2)),
+        s11_residual=np.abs(s00 - S11_FIXED),
+        success_probability=magnitude[:, 0] ** 2,
+        magnitude_residual=np.abs(magnitude - 0.5).max(axis=1),
+        s11_magnitude_residual=np.abs(np.abs(s00) - (SQRT2 - 1.0)),
+        offdiag_probability=0.5 * np.abs(s[:, 1, 0]) ** 2 * np.abs(s[:, 0, 1]) ** 2,
+    )
+
+
+def _member(v: NlpsgVerdict, i: int) -> NlpsgVerdict:
+    """Member i of a stacked verdict, with Python scalar fields."""
+    return NlpsgVerdict(*(getattr(v, f.name).tolist()[i] for f in fields(v)))
 
 
 def verdict(s: np.ndarray) -> NlpsgVerdict:
-    """Evaluate the success constraints on a 3x3 scattering matrix."""
+    """Evaluate the success constraints on a 3x3 scattering matrix: the
+    one-matrix case of ``verdict_stack``."""
     s = np.asarray(s, dtype=complex)
     if s.shape != (3, 3):
         raise DomainError(f"expected a 3x3 matrix, got shape {s.shape}")
-    pair = s[0, 0] * s[1, 1] + s[1, 0] * s[0, 1]
-    beta0 = complex(s[1, 1])
-    beta1 = complex(pair)
-    beta2 = complex(-s[0, 0] * (pair + s[1, 0] * s[0, 1]))
-    residual = max(abs(beta0 - beta1), abs(beta0 - beta2), abs(beta1 - beta2))
-    half = 0.5
-    return NlpsgVerdict(
-        beta0=beta0,
-        beta1=beta1,
-        beta2=beta2,
-        residual=float(residual),
-        s11_residual=float(abs(s[0, 0] - S11_FIXED)),
-        success_probability=float(abs(beta0) ** 2),
-        magnitude_residual=float(max(abs(abs(beta0) - half),
-                                     abs(abs(beta1) - half),
-                                     abs(abs(beta2) - half))),
-        s11_magnitude_residual=float(abs(abs(s[0, 0]) - (SQRT2 - 1.0))),
-        offdiag_probability=float(0.5 * abs(s[1, 0]) ** 2 * abs(s[0, 1]) ** 2),
-    )
+    return _member(verdict_stack(s[np.newaxis]), 0)
+
+
+def _t1_sq(t1: float) -> float:
+    """t1^2, checked against the domain of the optimal t3(t1) curve."""
+    u = t1 * t1
+    if u >= 1.0:
+        raise DomainError(f"|t1| must be < 1, got {t1}")
+    if u > _T1_SQ_LIMIT:
+        raise DomainError(f"t1^2 = {u} exceeds the optimal-curve limit {_T1_SQ_LIMIT}")
+    return u
 
 
 def t3_of_t1(t1: float) -> float:
@@ -124,14 +145,8 @@ def t3_of_t1(t1: float) -> float:
     DomainError
         If t1^2 exceeds 12*sqrt(2) - 16 or |t1| >= 1.
     """
-    u = t1 * t1
-    if u >= 1.0:
-        raise DomainError(f"|t1| must be < 1, got {t1}")
-    radicand = (_T1_SQ_LIMIT - u) / (1.0 - u)
-    if radicand < 0.0:
-        raise DomainError(
-            f"t1^2 = {u} exceeds the optimal-curve limit {_T1_SQ_LIMIT}")
-    return math.sqrt(radicand)
+    u = _t1_sq(t1)
+    return math.sqrt((_T1_SQ_LIMIT - u) / (1.0 - u))
 
 
 def beta_sq_of_t1(t1: float, formula: str = "corrected") -> float:
@@ -144,12 +159,7 @@ def beta_sq_of_t1(t1: float, formula: str = "corrected") -> float:
     """
     if formula not in ("printed", "corrected"):
         raise DomainError(f"formula must be 'printed' or 'corrected', got {formula!r}")
-    u = t1 * t1
-    if u >= 1.0:
-        raise DomainError(f"|t1| must be < 1, got {t1}")
-    if u > _T1_SQ_LIMIT:
-        raise DomainError(
-            f"t1^2 = {u} exceeds the optimal-curve limit {_T1_SQ_LIMIT}")
+    u = _t1_sq(t1)
     value = (1.0 + SQRT2) * u * (_T1_SQ_LIMIT - u) / (16.0 * (1.0 - u))
     if formula == "corrected":
         value *= 1.0 + SQRT2
@@ -208,8 +218,8 @@ def t2_from_equality(t1: float, t3: float) -> float:
     """Middle transmission equating the zero- and one-photon heralded
     amplitudes of the resonant network, found by bisection."""
     def gap(t2: float) -> float:
-        v = verdict(closed_form_resonant(t1, t2, t3))
-        return (v.beta0 - v.beta1).real
+        beta = _betas(closed_form_resonant(t1, t2, t3))
+        return (beta[0] - beta[1]).real
 
     a, b = 1e-6, 1.0 - 1e-9
     ga, gb = gap(a), gap(b)
@@ -222,27 +232,6 @@ def t2_from_equality(t1: float, t3: float) -> float:
         else:
             b = mid
     return 0.5 * (a + b)
-
-
-@dataclass(frozen=True)
-class SampleResiduals:
-    """Numerical health record attached to a manifold sample."""
-
-    constraint: float
-    beta_sq_dev: float
-    ring_phases: tuple[float, float, float]
-    solver_mag: float = 0.0
-    solver_arg: float = 0.0
-
-
-@dataclass(frozen=True)
-class ManifoldSample:
-    """One point on an optimal-operation manifold, embedded in a full
-    three-ring network so it can be composed and simulated directly."""
-
-    network: NetworkParams
-    ring_index: int
-    residuals: SampleResiduals
 
 
 def _slot_transmission(slot: int) -> float:
@@ -396,46 +385,6 @@ def _optimal_rings_with(slot: int, swept: CouplerStack) -> tuple[CouplerStack, .
                  for s in (1, 2, 3))
 
 
-def _sample_from_network(net: NetworkParams, ring_index: int, s: np.ndarray,
-                         solver_mag: float = 0.0,
-                         solver_arg: float = 0.0) -> ManifoldSample:
-    """Sample of a network whose scattering matrix s is already composed."""
-    v = verdict(s)
-    phases = []
-    for c in net.rings:
-        try:
-            phases.append(ring_phase_arg(c.eta, c.tau, c.theta))
-        except UndefinedPhaseError:
-            phases.append(0.0)
-    return ManifoldSample(
-        network=net,
-        ring_index=ring_index,
-        residuals=SampleResiduals(
-            constraint=v.residual,
-            beta_sq_dev=abs(v.success_probability - 0.25),
-            ring_phases=tuple(phases),
-            solver_mag=solver_mag,
-            solver_arg=solver_arg,
-        ),
-    )
-
-
-def curve_eta_of_tau(transmission: float, tau_grid,
-                     ring: int = 1) -> list[ManifoldSample]:
-    """Trace the resonant one-parameter curve of one ring slot.
-
-    Each grid point fixes the slot's lower coupler and solves the upper
-    one so the effective transmission stays at the target; the other two
-    slots sit at their canonical optimal points. Grid points at the
-    inversion pole or outside the coupler domain are skipped and logged.
-    A wrapper over ``curve_stack``.
-    """
-    networks = curve_stack(transmission, tau_grid, ring)
-    matrices = compose_scattering_stack(networks)
-    return [_sample_from_network(networks.member(i), ring, matrices[i])
-            for i in range(len(networks))]
-
-
 def curve_stack(transmission: float, tau_grid, ring: int = 1) -> NetworkStack:
     """Networks of the resonant curve of one ring slot, one per usable grid
     point: ``invert_effective`` and ``build_coupler`` over the whole grid,
@@ -466,62 +415,53 @@ def curve_stack(transmission: float, tau_grid, ring: int = 1) -> NetworkStack:
                         deltas=np.zeros((len(swept), 3)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OffResonanceReport:
-    """Detuned-network health: constraint verdict plus the heralded phase
-    measured against the summed ring through-phases."""
+    """Verdict, ring through-phases (N, 3) and heralded phase of N networks."""
 
-    sample: ManifoldSample
+    networks: NetworkStack
     verdict: NlpsgVerdict
-    heralded_phase: float
-    phase_residual: float
+    ring_phases: np.ndarray
+    heralded_phase: np.ndarray
+    phase_residual: np.ndarray
 
 
-def off_resonance_check(ring1: RingCoupler, ring3: RingCoupler,
-                        tau2: float = 0.0) -> OffResonanceReport:
-    """Verify optimal operation of a network with detuned outer rings.
+def off_resonance_check(ring1: CouplerStack, ring3: CouplerStack,
+                        tau2=0.0) -> OffResonanceReport:
+    """Verify optimal operation of networks with detuned outer rings.
 
-    The outer rings may sit anywhere on their equal-magnitude surfaces;
-    the middle ring stays on its resonant curve. The heralded amplitude
-    keeps magnitude 1/2 and its phase equals the sum of the rings'
-    through phases (the resonant middle ring contributes zero).
+    The outer rings may sit anywhere on their equal-magnitude surfaces; the
+    middle ring stays on its resonant curve at lower coupler tau2, and the
+    middle line phase cancels the loop phase. The heralded amplitude keeps
+    magnitude 1/2 and its phase equals the sum of the rings' through phases
+    (the resonant middle ring contributes zero, as does a ring whose through
+    amplitude vanishes). Stacks, and tau2, of length 1 broadcast.
     """
-    net = compensated_network(ring1, curve_ring(2, tau2), ring3)
-    s = compose_scattering(net)
-    sample = _sample_from_network(net, 0, s)
-    v = verdict(s)
-    heralded = math.atan2(v.beta0.imag, v.beta0.real)
-    predicted = sum(sample.residuals.ring_phases)
-    return OffResonanceReport(
-        sample=sample,
-        verdict=v,
-        heralded_phase=heralded,
-        phase_residual=abs(wrap_angle(heralded - predicted)),
-    )
+    tau2 = np.atleast_1d(np.asarray(tau2, dtype=float))
+    middle = build_couplers(tau2, (T2_OPTIMAL + tau2) / (1.0 + T2_OPTIMAL * tau2),
+                            RESONANT_THETA)
+    networks = compensated_network_stack((ring1, middle, ring3))
+    v = verdict_stack(compose_scattering_stack(networks))
+    through = np.stack(np.broadcast_arrays(*(r.transfers[:, 0, 0] for r in networks.rings)),
+                       axis=1)
+    phases = np.where(np.abs(through) < 1e-14, 0.0, np.angle(through))
+    heralded = np.angle(v.beta0)
+    residual = np.abs((phases.sum(axis=1) - heralded + math.pi) % TWO_PI - math.pi)
+    return OffResonanceReport(networks, v, phases, heralded, residual)
 
 
 def intersect_delta2(delta2: float, tau2_grid=None,
-                     transmission: float = T2_OPTIMAL) -> list[ManifoldSample]:
-    """Middle-ring samples compatible with a fixed middle line phase.
-
-    The rings of ``intersect_stack`` sit between the resonant optimal outer
-    rings at tau = 0, with the middle line phase set to delta2. The solved
-    ring cancels the internal loop phase, so every sample composes to a
-    network with heralded amplitude 1/2; delta2 = 0 degenerates to the
-    resonant curve. The networks are composed in one stacked call.
-    """
+                     transmission: float = T2_OPTIMAL) -> NetworkStack:
+    """Networks of the middle rings of ``intersect_stack`` (whose solver
+    residuals stay there) between the resonant optimal outer rings at tau = 0,
+    with the middle line phase delta2. Each composes to a heralded amplitude
+    of magnitude 1/2; delta2 = 0 degenerates to the resonant curve."""
     if tau2_grid is None:
         tau2_grid = np.linspace(0.0, 0.999, 401)
-    tau2, eta2, theta2, residual_mag, residual_arg = intersect_stack(
-        delta2, tau2_grid, transmission)
-    networks = NetworkStack(
+    tau2, eta2, theta2, _, _ = intersect_stack(delta2, tau2_grid, transmission)
+    return NetworkStack(
         rings=_optimal_rings_with(2, build_couplers(tau2, eta2, theta2)),
         deltas=np.tile([0.0, float(delta2), 0.0], (len(tau2), 1)))
-    matrices = compose_scattering_stack(networks)
-    return [_sample_from_network(networks.member(i), 2, matrices[i],
-                                 solver_mag=float(residual_mag[i]),
-                                 solver_arg=float(residual_arg[i]))
-            for i in range(len(networks))]
 
 
 def intersect_stack(delta2: float, tau2_grid,

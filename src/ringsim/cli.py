@@ -15,7 +15,7 @@ import numpy as np
 
 from .analysis import (T1_OPTIMAL, T2_OPTIMAL, curve_network, curve_stack,
                        intersect_stack, optimize_t1, surface_stack,
-                       t2_from_equality, verdict)
+                       t2_from_equality, verdict, wrap_angle)
 from .cnot import build_cnot, verify_coherence, verify_truth_table
 from .errors import (ConfigError, ConstraintError, DomainError, PoleError,
                      RingsimError, UndefinedPhaseError)
@@ -183,10 +183,9 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def _is_resonant(net: NetworkParams) -> bool:
-    for c in net.rings:
-        if min(c.theta, abs(c.theta - 2.0 * math.pi)) > 1e-12:
-            return False
-    return all(abs(d) < 1e-12 for d in net.deltas)
+    """Every round trip and line phase is a multiple of 2 pi, within 1e-12."""
+    return all(abs(wrap_angle(x)) <= 1e-12
+               for x in (*(c.theta for c in net.rings), *net.deltas))
 
 
 def cmd_smatrix(args) -> int:

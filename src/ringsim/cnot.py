@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import verdict
+from .analysis import NlpsgVerdict, _member, verdict_stack
 from .errors import ConstraintError, DomainError, PoleError
 from .fock import (MeasurementPattern, _herald_table, _lift_block,
                    _require_unitary, _whole, enumerate_basis)
@@ -204,6 +204,20 @@ def _compose_gate(label: str, gate: NetworkParams) -> np.ndarray:
         raise PoleError(f"gate {label}: {_LOOP_POLE}") from err
 
 
+def _judge(label: str, verdicts: NlpsgVerdict, i: int, tol: float) -> None:
+    """Raise ConstraintError, with the gate's own verdict, unless member i of
+    a stacked verdict meets the success constraints and heralds."""
+    if not verdicts.residual[i] < tol:
+        raise ConstraintError(
+            f"gate {label} violates the success constraints "
+            f"(residual {verdicts.residual[i]:.3e} >= {tol:.1e})",
+            verdict=_member(verdicts, i))
+    if not abs(verdicts.beta0[i]) > tol:
+        raise ConstraintError(
+            f"gate {label} never heralds (|beta0| {abs(verdicts.beta0[i]):.3e} "
+            f"<= {tol:.1e})", verdict=_member(verdicts, i))
+
+
 def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
                tol: float = 1e-9, probe_phase: float = 0.0) -> CnotNetwork:
     """Assemble the CNOT from two validated heralded-gate networks.
@@ -236,23 +250,17 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
         # more, nearly all of it fixed per-call work, or 9% of a cnot call.
         matrices = compose_scattering_stack(NetworkStack.of(gates))
     except PoleError:
-        # Composed lazily, gate B is reached only after gate A's verdict.
-        matrices = map(_compose_gate, "AB", gates)
-    judged = []
-    for label, s in zip("AB", matrices):
-        v = verdict(s)
-        if not v.residual < tol:
-            raise ConstraintError(
-                f"gate {label} violates the success constraints "
-                f"(residual {v.residual:.3e} >= {tol:.1e})", verdict=v)
-        if not abs(v.beta0) > tol:
-            raise ConstraintError(
-                f"gate {label} never heralds (|beta0| {abs(v.beta0):.3e} "
-                f"<= {tol:.1e})", verdict=v)
-        judged.append(s)
+        # Composed and judged one at a time, gate B is reached only after
+        # gate A's verdict; the pole is then raised under its gate's name.
+        for label, gate in zip("AB", gates):
+            _judge(label, verdict_stack(_compose_gate(label, gate)[np.newaxis]), 0, tol)
+        raise
+    verdicts = verdict_stack(matrices)
+    for i, label in enumerate("AB"):
+        _judge(label, verdicts, i, tol)
 
-    gate_on_a = embed(judged[0], (1, 4, 5), 8)
-    gate_on_b = embed(judged[1], (2, 6, 7), 8)
+    gate_on_a = embed(matrices[0], (1, 4, 5), 8)
+    gate_on_b = embed(matrices[1], (2, 6, 7), 8)
     probe = np.diag([1, np.exp(1j * probe_phase), 1, 1, 1, 1, 1, 1]).astype(complex)
 
     u = _CONTROL_FLIP @ _TARGET_MIX @ _INNER @ gate_on_b @ gate_on_a \

@@ -373,13 +373,22 @@ class NlpsgInput:
 SUCCESS_PATTERN = MeasurementPattern(((1, 1), (2, 0)))
 
 
-def _success_amplitudes(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:
-    """The (..., 3) success-branch amplitudes of an (..., 3, 3) stack."""
+def _betas(s: np.ndarray) -> np.ndarray:
+    """The (..., 3) heralded amplitudes beta0, beta1, beta2 of an (..., 3, 3)
+    stack: what the herald leaves of the signal's zero-, one- and two-photon
+    components, the last with the sign the gate flips. The one place the
+    success-branch algebra is written; the verdict reads it too."""
     s00, s01, s10, s11 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
     cross = s10 * s01
     pair = s00 * s11 + cross
-    return np.stack([inp.alpha0 * s11, inp.alpha1 * pair,
-                     inp.alpha2 * s00 * (pair + cross)], axis=-1)
+    return np.stack([s11, pair, -s00 * (pair + cross)], axis=-1)
+
+
+def _success_amplitudes(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:
+    """The (..., 3) success-branch amplitudes of an (..., 3, 3) stack."""
+    beta = _betas(s)
+    return np.stack([inp.alpha0 * beta[..., 0], inp.alpha1 * beta[..., 1],
+                     -inp.alpha2 * beta[..., 2]], axis=-1)
 
 
 def heralded_success_stack(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:

@@ -79,11 +79,6 @@ class NetworkStack:
     def __len__(self) -> int:
         return len(self.deltas)
 
-    def member(self, i: int) -> NetworkParams:
-        """The i-th network as NetworkParams."""
-        return NetworkParams(rings=tuple(r.member(i if len(r) > 1 else 0) for r in self.rings),
-                             deltas=tuple(self.deltas[i].tolist()))
-
 
 def mode_swap3(g: np.ndarray, j: int) -> np.ndarray:
     """Exchange the roles of input j and output j of a 3x3 linear relation.

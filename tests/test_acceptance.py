@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from ringsim import (
+    CouplerStack,
     NetworkParams,
     NlpsgInput,
     SUCCESS_PATTERN,
@@ -19,11 +20,13 @@ from ringsim import (
     build_coupler,
     closed_form_resonant,
     compose_scattering,
+    compose_scattering_stack,
     conditional_logical_matrix,
     curve_network,
     curve_ring,
     evolve,
     intersect_delta2,
+    intersect_stack,
     invert_effective,
     mode_swap3,
     nlpsg_closed_form,
@@ -34,6 +37,7 @@ from ringsim import (
     surface_theta,
     t2_from_equality,
     verdict,
+    verdict_stack,
     verify_coherence,
     verify_truth_table,
     wrap_angle,
@@ -119,29 +123,32 @@ def test_acceptance_4_detuned_surfaces_success_and_phase():
     for _ in range(50):
         ring1 = _surface_coupler(rng, T1_OPTIMAL)
         ring3 = _surface_coupler(rng, T1_OPTIMAL)
-        report = off_resonance_check(ring1, ring3, tau2=rng.uniform(0.0, 0.9))
-        prob, _ = _simulate(compose_scattering(report.sample.network), alpha)
+        report = off_resonance_check(CouplerStack.of([ring1]), CouplerStack.of([ring3]),
+                                     tau2=rng.uniform(0.0, 0.9))
+        prob, _ = _simulate(compose_scattering_stack(report.networks)[0], alpha)
         ok = ok and abs(prob - 0.25) < 1e-9
-        ok = ok and abs(abs(report.verdict.beta0) - 0.5) < 1e-9
+        ok = ok and abs(abs(report.verdict.beta0[0]) - 0.5) < 1e-9
         # Heralded phase equals the sum of the ring through-phases mod 2*pi.
-        predicted = sum(report.sample.residuals.ring_phases)
-        ok = ok and abs(wrap_angle(report.heralded_phase - predicted)) < 1e-9
+        predicted = sum(report.ring_phases[0])
+        ok = ok and abs(wrap_angle(report.heralded_phase[0] - predicted)) < 1e-9
     _report(4, ok)
 
 
 def test_acceptance_5_fixed_line_phase_intersection():
-    samples = intersect_delta2(math.pi / 30.0)
-    ok = len(samples) > 0
-    for sample in samples:
-        ok = ok and sample.residuals.solver_mag < 1e-9
-        ok = ok and sample.residuals.solver_arg < 1e-9
-        ok = ok and sample.residuals.beta_sq_dev < 1e-9
-    zero = intersect_delta2(0.0, np.linspace(0.0, 0.99, 45))
+    grid = np.linspace(0.0, 0.999, 401)
+    networks = intersect_delta2(math.pi / 30.0, grid)
+    _, _, _, solver_mag, solver_arg = intersect_stack(math.pi / 30.0, grid)
+    success = verdict_stack(compose_scattering_stack(networks)).success_probability
+    ok = len(networks) > 0
+    for i in range(len(networks)):
+        ok = ok and solver_mag[i] < 1e-9
+        ok = ok and solver_arg[i] < 1e-9
+        ok = ok and abs(success[i] - 0.25) < 1e-9
+    zero = intersect_delta2(0.0, np.linspace(0.0, 0.99, 45)).rings[1]
     ok = ok and len(zero) == 45
-    for sample in zero:
-        ring2 = sample.network.rings[1]
-        ok = ok and abs(ring2.eta - invert_effective(T2_OPTIMAL, ring2.tau)) < 1e-9
-        ok = ok and abs(wrap_angle(ring2.theta)) < 1e-9
+    for eta, tau, theta in zip(zero.eta, zero.tau, zero.theta):
+        ok = ok and abs(eta - invert_effective(T2_OPTIMAL, tau)) < 1e-9
+        ok = ok and abs(wrap_angle(theta)) < 1e-9
     _report(5, ok)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ringsim import (
+    CouplerStack,
     NlpsgInput,
     PoleError,
     S11_FIXED,
@@ -17,8 +18,9 @@ from ringsim import (
     build_coupler,
     closed_form_resonant,
     compose_scattering,
-    curve_eta_of_tau,
+    compose_scattering_stack,
     curve_ring,
+    curve_stack,
     evolve,
     intersect_delta2,
     intersect_stack,
@@ -33,6 +35,7 @@ from ringsim import (
     t3_of_t1,
     transfer_matrix,
     verdict,
+    verdict_stack,
     wrap_angle,
 )
 from ringsim.errors import DomainError
@@ -158,22 +161,26 @@ def test_t2_from_equality_recovers_optimum():
     assert abs(t2 - T2_OPTIMAL) < 1e-10
 
 
+def curve_matrices(transmission, taus, ring):
+    """The curve networks of one ring slot, composed in one stacked call."""
+    return compose_scattering_stack(curve_stack(transmission, taus, ring=ring))
+
+
 def test_curve_examples():
-    samples = curve_eta_of_tau(T2_OPTIMAL, [0.0], ring=2)
-    assert np.isclose(samples[0].network.rings[1].eta, 0.5469182, atol=1e-7)
-    samples = curve_eta_of_tau(T1_OPTIMAL, [0.5], ring=1)
-    assert np.isclose(samples[0].network.rings[0].eta, 0.9691358, atol=1e-7)
+    networks = curve_stack(T2_OPTIMAL, [0.0], ring=2)
+    assert np.isclose(networks.rings[1].eta[0], 0.5469182, atol=1e-7)
+    networks = curve_stack(T1_OPTIMAL, [0.5], ring=1)
+    assert np.isclose(networks.rings[0].eta[0], 0.9691358, atol=1e-7)
     assert np.isclose(invert_effective(T1_OPTIMAL, 1.0), 1.0, atol=1e-15)
 
 
 def test_curve_skips_pole_points():
-    samples = curve_eta_of_tau(T1_OPTIMAL, [0.0, 0.5, 1.0], ring=1)
-    assert len(samples) == 2
+    assert len(curve_stack(T1_OPTIMAL, [0.0, 0.5, 1.0], ring=1)) == 2
 
 
 def test_curve_rejects_bad_ring():
     with pytest.raises(DomainError):
-        curve_eta_of_tau(T1_OPTIMAL, [0.1], ring=4)
+        curve_stack(T1_OPTIMAL, [0.1], ring=4)
 
 
 def test_curve_samples_stay_optimal():
@@ -181,28 +188,25 @@ def test_curve_samples_stay_optimal():
     for ring in (1, 2, 3):
         transmission = T2_OPTIMAL if ring == 2 else T1_OPTIMAL
         taus = rng.uniform(0.0, 0.95, size=20)
-        for sample in curve_eta_of_tau(transmission, taus, ring=ring):
-            assert sample.residuals.constraint < 1e-9
-            assert sample.residuals.beta_sq_dev < 1e-9
-            v = verdict(compose_scattering(sample.network))
-            assert v.satisfied(1e-9)
+        v = verdict_stack(curve_matrices(transmission, taus, ring))
+        assert np.all(v.residual < 1e-9)
+        assert np.all(np.abs(v.success_probability - 0.25) < 1e-9)
+        assert np.all(v.satisfied(1e-9))
 
 
 def test_success_probability_equals_offdiagonal_product():
     # |beta0|^2 = |S21 S12|^2 / 2 everywhere on the curve.
     rng = np.random.default_rng(73)
     taus = rng.uniform(0.0, 0.9, size=20)
-    for sample in curve_eta_of_tau(T1_OPTIMAL, taus, ring=1):
-        v = verdict(compose_scattering(sample.network))
-        assert abs(v.success_probability - v.offdiag_probability) < 1e-10
+    v = verdict_stack(curve_matrices(T1_OPTIMAL, taus, 1))
+    assert np.all(np.abs(v.success_probability - v.offdiag_probability) < 1e-10)
 
 
 def test_herald_transmission_locked_to_offdiagonals():
     rng = np.random.default_rng(79)
     taus = rng.uniform(0.0, 0.9, size=20)
-    for sample in curve_eta_of_tau(T1_OPTIMAL, taus, ring=3):
-        s = compose_scattering(sample.network)
-        assert abs(s[0, 1] * s[1, 0] / SQRT2 - s[1, 1]) < 1e-10
+    s = curve_matrices(T1_OPTIMAL, taus, 3)
+    assert np.all(np.abs(s[:, 0, 1] * s[:, 1, 0] / SQRT2 - s[:, 1, 1]) < 1e-10)
 
 
 def test_surface_theta_examples():
@@ -262,57 +266,89 @@ def test_ring_phase_arg_matches_transfer_matrix():
 
 
 def test_off_resonance_check_resonant_limit():
-    report = off_resonance_check(curve_ring(1, 0.3), curve_ring(3, 0.6))
-    assert report.verdict.satisfied(1e-9)
-    assert abs(report.heralded_phase) < 1e-9
-    assert np.isclose(report.verdict.beta0, 0.5, atol=1e-12)
+    report = off_resonance_check(CouplerStack.of([curve_ring(1, 0.3)]),
+                                 CouplerStack.of([curve_ring(3, 0.6)]))
+    assert report.verdict.satisfied(1e-9).all()
+    assert np.all(np.abs(report.heralded_phase) < 1e-9)
+    assert np.isclose(report.verdict.beta0, 0.5, atol=1e-12).all()
 
 
 def test_off_resonance_check_detuned():
-    report = off_resonance_check(surface_ring(1, 0.3, 0.95),
-                                 surface_ring(3, 0.6, 0.97, branch=1),
+    report = off_resonance_check(CouplerStack.of([surface_ring(1, 0.3, 0.95)]),
+                                 CouplerStack.of([surface_ring(3, 0.6, 0.97, branch=1)]),
                                  tau2=0.4)
-    assert report.verdict.magnitudes_satisfied(1e-9)
-    assert abs(abs(report.verdict.beta0) - 0.5) < 1e-9
-    assert report.phase_residual < 1e-9
-    assert report.sample.residuals.beta_sq_dev < 1e-9
+    assert report.verdict.magnitudes_satisfied(1e-9).all()
+    assert np.all(np.abs(np.abs(report.verdict.beta0) - 0.5) < 1e-9)
+    assert np.all(report.phase_residual < 1e-9)
+    assert np.all(np.abs(report.verdict.success_probability - 0.25) < 1e-9)
 
 
 def test_off_resonance_full_simulation_success():
-    report = off_resonance_check(surface_ring(1, 0.2, 0.93),
-                                 surface_ring(3, 0.5, 0.96))
-    s = compose_scattering(report.sample.network)
+    report = off_resonance_check(CouplerStack.of([surface_ring(1, 0.2, 0.93)]),
+                                 CouplerStack.of([surface_ring(3, 0.5, 0.96)]))
+    s = compose_scattering_stack(report.networks)[0]
     alpha = np.ones(3) / np.sqrt(3.0)
     inp = NlpsgInput(alpha0=alpha[0], alpha1=alpha[1], alpha2=alpha[2])
     prob, _ = project(evolve(inp.state(), s), SUCCESS_PATTERN)
     assert abs(prob - 0.25) < 1e-9
 
 
+def test_off_resonance_check_stack_is_its_members():
+    # One call over a stack, with length-1 stacks broadcast, reports what a
+    # call per network reports, and the ring phases are ring_phase_arg's.
+    ring1 = [surface_ring(1, 0.2, 0.93), surface_ring(1, 0.3, 0.95, branch=1),
+             curve_ring(1, 0.4)]
+    ring3 = surface_ring(3, 0.5, 0.96)
+    tau2 = np.array([0.0, 0.4, 0.7])
+    report = off_resonance_check(CouplerStack.of(ring1), CouplerStack.of([ring3]), tau2)
+    assert report.ring_phases.shape == (3, 3)
+    for i in range(3):
+        one = off_resonance_check(CouplerStack.of([ring1[i]]), CouplerStack.of([ring3]),
+                                  tau2[i])
+        for name in ("ring_phases", "heralded_phase", "phase_residual"):
+            assert np.array_equal(getattr(one, name)[0], getattr(report, name)[i])
+        assert np.array_equal(one.verdict.beta0[0], report.verdict.beta0[i])
+        rings = (ring1[i], curve_ring(2, tau2[i]), ring3)
+        assert np.allclose(report.ring_phases[i],
+                           [ring_phase_arg(r.eta, r.tau, r.theta) for r in rings],
+                           atol=1e-12)
+    assert np.all(report.phase_residual < 1e-9)
+
+
+def test_off_resonance_check_vanishing_through_amplitude_has_phase_zero():
+    # A balanced resonant ring (eta = tau) passes nothing straight through.
+    report = off_resonance_check(CouplerStack.of([build_coupler(0.5, 0.5, 0.0)]),
+                                 CouplerStack.of([curve_ring(3, 0.0)]))
+    assert report.ring_phases[0, 0] == 0.0
+    assert report.verdict.beta0[0] == 0.0
+
+
 def test_intersect_nonzero_line_phase():
-    samples = intersect_delta2(np.pi / 30.0, tau2_grid=np.linspace(0.0, 0.96, 25))
-    assert samples
+    grid = np.linspace(0.0, 0.96, 25)
+    networks = intersect_delta2(np.pi / 30.0, tau2_grid=grid)
+    assert len(networks)
     # The tau2 = 0 grid point carries a fixed through phase and cannot
     # meet the nonzero target, so at least one point is skipped.
-    assert len(samples) < 25
-    for sample in samples:
-        assert sample.residuals.solver_mag < 1e-9
-        assert sample.residuals.solver_arg < 1e-9
-        assert sample.residuals.beta_sq_dev < 1e-9
-        v = verdict(compose_scattering(sample.network))
-        assert v.magnitudes_satisfied(1e-9)
-        ring2 = sample.network.rings[1]
-        assert abs(wrap_angle(ring_phase_arg(ring2.eta, ring2.tau, ring2.theta)
-                              - np.pi / 30.0)) < 1e-9
+    assert len(networks) < 25
+    _, _, _, solver_mag, solver_arg = intersect_stack(np.pi / 30.0, grid)
+    assert np.all(solver_mag < 1e-9)
+    assert np.all(solver_arg < 1e-9)
+    v = verdict_stack(compose_scattering_stack(networks))
+    assert np.all(np.abs(v.success_probability - 0.25) < 1e-9)
+    assert np.all(v.magnitudes_satisfied(1e-9))
+    ring2 = networks.rings[1]
+    for eta, tau, theta in zip(ring2.eta, ring2.tau, ring2.theta):
+        assert abs(wrap_angle(ring_phase_arg(eta, tau, theta) - np.pi / 30.0)) < 1e-9
 
 
 def test_intersect_zero_line_phase_reduces_to_curve():
     grid = np.linspace(0.0, 0.9, 10)
-    samples = intersect_delta2(0.0, tau2_grid=grid)
-    assert len(samples) == len(grid)
-    for sample, tau2 in zip(samples, grid):
-        ring2 = sample.network.rings[1]
-        assert abs(ring2.eta - invert_effective(T2_OPTIMAL, tau2)) < 1e-9
-        assert abs(wrap_angle(ring2.theta)) < 1e-9
+    ring2 = intersect_delta2(0.0, tau2_grid=grid).rings[1]
+    assert len(ring2) == len(grid)
+    assert ring2.tau.tolist() == grid.tolist()
+    for eta, theta, tau2 in zip(ring2.eta, ring2.theta, grid):
+        assert abs(eta - invert_effective(T2_OPTIMAL, tau2)) < 1e-9
+        assert abs(wrap_angle(theta)) < 1e-9
 
 
 def test_intersect_at_zero_lower_coupler():

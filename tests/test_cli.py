@@ -95,6 +95,23 @@ def test_smatrix_closed_form_rejected_off_resonance(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta, code", [(TWO_PI, 0), (-TWO_PI, 0), (2.0 * TWO_PI, 0),
+                                         (0.1, 2)])
+def test_smatrix_closed_form_takes_line_phases_modulo_two_pi(tmp_path, capsys,
+                                                             delta, code):
+    # A line phase of 2 pi is no phase, as verify already takes it.
+    rings = [dict(r) for r in _README_OPTIMAL_CONFIG["rings"]]
+    rings[0]["delta"] = delta
+    rings[1]["delta"] = -delta
+    path = write_config(tmp_path, {"rings": rings})
+    assert main(["smatrix", "--config", path, "--closed-form"]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["closed_form_max_diff"] <= 1e-15
+    else:
+        assert "valid on resonance with zero line phases only" in captured.err
+
+
 def test_smatrix_pole_is_numerical_error(tmp_path, capsys):
     cfg = {"rings": [{"tau": 1.0, "eta": 1.0, "theta": 0.0},
                      ring_entry(2), ring_entry(3)]}
@@ -211,8 +228,8 @@ _BALANCED_RING1_CONFIG = {"rings": [
     _README_OPTIMAL_CONFIG["rings"][1], _README_OPTIMAL_CONFIG["rings"][2]]}
 _OPTIMAL_HEAD = (
     "beta0 = 5.00000000e-01 3.45124485e-34j\n"
-    "beta1 = 5.00000000e-01 4.82031661e-34j\n"
-    "beta2 = 5.00000000e-01 -1.30918781e-33j\n"
+    "beta1 = 5.00000000e-01 -6.00140634e-34j\n"
+    "beta2 = 5.00000000e-01 -2.20568869e-33j\n"
     "constraint_residual = 2.22044605e-16\n"
     "s11_residual = 1.24997381e-33\n"
     "magnitude_residual = 2.22044605e-16\n"

@@ -4,6 +4,8 @@ from math import factorial, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsim import (
     MeasurementPattern,
@@ -191,6 +193,30 @@ def test_lift_unitary_up_to_8_modes_4_photons():
         lifted = lift_unitary(u, n_photons)
         dim = enumerate_basis(n_modes, n_photons).size
         assert np.max(np.abs(lifted.conj().T @ lifted - np.eye(dim))) < 1e-10
+
+
+def assert_lift_is_a_homomorphism(u, v, n_photons):
+    """The lift of a product is the product of the lifts, and the lift of
+    the adjoint is the adjoint of the lift."""
+    lift_u, lift_v = lift_unitary(u, n_photons), lift_unitary(v, n_photons)
+    assert np.max(np.abs(lift_unitary(u @ v, n_photons) - lift_u @ lift_v)) <= 1e-13
+    assert np.max(np.abs(lift_unitary(u.conj().T, n_photons) - lift_u.conj().T)) <= 1e-13
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2**32 - 1),
+       st.one_of(st.tuples(st.integers(1, 6), st.integers(0, 4)),
+                 st.tuples(st.just(8), st.integers(0, 3))))
+def test_lift_is_a_homomorphism(seed, sector):
+    n_modes, n_photons = sector
+    rng = np.random.default_rng(seed)
+    assert_lift_is_a_homomorphism(random_unitary(rng, n_modes),
+                                  random_unitary(rng, n_modes), n_photons)
+
+
+def test_lift_is_a_homomorphism_at_8_modes_4_photons():
+    rng = np.random.default_rng(59)
+    assert_lift_is_a_homomorphism(random_unitary(rng, 8), random_unitary(rng, 8), 4)
 
 
 def test_lift_rejects_non_unitary():

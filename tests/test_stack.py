@@ -2,6 +2,7 @@
 of evolve + project against the full sector lift, and of the closed-form
 fixed-line-phase intersection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringsim import (
+    S11_FIXED,
     SUCCESS_PATTERN,
     CouplerStack,
     DomainError,
@@ -17,6 +19,7 @@ from ringsim import (
     NetworkParams,
     NetworkStack,
     NlpsgInput,
+    NlpsgVerdict,
     PoleError,
     RESONANT_THETA,
     SectoredState,
@@ -36,6 +39,8 @@ from ringsim import (
     project,
     transfer_matrix_stack,
     unitarity_residual,
+    verdict,
+    verdict_stack,
 )
 
 TOL = 1e-14
@@ -127,20 +132,79 @@ def test_compose_equals_swap_chain_oracle(nets):
     # The paper's mode-swap composition: each block swapped on mode 2, the
     # chain multiplied in slot order 3, 2, 1, and a final mode-2 swap. Every
     # swap divides by its pivot, so the oracle loses digits as pivots shrink:
-    # examples with a pivot below 1e-3, or whose oracle is not unitary to
+    # members with a pivot below 1e-3, or whose oracle is not unitary to
     # 1e-13 (its own rounding error, which tracks the gap to the closed form
-    # within a factor 1.4), are discarded.
+    # within a factor 1.4), are left out, and every other member is checked.
+    # Only an example with no member left is discarded.
     rings = networks.rings
     couplers = (rings[0], rings[1].flipped(), rings[2])
     blocks = [block_transfer(slot, transfer_matrix_stack(c), networks.deltas[:, slot - 1])
               for slot, c in zip((1, 2, 3), couplers)]
-    assume(min(np.min(np.abs(b[:, 1, 1])) for b in blocks) >= 1e-3)
-    chain = mode_swap3(blocks[2], 2) @ mode_swap3(blocks[1], 2) @ mode_swap3(blocks[0], 2)
-    assume(np.min(np.abs(chain[:, 1, 1])) >= 1e-3)
-    expected = mode_swap3(chain, 2)
-    assume(np.max(unitarity_residual(expected)) <= 1e-13)
-    got = compose_scattering_stack(networks)
+    kept = np.flatnonzero(np.all([np.abs(b[:, 1, 1]) >= 1e-3 for b in blocks], axis=0))
+    chain = mode_swap3(blocks[2][kept], 2) @ mode_swap3(blocks[1][kept], 2) \
+        @ mode_swap3(blocks[0][kept], 2)
+    pivot_ok = np.abs(chain[:, 1, 1]) >= 1e-3
+    kept, expected = kept[pivot_ok], mode_swap3(chain[pivot_ok], 2)
+    unitary = unitarity_residual(expected) <= 1e-13
+    kept, expected = kept[unitary], expected[unitary]
+    assume(kept.size > 0)
+    got = compose_scattering_stack(networks)[kept]
     assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def scalar_verdict_fields(m):
+    """The verdict of one matrix in numpy scalar arithmetic, as the
+    one-matrix verdict computed it before the stacked form."""
+    pair = m[0, 0] * m[1, 1] + m[1, 0] * m[0, 1]
+    beta = [complex(m[1, 1]), complex(pair), complex(-m[0, 0] * (pair + m[1, 0] * m[0, 1]))]
+    return {
+        "beta0": beta[0], "beta1": beta[1], "beta2": beta[2],
+        "residual": max(abs(beta[0] - beta[1]), abs(beta[0] - beta[2]),
+                        abs(beta[1] - beta[2])),
+        "s11_residual": abs(m[0, 0] - S11_FIXED),
+        "success_probability": abs(beta[0]) ** 2,
+        "magnitude_residual": max(abs(abs(b) - 0.5) for b in beta),
+        "s11_magnitude_residual": abs(abs(m[0, 0]) - (math.sqrt(2.0) - 1.0)),
+        "offdiag_probability": 0.5 * abs(m[1, 0]) ** 2 * abs(m[0, 1]) ** 2,
+    }
+
+
+VERDICT_FIELDS = [f.name for f in dataclasses.fields(NlpsgVerdict)]
+
+unitary_stacks = st.one_of(
+    network_lists.map(composed),
+    st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=6)
+    .map(lambda seeds: np.array([random_unitary(seed, 3) for seed in seeds])))
+
+
+@EXAMPLES
+@given(unitary_stacks)
+def test_verdict_stack_members_are_one_matrix_verdicts_bit_for_bit(s):
+    stacked = verdict_stack(s)
+    for i in range(len(s)):
+        alone, scalar = verdict_stack(s[i:i + 1]), verdict(s[i])
+        for name in VERDICT_FIELDS:
+            member = getattr(stacked, name)[i]
+            assert member.tobytes() == getattr(alone, name)[0].tobytes()
+            assert member.tobytes() == np.asarray(getattr(scalar, name)).tobytes()
+        assert stacked.satisfied()[i] == scalar.satisfied()
+        assert stacked.magnitudes_satisfied()[i] == scalar.magnitudes_satisfied()
+
+
+@EXAMPLES
+@given(unitary_stacks)
+def test_verdict_stack_agrees_with_the_scalar_formula(s):
+    # Array complex products may round each part once (a fused multiply-add)
+    # where scalar ones round every product, so agreement is to rounding:
+    # 1e-15 relative to the largest of 1, the value and the betas, whose
+    # rounding every residual inherits.
+    stacked = verdict_stack(s)
+    for i, m in enumerate(s):
+        want = scalar_verdict_fields(m)
+        scale = max(1.0, *(abs(want[f"beta{k}"]) for k in range(3)))
+        for name, value in want.items():
+            got = getattr(stacked, name)[i]
+            assert abs(got - value) <= 1e-15 * max(scale, abs(value)), name
 
 
 @EXAMPLES
