@@ -103,6 +103,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(args, cfg: dict) -> float:
+    """The constraint tolerance: --tolerance, else the config's tolerance
+    field, else 1e-9. A tolerance <= 0 passes no gate, so it is bad input."""
+    if args.tolerance is not None:
+        tol, name, field = args.tolerance, "--tolerance", "tolerance"
+    else:
+        tol = _float_field(cfg, "tolerance", "config", default=1e-9)
+        name, field = "field config.tolerance", "config.tolerance"
+    if not tol > 0.0:
+        raise ConfigError(f"{name} must be positive, got {tol!r}", field=field)
+    return tol
+
+
 def _network_from_config(cfg: dict, where: str = "rings") -> NetworkParams:
     rings_cfg = cfg.get("rings")
     if not isinstance(rings_cfg, list) or len(rings_cfg) != 3:
@@ -214,8 +227,7 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     net = _network_from_config(cfg)
     inp = _parse_alpha(args, cfg)
-    tol = args.tolerance if args.tolerance is not None else \
-        _float_field(cfg, "tolerance", "config", default=1e-9)
+    tol = _tolerance(args, cfg)
     s = compose_scattering(net)
     v = verdict(s)
     prob, cond = project(evolve(inp.state(), s), SUCCESS_PATTERN)
@@ -353,7 +365,8 @@ def cmd_cnot(args) -> int:
             nets.append(_network_from_config(cfg[key], where=f"{key}.rings"))
         else:
             nets.append(curve_network())
-    tol = args.tolerance if args.tolerance is not None else 1e-9
+    # cnot reads no tolerance from its config: an empty one gives the default.
+    tol = _tolerance(args, {})
     net = build_cnot(nets[0], nets[1], tol=tol, probe_phase=args.probe_phase)
     rows = verify_truth_table(net)
     lines = ["control_in,target_in,control_out,target_out,probability,"

@@ -222,8 +222,37 @@ def closed_form_resonant(t1: float, t2: float, t3: float) -> np.ndarray:
 
 def unitarity_residual(s: np.ndarray):
     """Max-norm deviation of S†S from the identity: a float for one matrix,
-    an (N,) array for an (N, n, n) stack."""
+    an (N,) array for an (N, n, n) stack.
+
+    One matrix takes the matrix product ``s.conj().T @ s``; its value is the
+    one ``smatrix`` prints. A stack forms each entry G_ij of the Hermitian
+    upper triangle of S†S elementwise, as (N,) arrays, because numpy's
+    stacked matrix product makes one BLAS call per small matrix. The two
+    forms sum in different orders, so they agree to rounding, not bit for
+    bit. A NaN or infinite entry gives its matrix a non-finite residual.
+
+    Raises
+    ------
+    DomainError
+        If the input is neither a square matrix nor an (N, n, n) stack.
+    """
     s = np.asarray(s, dtype=complex)
-    eye = np.eye(s.shape[-1])
-    r = np.max(np.abs(np.swapaxes(s.conj(), -1, -2) @ s - eye), axis=(-2, -1))
-    return float(r) if s.ndim == 2 else r
+    if s.ndim not in (2, 3) or s.shape[-1] != s.shape[-2]:
+        raise DomainError(f"expected a square matrix or an (N, n, n) stack, "
+                          f"got shape {s.shape}")
+    n = s.shape[-1]
+    if s.ndim == 2:
+        return float(np.max(np.abs(s.conj().T @ s - np.eye(n)), initial=0.0))
+    cols = np.ascontiguousarray(s.transpose(2, 1, 0))  # cols[j, k] = s[:, k, j]
+    conj = cols.conj()
+    worst = np.zeros(len(s))
+    # A non-finite member shows in its residual; it needs no warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(n):
+            for j in range(i, n):
+                g = (conj[i] * cols[j]).sum(axis=0)
+                if i == j:
+                    g -= 1.0
+                # np.maximum, not fmax: a NaN member keeps a NaN residual.
+                np.maximum(worst, np.abs(g), out=worst)
+    return worst

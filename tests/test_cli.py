@@ -460,6 +460,28 @@ def test_non_finite_option_exits_2(argv, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config_tolerance, message", [
+    (["cnot", "--tolerance", "-1"], None, "--tolerance must be positive, got -1.0"),
+    (["cnot", "--tolerance", "0"], None, "--tolerance must be positive, got 0.0"),
+    (["verify", "--tolerance", "-1"], None, "--tolerance must be positive, got -1.0"),
+    (["verify", "--tolerance", "-0"], None, "--tolerance must be positive, got -0.0"),
+    (["verify"], -1, "field config.tolerance must be positive, got -1.0"),
+    (["verify"], 0, "field config.tolerance must be positive, got 0.0"),
+])
+def test_non_positive_tolerance_exits_2(tmp_path, capsys, argv, config_tolerance,
+                                        message):
+    # A tolerance <= 0 passes no gate: bad input, not a constraint violation.
+    if argv[0] == "verify":
+        cfg = {"rings": [ring_entry(s) for s in (1, 2, 3)]}
+        if config_tolerance is not None:
+            cfg["tolerance"] = config_tolerance
+        argv = argv + ["--config", write_config(tmp_path, cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("field, value", [
     ("theta", float("nan")),
     ("tau", float("inf")),

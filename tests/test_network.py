@@ -199,3 +199,18 @@ def test_unitarity_residual_values():
     bumped = np.eye(3, dtype=complex)
     bumped[0, 1] = 1e-3
     assert unitarity_residual(bumped) >= 1e-3
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (3, 4), (2, 3, 4), (1, 1, 3, 3)])
+def test_unitarity_residual_rejects_non_square_input(shape):
+    with pytest.raises(DomainError, match="square matrix or an"):
+        unitarity_residual(np.zeros(shape))
+
+
+def test_unitarity_residual_result_per_input_shape():
+    assert isinstance(unitarity_residual(np.eye(3)), float)
+    assert unitarity_residual(np.stack([np.eye(3), 2.0 * np.eye(3)])).tolist() == [0.0, 3.0]
+    empty = unitarity_residual(np.zeros((0, 3, 3)))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    assert unitarity_residual(np.zeros((0, 0))) == 0.0
+    assert unitarity_residual(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ringsim import (
@@ -42,6 +42,7 @@ from ringsim import (
     verdict,
     verdict_stack,
 )
+from ringsim.fock import LIFT_UNITARITY_TOL
 
 TOL = 1e-14
 # Each example composes up to a dozen networks; 50 keep the suite quick.
@@ -374,3 +375,73 @@ def test_intersect_at_zero_line_phase_is_the_resonant_curve(tau2, t):
     assert np.all(residual_mag <= 1e-9) and np.all(residual_arg <= 1e-9)
     assert np.max(np.abs(eta - [expected[x] for x in tau.tolist()]), initial=0.0) < 1e-12
     assert np.all(theta == 0.0)
+
+
+@st.composite
+def perturbed_unitary_stacks(draw):
+    """1-6 random n x n unitaries, n in {1, 2, 3, 4, 8}, each moved by up to
+    a drawn size <= 1e-6 in every real and imaginary part."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    members = []
+    for seed, size in draw(st.lists(st.tuples(seeds, st.sampled_from([0.0, 1e-9, 1e-6])
+                                              | st.floats(0.0, 1e-6)),
+                                    min_size=1, max_size=6)):
+        noise = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, n, n))
+        members.append(random_unitary(seed, n) + size * (noise[0] + 1j * noise[1]))
+    return np.array(members)
+
+
+@EXAMPLES
+@given(perturbed_unitary_stacks())
+def test_stacked_unitarity_residual_agrees_with_one_matrix(s):
+    # The stack sums S†S elementwise, one matrix by a matrix product: the
+    # two orders of summation agree to rounding.
+    stacked = unitarity_residual(s)
+    assert stacked.shape == (len(s),)
+    for member, r in zip(s, stacked):
+        assert abs(r - unitarity_residual(member)) <= 1e-15
+
+
+@EXAMPLES
+@given(unitary_stacks, signal_inputs(),
+       st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.inf),
+                        complex(0.0, -np.inf), complex(np.nan, 0.0)]),
+       st.data())
+def test_non_finite_entry_fails_the_stacked_guard(s, inp, value, data):
+    s, clean = s.copy(), unitarity_residual(s)
+    where = data.draw(st.integers(0, len(s) - 1))
+    row, col = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    s[where, row, col] = value
+    residual = unitarity_residual(s)
+    assert not np.isfinite(residual[where])
+    others = np.arange(len(s)) != where
+    assert residual[others].tobytes() == clean[others].tobytes()
+    with pytest.raises(DomainError):
+        heralded_success_stack(s, inp)
+
+
+def near_pole_network(eps):
+    """Outer rings tau = 0.5 with eta = 0.5 + eps and 0.5, middle ring
+    tau = 1 - eps, eta = 0 and line phase pi: |1 - L| is about eps, and
+    composition loses about 1e-15 / eps of unitarity."""
+    rings = (build_coupler(0.5, 0.5 + eps, RESONANT_THETA),
+             build_coupler(1.0 - eps, 0.0, RESONANT_THETA),
+             build_coupler(0.5, 0.5, RESONANT_THETA))
+    return NetworkParams(rings=rings, deltas=(0.0, math.pi, 0.0))
+
+
+@EXAMPLES
+@given(st.lists(st.floats(min_value=-13.0, max_value=-4.0), min_size=1, max_size=6)
+       .map(lambda exponents: [10.0 ** x for x in exponents]))
+@example([1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-13])
+@example([1e-4])
+@example([1e-13])
+def test_stacked_guard_verdict_near_the_loop_pole(eps):
+    s = compose_scattering_stack(NetworkStack.of(near_pole_network(e) for e in eps))
+    alone = [unitarity_residual(m) <= LIFT_UNITARITY_TOL for m in s]
+    assert (unitarity_residual(s) <= LIFT_UNITARITY_TOL).tolist() == alone
+    if all(alone):
+        heralded_success_stack(s, NlpsgInput(1.0, 0.0, 0.0))
+    else:
+        with pytest.raises(DomainError):
+            heralded_success_stack(s, NlpsgInput(1.0, 0.0, 0.0))
