@@ -105,14 +105,15 @@ def _finite_float(text: str) -> float:
 
 def _tolerance(args, cfg: dict) -> float:
     """The constraint tolerance: --tolerance, else the config's tolerance
-    field, else 1e-9. A tolerance <= 0 passes no gate, so it is bad input."""
+    field, else 1e-9. The field is checked even where --tolerance wins over
+    it. A tolerance <= 0 passes no gate, so it is bad input."""
+    given = [(_float_field(cfg, "tolerance", "config", default=1e-9),
+              "field config.tolerance", "config.tolerance")]
     if args.tolerance is not None:
-        tol, name, field = args.tolerance, "--tolerance", "tolerance"
-    else:
-        tol = _float_field(cfg, "tolerance", "config", default=1e-9)
-        name, field = "field config.tolerance", "config.tolerance"
-    if not tol > 0.0:
-        raise ConfigError(f"{name} must be positive, got {tol!r}", field=field)
+        given.append((args.tolerance, "--tolerance", "tolerance"))
+    for tol, name, field in given:
+        if not tol > 0.0:
+            raise ConfigError(f"{name} must be positive, got {tol!r}", field=field)
     return tol
 
 

@@ -1,5 +1,10 @@
 """Post-selected linear-optical CNOT built from two heralded phase gates
-acting on a dual-rail interferometer, verified by full 8-mode simulation."""
+acting on a dual-rail interferometer.
+
+build_cnot reads the heralded block from the two gates' heralded
+amplitudes beta between two fixed two-photon interferometers. The full
+8-mode, four-photon lift serves networks a caller builds from their own
+matrix, and is the tests' oracle for build_cnot's block."""
 
 from __future__ import annotations
 
@@ -65,11 +70,16 @@ class _Register(NamedTuple):
 
     ``cols`` is the basis index of each computational input, ``rows`` the
     herald table's kept rows, and ``outputs`` the position among those rows
-    of each logical output; inputs and outputs in _COMPUTATIONAL order."""
+    of each logical output; inputs and outputs in _COMPUTATIONAL order.
+    ``targets`` is the index of each kept row in the basis of the
+    unheralded modes' two photons, and ``inputs`` that of each
+    computational input, less its ancilla photons."""
 
     cols: np.ndarray
     rows: np.ndarray
     outputs: np.ndarray
+    targets: np.ndarray
+    inputs: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -83,15 +93,17 @@ def _register_table(n_modes: int, control: DualRailQubit, target: DualRailQubit,
     heralded = {m for pair in ancillas for m in pair}
     unheralded = [m for m in range(n_modes) if m not in heralded]
     lands = targets.tolist()
-    cols, outputs = [], []
+    cols, outputs, inputs = [], [], []
     for c, t in _COMPUTATIONAL:
         occ = [0] * n_modes
         occ[control.rail(c)] = occ[target.rail(t)] = 1
-        outputs.append(lands.index(remaining.index_of([occ[m] for m in unheralded])))
+        inputs.append(remaining.index_of([occ[m] for m in unheralded]))
+        outputs.append(lands.index(inputs[-1]))
         for occupied, _ in ancillas:
             occ[occupied] = 1
         cols.append(basis.index_of(occ))
-    return _Register(_frozen(np.array(cols)), rows, _frozen(np.array(outputs)))
+    return _Register(_frozen(np.array(cols)), rows, _frozen(np.array(outputs)),
+                     targets, _frozen(np.array(inputs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +151,11 @@ class CnotNetwork:
     def _kept_block(self) -> np.ndarray:
         """Amplitudes of the herald-consistent four-photon outputs, one row
         per row of the herald table, one column per computational input in
-        _COMPUTATIONAL order. Every check reads this one block."""
+        _COMPUTATIONAL order. Every check reads this one block.
+
+        Here it is the generic 8-mode lift of the matrix: a block of
+        permanents. build_cnot hands its network the block read from the
+        gates' heralded amplitudes instead (see _heralded_block)."""
         s = np.asarray(self.matrix, dtype=complex)
         _require_unitary(s)
         reg = self._register
@@ -195,6 +211,76 @@ _TARGET_MIX = _frozen(embed(_SPLITTER, (2, 3), 8))
 _INNER = _frozen(embed(_SPLITTER, (1, 2), 8))
 _CONTROL_FLIP = _frozen(np.diag([1, -1, 1, 1, 1, 1, 1, 1]).astype(complex))
 
+# build_cnot's mode assignment: the rails on modes 0-3, gate A on the control
+# one-rail (mode 1) with ancillas 4, 5, gate B on the target zero-rail
+# (mode 2) with ancillas 6, 7. _GATE_ROWS and _GATE_COLS place each entry
+# of the (2, 3, 3) gate stack in the 8x8 network.
+_CONTROL = DualRailQubit(0, 1)
+_TARGET = DualRailQubit(2, 3)
+_ANCILLAS = ((4, 5), (6, 7))
+_ARMS = ((1, 4, 5), (2, 6, 7))
+_GATE_ROWS = _frozen(np.repeat(_ARMS, 3))
+_GATE_COLS = _frozen(np.tile(_ARMS, 3).ravel())
+
+
+class _Interferometers(NamedTuple):
+    """build_cnot's fixed networks, which act on the rails (modes 0-3) only.
+
+    ``pre`` and ``post`` are the 8x8 networks before and after the gates.
+    ``post_rows`` and ``pre_cols`` are their two-photon lifts over
+    enumerate_basis(4, 2), cut to the register's kept rows and
+    computational inputs, and ``arm_photons`` the photons on modes 1 and 2
+    of each of those two-photon states."""
+
+    pre: np.ndarray
+    post: np.ndarray
+    post_rows: np.ndarray
+    pre_cols: np.ndarray
+    arm_photons: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _interferometers() -> _Interferometers:
+    """Built on first use, not at import: only the CNOT reads them."""
+    pre = _frozen(_INNER @ _TARGET_MIX)
+    post = _frozen(_CONTROL_FLIP @ _TARGET_MIX @ _INNER)
+    rails = enumerate_basis(4, 2)
+    reg = _register_table(8, _CONTROL, _TARGET, _ANCILLAS)
+    return _Interferometers(
+        pre, post,
+        _frozen(_lift_block(post[:4, :4], rails, rows=reg.targets)),
+        _frozen(_lift_block(pre[:4, :4], rails, cols=reg.inputs)),
+        _frozen(rails.occupancy[:, 1:3].T.copy()))
+
+
+def _network_matrix(gates: np.ndarray, probe_phase: float) -> np.ndarray:
+    """build_cnot's 8x8 unitary from its (2, 3, 3) gate stack: one matrix
+    holding both gates and the probe phase, between the fixed networks."""
+    fixed = _interferometers()
+    middle = np.eye(8, dtype=complex)
+    middle[_GATE_ROWS, _GATE_COLS] = gates.reshape(-1)
+    middle[:, 1] *= np.exp(1j * probe_phase)  # the probe acts before gate A
+    u = fixed.post @ middle @ fixed.pre
+    u.flags.writeable = False  # the network caches what it computes from u
+    return u
+
+
+def _heralded_block(heralded: np.ndarray, probe_phase: float) -> np.ndarray:
+    """The kept block of _network_matrix's network, from the gates'
+    heralded amplitudes: row g of the (2, 3) array ``heralded`` is what
+    gate g's herald leaves of 0, 1 and 2 photons on its signal mode, which
+    is (beta0, beta1, -beta2) of _betas.
+
+    Once both ancilla pairs herald, each gate acts on its arm's photon
+    number n as n -> h[n] n, so the block is post · diag(d) · pre over the
+    rails' two-photon states y, with d[y] = hA[y1] hB[y2] e^{i probe_phase
+    y1} and y1, y2 the photons on modes 1 and 2. That holds for any gates,
+    on the manifold or not; the generic lift is the oracle."""
+    fixed = _interferometers()
+    on_a, on_b = fixed.arm_photons
+    d = heralded[0, on_a] * heralded[1, on_b] * np.exp(1j * probe_phase * on_a)
+    return (fixed.post_rows * d) @ fixed.pre_cols
+
 
 def _compose_gate(label: str, gate: NetworkParams) -> np.ndarray:
     """One gate's scattering matrix; a loop pole is reported under its name."""
@@ -234,6 +320,10 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
     splitters; nonzero values deliberately break the interference (see
     verify_coherence).
 
+    The checks read the network's heralded block from the two gates'
+    verdict amplitudes beta between the two fixed two-photon
+    interferometers (see _heralded_block), with no 8-mode Fock lift.
+
     Raises
     ------
     ConstraintError
@@ -243,6 +333,8 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
     PoleError
         If either gate's network sits on its loop pole; the message names
         the gate, and gate A's verdict comes before gate B's pole.
+    DomainError
+        If the assembled network is not unitary within 1e-10.
     """
     gates = (gate_a, gate_b)
     try:
@@ -259,19 +351,14 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
     for i, label in enumerate("AB"):
         _judge(label, verdicts, i, tol)
 
-    gate_on_a = embed(matrices[0], (1, 4, 5), 8)
-    gate_on_b = embed(matrices[1], (2, 6, 7), 8)
-    probe = np.diag([1, np.exp(1j * probe_phase), 1, 1, 1, 1, 1, 1]).astype(complex)
-
-    u = _CONTROL_FLIP @ _TARGET_MIX @ _INNER @ gate_on_b @ gate_on_a \
-        @ probe @ _INNER @ _TARGET_MIX
-    u.flags.writeable = False  # the network caches what it computes from u
-    return CnotNetwork(
-        matrix=u,
-        control=DualRailQubit(0, 1),
-        target=DualRailQubit(2, 3),
-        ancillas=((4, 5), (6, 7)),
-    )
+    net = CnotNetwork(matrix=_network_matrix(matrices, probe_phase),
+                      control=_CONTROL, target=_TARGET, ancillas=_ANCILLAS)
+    _require_unitary(net.matrix)
+    heralded = np.array([verdicts.beta0, verdicts.beta1, -verdicts.beta2]).T
+    # A cached_property keeps its value in the instance dict: hand the
+    # factorized block over there, in place of the generic lift.
+    net.__dict__["_kept_block"] = _heralded_block(heralded, probe_phase)
+    return net
 
 
 def _post_selected(amps: np.ndarray, outputs: np.ndarray):
@@ -286,10 +373,18 @@ def _post_selected(amps: np.ndarray, outputs: np.ndarray):
     return prob, (amps[outputs] * (1.0 / np.sqrt(prob))).tolist()
 
 
+# Outputs whose weight is within this of the largest tie, and the tie goes
+# to the first of them in _COMPUTATIONAL order. At probe phases such as
+# pi/2 and pi two outputs weigh exactly the same, and the last bits of
+# whichever algebra computed the block must not pick the printed one.
+_TIE = 1e-12
+
+
 def verify_truth_table(net: CnotNetwork) -> list[TruthTableRow]:
     """Evolve all four computational inputs and herald both ancilla pairs.
 
-    Each row reports the herald probability, the dominant logical output,
+    Each row reports the herald probability, the dominant logical output
+    (of the outputs tied within _TIE for the largest weight, the first),
     its fidelity within the post-selected state, and the leakage outside
     the dual-rail computational subspace.
     """
@@ -297,16 +392,17 @@ def verify_truth_table(net: CnotNetwork) -> list[TruthTableRow]:
     rows = []
     for (c_in, t_in), column in zip(_COMPUTATIONAL, net._kept_block.T):
         prob, logical = _post_selected(column, outputs)
-        amps = dict(zip(_COMPUTATIONAL, logical))
-        dominant = max(amps, key=lambda b: abs(amps[b]))
-        comp_weight = sum(abs(a) ** 2 for a in amps.values())
+        weights = dict(zip(_COMPUTATIONAL, (abs(a) ** 2 for a in logical)))
+        top = max(weights.values())
+        dominant = next(b for b, w in weights.items() if w >= top - _TIE)
+        comp_weight = sum(weights.values())
         rows.append(TruthTableRow(
             control_in=c_in,
             target_in=t_in,
             probability=prob,
             control_out=dominant[0],
             target_out=dominant[1],
-            fidelity=abs(amps[dominant]) ** 2,
+            fidelity=weights[dominant],
             leakage=1.0 - comp_weight,
         ))
     return rows

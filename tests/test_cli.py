@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from ringsim import (SUCCESS_PATTERN, NetworkParams, NlpsgInput, T1_OPTIMAL,
                      T2_OPTIMAL, build_coupler, compensated_network,
-                     compose_scattering, curve_ring, evolve, invert_effective,
-                     project, surface_theta)
+                     compose_scattering, curve_network, curve_ring, evolve,
+                     invert_effective, project, surface_theta)
 from ringsim import cli, fock
+from ringsim import cnot as cnot_module
 from ringsim import ring as ring_module
 from ringsim.cli import main
 
@@ -482,6 +483,48 @@ def test_non_positive_tolerance_exits_2(tmp_path, capsys, argv, config_tolerance
     assert captured.err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("option", [None, "1e-9"])
+@pytest.mark.parametrize("value, message", [
+    ("abc", "field config.tolerance must be a number, got 'abc'"),
+    (-1e-3, "field config.tolerance must be positive, got -0.001"),
+])
+def test_bad_config_tolerance_exits_2_with_or_without_the_option(
+        tmp_path, capsys, option, value, message):
+    # --tolerance wins over the field, but a bad field is bad input either way.
+    cfg = {"rings": [ring_entry(s) for s in (1, 2, 3)], "tolerance": value}
+    argv = ["verify", "--config", write_config(tmp_path, cfg)]
+    if option is not None:
+        argv += ["--tolerance", option]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("field, option, code", [
+    (None, None, 4),      # the default 1e-9
+    (None, "1e-3", 0),
+    (1e-3, None, 0),
+    (1e-3, "1e-9", 4),    # the option wins over a valid field
+])
+def test_tolerance_precedence(tmp_path, capsys, field, option, code):
+    # Ring 1 is detuned off the manifold to a constraint residual of 1.2e-5,
+    # so the verdict tells 1e-9 from 1e-3.
+    entry = ring_entry(1)
+    entry["eta"] += 1e-5
+    cfg = {"rings": [entry, ring_entry(2), ring_entry(3)]}
+    if field is not None:
+        cfg["tolerance"] = field
+    argv = ["verify", "--config", write_config(tmp_path, cfg)]
+    if option is not None:
+        argv += ["--tolerance", option]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("constraints satisfied\n" if code == 0
+                                 else "constraints not satisfied\n")
+
+
 @pytest.mark.parametrize("field, value", [
     ("theta", float("nan")),
     ("tau", float("inf")),
@@ -715,6 +758,40 @@ def test_cnot_skips_the_generic_fock_state_path(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == _DEFAULT_CNOT_OUT
     assert captured.err == _DEFAULT_CNOT_ERR
+
+
+def _seeded_cnot_config():
+    rng = np.random.default_rng(15)
+    return {key: {"rings": [{"tau": r.tau, "eta": r.eta, "theta": r.theta}
+                            for r in curve_network(*rng.uniform(0.0, 0.9, 3)).rings]}
+            for key in ("gate_a", "gate_b")}
+
+
+def test_cnot_skips_the_fock_lift(monkeypatch, tmp_path, capsys):
+    # build_cnot reads its heralded block from the two gates' beta: once the
+    # fixed interferometers' two-photon lifts are cached, no permanent runs.
+    # The digests of stdout and stderr are those of the 8-mode lift.
+    assert main(["cnot"]) == 0
+    capsys.readouterr()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cnot path reached the Fock lift")
+
+    for module, name in ((fock, "_lift_block"), (fock, "_permanent_batch"),
+                         (cnot_module, "_lift_block")):
+        monkeypatch.setattr(module, name, forbidden)
+    path = write_config(tmp_path, _seeded_cnot_config())
+    for argv, digest in [
+        (["cnot"], "25ea5000c20d205243922a510b45f308e1c2a99b43d7e17b34e2a3421ded4913"),
+        (["cnot", "--probe-phase", "0.3"],
+         "f08ba7e31b926cd01c18d039298fd669686bc50415fbe070bb488367556e0bc9"),
+        (["cnot", "--config", path, "--probe-phase", "-2.5"],
+         "d8e006af5f99b4efb9f5369d32ff23e3309d21b1f7a48f7568e98ae27e1f880c"),
+    ]:
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        both = json.dumps([captured.out, captured.err]).encode()
+        assert hashlib.sha256(both).hexdigest() == digest, argv
 
 
 # Two gates on the resonant optimal curve (lower couplers 0.35, 0.1, 0.6 and

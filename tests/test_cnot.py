@@ -30,8 +30,11 @@ from ringsim import (
     verify_coherence,
     verify_truth_table,
 )
-from ringsim.cnot import _CONTROL_FLIP, _INNER, _SPLITTER, _TARGET_MIX
+from ringsim.cnot import (_CONTROL_FLIP, _GATE_COLS, _GATE_ROWS, _INNER, _SPLITTER,
+                          _TARGET_MIX, _heralded_block, _interferometers,
+                          _network_matrix)
 from ringsim.errors import DomainError
+from ringsim.fock import _betas
 
 _ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -281,7 +284,9 @@ def _oracle_checks(net):
     rows = []
     for c_in, t_in in _ORDER:
         prob, amps = heralded_output({(c_in, t_in): 1.0})
-        dominant = max(amps, key=lambda b: abs(amps[b]))
+        # Weights within 1e-12 of the largest tie; the first in order wins.
+        top = max(abs(a) ** 2 for a in amps.values())
+        dominant = next(b for b in _ORDER if abs(amps[b]) ** 2 >= top - 1e-12)
         rows.append(TruthTableRow(
             control_in=c_in, target_in=t_in, probability=prob,
             control_out=dominant[0], target_out=dominant[1],
@@ -306,8 +311,66 @@ optimal_gates = st.builds(curve_network, couplers, couplers, couplers)
 def test_checks_equal_evolve_project_oracle(gate_a, gate_b, probe_phase):
     net = build_cnot(gate_a, gate_b, probe_phase=probe_phase)
     rows, report = _oracle_checks(net)
-    assert verify_truth_table(net) == rows
-    assert verify_coherence(net) == report
+    # The generic lift of the same matrix sums the oracle's permanents in
+    # the oracle's order, so it agrees bit for bit.
+    lifted = CnotNetwork(net.matrix, net.control, net.target, net.ancillas)
+    assert verify_truth_table(lifted) == rows
+    assert verify_coherence(lifted) == report
+    # build_cnot's block comes from the gates' beta, a different exact
+    # algebra: the same to rounding.
+    for row, got in zip(rows, verify_truth_table(net)):
+        for field in ("control_in", "target_in", "control_out", "target_out"):
+            assert getattr(got, field) == getattr(row, field)
+        for field in ("probability", "fidelity", "leakage"):
+            assert abs(getattr(got, field) - getattr(row, field)) <= 2e-15
+    got = verify_coherence(net)
+    assert abs(got.overlap - report.overlap) <= 2e-15
+    assert abs(got.probability - report.probability) <= 2e-15
+
+
+def _unitary(entries):
+    """The unitary Q factor of the 3x3 complex matrix of 18 floats."""
+    z = np.array(entries[:9]) + 1j * np.array(entries[9:])
+    return np.linalg.qr(z.reshape(3, 3))[0]
+
+
+unitary_gates = st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                         min_size=18, max_size=18).map(_unitary)
+
+
+@settings(deadline=None, max_examples=60)
+@given(unitary_gates, unitary_gates, st.floats(min_value=-7.0, max_value=7.0))
+@example(np.eye(3), np.eye(3), 0.0)
+@example(np.eye(3)[[1, 0, 2]], np.eye(3)[[2, 1, 0]], math.pi)
+def test_heralded_block_equals_the_lift_of_the_network(gate_a, gate_b, probe_phase):
+    # Any unitary gates, not only those on the manifold that build_cnot
+    # accepts. The oracle lifts the network assembled from embedded parts.
+    probe = np.diag([1, np.exp(1j * probe_phase), 1, 1, 1, 1, 1, 1])
+    u = (_CONTROL_FLIP @ _TARGET_MIX @ _INNER @ embed(gate_b, (2, 6, 7), 8)
+         @ embed(gate_a, (1, 4, 5), 8) @ probe @ _INNER @ _TARGET_MIX)
+    lifted = CnotNetwork(u, DualRailQubit(0, 1), DualRailQubit(2, 3), ((4, 5), (6, 7)))
+    gates = np.stack([gate_a, gate_b])
+    assert np.max(np.abs(_network_matrix(gates, probe_phase) - u)) <= 1e-15
+    block = _heralded_block(_betas(gates) * [1, 1, -1], probe_phase)
+    assert np.max(np.abs(block - lifted._kept_block)) <= 1e-15
+
+
+@pytest.mark.parametrize("probe_phase", [math.pi / 2, math.pi, -math.pi])
+def test_tied_outputs_go_to_the_first_in_order(probe_phase):
+    # At these phases the two outputs of a control-one row weigh the same,
+    # so without a tie rule the last bits of the block pick the dominant
+    # one, and build_cnot's block and the lift disagree on some rows.
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        net = build_cnot(curve_network(*rng.uniform(0.0, 0.9, 3)),
+                         curve_network(*rng.uniform(0.0, 0.9, 3)),
+                         probe_phase=probe_phase)
+        lifted = CnotNetwork(net.matrix, net.control, net.target, net.ancillas)
+        for row, other in zip(verify_truth_table(net), verify_truth_table(lifted)):
+            assert (row.control_out, row.target_out) == (other.control_out,
+                                                         other.target_out)
+            if row.control_in == 1:
+                assert (row.control_out, row.target_out) == (1, 0)
 
 
 def test_never_heralding_network_equals_oracle():
@@ -323,12 +386,13 @@ def test_never_heralding_network_equals_oracle():
 
 
 def test_cnot_constants_are_read_only():
-    constants = (_SPLITTER, _TARGET_MIX, _INNER, _CONTROL_FLIP)
+    constants = (_SPLITTER, _TARGET_MIX, _INNER, _CONTROL_FLIP, _GATE_ROWS, _GATE_COLS,
+                 *_interferometers())
     before = [c.copy() for c in constants]
     for c in constants:
         assert not c.flags.writeable
         with pytest.raises(ValueError):
-            c[0, 0] = 0.0
+            c[(0,) * c.ndim] = 0
     for probe_phase in (0.0, 0.3, math.pi, -1.7):
         build_cnot(curve_network(0.2, 0.5, 0.8), curve_network(), probe_phase=probe_phase)
     for c, b in zip(constants, before):
