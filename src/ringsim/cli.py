@@ -6,13 +6,13 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import itertools
 import json
 import math
 import sys
 
 import numpy as np
 
+from . import _csv
 from .analysis import (T1_OPTIMAL, T2_OPTIMAL, curve_network, curve_stack,
                        intersect_stack, optimize_t1, surface_stack,
                        t2_from_equality, verdict, wrap_angle)
@@ -33,24 +33,15 @@ _RING_FIELDS = ("tau", "eta", "theta", "delta")
 _SWEEP_INPUT = NlpsgInput(*[1.0 / math.sqrt(3.0)] * 3)
 
 # Grid points per stacked batch of a sweep. Each point holds about 1 kB of
-# numpy temporaries, so batching keeps memory flat for any grid size.
+# numpy temporaries, and each row it emits a 20-byte cell and an 8-byte
+# index per field (about 170 bytes for a surface row) until the batch's
+# rows are compacted to text, so batching keeps memory flat for any grid
+# size.
 _BATCH_POINTS = 4096
-
-_NUM = "%.8e"  # the format of every printed float: 9 significant digits
 
 
 def _fmt(x: float) -> str:
-    return _NUM % x
-
-
-def _column(values) -> list[str]:
-    """``_NUM % x`` for every float of a CSV column, formatting each distinct
-    value once. Values are told apart by their bits, so 0.0 and -0.0, and
-    NaNs of different payloads, each keep their own string."""
-    bits, row = np.unique(np.asarray(values, dtype=float).view(np.int64),
-                          return_inverse=True)
-    text = np.array([_NUM % x for x in bits.view(float).tolist()], dtype=object)
-    return text[row].tolist()
+    return _csv.NUM % x
 
 
 def _round9(x: float) -> float:
@@ -184,8 +175,7 @@ def _parse_alpha(args, cfg: dict) -> NlpsgInput:
     return NlpsgInput(*(z / norm for z in raw))
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -220,7 +210,7 @@ def cmd_smatrix(args) -> int:
                      for i in range(3)]
     out["unitarity_residual"] = _round9(unitarity_residual(matrix))
     out["det"] = _complex_pair(complex(np.linalg.det(matrix)))
-    _write_lines(args.output, [json.dumps(out, indent=2, sort_keys=True)])
+    _write_text(args.output, json.dumps(out, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -257,7 +247,7 @@ def cmd_verify(args) -> int:
     else:
         lines.append("constraints not satisfied")
         code = 4
-    _write_lines(args.output, lines)
+    _write_text(args.output, "\n".join(lines) + "\n")
     return code
 
 
@@ -287,53 +277,45 @@ def cmd_manifold(args) -> int:
     if args.kind == "curve":
         grid = np.linspace(args.tau_min, args.tau_max, grid_n)
         rings = (1, 2, 3) if args.ring == 0 else (args.ring,)
-        # The rows of every ring are gathered first: the rings share the
-        # tau grid, so each column is formatted once for all of them.
-        label, tau, eta, beta_sq = [], [], [], []
+        chunks, rows = [b"ring,tau,eta,tau_sq,eta_sq,beta_sq\n"], 0
         for ring in rings:
             transmission = T2_OPTIMAL if ring == 2 else T1_OPTIMAL
             for start in range(0, grid_n, _BATCH_POINTS):
                 networks = curve_stack(transmission, grid[start:start + _BATCH_POINTS],
                                        ring=ring)
                 swept = networks.rings[ring - 1]
-                label += [str(ring)] * len(swept)
-                tau += swept.tau.tolist()
-                eta += swept.eta.tolist()
-                beta_sq.append(_sweep_success(networks))
-        # Squares by Python's float **, which numpy's ** 2 does not match on
-        # every float.
-        columns = (tau, eta, [x ** 2 for x in tau], [x ** 2 for x in eta],
-                   np.concatenate(beta_sq))
-        lines = ["ring,tau,eta,tau_sq,eta_sq,beta_sq"]
-        lines += map(",".join, zip(label, *map(_column, columns)))
-        print(f"emitted {len(lines) - 1} of {len(rings) * grid_n} grid points",
-              file=sys.stderr)
-        _write_lines(args.output, lines)
+                # Squares by Python's float **, which numpy's ** 2 does not
+                # match on every float.
+                squares = [[x ** 2 for x in c.tolist()] for c in (swept.tau, swept.eta)]
+                chunks.append(_csv.rows((swept.tau, swept.eta, *squares,
+                                         _sweep_success(networks)), str(ring)))
+                rows += len(swept)
+        print(f"emitted {rows} of {len(rings) * grid_n} grid points", file=sys.stderr)
+        _write_text(args.output, b"".join(chunks).decode("ascii"))
         return 0
 
     if args.kind == "surface":
         ring = args.ring if args.ring != 0 else 1
         axis = np.linspace(0.05, 0.98, grid_n)
-        lines = ["ring,tau,eta,theta,beta_sq"]
+        chunks, rows = [b"ring,tau,eta,theta,beta_sq\n"], 0
         for start in range(0, points, _BATCH_POINTS):
             # Grid points in row-major (eta, tau) order, as the CSV lists them.
             point = np.arange(start, min(start + _BATCH_POINTS, points))
             theta, networks = surface_stack(ring, axis[point // grid_n],
                                             axis[point % grid_n])
             swept = networks.rings[ring - 1]
-            columns = (swept.tau, swept.eta, theta, _sweep_success(networks))
-            lines += map(",".join, zip(itertools.repeat(str(ring)), *map(_column, columns)))
-        print(f"emitted {len(lines) - 1} of {2 * points} candidate branches",
-              file=sys.stderr)
-        _write_lines(args.output, lines)
+            chunks.append(_csv.rows((swept.tau, swept.eta, theta,
+                                     _sweep_success(networks)), str(ring)))
+            rows += len(theta)
+        print(f"emitted {rows} of {2 * points} candidate branches", file=sys.stderr)
+        _write_text(args.output, b"".join(chunks).decode("ascii"))
         return 0
 
     columns = intersect_stack(args.delta2, np.linspace(0.0, 0.999, grid_n))
-    lines = ["tau2,eta2,theta2,residual_mag,residual_arg"]
-    row = ",".join([_NUM] * len(columns))
-    lines += map(row.__mod__, zip(*(c.tolist() for c in columns)))
-    print(f"converged {len(lines) - 1} of {grid_n} grid points", file=sys.stderr)
-    _write_lines(args.output, lines)
+    text = (b"tau2,eta2,theta2,residual_mag,residual_arg\n"
+            + _csv.rows(columns)).decode("ascii")
+    print(f"converged {len(columns[0])} of {grid_n} grid points", file=sys.stderr)
+    _write_text(args.output, text)
     return 0
 
 
@@ -352,7 +334,7 @@ def cmd_optimize(args) -> int:
         "note: the printed profile is low by the factor 1 + sqrt(2); the "
         "corrected profile matches the scattering-matrix computation",
     ]
-    _write_lines(args.output, lines)
+    _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -380,7 +362,7 @@ def cmd_cnot(args) -> int:
     report = verify_coherence(net)
     print(f"bell_overlap = {_fmt(report.overlap)}", file=sys.stderr)
     print(f"herald_probability = {_fmt(report.probability)}", file=sys.stderr)
-    _write_lines(args.output, lines)
+    _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 

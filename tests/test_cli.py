@@ -3,9 +3,11 @@
 import hashlib
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from ringsim import (SUCCESS_PATTERN, NetworkParams, NlpsgInput, T1_OPTIMAL,
                      T2_OPTIMAL, build_coupler, compensated_network,
                      compose_scattering, curve_network, curve_ring, evolve,
                      invert_effective, project, surface_theta)
-from ringsim import cli, fock
+from ringsim import _csv, cli, fock
 from ringsim import cnot as cnot_module
 from ringsim import ring as ring_module
 from ringsim.cli import main
@@ -653,14 +655,23 @@ def test_sweeps_skip_the_fock_lift(monkeypatch, capsys, argv, digest, err):
     assert captured.err == err
 
 
+def _percent_rows(columns, label=None):
+    """The reference: every float of the table formatted on its own."""
+    prefix = "" if label is None else label + ","
+    return "".join(prefix + ",".join(f"{x:.8e}" for x in row) + "\n"
+                   for row in zip(*columns))
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.lists(st.floats(), min_size=1, max_size=6), st.sampled_from(["", "3,"]))
 @example([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0], "")
 @example([5e-324, -5e-324, 2.2250738585072014e-308, 1e-308, 9.99999999e-308], "1,")
 @example([sys.float_info.max, -sys.float_info.max, 1e308, 9.999999995e307, 1e-320], "")
 def test_manifold_row_format_equals_per_value_format(values, prefix):
-    row = prefix + ",".join([cli._NUM] * len(values))
-    assert row % tuple(values) == prefix + ",".join(f"{x:.8e}" for x in values)
+    # One row of the table formatter: each value is a column of length 1.
+    label = prefix[:-1] or None
+    row = _csv.rows([[x] for x in values], label).decode("ascii")
+    assert row == prefix + ",".join(f"{x:.8e}" for x in values) + "\n"
 
 
 _SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
@@ -676,8 +687,130 @@ _SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
 @example([struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0], math.nan,
           -math.nan, 1e308, 9.999999995e307, 1e-320, 1e-320])
 def test_column_equals_per_value_format(values):
-    assert cli._column(values) == [f"{x:.8e}" for x in values]
-    assert cli._column(np.array(values, dtype=float)) == [f"{x:.8e}" for x in values]
+    # One column of the table formatter, whose repeated values are formatted
+    # once; values are told apart by their bits.
+    expected = "".join(f"{x:.8e}\n" for x in values)
+    assert _csv.rows([values]).decode("ascii") == expected
+    assert _csv.rows([np.array(values, dtype=float)]).decode("ascii") == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 40).flatmap(lambda rows: st.lists(
+           st.lists(st.floats(), min_size=rows, max_size=rows), min_size=1, max_size=6)),
+       st.sampled_from([None, "1", "2", "3"]))
+def test_table_rows_equal_per_value_format(columns, label):
+    assert _csv.rows(columns, label).decode("ascii") == _percent_rows(columns, label)
+
+
+_NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000123))[0]
+
+
+@pytest.mark.parametrize("value", [
+    1000000005.0,      # an exact tie, rounded to even
+    9.9999999995e5,    # the rounded mantissa carries into the exponent
+    1e100, 1e-100, 9.99999999e99,
+    1e290, 1e-290,     # the first exponents past those formatted in numpy
+    1e289, 1e-289, 9.999999999e289,
+    5e-324, _NAN_PAYLOAD, -0.0,
+])
+def test_table_rows_edge_values(value):
+    for x in (value, -value):
+        column = [x, 1.0, x, 0.0, -x]
+        assert _csv.rows([column]).decode("ascii") == _percent_rows([column])
+        assert _csv.rows([column, column[::-1]], "2").decode("ascii") == \
+            _percent_rows([column, column[::-1]], "2")
+
+
+@pytest.mark.parametrize("error", ["ulp up", "ulp down", "+1", "-1"])
+def test_table_rows_do_not_depend_on_log10_rounding(monkeypatch, error):
+    # The exponent guess reads log10, whose last bit differs between CPUs.
+    # A guess moved by that bit must not change a byte, nor must one a whole
+    # decade off (those values go through the per-value format).
+    log10 = np.log10
+    moved = {"ulp up": lambda a: np.nextafter(log10(a), np.inf),
+             "ulp down": lambda a: np.nextafter(log10(a), -np.inf),
+             "+1": lambda a: log10(a) + 1.0,
+             "-1": lambda a: log10(a) - 1.0}[error]
+    powers = np.array([10.0 ** k for k in range(-300, 301)])
+    rng = np.random.default_rng(7)
+    column = np.concatenate([powers, np.nextafter(powers, 0.0),
+                             np.nextafter(powers, np.inf), powers * (1.0 - 2.0 ** -40),
+                             rng.integers(0, 2 ** 64, 2000, dtype=np.uint64).view(float)])
+    expected = _percent_rows([column.tolist()]).splitlines()
+    monkeypatch.setattr(np, "log10", moved)
+    assert _csv.rows([column]).decode("ascii").splitlines() == expected
+
+
+# Run in a child whose numpy dispatches fewer SIMD kernels: formats the
+# float64 columns read from stdin, and checks every table the sweeps format
+# in that process against the per-value format.
+_SIMD_CHILD = """
+import contextlib, io, sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from ringsim import _csv, cli
+
+if any(__cpu_features__.get(f, True) for f in sys.argv[1].split()):
+    sys.exit(77)  # the setting was not applied
+rows = _csv.rows
+
+def checked(columns, label=None):
+    out = rows(columns, label)
+    prefix = "" if label is None else label + ","
+    lists = [np.asarray(c, dtype=float).tolist() for c in columns]
+    if out.decode() != "".join(prefix + ",".join(_csv.NUM % x for x in row) + "\\n"
+                               for row in zip(*lists)):
+        sys.exit("the table differs from the per-value format")
+    return out
+
+_csv.rows = checked
+for argv in (["surface", "--ring", "2", "--grid", "31"], ["curve", "--grid", "201"],
+             *(["intersect", "--grid", "1001", "--delta2=" + d]
+               for d in ("0", "0.105", "2", "-0.538"))):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["manifold", *argv]) == 0
+sys.stdout.buffer.write(rows(np.frombuffer(sys.stdin.buffer.read()).reshape(4, -1)))
+"""
+
+
+@pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
+                                      "AVX512_SPR AVX512_ICL X86_V4 X86_V3"])
+def test_table_rows_do_not_depend_on_the_simd_level(disabled):
+    # log10's last bit changes with numpy's SIMD level; the formatter's bytes
+    # must not. Inputs are raw bit patterns and exactly scaled uniforms.
+    rng = np.random.default_rng(16)
+    columns = np.concatenate([rng.integers(0, 2 ** 64, 6000, dtype=np.uint64).view(float),
+                              rng.random(2000) * 2.0 - 1.0]).reshape(4, -1)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _SIMD_CHILD, disabled],
+                          input=columns.tobytes(), capture_output=True, env=env)
+    if proc.returncode == 77 or b"NPY_DISABLE_CPU_FEATURES" in proc.stderr:
+        pytest.skip(f"numpy here does not run with {disabled} disabled")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.splitlines() == _csv.rows(columns).splitlines()
+
+
+def test_manifold_with_no_rows_prints_the_header(capsys):
+    # tau = 1 is skipped, so both grid points of ring 1 are dropped.
+    assert main(["manifold", "curve", "--ring", "1", "--grid", "2",
+                 "--tau-min", "1", "--tau-max", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "ring,tau,eta,tau_sq,eta_sq,beta_sq\n"
+    assert captured.err == "emitted 0 of 2 grid points\n"
+
+
+@pytest.mark.parametrize("argv", [["surface", "--ring", "2", "--grid", "5"],
+                                  ["curve", "--grid", "7"],
+                                  ["intersect", "--grid", "11"]])
+def test_manifold_output_file_equals_stdout(tmp_path, capsys, argv):
+    assert main(["manifold", *argv]) == 0
+    stdout = capsys.readouterr().out
+    target = tmp_path / "sweep.csv"
+    assert main(["manifold", *argv, "--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == stdout.encode("ascii")
 
 
 @pytest.mark.parametrize("ring", [1, 2, 3])
