@@ -9,6 +9,7 @@ functions are wrappers over them."""
 from __future__ import annotations
 
 import cmath
+import functools
 import logging
 import math
 from dataclasses import dataclass, fields
@@ -16,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, PoleError, UndefinedPhaseError
-from .fock import _betas
+from .fock import _betas, _corners
 from .network import (NetworkParams, NetworkStack, _ring_transfers, closed_form_resonant,
                       compose_scattering_stack)
 from .ring import (RESONANT_THETA, TWO_PI, CouplerStack, RingCoupler, build_coupler,
@@ -97,9 +98,9 @@ def verdict_stack(s) -> NlpsgVerdict:
     s = np.asarray(s, dtype=complex)
     if s.ndim != 3 or s.shape[1:] != (3, 3):
         raise DomainError(f"expected an (N, 3, 3) stack, got shape {s.shape}")
-    beta = _betas(s)
+    s00, s01, s10, s11 = _corners(s)
+    beta = np.stack(_betas(s00, s01, s10, s11), axis=-1)
     magnitude = np.abs(beta)
-    s00 = s[:, 0, 0]
     return NlpsgVerdict(
         *beta.T,
         residual=np.abs(beta[:, :, None] - beta[:, None, :]).max(axis=(1, 2)),
@@ -107,7 +108,7 @@ def verdict_stack(s) -> NlpsgVerdict:
         success_probability=magnitude[:, 0] ** 2,
         magnitude_residual=np.abs(magnitude - 0.5).max(axis=1),
         s11_magnitude_residual=np.abs(np.abs(s00) - (SQRT2 - 1.0)),
-        offdiag_probability=0.5 * np.abs(s[:, 1, 0]) ** 2 * np.abs(s[:, 0, 1]) ** 2,
+        offdiag_probability=0.5 * np.abs(s10) ** 2 * np.abs(s01) ** 2,
     )
 
 
@@ -218,7 +219,7 @@ def t2_from_equality(t1: float, t3: float) -> float:
     """Middle transmission equating the zero- and one-photon heralded
     amplitudes of the resonant network, found by bisection."""
     def gap(t2: float) -> float:
-        beta = _betas(closed_form_resonant(t1, t2, t3))
+        beta = _betas(*_corners(closed_form_resonant(t1, t2, t3)))
         return (beta[0] - beta[1]).real
 
     a, b = 1e-6, 1.0 - 1e-9
@@ -381,8 +382,15 @@ def surface_stack(slot: int, eta, tau) -> tuple[np.ndarray, NetworkStack]:
 
 def _optimal_rings_with(slot: int, swept: CouplerStack) -> tuple[CouplerStack, ...]:
     """The resonant optimal rings at tau = 0, with ``swept`` in ``slot``."""
-    return tuple(swept if s == slot else CouplerStack.of([curve_ring(s, 0.0)])
-                 for s in (1, 2, 3))
+    return tuple(swept if s == slot else _optimal_ring(s) for s in (1, 2, 3))
+
+
+@functools.cache
+def _optimal_ring(slot: int) -> CouplerStack:
+    """The slot's resonant optimal ring at tau = 0, as a stack of one, built
+    once per process. Its arrays are read-only and it caches its transfers
+    and its flipped stack, so every sweep batch shares them."""
+    return CouplerStack.of([curve_ring(slot, 0.0)])
 
 
 def curve_stack(transmission: float, tau_grid, ring: int = 1) -> NetworkStack:

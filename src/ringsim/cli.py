@@ -19,11 +19,10 @@ from .analysis import (T1_OPTIMAL, T2_OPTIMAL, curve_network, curve_stack,
 from .cnot import build_cnot, verify_coherence, verify_truth_table
 from .errors import (ConfigError, ConstraintError, DomainError, PoleError,
                      RingsimError, UndefinedPhaseError)
-from .fock import (SUCCESS_PATTERN, NlpsgInput, evolve,
-                   heralded_success_stack, nlpsg_closed_form, project)
-from .network import (NetworkParams, NetworkStack, closed_form_resonant,
-                      compose_scattering, compose_scattering_stack,
-                      unitarity_residual)
+from .fock import (SUCCESS_PATTERN, NlpsgInput, _require_unitary,
+                   _success_probability, evolve, nlpsg_closed_form, project)
+from .network import (NetworkParams, NetworkStack, _entries, _entry_residual,
+                      closed_form_resonant, compose_scattering, unitarity_residual)
 from .ring import TWO_PI, build_coupler, effective_coupling
 
 _RING_FIELDS = ("tau", "eta", "theta", "delta")
@@ -140,7 +139,8 @@ def _network_from_config(cfg: dict, where: str = "rings") -> NetworkParams:
     return NetworkParams(rings=tuple(rings), deltas=tuple(deltas))
 
 
-def _parse_alpha(args, cfg: dict) -> NlpsgInput:
+def _parse_alpha(args, cfg: dict) -> tuple[NlpsgInput, bool]:
+    """The signal amplitudes, normalized, and whether they had to be."""
     raw = None
     if getattr(args, "alpha", None):
         parts = args.alpha.split(",")
@@ -170,9 +170,7 @@ def _parse_alpha(args, cfg: dict) -> NlpsgInput:
         raise ConfigError(f"alpha too large to normalize: {raw}", field="alpha") from err
     if norm == 0.0:
         raise ConfigError("alpha must not be all zero", field="alpha")
-    if not abs(norm - 1.0) <= 1e-12:
-        print("warning: alpha renormalized", file=sys.stderr)
-    return NlpsgInput(*(z / norm for z in raw))
+    return NlpsgInput(*(z / norm for z in raw)), not abs(norm - 1.0) <= 1e-12
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -217,7 +215,7 @@ def cmd_smatrix(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     net = _network_from_config(cfg)
-    inp = _parse_alpha(args, cfg)
+    inp, renormalized = _parse_alpha(args, cfg)
     tol = _tolerance(args, cfg)
     s = compose_scattering(net)
     v = verdict(s)
@@ -248,13 +246,21 @@ def cmd_verify(args) -> int:
         lines.append("constraints not satisfied")
         code = 4
     _write_text(args.output, "\n".join(lines) + "\n")
+    # Diagnostics go to stderr once the output is written, so that an error
+    # exit prints the error line alone.
+    if renormalized:
+        print("warning: alpha renormalized", file=sys.stderr)
     return code
 
 
 def _sweep_success(networks: NetworkStack) -> np.ndarray:
-    """Heralded success probability of every network of a sweep, from the
-    stacked closed form of the success amplitudes."""
-    return heralded_success_stack(compose_scattering_stack(networks), _SWEEP_INPUT)
+    """Heralded success probability of every network of a sweep: what
+    ``heralded_success_stack`` gives for the composed stack, bit for bit,
+    with the same unitarity guard, read from the nine (N,) entries of S
+    with no stack built."""
+    s = _entries(networks)
+    _require_unitary(_entry_residual(s))
+    return _success_probability(s[0], s[1], s[3], s[4], _SWEEP_INPUT)
 
 
 def cmd_manifold(args) -> int:
@@ -290,8 +296,8 @@ def cmd_manifold(args) -> int:
                 chunks.append(_csv.rows((swept.tau, swept.eta, *squares,
                                          _sweep_success(networks)), str(ring)))
                 rows += len(swept)
-        print(f"emitted {rows} of {len(rings) * grid_n} grid points", file=sys.stderr)
         _write_text(args.output, b"".join(chunks).decode("ascii"))
+        print(f"emitted {rows} of {len(rings) * grid_n} grid points", file=sys.stderr)
         return 0
 
     if args.kind == "surface":
@@ -307,15 +313,15 @@ def cmd_manifold(args) -> int:
             chunks.append(_csv.rows((swept.tau, swept.eta, theta,
                                      _sweep_success(networks)), str(ring)))
             rows += len(theta)
-        print(f"emitted {rows} of {2 * points} candidate branches", file=sys.stderr)
         _write_text(args.output, b"".join(chunks).decode("ascii"))
+        print(f"emitted {rows} of {2 * points} candidate branches", file=sys.stderr)
         return 0
 
     columns = intersect_stack(args.delta2, np.linspace(0.0, 0.999, grid_n))
     text = (b"tau2,eta2,theta2,residual_mag,residual_arg\n"
             + _csv.rows(columns)).decode("ascii")
-    print(f"converged {len(columns[0])} of {grid_n} grid points", file=sys.stderr)
     _write_text(args.output, text)
+    print(f"converged {len(columns[0])} of {grid_n} grid points", file=sys.stderr)
     return 0
 
 
@@ -360,9 +366,9 @@ def cmd_cnot(args) -> int:
                                _fmt(r.probability), _fmt(r.fidelity),
                                _fmt(r.leakage)]))
     report = verify_coherence(net)
+    _write_text(args.output, "\n".join(lines) + "\n")
     print(f"bell_overlap = {_fmt(report.overlap)}", file=sys.stderr)
     print(f"herald_probability = {_fmt(report.probability)}", file=sys.stderr)
-    _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -433,9 +439,9 @@ def main(argv=None) -> int:
         print(f"numerical error: {err}", file=sys.stderr)
         return 3
     except ConstraintError as err:
-        print(f"constraint violation: {err}", file=sys.stderr)
-        if err.verdict is not None:
-            print(f"residual = {_fmt(err.verdict.residual)}", file=sys.stderr)
+        # One line, with the verdict's residual in full where there is one.
+        detail = "" if err.verdict is None else f"; residual = {_fmt(err.verdict.residual)}"
+        print(f"constraint violation: {err}{detail}", file=sys.stderr)
         return 4
     except DomainError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -20,7 +20,7 @@ from .errors import ConstraintError, DomainError, PoleError
 from .fock import (MeasurementPattern, _herald_table, _lift_block,
                    _require_unitary, _whole, enumerate_basis)
 from .network import (_LOOP_POLE, NetworkParams, NetworkStack,
-                      compose_scattering, compose_scattering_stack)
+                      compose_scattering, compose_scattering_stack, unitarity_residual)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -157,7 +157,7 @@ class CnotNetwork:
         permanents. build_cnot hands its network the block read from the
         gates' heralded amplitudes instead (see _heralded_block)."""
         s = np.asarray(self.matrix, dtype=complex)
-        _require_unitary(s)
+        _require_unitary(unitarity_residual(s))
         reg = self._register
         return _lift_block(s, enumerate_basis(len(s), _PHOTONS),
                            rows=reg.rows, cols=reg.cols)
@@ -353,7 +353,7 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
 
     net = CnotNetwork(matrix=_network_matrix(matrices, probe_phase),
                       control=_CONTROL, target=_TARGET, ancillas=_ANCILLAS)
-    _require_unitary(net.matrix)
+    _require_unitary(unitarity_residual(net.matrix))
     heralded = np.array([verdicts.beta0, verdicts.beta1, -verdicts.beta2]).T
     # A cached_property keeps its value in the instance dict: hand the
     # factorized block over there, in place of the generic lift.

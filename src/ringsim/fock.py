@@ -171,14 +171,14 @@ def lift_unitary(s: np.ndarray, n_photons: int) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {s.shape}")
-    _require_unitary(s)
+    _require_unitary(unitarity_residual(s))
     return _lift_block(s, enumerate_basis(s.shape[0], n_photons))
 
 
-def _require_unitary(s: np.ndarray) -> None:
-    """Raise DomainError unless s, or every matrix of an (N, n, n) stack,
-    is unitary within LIFT_UNITARITY_TOL. A NaN residual fails."""
-    if not np.all(unitarity_residual(s) <= LIFT_UNITARITY_TOL):
+def _require_unitary(residual) -> None:
+    """Raise DomainError unless a unitarity residual, or every one of an
+    array of them, is within LIFT_UNITARITY_TOL. A NaN residual fails."""
+    if not np.all(residual <= LIFT_UNITARITY_TOL):
         raise DomainError("scattering matrix is not unitary within 1e-10")
 
 
@@ -264,7 +264,7 @@ def evolve(state: SectoredState, s: np.ndarray) -> SectoredState:
     if s.shape != (state.n_modes, state.n_modes):
         raise DomainError(
             f"matrix shape {s.shape} does not match {state.n_modes} modes")
-    _require_unitary(s)
+    _require_unitary(unitarity_residual(s))
     out = {}
     for n, vec in state.sectors.items():
         nz = np.flatnonzero(np.abs(vec) > 0.0)
@@ -373,22 +373,35 @@ class NlpsgInput:
 SUCCESS_PATTERN = MeasurementPattern(((1, 1), (2, 0)))
 
 
-def _betas(s: np.ndarray) -> np.ndarray:
-    """The (..., 3) heralded amplitudes beta0, beta1, beta2 of an (..., 3, 3)
-    stack: what the herald leaves of the signal's zero-, one- and two-photon
-    components, the last with the sign the gate flips. The one place the
-    success-branch algebra is written; the verdict reads it too."""
-    s00, s01, s10, s11 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
+def _corners(s) -> tuple:
+    """S00, S01, S10 and S11 of a matrix or of each matrix of a stack: all
+    of S that the heralded amplitudes read."""
+    return s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
+
+
+def _betas(s00, s01, s10, s11) -> tuple:
+    """The heralded amplitudes beta0, beta1, beta2 from S00, S01, S10 and
+    S11 (arrays or scalars): what the herald leaves of the signal's zero-,
+    one- and two-photon components, the last with the sign the gate flips.
+    The one place the success-branch algebra is written; the verdict reads
+    it too."""
     cross = s10 * s01
     pair = s00 * s11 + cross
-    return np.stack([s11, pair, -s00 * (pair + cross)], axis=-1)
+    return s11, pair, -s00 * (pair + cross)
 
 
-def _success_amplitudes(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:
-    """The (..., 3) success-branch amplitudes of an (..., 3, 3) stack."""
-    beta = _betas(s)
-    return np.stack([inp.alpha0 * beta[..., 0], inp.alpha1 * beta[..., 1],
-                     -inp.alpha2 * beta[..., 2]], axis=-1)
+def _success_amplitudes(s00, s01, s10, s11, inp: NlpsgInput) -> tuple:
+    """The success-branch amplitudes alpha_n beta_n, with the gate's sign
+    on the two-photon one, from S00, S01, S10 and S11."""
+    beta0, beta1, beta2 = _betas(s00, s01, s10, s11)
+    return inp.alpha0 * beta0, inp.alpha1 * beta1, -inp.alpha2 * beta2
+
+
+def _success_probability(s00, s01, s10, s11, inp: NlpsgInput):
+    """|alpha0 beta0|^2 + |alpha1 beta1|^2 + |alpha2 beta2|^2, added left
+    to right, from S00, S01, S10 and S11; no unitarity check."""
+    c0, c1, c2 = _success_amplitudes(s00, s01, s10, s11, inp)
+    return np.abs(c0) ** 2 + np.abs(c1) ** 2 + np.abs(c2) ** 2
 
 
 def heralded_success_stack(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:
@@ -407,8 +420,8 @@ def heralded_success_stack(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     if s.ndim != 3 or s.shape[1:] != (3, 3):
         raise DomainError(f"expected an (N, 3, 3) stack, got shape {s.shape}")
-    _require_unitary(s)
-    return np.sum(np.abs(_success_amplitudes(s, inp)) ** 2, axis=-1)
+    _require_unitary(unitarity_residual(s))
+    return _success_probability(*_corners(s), inp)
 
 
 def nlpsg_closed_form(s: np.ndarray, inp: NlpsgInput):
@@ -422,6 +435,7 @@ def nlpsg_closed_form(s: np.ndarray, inp: NlpsgInput):
     s = np.asarray(s, dtype=complex)
     if s.shape != (3, 3):
         raise DomainError(f"expected a 3x3 matrix, got shape {s.shape}")
-    coeffs = _success_amplitudes(s[np.newaxis], inp)[0]
-    failure_norm = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
+    corners = _corners(s[np.newaxis])
+    coeffs = np.concatenate(_success_amplitudes(*corners, inp))
+    failure_norm = 1.0 - float(_success_probability(*corners, inp)[0])
     return coeffs, failure_norm

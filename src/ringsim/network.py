@@ -167,6 +167,15 @@ def compose_scattering_stack(networks: NetworkStack) -> np.ndarray:
         If |1 - L| < 1e-15, or is NaN, for any network; the message names
         the first such network.
     """
+    return np.stack(_entries(networks), axis=-1).reshape(-1, 3, 3)
+
+
+def _entries(networks: NetworkStack) -> list[np.ndarray]:
+    """The nine entries S_ij of the networks' global matrices, in row-major
+    order, each an (N,) array: the one place the closed form over the loop
+    is written. Every entry carries g or a line phasor, so each already has
+    the networks' length. Raises the PoleError of
+    ``compose_scattering_stack``."""
     (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3) = (
         m.reshape(-1, 4).T for m in _ring_transfers(networks.rings))
     p1, p2, p3 = np.exp(-1j * networks.deltas.T)
@@ -175,12 +184,12 @@ def compose_scattering_stack(networks: NetworkStack) -> np.ndarray:
     if bad.size:
         raise PoleError(f"network {bad[0]}: {_LOOP_POLE}")
     g = 1.0 / den
-    return np.stack([
+    return [
         a2 * p1 * p3 + b2 * c2 * b3 * c1 * p1 * p2 * p3 * g,
         a3 * b2 * p3 * g, b2 * b3 * d1 * p2 * p3 * g,
         a1 * c2 * p1 * g, a1 * a3 * d2 * g, b1 + a1 * b3 * d1 * d2 * p2 * g,
         c1 * c2 * d3 * p1 * p2 * g, c3 + a3 * c1 * d2 * d3 * p2 * g, d1 * d3 * p2 * g,
-    ], axis=-1).reshape(-1, 3, 3)
+    ]
 
 
 def _ring_transfers(rings) -> tuple[np.ndarray, ...]:
@@ -225,11 +234,10 @@ def unitarity_residual(s: np.ndarray):
     an (N,) array for an (N, n, n) stack.
 
     One matrix takes the matrix product ``s.conj().T @ s``; its value is the
-    one ``smatrix`` prints. A stack forms each entry G_ij of the Hermitian
-    upper triangle of S†S elementwise, as (N,) arrays, because numpy's
-    stacked matrix product makes one BLAS call per small matrix. The two
-    forms sum in different orders, so they agree to rounding, not bit for
-    bit. A NaN or infinite entry gives its matrix a non-finite residual.
+    one ``smatrix`` prints. A stack goes through ``_gram_residual``, because
+    numpy's stacked matrix product makes one BLAS call per small matrix. The
+    two forms sum in different orders, so they agree to rounding, not bit
+    for bit. A NaN or infinite entry gives its matrix a non-finite residual.
 
     Raises
     ------
@@ -240,17 +248,35 @@ def unitarity_residual(s: np.ndarray):
     if s.ndim not in (2, 3) or s.shape[-1] != s.shape[-2]:
         raise DomainError(f"expected a square matrix or an (N, n, n) stack, "
                           f"got shape {s.shape}")
-    n = s.shape[-1]
     if s.ndim == 2:
-        return float(np.max(np.abs(s.conj().T @ s - np.eye(n)), initial=0.0))
-    cols = np.ascontiguousarray(s.transpose(2, 1, 0))  # cols[j, k] = s[:, k, j]
-    conj = cols.conj()
-    worst = np.zeros(len(s))
+        return float(np.max(np.abs(s.conj().T @ s - np.eye(s.shape[-1])), initial=0.0))
+    # columns[j, k] = s[:, k, j]
+    return _gram_residual(np.ascontiguousarray(s.transpose(2, 1, 0)), len(s))
+
+
+def _entry_residual(entries) -> np.ndarray:
+    """``unitarity_residual`` of the (N, 3, 3) stack whose nine row-major
+    entries are ``entries``, as ``_entries`` gives them, bit for bit, with
+    no stack built."""
+    return _gram_residual((entries[0::3], entries[1::3], entries[2::3]), len(entries[0]))
+
+
+def _gram_residual(columns, count: int) -> np.ndarray:
+    """Max-norm deviation of S†S from the identity for each of ``count``
+    n x n matrices, given their columns: ``columns[j][k]`` is the (N,) array
+    of entries S_kj. Each entry of the Hermitian upper triangle of S†S is
+    formed elementwise, G_ij = conj(S_0i) S_0j + conj(S_1i) S_1j + ...,
+    added left to right. A non-finite member keeps a non-finite residual."""
+    worst = np.zeros(count)
+    n = len(columns)
     # A non-finite member shows in its residual; it needs no warning.
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(n):
+            conj = [np.conj(entry) for entry in columns[i]]
             for j in range(i, n):
-                g = (conj[i] * cols[j]).sum(axis=0)
+                g = conj[0] * columns[j][0]
+                for k in range(1, n):
+                    g += conj[k] * columns[j][k]
                 if i == j:
                     g -= 1.0
                 # np.maximum, not fmax: a NaN member keeps a NaN residual.

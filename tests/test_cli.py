@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -19,6 +21,7 @@ from ringsim import (SUCCESS_PATTERN, NetworkParams, NlpsgInput, T1_OPTIMAL,
                      compose_scattering, curve_network, curve_ring, evolve,
                      invert_effective, project, surface_theta)
 from ringsim import _csv, cli, fock
+from ringsim import analysis as analysis_module
 from ringsim import cnot as cnot_module
 from ringsim import ring as ring_module
 from ringsim.cli import main
@@ -773,23 +776,72 @@ sys.stdout.buffer.write(rows(np.frombuffer(sys.stdin.buffer.read()).reshape(4, -
 """
 
 
-@pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
-                                      "AVX512_SPR AVX512_ICL X86_V4 X86_V3"])
+# The two SIMD levels below numpy's AVX-512 kernels: an AVX2 CPU (x86-64-v3)
+# and baseline x86-64-v2.
+_SIMD_LEVELS = ["AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 X86_V3"]
+
+
+def _run_at_simd_level(disabled, child, stdin=b""):
+    """Run the child script in an interpreter whose numpy has the given CPU
+    features disabled, and return its completed process. Skips the test
+    where this numpy does not run with them disabled; the child exits 77
+    when the setting was not applied."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", child, disabled],
+                          input=stdin, capture_output=True, env=env)
+    if proc.returncode == 77 or b"NPY_DISABLE_CPU_FEATURES" in proc.stderr:
+        pytest.skip(f"numpy here does not run with {disabled} disabled")
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc
+
+
+@pytest.mark.parametrize("disabled", _SIMD_LEVELS)
 def test_table_rows_do_not_depend_on_the_simd_level(disabled):
     # log10's last bit changes with numpy's SIMD level; the formatter's bytes
     # must not. Inputs are raw bit patterns and exactly scaled uniforms.
     rng = np.random.default_rng(16)
     columns = np.concatenate([rng.integers(0, 2 ** 64, 6000, dtype=np.uint64).view(float),
                               rng.random(2000) * 2.0 - 1.0]).reshape(4, -1)
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
-               PYTHONPATH=os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
-                                                        os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _SIMD_CHILD, disabled],
-                          input=columns.tobytes(), capture_output=True, env=env)
-    if proc.returncode == 77 or b"NPY_DISABLE_CPU_FEATURES" in proc.stderr:
-        pytest.skip(f"numpy here does not run with {disabled} disabled")
-    assert proc.returncode == 0, proc.stderr.decode()
+    proc = _run_at_simd_level(disabled, _SIMD_CHILD, columns.tobytes())
     assert proc.stdout.splitlines() == _csv.rows(columns).splitlines()
+
+
+_SIMD_SWEEPS = (["surface", "--ring", "2", "--grid", "21"],
+                ["curve", "--grid", "51", "--tau-min", "-1", "--tau-max", "1"])
+
+# Run in a child whose numpy dispatches fewer SIMD kernels: writes, as JSON,
+# the exit code, stdout and stderr of each sweep read as JSON from stdin.
+_SIMD_SWEEP_CHILD = """
+import contextlib, io, json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from ringsim import cli
+
+if any(__cpu_features__.get(f, True) for f in sys.argv[1].split()):
+    sys.exit(77)  # the setting was not applied
+out = []
+for argv in json.load(sys.stdin):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["manifold", *argv])
+    out.append([code, stdout.getvalue(), stderr.getvalue()])
+json.dump(out, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("disabled", _SIMD_LEVELS)
+def test_sweep_bytes_do_not_depend_on_the_simd_level(disabled, capsys):
+    # The surface and curve sweeps print the same bytes whichever numpy
+    # kernels run their arithmetic.
+    expected = []
+    for argv in _SIMD_SWEEPS:
+        code = main(["manifold", *argv])
+        captured = capsys.readouterr()
+        expected.append([code, captured.out, captured.err])
+    proc = _run_at_simd_level(disabled, _SIMD_SWEEP_CHILD,
+                              json.dumps(_SIMD_SWEEPS).encode("ascii"))
+    assert json.loads(proc.stdout) == expected
 
 
 def test_manifold_with_no_rows_prints_the_header(capsys):
@@ -816,28 +868,41 @@ def test_manifold_output_file_equals_stdout(tmp_path, capsys, argv):
 @pytest.mark.parametrize("ring", [1, 2, 3])
 def test_surface_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring):
     # The swept ring's transfers serve both the compensating line phase and
-    # the composition. The middle ring is evaluated mounted flipped.
-    evaluated, swept = [], []
+    # the composition. The middle ring is evaluated mounted flipped. The
+    # fixed optimal rings of the other slots are built once per process:
+    # every batch of every sweep shares them, read-only, and evaluates their
+    # transfers at most in the first batch.
+    evaluated, swept, fixed = [], [], []
     transfer_matrix_stack, surface_stack = ring_module.transfer_matrix_stack, cli.surface_stack
 
     def counted(couplers):
-        evaluated.append(couplers)
+        evaluated.append((len(swept), couplers))
         return transfer_matrix_stack(couplers)
 
     def recorded(*args):
         theta, networks = surface_stack(*args)
-        rings = networks.rings[ring - 1]
-        swept.append(rings.flipped() if ring == 2 else rings)
+        used = (networks.rings[0], networks.rings[1].flipped(), networks.rings[2])
+        swept.append(used[ring - 1])
+        fixed.append([r for slot, r in enumerate(used, 1) if slot != ring])
         return theta, networks
 
+    analysis_module._optimal_ring.cache_clear()
     monkeypatch.setattr(ring_module, "transfer_matrix_stack", counted)
     monkeypatch.setattr(cli, "surface_stack", recorded)
     monkeypatch.setattr(cli, "_BATCH_POINTS", 10)
-    assert main(["manifold", "surface", "--ring", str(ring), "--grid", "5"]) == 0
+    for _ in range(2):
+        assert main(["manifold", "surface", "--ring", str(ring), "--grid", "5"]) == 0
     capsys.readouterr()
-    assert len(swept) == 3  # batches of 10, 10 and 5 grid points
+    assert len(swept) == 6  # per sweep, batches of 10, 10 and 5 grid points
     for stack in swept:
-        assert sum(c is stack for c in evaluated) == 1
+        assert sum(c is stack for _, c in evaluated) == 1
+    for stack in fixed[0]:
+        for array in (stack.tau, stack.eta, stack.theta, stack.phi, stack.kappa,
+                      stack.gamma, stack.transfers):
+            assert not array.flags.writeable
+        assert [batch for batch, c in evaluated if c is stack] == [0]
+    for stacks in fixed:
+        assert all(a is b for a, b in zip(stacks, fixed[0]))
 
 
 def test_manifold_intersect_zero_line_phase_has_no_negative_zero(capsys):
@@ -1116,3 +1181,139 @@ def test_console_script_unwritable_output_exits_2(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == (f"config error: cannot write output {target}: "
                            f"[Errno 2] No such file or directory: '{target}'\n")
+
+
+# The exit-code contract over random calls of the commands that read input.
+# Every strategy is built once here: hypothesis spends more time building a
+# strategy than drawing from it.
+_coin = st.booleans()
+_quarter = st.integers(0, 3).map(lambda k: k == 0)
+_junk = st.sampled_from([float("nan"), float("inf"), -float("inf"), "x", "0.5", None,
+                         [], {}, True, 1e308])
+_numbers = st.one_of(st.floats(-1.2, 1.2), st.floats(-7.0, 7.0),
+                     st.sampled_from([0.0, 1.0, -1.0, 0.5]), _junk)
+_ring_kinds = st.sampled_from(["curve", "curve", "curve", "random", "other"])
+_not_objects = st.sampled_from([None, 1.0, "ring", []])
+_curve_taus = st.floats(0.0, 0.95)
+_detunings = st.sampled_from([0.0, 0.0, 1e-12, 0.3, -TWO_PI])
+_dropped = st.sampled_from([None] * 15 + ["tau", "eta", "theta", "delta", "phi"])
+
+
+@st.composite
+def _ring_objects(draw, slot):
+    """A ring object: on its slot's optimal curve, maybe detuned, or with
+    random or junk fields, a field missing, or not an object at all."""
+    kind = draw(_ring_kinds)
+    if kind == "other":
+        return draw(_not_objects)
+    if kind == "curve":
+        entry = ring_entry(slot, tau=draw(_curve_taus))
+        entry["theta"] += draw(_detunings)
+    else:
+        entry = {name: draw(_numbers) for name in ("tau", "eta", "theta")}
+    for name in ("delta", "phi"):
+        if draw(_quarter):
+            entry[name] = draw(_numbers)
+    entry.pop(draw(_dropped), None)
+    return entry
+
+
+# A network on its feedback-loop pole: |1 - L| = 0.
+_POLE_RINGS = [{"tau": 0.5, "eta": 0.5, "theta": TWO_PI},
+               {"tau": 1.0, "eta": 0.0, "theta": TWO_PI, "delta": math.pi},
+               {"tau": 0.5, "eta": 0.5, "theta": TWO_PI}]
+_ring_triples = st.tuples(*(_ring_objects(slot) for slot in (1, 2, 3))).map(list)
+_networks = st.one_of(_ring_triples, _ring_triples, _ring_triples,
+                      _ring_triples.map(lambda rings: rings[:2]),
+                      st.sampled_from(["rings", _POLE_RINGS])).map(lambda r: {"rings": r})
+
+_option_numbers = st.one_of(st.floats(-2.0, 2.0).map(repr), st.sampled_from(
+    ["0", "-0", "1e-12", "nan", "inf", "-inf", "abc", ""]))
+_alphas = st.sampled_from(["1,1,1", "1,1,0", "0,0,0", "1j,0.5,0.5", "1,2", "1,x,1",
+                           "nan,0,1"])
+_commands = st.sampled_from(["smatrix", "verify", "cnot", "manifold"])
+_kinds = st.sampled_from(["curve", "surface", "intersect"])
+_slots = st.sampled_from(["0", "1", "2", "3", "4", "x"])
+_grids = st.sampled_from(["-1", "0", "1", "2", "3", "7", "x"])
+_config_grids = st.sampled_from([0, 2, 2.5, 5, "x", None])
+_eighth = st.integers(0, 7).map(lambda k: k == 0)
+
+
+def _option(draw, name, values):
+    return [name, draw(values)] if draw(_coin) else []
+
+
+@st.composite
+def _cli_calls(draw):
+    """argv of a random smatrix, verify, cnot or manifold call, and the
+    config it reads (None for no --config)."""
+    command = draw(_commands)
+    argv, cfg = [command], None
+    if command == "smatrix":
+        cfg = draw(_networks)
+        argv += ["--closed-form"] if draw(_coin) else []
+    elif command == "verify":
+        cfg = draw(_networks)
+        argv += _option(draw, "--alpha", _alphas)
+        argv += _option(draw, "--tolerance", _option_numbers)
+        if draw(_quarter):
+            cfg["tolerance"] = draw(_numbers)
+    elif command == "cnot":
+        cfg = {key: draw(_networks) for key in ("gate_a", "gate_b") if draw(_coin)}
+        argv += _option(draw, "--tolerance", _option_numbers)
+        argv += _option(draw, "--probe-phase", _option_numbers)
+    else:
+        argv += [draw(_kinds)]
+        argv += _option(draw, "--ring", _slots)
+        argv += _option(draw, "--grid", _grids)
+        for name in ("--tau-min", "--tau-max", "--delta2"):
+            argv += _option(draw, name, _option_numbers)
+        if draw(_coin):
+            cfg = {"grid": draw(_config_grids)}
+    if cfg is not None:
+        argv += ["--config", None]
+    if draw(_eighth):
+        argv += ["--output", str(Path("missing", "dir", "out"))]
+    return argv, cfg
+
+
+# 30 examples keep the test under 0.5 s.
+@settings(deadline=None, max_examples=30)
+@given(_cli_calls())
+# A constraint violation, diagnostics before an unwritable output, and the
+# alpha warning before an error exit.
+@example((["cnot", "--config", None],
+          {"gate_a": {"rings": [ring_entry(1, theta=0.3), ring_entry(2), ring_entry(3)]}}))
+@example((["cnot", "--output", str(Path("missing", "dir", "out"))], None))
+@example((["manifold", "curve", "--grid", "3", "--output", str(Path("missing", "out"))], None))
+@example((["verify", "--alpha", "1,1,0", "--config", None],
+          {"rings": [ring_entry(1), ring_entry(2), ring_entry(3)], "tolerance": -1.0}))
+def test_cli_exit_code_contract(tmp_path_factory, call):
+    # Every call exits 0, 2, 3 or 4 with no traceback; exit 0 prints no NaN
+    # or inf. An error exit writes one stderr line, or argparse's usage and
+    # error lines; verify's exit 4 is a report on stdout.
+    argv, cfg = call
+    path = tmp_path_factory.getbasetemp() / "contract.json"
+    path.write_text(json.dumps(cfg))
+    argv = [str(path) if a is None else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, by_argparse = main(argv), False
+        except SystemExit as exit_:
+            code, by_argparse = exit_.code, True
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, cfg, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert "nan" not in out.lower() and "inf" not in out.lower(), (argv, cfg, out)
+    elif by_argparse:
+        lines = err.splitlines()
+        assert code == 2 and err.startswith("usage: ringsim ")
+        assert [": error: " in line for line in lines] == [False] * (len(lines) - 1) + [True]
+    elif out:
+        assert argv[0] == "verify" and code == 4, (argv, cfg, out)
+        assert out.endswith("constraints not satisfied\n")
+        assert err in ("", "warning: alpha renormalized\n")
+    else:
+        assert len(err.splitlines()) == 1, (argv, cfg, err)

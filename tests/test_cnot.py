@@ -34,7 +34,7 @@ from ringsim.cnot import (_CONTROL_FLIP, _GATE_COLS, _GATE_ROWS, _INNER, _SPLITT
                           _TARGET_MIX, _heralded_block, _interferometers,
                           _network_matrix)
 from ringsim.errors import DomainError
-from ringsim.fock import _betas
+from ringsim.fock import _betas, _corners
 
 _ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -351,7 +351,8 @@ def test_heralded_block_equals_the_lift_of_the_network(gate_a, gate_b, probe_pha
     lifted = CnotNetwork(u, DualRailQubit(0, 1), DualRailQubit(2, 3), ((4, 5), (6, 7)))
     gates = np.stack([gate_a, gate_b])
     assert np.max(np.abs(_network_matrix(gates, probe_phase) - u)) <= 1e-15
-    block = _heralded_block(_betas(gates) * [1, 1, -1], probe_phase)
+    block = _heralded_block(np.stack(_betas(*_corners(gates)), axis=-1) * [1, 1, -1],
+                            probe_phase)
     assert np.max(np.abs(block - lifted._kept_block)) <= 1e-15
 
 

@@ -1,9 +1,11 @@
 """Property tests of the stacked (N-network) forms against the scalar API,
-of evolve + project against the full sector lift, and of the closed-form
-fixed-line-phase intersection."""
+of the sweeps' entry kernel against the composed stack, of evolve + project
+against the full sector lift, and of the closed-form fixed-line-phase
+intersection."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from ringsim import (
     build_couplers,
     compose_scattering,
     compose_scattering_stack,
+    curve_network,
     enumerate_basis,
     evolve,
     heralded_success_stack,
@@ -42,7 +45,9 @@ from ringsim import (
     verdict,
     verdict_stack,
 )
-from ringsim.fock import LIFT_UNITARITY_TOL
+from ringsim import cli
+from ringsim.fock import LIFT_UNITARITY_TOL, _success_probability
+from ringsim.network import _entries, _entry_residual
 
 TOL = 1e-14
 # Each example composes up to a dozen networks; 50 keep the suite quick.
@@ -445,3 +450,94 @@ def test_stacked_guard_verdict_near_the_loop_pole(eps):
     else:
         with pytest.raises(DomainError):
             heralded_success_stack(s, NlpsgInput(1.0, 0.0, 0.0))
+
+
+def _coupler_stack(rng, count):
+    """count random detuned rings, each with its own phase partition phi."""
+    return CouplerStack.of([build_coupler(*rng.uniform(-0.95, 0.95, 2),
+                                          *rng.uniform(0.0, 2.0 * math.pi, 2))
+                            for _ in range(count)])
+
+
+@st.composite
+def network_stacks(draw, sizes=st.integers(0, 6)):
+    """0 to 6 detuned networks as one NetworkStack, with rings and line
+    phases drawn from a seeded generator. Each slot holds a stack of one
+    ring per network or, by a draw, one ring for all of them; the middle
+    slot is sometimes a stack mounted flipped."""
+    n = draw(sizes)
+    rng = np.random.default_rng(draw(seeds))
+    rings = [_coupler_stack(rng, 1 if draw(st.booleans()) else n) for _ in range(3)]
+    if draw(st.booleans()):
+        rings[1] = rings[1].flipped()
+    deltas = rng.uniform(0.0, 2.0 * math.pi, (n, 3))
+    return NetworkStack(rings=tuple(rings), deltas=deltas)
+
+
+# One network on the optimal curve, and none.
+_ON_CURVE = NetworkStack.of([curve_network(0.3, 0.3, 0.3)])
+_NONE = NetworkStack(rings=_ON_CURVE.rings, deltas=np.zeros((0, 3)))
+
+
+def outcome(f, *args):
+    """f's result as bytes, or the type and message of the error it raised."""
+    try:
+        return np.asarray(f(*args)).tobytes()
+    except (DomainError, PoleError) as err:
+        return type(err), str(err)
+
+
+# 30 examples keep the two kernel tests near 0.4 s.
+KERNEL_EXAMPLES = settings(deadline=None, max_examples=30)
+
+
+@KERNEL_EXAMPLES
+@given(network_stacks(), signal_inputs())
+@example(_NONE, NlpsgInput(1.0, 0.0, 0.0))
+@example(_ON_CURVE, NlpsgInput(0.6, 0.8j, 0.0))
+def test_sweep_kernel_equals_the_composed_stack_bit_for_bit(networks, inp):
+    # The sweeps read S entry by entry; the result, and the guard's residual,
+    # are those of the composed (N, 3, 3) stack to the last bit.
+    assert outcome(cli._sweep_success, networks) == outcome(
+        lambda: heralded_success_stack(compose_scattering_stack(networks), cli._SWEEP_INPUT))
+    assert outcome(lambda: _entry_residual(_entries(networks))) == outcome(
+        lambda: unitarity_residual(compose_scattering_stack(networks)))
+    try:
+        s, stack = _entries(networks), compose_scattering_stack(networks)
+    except PoleError:
+        return
+    assert stack.shape == (len(networks), 3, 3)
+    assert all(entry.shape == (len(networks),) for entry in s)
+    # The residual adds each G_ij = conj(S_0i) S_0j + conj(S_1i) S_1j +
+    # conj(S_2i) S_2j left to right.
+    worst = np.zeros(len(stack))
+    for i in range(3):
+        for j in range(i, 3):
+            g = stack[:, 0, i].conj() * stack[:, 0, j] + stack[:, 1, i].conj() * stack[:, 1, j] \
+                + stack[:, 2, i].conj() * stack[:, 2, j]
+            worst = np.maximum(worst, np.abs(g - 1.0 if i == j else g))
+    assert worst.tobytes() == unitarity_residual(stack).tobytes()
+    if np.all(worst <= LIFT_UNITARITY_TOL):
+        assert _success_probability(s[0], s[1], s[3], s[4], inp).tobytes() == \
+            heralded_success_stack(stack, inp).tobytes()
+
+
+@KERNEL_EXAMPLES
+@given(network_stacks(st.integers(1, 6)), st.data())
+def test_sweep_guard_fails_as_the_stack_guard(networks, data):
+    # A member scaled off the unitary group, or one NaN entry, fails the
+    # sweep's entry guard and the stack's guard with the same message.
+    entries = [entry.copy() for entry in _entries(networks)]
+    where = data.draw(st.integers(0, len(networks) - 1))
+    if data.draw(st.booleans()):
+        for entry in entries:
+            entry[where] *= 1.1
+    else:
+        entries[data.draw(st.integers(0, 8))][where] = np.nan
+    stack = np.stack(entries, axis=-1).reshape(-1, 3, 3)
+    with pytest.raises(DomainError) as swept:
+        with mock.patch.object(cli, "_entries", lambda _: entries):
+            cli._sweep_success(networks)
+    with pytest.raises(DomainError) as stacked:
+        heralded_success_stack(stack, cli._SWEEP_INPUT)
+    assert str(swept.value) == str(stacked.value)
