@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError, UndefinedPhaseError
 from .fock import _betas, _corners
-from .network import (NetworkParams, NetworkStack, _ring_transfers, closed_form_resonant,
+from .network import (NetworkParams, NetworkStack, closed_form_resonant,
                       compose_scattering_stack)
 from .ring import (RESONANT_THETA, TWO_PI, CouplerStack, RingCoupler, build_coupler,
                    build_couplers, invert_effective)
@@ -354,11 +354,14 @@ def compensated_network_stack(rings: tuple[CouplerStack, CouplerStack, CouplerSt
     amplitude to magnitude 1/2 on the detuned manifolds. Ring stacks of
     length 1 broadcast against the others.
     """
-    m1, m2, m3 = _ring_transfers(rings)
-    delta2 = (np.angle(m1[:, 1, 0]) + np.angle(m2[:, 1, 1])
-              + np.angle(m3[:, 0, 1])) % TWO_PI
-    deltas = np.stack(np.broadcast_arrays(deltas13[0], delta2, deltas13[1]), axis=1)
-    return NetworkStack(rings=rings, deltas=deltas)
+    shape = np.broadcast_shapes(*((len(r),) for r in rings))
+    networks = NetworkStack(rings=rings, deltas=np.zeros(shape + (3,)))
+    m1, m2, m3 = networks.transfers
+    # The phases are written in place: the stack keeps the transfers they use.
+    networks.deltas[:, 0], networks.deltas[:, 2] = deltas13
+    networks.deltas[:, 1] = (np.angle(m1[:, 1, 0]) + np.angle(m2[:, 1, 1])
+                             + np.angle(m3[:, 0, 1])) % TWO_PI
+    return networks
 
 
 def surface_stack(slot: int, eta, tau) -> tuple[np.ndarray, NetworkStack]:
@@ -388,8 +391,8 @@ def _optimal_rings_with(slot: int, swept: CouplerStack) -> tuple[CouplerStack, .
 @functools.cache
 def _optimal_ring(slot: int) -> CouplerStack:
     """The slot's resonant optimal ring at tau = 0, as a stack of one, built
-    once per process. Its arrays are read-only and it caches its transfers
-    and its flipped stack, so every sweep batch shares them."""
+    once per process. Its arrays are read-only; every sweep batch mounts it
+    with the swept ring, and evaluates it in the batch's one transfer call."""
     return CouplerStack.of([curve_ring(slot, 0.0)])
 
 
@@ -450,8 +453,9 @@ def off_resonance_check(ring1: CouplerStack, ring3: CouplerStack,
                             RESONANT_THETA)
     networks = compensated_network_stack((ring1, middle, ring3))
     v = verdict_stack(compose_scattering_stack(networks))
-    through = np.stack(np.broadcast_arrays(*(r.transfers[:, 0, 0] for r in networks.rings)),
-                       axis=1)
+    m1, m2, m3 = networks.transfers
+    # The middle ring is mounted flipped: its through amplitude is [1, 1].
+    through = np.stack(np.broadcast_arrays(m1[:, 0, 0], m2[:, 1, 1], m3[:, 0, 0]), axis=1)
     phases = np.where(np.abs(through) < 1e-14, 0.0, np.angle(through))
     heralded = np.angle(v.beta0)
     residual = np.abs((phases.sum(axis=1) - heralded + math.pi) % TWO_PI - math.pi)

@@ -59,7 +59,7 @@ def _load_config(path: str | None) -> dict:
             cfg = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # not UTF-8, not JSON, or an integer too long to convert
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")

@@ -11,14 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, PoleError, SingularPivotError
-from .ring import CouplerStack, RingCoupler, RingTransfer
+from .ring import (_COUPLER_DTYPES, CouplerStack, RingCoupler, RingTransfer, _read_only,
+                   transfer_matrix_stack)
 
 SWAP_PIVOT_TOL = 1e-12
 _LOOP_POLE = "loop gain b3 c1 d2 e^(-i delta2) = 1"
+
+# The mounted field that holds each field of a slot's ring: the middle ring
+# is mounted flipped, as RingCoupler.flipped. The swap is its own inverse.
+_SAME = {name: name for name in _COUPLER_DTYPES}
+_MOUNTED = (_SAME, {**_SAME, "tau": "eta", "eta": "tau", "kappa": "gamma", "gamma": "kappa"},
+            _SAME)
 
 
 @dataclass(frozen=True)
@@ -46,7 +54,8 @@ class NetworkStack:
 
     ``rings`` holds one CouplerStack per slot and ``deltas`` the (N, 3) line
     phases. A ring stack of length 1 stands for the same ring in all N
-    networks.
+    networks. ``mounted`` lays the slots end to end, the middle ring flipped,
+    for one transfer evaluation; ``of`` gives each slot as a view into it.
     """
 
     rings: tuple[CouplerStack, CouplerStack, CouplerStack]
@@ -67,17 +76,37 @@ class NetworkStack:
                                   f"{len(deltas)} networks")
         object.__setattr__(self, "rings", rings)
         object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "mounted", CouplerStack._checked_already(**{
+            name: np.concatenate([getattr(r, _MOUNTED[s][name]) for s, r in enumerate(rings)])
+            for name in _COUPLER_DTYPES}))
 
     @classmethod
     def of(cls, networks) -> "NetworkStack":
-        """Stack a sequence of NetworkParams."""
+        """Stack NetworkParams, whose rings passed their checks on construction."""
         networks = list(networks)
-        return cls(rings=tuple(CouplerStack.of(n.rings[slot] for n in networks)
-                               for slot in range(3)),
-                   deltas=np.array([n.deltas for n in networks], dtype=float).reshape(-1, 3))
+        n = len(networks)
+        mounted = CouplerStack._checked_already(**{
+            name: np.array([getattr(net.rings[s], _MOUNTED[s][name])
+                            for s in range(3) for net in networks], dtype=dtype)
+            for name, dtype in _COUPLER_DTYPES.items()})
+        rings = tuple(CouplerStack._checked_already(**{
+            name: getattr(mounted, _MOUNTED[s][name])[s * n:(s + 1) * n]
+            for name in _COUPLER_DTYPES}) for s in range(3))
+        stack = object.__new__(cls)
+        stack.__dict__.update(rings=rings, mounted=mounted, deltas=np.array(
+            [net.deltas for net in networks], dtype=float).reshape(-1, 3))
+        return stack
 
     def __len__(self) -> int:
         return len(self.deltas)
+
+    @cached_property
+    def transfers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each slot's (n_k, 2, 2) transfers, the middle ring's flipped: views
+        of one read-only ``transfer_matrix_stack`` call on ``mounted``."""
+        m = _read_only(transfer_matrix_stack(self.mounted))
+        n1, n2 = len(self.rings[0]), len(self.rings[1])
+        return m[:n1], m[n1:n1 + n2], m[n1 + n2:]
 
 
 def mode_swap3(g: np.ndarray, j: int) -> np.ndarray:
@@ -177,7 +206,7 @@ def _entries(networks: NetworkStack) -> list[np.ndarray]:
     the networks' length. Raises the PoleError of
     ``compose_scattering_stack``."""
     (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3) = (
-        m.reshape(-1, 4).T for m in _ring_transfers(networks.rings))
+        m.reshape(-1, 4).T for m in networks.transfers)
     p1, p2, p3 = np.exp(-1j * networks.deltas.T)
     den = 1.0 - b3 * c1 * d2 * p2
     bad = np.flatnonzero(~(np.abs(den) >= 1e-15))
@@ -190,13 +219,6 @@ def _entries(networks: NetworkStack) -> list[np.ndarray]:
         a1 * c2 * p1 * g, a1 * a3 * d2 * g, b1 + a1 * b3 * d1 * d2 * p2 * g,
         c1 * c2 * d3 * p1 * p2 * g, c3 + a3 * c1 * d2 * d3 * p2 * g, d1 * d3 * p2 * g,
     ]
-
-
-def _ring_transfers(rings) -> tuple[np.ndarray, ...]:
-    """Transfer matrices of the three slots; the middle ring is mounted flipped.
-    Each stack evaluates its transfers once, so a network built from these
-    rings and then composed shares them."""
-    return rings[0].transfers, rings[1].flipped().transfers, rings[2].transfers
 
 
 def closed_form_resonant(t1: float, t2: float, t3: float) -> np.ndarray:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -129,8 +128,8 @@ class CouplerStack:
 
     Every member passes the checks of RingCoupler on construction (domain,
     pole, reciprocity); the error names the first failing value, and NaN
-    fails every check. The field arrays are read-only views, so the
-    transfer matrices and the flipped stack, each computed once, stay valid.
+    fails every check. The field arrays are read-only views. A NetworkStack
+    mounts its three slots in one CouplerStack, evaluated in one call.
     """
 
     tau: np.ndarray
@@ -168,8 +167,7 @@ class CouplerStack:
     def _checked_already(cls, **fields) -> "CouplerStack":
         """Stack from 1-D arrays whose members are known to pass the checks."""
         stack = object.__new__(cls)
-        for name in _COUPLER_DTYPES:
-            object.__setattr__(stack, name, _read_only(fields[name]))
+        stack.__dict__.update({name: _read_only(fields[name]) for name in _COUPLER_DTYPES})
         return stack
 
     @classmethod
@@ -191,25 +189,16 @@ class CouplerStack:
                            kappa=complex(self.kappa[i]), gamma=complex(self.gamma[i]))
 
     def flipped(self) -> "CouplerStack":
-        """Every ring mounted mirror-imaged, as RingCoupler.flipped: one
-        stack per instance, so its transfers are evaluated once too."""
-        return self._flipped
-
-    @cached_property
-    def _flipped(self) -> "CouplerStack":
+        """Every ring mounted mirror-imaged, as RingCoupler.flipped."""
         # The checks are symmetric under the swap, so they are not repeated.
         return self._checked_already(tau=self.eta, eta=self.tau, theta=self.theta,
                                      phi=self.phi, kappa=self.gamma, gamma=self.kappa)
 
-    @cached_property
-    def transfers(self) -> np.ndarray:
-        """``transfer_matrix_stack`` of these rings, evaluated once and
-        read-only, so every function that needs them shares one array."""
-        return _read_only(transfer_matrix_stack(self))
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    """A view of ``a`` that cannot be written through."""
+    """``a`` if it is read-only (as a read-only array's slices are), else a read-only view."""
+    if not a.flags.writeable:
+        return a
     view = a.view()
     view.flags.writeable = False
     return view

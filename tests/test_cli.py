@@ -23,6 +23,7 @@ from ringsim import (SUCCESS_PATTERN, NetworkParams, NlpsgInput, T1_OPTIMAL,
 from ringsim import _csv, cli, fock
 from ringsim import analysis as analysis_module
 from ringsim import cnot as cnot_module
+from ringsim import network as network_module
 from ringsim import ring as ring_module
 from ringsim.cli import main
 
@@ -808,12 +809,12 @@ def test_table_rows_do_not_depend_on_the_simd_level(disabled):
     assert proc.stdout.splitlines() == _csv.rows(columns).splitlines()
 
 
-_SIMD_SWEEPS = (["surface", "--ring", "2", "--grid", "21"],
-                ["curve", "--grid", "51", "--tau-min", "-1", "--tau-max", "1"])
+_SIMD_SWEEPS = (["manifold", "surface", "--ring", "2", "--grid", "21"],
+                ["manifold", "curve", "--grid", "51", "--tau-min", "-1", "--tau-max", "1"])
 
 # Run in a child whose numpy dispatches fewer SIMD kernels: writes, as JSON,
-# the exit code, stdout and stderr of each sweep read as JSON from stdin.
-_SIMD_SWEEP_CHILD = """
+# the exit code, stdout and stderr of each call's argv read as JSON from stdin.
+_SIMD_CALLS_CHILD = """
 import contextlib, io, json, sys
 from numpy._core._multiarray_umath import __cpu_features__
 from ringsim import cli
@@ -824,24 +825,40 @@ out = []
 for argv in json.load(sys.stdin):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(["manifold", *argv])
+        code = cli.main(argv)
     out.append([code, stdout.getvalue(), stderr.getvalue()])
 json.dump(out, sys.stdout)
 """
+
+
+def _calls_at_simd_level(disabled, calls, capsys):
+    """Run each argv in-process and in a child at the given SIMD level, and
+    assert that both give the same exit code, stdout and stderr."""
+    expected = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        expected.append([code, captured.out, captured.err])
+    proc = _run_at_simd_level(disabled, _SIMD_CALLS_CHILD, json.dumps(calls).encode("ascii"))
+    assert json.loads(proc.stdout) == expected
 
 
 @pytest.mark.parametrize("disabled", _SIMD_LEVELS)
 def test_sweep_bytes_do_not_depend_on_the_simd_level(disabled, capsys):
     # The surface and curve sweeps print the same bytes whichever numpy
     # kernels run their arithmetic.
-    expected = []
-    for argv in _SIMD_SWEEPS:
-        code = main(["manifold", *argv])
-        captured = capsys.readouterr()
-        expected.append([code, captured.out, captured.err])
-    proc = _run_at_simd_level(disabled, _SIMD_SWEEP_CHILD,
-                              json.dumps(_SIMD_SWEEPS).encode("ascii"))
-    assert json.loads(proc.stdout) == expected
+    _calls_at_simd_level(disabled, _SIMD_SWEEPS, capsys)
+
+
+@pytest.mark.parametrize("disabled", _SIMD_LEVELS)
+def test_cnot_bytes_do_not_depend_on_the_simd_level(disabled, tmp_path, capsys):
+    # The CNOT composes both gates' six rings in one mounted stack; its
+    # truth table and diagnostics print the same bytes at every level.
+    path = write_config(tmp_path, _GOLDEN_CNOT_CONFIG)
+    _calls_at_simd_level(disabled, [["cnot"], ["cnot", "--probe-phase", "0.3"],
+                                    ["cnot", "--config", path],
+                                    ["cnot", "--config", path, "--probe-phase", "0.3"]],
+                         capsys)
 
 
 def test_manifold_with_no_rows_prints_the_header(capsys):
@@ -865,44 +882,62 @@ def test_manifold_output_file_equals_stdout(tmp_path, capsys, argv):
     assert target.read_bytes() == stdout.encode("ascii")
 
 
-@pytest.mark.parametrize("ring", [1, 2, 3])
-def test_surface_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring):
-    # The swept ring's transfers serve both the compensating line phase and
-    # the composition. The middle ring is evaluated mounted flipped. The
-    # fixed optimal rings of the other slots are built once per process:
-    # every batch of every sweep shares them, read-only, and evaluates their
-    # transfers at most in the first batch.
-    evaluated, swept, fixed = [], [], []
-    transfer_matrix_stack, surface_stack = ring_module.transfer_matrix_stack, cli.surface_stack
+def _count_transfer_calls(monkeypatch):
+    """The couplers of every transfer_matrix_stack call made from here on."""
+    calls, transfer_matrix_stack = [], ring_module.transfer_matrix_stack
 
     def counted(couplers):
-        evaluated.append((len(swept), couplers))
+        calls.append(couplers)
         return transfer_matrix_stack(couplers)
 
+    for module in (ring_module, network_module):
+        monkeypatch.setattr(module, "transfer_matrix_stack", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring", [1, 2, 3])
+def test_surface_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring):
+    # Each batch mounts its three slots in one ring stack and evaluates them
+    # in one transfer call, while its networks are built: the compensating
+    # line phase and the composition share that call's read-only result. The
+    # fixed optimal rings of the other slots are built once per process, and
+    # every batch of every sweep mounts the same read-only stacks.
+    calls, batches = _count_transfer_calls(monkeypatch), []
+    surface_stack = cli.surface_stack
+
     def recorded(*args):
+        count = len(calls)
         theta, networks = surface_stack(*args)
-        used = (networks.rings[0], networks.rings[1].flipped(), networks.rings[2])
-        swept.append(used[ring - 1])
-        fixed.append([r for slot, r in enumerate(used, 1) if slot != ring])
+        assert calls[count:] == [networks.mounted]
+        batches.append(networks)
         return theta, networks
 
     analysis_module._optimal_ring.cache_clear()
-    monkeypatch.setattr(ring_module, "transfer_matrix_stack", counted)
     monkeypatch.setattr(cli, "surface_stack", recorded)
     monkeypatch.setattr(cli, "_BATCH_POINTS", 10)
     for _ in range(2):
         assert main(["manifold", "surface", "--ring", str(ring), "--grid", "5"]) == 0
     capsys.readouterr()
-    assert len(swept) == 6  # per sweep, batches of 10, 10 and 5 grid points
-    for stack in swept:
-        assert sum(c is stack for _, c in evaluated) == 1
-    for stack in fixed[0]:
-        for array in (stack.tau, stack.eta, stack.theta, stack.phi, stack.kappa,
-                      stack.gamma, stack.transfers):
+    assert len(batches) == 6  # per sweep, batches of 10, 10 and 5 grid points
+    assert len(calls) == 6 and all(c is n.mounted for c, n in zip(calls, batches))
+    fixed = [[r for slot, r in enumerate(n.rings, 1) if slot != ring] for n in batches]
+    for networks, stacks in zip(batches, fixed):
+        mounted = networks.mounted
+        for array in (*networks.transfers, mounted.tau, mounted.eta, mounted.theta,
+                      mounted.phi, mounted.kappa, mounted.gamma):
             assert not array.flags.writeable
-        assert [batch for batch, c in evaluated if c is stack] == [0]
-    for stacks in fixed:
         assert all(a is b for a, b in zip(stacks, fixed[0]))
+        assert all(not r.tau.flags.writeable for r in stacks)
+
+
+def test_cnot_evaluates_its_six_rings_in_one_transfer_call(monkeypatch, tmp_path, capsys):
+    # Both gates' rings are mounted in one stack, composed in one call.
+    calls = _count_transfer_calls(monkeypatch)
+    assert main(["cnot"]) == 0
+    assert main(["cnot", "--config", write_config(tmp_path, _GOLDEN_CNOT_CONFIG),
+                 "--probe-phase", "0.3"]) == 0
+    capsys.readouterr()
+    assert [len(c) for c in calls] == [6, 6]
 
 
 def test_manifold_intersect_zero_line_phase_has_no_negative_zero(capsys):
@@ -1133,6 +1168,22 @@ def test_invalid_json_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["smatrix"], ["verify"], ["manifold", "surface"], ["cnot"]])
+@pytest.mark.parametrize("raw, reason", [
+    (b'{"rings": "\xff"}', "'utf-8' codec can't decode"),
+    (b'\xef\xbb\xbf{"rings": []}', "Unexpected UTF-8 BOM"),
+    (b'{"grid": ' + b"1" * 5000 + b"}", "Exceeds the limit")])
+def test_config_that_is_not_utf8_json_exits_2(tmp_path, capsys, argv, raw, reason):
+    # Every subcommand that reads --config: one error line, no traceback.
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    assert main([*argv, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: config {path} is not valid JSON: {reason}")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_config_root_must_be_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
@@ -1237,6 +1288,12 @@ _slots = st.sampled_from(["0", "1", "2", "3", "4", "x"])
 _grids = st.sampled_from(["-1", "0", "1", "2", "3", "7", "x"])
 _config_grids = st.sampled_from([0, 2, 2.5, 5, "x", None])
 _eighth = st.integers(0, 7).map(lambda k: k == 0)
+# Config files that are not UTF-8 JSON text: a stray byte, a UTF-8 BOM,
+# UTF-16, or random bytes.
+_raw_configs = st.one_of(st.sampled_from([b'{"rings": "\xff"}', b'\xef\xbb\xbf{"rings": []}',
+                                          '{"rings": []}'.encode("utf-16"),
+                                          b'{"grid": ' + b"9" * 4301 + b"}"]),
+                         st.binary(max_size=24))
 
 
 def _option(draw, name, values):
@@ -1272,6 +1329,8 @@ def _cli_calls(draw):
             cfg = {"grid": draw(_config_grids)}
     if cfg is not None:
         argv += ["--config", None]
+        if draw(_eighth):
+            cfg = draw(_raw_configs)
     if draw(_eighth):
         argv += ["--output", str(Path("missing", "dir", "out"))]
     return argv, cfg
@@ -1285,6 +1344,7 @@ def _cli_calls(draw):
 @example((["cnot", "--config", None],
           {"gate_a": {"rings": [ring_entry(1, theta=0.3), ring_entry(2), ring_entry(3)]}}))
 @example((["cnot", "--output", str(Path("missing", "dir", "out"))], None))
+@example((["cnot", "--config", None], b'{"gate_a": "\xff"}'))
 @example((["manifold", "curve", "--grid", "3", "--output", str(Path("missing", "out"))], None))
 @example((["verify", "--alpha", "1,1,0", "--config", None],
           {"rings": [ring_entry(1), ring_entry(2), ring_entry(3)], "tolerance": -1.0}))
@@ -1294,7 +1354,7 @@ def test_cli_exit_code_contract(tmp_path_factory, call):
     # error lines; verify's exit 4 is a report on stdout.
     argv, cfg = call
     path = tmp_path_factory.getbasetemp() / "contract.json"
-    path.write_text(json.dumps(cfg))
+    path.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
     argv = [str(path) if a is None else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -320,19 +320,41 @@ def test_stack_members_round_trip():
 
 
 
+def detuned(tau1, tau2, tau3):
+    """A network of detuned rings with their own phase partitions."""
+    return NetworkParams(rings=tuple(build_coupler(tau, 0.5, 1.0 + tau, 0.3 - tau)
+                                     for tau in (tau1, tau2, tau3)),
+                         deltas=(0.1, 0.2, 0.3))
+
+
 def test_stack_shares_its_transfers_read_only():
-    stack = build_couplers([0.2, -0.5, 0.7], [0.6, 0.3, -0.1], [0.4, 2.0, 5.9])
-    assert stack.flipped() is stack.flipped()
-    assert stack.transfers is stack.transfers
-    assert np.array_equal(stack.transfers, transfer_matrix_stack(stack))
-    assert np.array_equal(stack.flipped().transfers, transfer_matrix_stack(stack.flipped()))
-    for array in (stack.transfers, stack.tau, stack.flipped().kappa):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0.0
-    # A caller's own array stays writable.
+    # A network stack mounts its three slots in one ring stack, the middle
+    # one flipped, and evaluates their transfers once. The mounted fields and
+    # transfers are read-only; ``of`` gives each slot as a view into them.
+    nets = [curve_network(0.3, 0.2, 0.1), detuned(0.2, -0.5, 0.7)]
+    stacked = NetworkStack.of(nets)
+    general = NetworkStack(rings=stacked.rings, deltas=stacked.deltas)
+    for networks in (stacked, general):
+        assert networks.transfers is networks.transfers
+        assert len(networks.mounted) == 6
+        mounted = networks.mounted
+        for array in (*networks.transfers, mounted.tau, mounted.eta, mounted.theta,
+                      mounted.phi, mounted.kappa, mounted.gamma):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    m, (ring1, ring2, ring3) = stacked.mounted, stacked.rings
+    assert np.shares_memory(ring1.tau, m.tau) and np.shares_memory(ring3.gamma, m.gamma)
+    assert np.shares_memory(ring2.tau, m.eta) and np.shares_memory(ring2.kappa, m.gamma)
+    assert ring2.member(1) == nets[1].rings[1]
+    for field in ("tau", "eta", "theta", "phi", "kappa", "gamma"):
+        assert np.array_equal(getattr(general.mounted, field), getattr(m, field))
+    # The general constructor copies the slots: a caller's own arrays stay
+    # writable, as do those of a CouplerStack's caller.
     tau = np.array([0.1, 0.2])
-    CouplerStack(tau=tau, eta=tau, theta=tau, phi=tau,
-                 kappa=1j * np.sqrt(1.0 - tau * tau), gamma=1j * np.sqrt(1.0 - tau * tau))
+    stack = CouplerStack(tau=tau, eta=tau, theta=tau, phi=tau,
+                         kappa=1j * np.sqrt(1.0 - tau * tau),
+                         gamma=1j * np.sqrt(1.0 - tau * tau))
+    NetworkStack(rings=(stack, stack, stack), deltas=np.zeros((2, 3))).transfers
     tau[0] = 0.3
 
 
@@ -489,6 +511,40 @@ def outcome(f, *args):
 
 # 30 examples keep the two kernel tests near 0.4 s.
 KERNEL_EXAMPLES = settings(deadline=None, max_examples=30)
+
+
+def _members(networks):
+    """Each member of a NetworkStack as NetworkParams."""
+    return [NetworkParams(rings=tuple(r.member(min(i, len(r) - 1)) for r in networks.rings),
+                          deltas=tuple(networks.deltas[i])) for i in range(len(networks))]
+
+
+# N = 0, 1, 2 and many networks.
+_stack_sizes = st.one_of(st.integers(0, 2), st.integers(3, 40))
+
+
+@KERNEL_EXAMPLES
+@given(network_stacks(_stack_sizes), st.booleans())
+def test_mounted_transfers_are_each_slots_transfers_bit_for_bit(networks, by_members):
+    # The one transfer call on the mounted stack, split by slot, gives what
+    # each slot alone gives, the middle slot mounted flipped.
+    if by_members:
+        networks = NetworkStack.of(_members(networks))
+    rings = networks.rings
+    for got, slot in zip(networks.transfers, (rings[0], rings[1].flipped(), rings[2])):
+        assert got.shape == (len(slot), 2, 2)
+        assert got.tobytes() == transfer_matrix_stack(slot).tobytes()
+
+
+@KERNEL_EXAMPLES
+@given(network_stacks(_stack_sizes))
+def test_stack_members_compose_as_networks_alone_bit_for_bit(networks):
+    stacked = compose_scattering_stack(networks)
+    members = _members(networks)
+    assert stacked.shape == (len(networks), 3, 3)
+    for i, net in enumerate(members):
+        assert stacked[i].tobytes() == compose_scattering(net).tobytes()
+    assert compose_scattering_stack(NetworkStack.of(members)).tobytes() == stacked.tobytes()
 
 
 @KERNEL_EXAMPLES
