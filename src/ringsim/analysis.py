@@ -356,11 +356,10 @@ def compensated_network_stack(rings: tuple[CouplerStack, CouplerStack, CouplerSt
     """
     shape = np.broadcast_shapes(*((len(r),) for r in rings))
     networks = NetworkStack(rings=rings, deltas=np.zeros(shape + (3,)))
-    m1, m2, m3 = networks.transfers
+    _, (c1, d2, b3) = networks.legs()
     # The phases are written in place: the stack keeps the transfers they use.
     networks.deltas[:, 0], networks.deltas[:, 2] = deltas13
-    networks.deltas[:, 1] = (np.angle(m1[:, 1, 0]) + np.angle(m2[:, 1, 1])
-                             + np.angle(m3[:, 0, 1])) % TWO_PI
+    networks.deltas[:, 1] = (np.angle(c1) + np.angle(d2) + np.angle(b3)) % TWO_PI
     return networks
 
 
@@ -453,9 +452,7 @@ def off_resonance_check(ring1: CouplerStack, ring3: CouplerStack,
                             RESONANT_THETA)
     networks = compensated_network_stack((ring1, middle, ring3))
     v = verdict_stack(compose_scattering_stack(networks))
-    m1, m2, m3 = networks.transfers
-    # The middle ring is mounted flipped: its through amplitude is [1, 1].
-    through = np.stack(np.broadcast_arrays(m1[:, 0, 0], m2[:, 1, 1], m3[:, 0, 0]), axis=1)
+    through = np.stack(np.broadcast_arrays(*networks.legs()[0]), axis=1)
     phases = np.where(np.abs(through) < 1e-14, 0.0, np.angle(through))
     heralded = np.angle(v.beta0)
     residual = np.abs((phases.sum(axis=1) - heralded + math.pi) % TWO_PI - math.pi)

@@ -22,8 +22,7 @@ from .ring import (_COUPLER_DTYPES, CouplerStack, RingCoupler, RingTransfer, _re
 SWAP_PIVOT_TOL = 1e-12
 _LOOP_POLE = "loop gain b3 c1 d2 e^(-i delta2) = 1"
 
-# The mounted field that holds each field of a slot's ring: the middle ring
-# is mounted flipped, as RingCoupler.flipped. The swap is its own inverse.
+# Ring field -> mounted field per slot: the middle ring is flipped, a self-inverse swap.
 _SAME = {name: name for name in _COUPLER_DTYPES}
 _MOUNTED = (_SAME, {**_SAME, "tau": "eta", "eta": "tau", "kappa": "gamma", "gamma": "kappa"},
             _SAME)
@@ -84,17 +83,15 @@ class NetworkStack:
     def of(cls, networks) -> "NetworkStack":
         """Stack NetworkParams, whose rings passed their checks on construction."""
         networks = list(networks)
-        n = len(networks)
         mounted = CouplerStack._checked_already(**{
             name: np.array([getattr(net.rings[s], _MOUNTED[s][name])
                             for s in range(3) for net in networks], dtype=dtype)
             for name, dtype in _COUPLER_DTYPES.items()})
-        rings = tuple(CouplerStack._checked_already(**{
-            name: getattr(mounted, _MOUNTED[s][name])[s * n:(s + 1) * n]
-            for name in _COUPLER_DTYPES}) for s in range(3))
         stack = object.__new__(cls)
-        stack.__dict__.update(rings=rings, mounted=mounted, deltas=np.array(
-            [net.deltas for net in networks], dtype=float).reshape(-1, 3))
+        stack.__dict__.update(mounted=mounted, rings=tuple(CouplerStack._checked_already(**{
+            name: getattr(mounted, _MOUNTED[s][name]).reshape(3, -1)[s]
+            for name in _COUPLER_DTYPES}) for s in range(3)),
+            deltas=np.array([net.deltas for net in networks], dtype=float).reshape(-1, 3))
         return stack
 
     def __len__(self) -> int:
@@ -107,6 +104,12 @@ class NetworkStack:
         m = _read_only(transfer_matrix_stack(self.mounted))
         n1, n2 = len(self.rings[0]), len(self.rings[1])
         return m[:n1], m[n1:n1 + n2], m[n1 + n2:]
+
+    def legs(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Each ring's through amplitude, its own [0, 0] (the flipped middle's [1, 1]),
+        and its leg of the loop, c1, d2 and b3 of ``_entries``: views of ``transfers``."""
+        a, b, c = self.transfers
+        return (a[:, 0, 0], b[:, 1, 1], c[:, 0, 0]), (a[:, 1, 0], b[:, 1, 1], c[:, 0, 1])
 
 
 def mode_swap3(g: np.ndarray, j: int) -> np.ndarray:

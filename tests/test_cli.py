@@ -927,7 +927,8 @@ def test_surface_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring)
                       mounted.phi, mounted.kappa, mounted.gamma):
             assert not array.flags.writeable
         assert all(a is b for a, b in zip(stacks, fixed[0]))
-        assert all(not r.tau.flags.writeable for r in stacks)
+        assert all(not getattr(r, field).flags.writeable for r in stacks
+                   for field in ("tau", "eta", "theta", "phi", "kappa", "gamma"))
 
 
 def test_cnot_evaluates_its_six_rings_in_one_transfer_call(monkeypatch, tmp_path, capsys):

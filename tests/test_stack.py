@@ -327,26 +327,34 @@ def detuned(tau1, tau2, tau3):
                          deltas=(0.1, 0.2, 0.3))
 
 
+_FIELDS = ("tau", "eta", "theta", "phi", "kappa", "gamma")
+
+
 def test_stack_shares_its_transfers_read_only():
+    # A ring stack's fields, and those of its flipped stack, are read-only.
+    stack = build_couplers([0.2, -0.5, 0.7], [0.6, 0.3, -0.1], [0.4, 2.0, 5.9])
+    for array in (getattr(r, f) for r in (stack, stack.flipped()) for f in _FIELDS):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
     # A network stack mounts its three slots in one ring stack, the middle
     # one flipped, and evaluates their transfers once. The mounted fields and
-    # transfers are read-only; ``of`` gives each slot as a view into them.
+    # transfers are read-only, as are the slots; ``of`` gives each slot as a
+    # view into the mounted stack.
     nets = [curve_network(0.3, 0.2, 0.1), detuned(0.2, -0.5, 0.7)]
     stacked = NetworkStack.of(nets)
     general = NetworkStack(rings=stacked.rings, deltas=stacked.deltas)
     for networks in (stacked, general):
         assert networks.transfers is networks.transfers
         assert len(networks.mounted) == 6
-        mounted = networks.mounted
-        for array in (*networks.transfers, mounted.tau, mounted.eta, mounted.theta,
-                      mounted.phi, mounted.kappa, mounted.gamma):
+        rings = (networks.mounted, *networks.rings)
+        for array in (*networks.transfers, *(getattr(r, f) for r in rings for f in _FIELDS)):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
     m, (ring1, ring2, ring3) = stacked.mounted, stacked.rings
     assert np.shares_memory(ring1.tau, m.tau) and np.shares_memory(ring3.gamma, m.gamma)
     assert np.shares_memory(ring2.tau, m.eta) and np.shares_memory(ring2.kappa, m.gamma)
     assert ring2.member(1) == nets[1].rings[1]
-    for field in ("tau", "eta", "theta", "phi", "kappa", "gamma"):
+    for field in _FIELDS:
         assert np.array_equal(getattr(general.mounted, field), getattr(m, field))
     # The general constructor copies the slots: a caller's own arrays stay
     # writable, as do those of a CouplerStack's caller.
@@ -534,6 +542,13 @@ def test_mounted_transfers_are_each_slots_transfers_bit_for_bit(networks, by_mem
     for got, slot in zip(networks.transfers, (rings[0], rings[1].flipped(), rings[2])):
         assert got.shape == (len(slot), 2, 2)
         assert got.tobytes() == transfer_matrix_stack(slot).tobytes()
+    # Each ring's through and loop legs, in the ring's own terms.
+    (a1, a2, a3), (c1, d2, b3) = networks.legs()
+    own = [transfer_matrix_stack(r) for r in rings]
+    for got, m in zip((a1, a2, a3), own):
+        assert got.tobytes() == m[:, 0, 0].tobytes()
+    assert (c1.tobytes(), d2.tobytes(), b3.tobytes()) == (
+        own[0][:, 1, 0].tobytes(), own[1][:, 0, 0].tobytes(), own[2][:, 0, 1].tobytes())
 
 
 @KERNEL_EXAMPLES
