@@ -6,11 +6,11 @@ parameter manifolds, and assembles the post-selected dual-rail CNOT."""
 
 from .analysis import (NlpsgVerdict, OffResonanceReport, OptimalPoint,
                        S11_FIXED, T1_OPTIMAL, T2_OPTIMAL, beta_sq_of_t1,
-                       compensated_network, compensated_network_stack,
+                       compensated_network_stack,
                        curve_network, curve_ring, curve_stack,
                        intersect_delta2, intersect_stack, off_resonance_check,
                        optimal_point,
-                       optimize_t1, ring_phase_arg,
+                       optimize_t1,
                        surface_stack, surface_theta, surface_theta_stack,
                        t2_from_equality, t3_of_t1, verdict, verdict_stack,
                        wrap_angle)
@@ -28,7 +28,7 @@ from .network import (NetworkParams, NetworkStack, block_transfer,
                       compose_scattering_stack, mode_swap3, unitarity_residual)
 from .ring import (RESONANT_THETA, TWO_PI, CouplerStack, EffectiveCoupling,
                    RingCoupler, RingTransfer, build_coupler, build_couplers,
-                   effective_coupling, invert_effective, on_resonance_transfer,
+                   effective_coupling, invert_effective,
                    transfer_matrix, transfer_matrix_stack)
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "RingCoupler", "RingTransfer", "EffectiveCoupling", "TWO_PI",
     "RESONANT_THETA", "build_coupler", "transfer_matrix",
     "CouplerStack", "build_couplers", "transfer_matrix_stack",
-    "effective_coupling", "invert_effective", "on_resonance_transfer",
+    "effective_coupling", "invert_effective",
     "NetworkParams", "mode_swap3", "block_transfer", "compose_scattering",
     "NetworkStack", "compose_scattering_stack",
     "closed_form_resonant", "unitarity_residual",
@@ -52,8 +52,7 @@ __all__ = [
     "verdict", "verdict_stack", "t3_of_t1", "beta_sq_of_t1", "optimize_t1",
     "t2_from_equality", "optimal_point", "curve_ring", "curve_network",
     "curve_stack", "surface_theta",
-    "surface_theta_stack", "surface_stack", "ring_phase_arg",
-    "compensated_network", "compensated_network_stack",
+    "surface_theta_stack", "surface_stack", "compensated_network_stack",
     "off_resonance_check",
     "intersect_delta2", "intersect_stack", "wrap_angle",
     "DualRailQubit", "CnotNetwork", "TruthTableRow", "CoherenceReport",

@@ -16,12 +16,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, PoleError, UndefinedPhaseError
+from .errors import DomainError
 from .fock import _betas, _corners
 from .network import (NetworkParams, NetworkStack, closed_form_resonant,
                       compose_scattering_stack)
-from .ring import (RESONANT_THETA, TWO_PI, CouplerStack, RingCoupler, build_coupler,
-                   build_couplers, invert_effective)
+from .ring import (RESONANT_THETA, TWO_PI, CouplerStack, RingCoupler, _inverse, _through,
+                   build_coupler, build_couplers, invert_effective)
 
 log = logging.getLogger(__name__)
 
@@ -254,27 +254,6 @@ def curve_network(tau1: float = 0.0, tau2: float = 0.0, tau3: float = 0.0,
     )
 
 
-def ring_phase_arg(eta: float, tau: float, theta: float) -> float:
-    """Phase of the ring's through amplitude (eta - tau e^{-i theta}) /
-    (1 - eta tau e^{-i theta}).
-
-    Raises
-    ------
-    UndefinedPhaseError
-        If the through amplitude vanishes (eta = tau on resonance).
-    PoleError
-        If |eta * tau| >= 1.
-    """
-    if abs(eta * tau) >= 1.0:
-        raise PoleError(f"|eta*tau| = {abs(eta * tau)} >= 1")
-    z = cmath.exp(-1j * theta)
-    a = (eta - tau * z) / (1.0 - eta * tau * z)
-    if abs(a) < 1e-14:
-        raise UndefinedPhaseError(
-            "through amplitude vanishes; its phase is undefined")
-    return math.atan2(a.imag, a.real)
-
-
 def surface_theta(transmission: float, eta: float, tau: float) -> tuple[float, ...]:
     """Round-trip phases at which the ring's through magnitude equals the
     target transmission.
@@ -328,18 +307,6 @@ def surface_theta_stack(transmission: float, eta, tau) -> tuple[np.ndarray, np.n
                      matched | (solved & (theta != 0.0) & (theta != math.pi))], axis=1)
     point = np.repeat(np.arange(len(eta)), 2).reshape(-1, 2)
     return point[keep], branches[keep]
-
-
-def compensated_network(ring1: RingCoupler, ring2: RingCoupler,
-                        ring3: RingCoupler,
-                        deltas13: tuple[float, float] = (0.0, 0.0)) -> NetworkParams:
-    """Assemble the network with the middle line phase that cancels the
-    internal loop phase: the one-network case of
-    ``compensated_network_stack``."""
-    stack = compensated_network_stack(
-        tuple(CouplerStack.of([r]) for r in (ring1, ring2, ring3)), deltas13)
-    return NetworkParams(rings=(ring1, ring2, ring3),
-                         deltas=tuple(stack.deltas[0].tolist()))
 
 
 def compensated_network_stack(rings: tuple[CouplerStack, CouplerStack, CouplerStack],
@@ -409,8 +376,7 @@ def curve_stack(transmission: float, tau_grid, ring: int = 1) -> NetworkStack:
         raise DomainError(f"ring must be 1, 2 or 3, got {ring}")
     tau = np.asarray(tau_grid, dtype=float).reshape(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        den = 1.0 + transmission * tau
-        eta = (transmission + tau) / den
+        eta, den = _inverse(transmission, tau)
     usable = ((abs(transmission) <= 1.0) & (np.abs(tau) <= 1.0)
               & (np.abs(den) >= 1e-15) & (np.abs(eta) <= 1.0)
               & (np.abs(tau * eta) < 1.0))
@@ -448,8 +414,7 @@ def off_resonance_check(ring1: CouplerStack, ring3: CouplerStack,
     amplitude vanishes). Stacks, and tau2, of length 1 broadcast.
     """
     tau2 = np.atleast_1d(np.asarray(tau2, dtype=float))
-    middle = build_couplers(tau2, (T2_OPTIMAL + tau2) / (1.0 + T2_OPTIMAL * tau2),
-                            RESONANT_THETA)
+    middle = build_couplers(tau2, _inverse(T2_OPTIMAL, tau2)[0], RESONANT_THETA)
     networks = compensated_network_stack((ring1, middle, ring3))
     v = verdict_stack(compose_scattering_stack(networks))
     through = np.stack(np.broadcast_arrays(*networks.legs()[0]), axis=1)
@@ -528,8 +493,7 @@ def intersect_stack(delta2: float, tau2_grid,
     tau, eta = tau[keep], eta[keep]
     # theta = -arg z, mapped to (-pi, pi] as wrap_angle does (0 as +0.0).
     theta = -((np.angle(np.where(w == 0.0, 1.0, w)[keep]) + math.pi) % TWO_PI - math.pi) + 0.0
-    z = np.exp(-1j * theta)
-    through = (eta - tau * z) / (1.0 - eta * tau * z)
+    through, _ = _through(eta, tau, np.exp(-1j * theta))
     residual_mag = np.abs(np.abs(through) - t)
     residual_arg = np.abs(np.angle(through / a))
     hit = (residual_mag <= INTERSECT_RESIDUAL_TOL) & (residual_arg <= INTERSECT_RESIDUAL_TOL)

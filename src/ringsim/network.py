@@ -16,16 +16,21 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PoleError, SingularPivotError
-from .ring import (_COUPLER_DTYPES, CouplerStack, RingCoupler, RingTransfer, _read_only,
-                   transfer_matrix_stack)
+from .ring import (_COUPLER_DTYPES, _FLIPPED, CouplerStack, RingCoupler, RingTransfer,
+                   _read_only, transfer_matrix_stack)
 
 SWAP_PIVOT_TOL = 1e-12
 _LOOP_POLE = "loop gain b3 c1 d2 e^(-i delta2) = 1"
 
 # Ring field -> mounted field per slot: the middle ring is flipped, a self-inverse swap.
 _SAME = {name: name for name in _COUPLER_DTYPES}
-_MOUNTED = (_SAME, {**_SAME, "tau": "eta", "eta": "tau", "kappa": "gamma", "gamma": "kappa"},
-            _SAME)
+_MOUNTED = (_SAME, _FLIPPED, _SAME)
+
+
+def _finite_line_phases(bad) -> None:
+    """Raise DomainError naming the first of the non-finite line phases ``bad``, if any."""
+    if len(bad):
+        raise DomainError(f"line phases must be finite, got {bad[0]}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,7 @@ class NetworkParams:
             raise DomainError(f"exactly 3 rings required, got {len(self.rings)}")
         if len(self.deltas) != 3:
             raise DomainError(f"exactly 3 line phases required, got {len(self.deltas)}")
+        _finite_line_phases([d for d in self.deltas if not math.isfinite(d)])
         for r in self.rings:
             if not isinstance(r, RingCoupler):
                 raise DomainError("rings must be RingCoupler instances")
@@ -67,6 +73,7 @@ class NetworkStack:
             raise DomainError(f"exactly 3 ring stacks required, got {len(rings)}")
         if deltas.ndim != 2 or deltas.shape[1] != 3:
             raise DomainError(f"line phases must have shape (N, 3), got {deltas.shape}")
+        _finite_line_phases(deltas[~np.isfinite(deltas)])
         for r in rings:
             if not isinstance(r, CouplerStack):
                 raise DomainError("rings must be CouplerStack instances")

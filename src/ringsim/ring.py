@@ -7,6 +7,7 @@ evaluate in one numpy pass."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -24,6 +25,14 @@ RESONANT_THETA = TWO_PI
 
 _RECIPROCITY_TOL = 1e-12
 
+_COUPLER_DTYPES = {"tau": float, "eta": float, "theta": float, "phi": float,
+                   "kappa": complex, "gamma": complex}
+
+# Field -> the field it is read from when the ring is mounted mirror-imaged
+# and its two buses trade roles; the map is its own inverse.
+_FLIPPED = {"tau": "eta", "eta": "tau", "theta": "theta", "phi": "phi",
+            "kappa": "gamma", "gamma": "kappa"}
+
 
 @dataclass(frozen=True)
 class RingCoupler:
@@ -33,6 +42,12 @@ class RingCoupler:
     and upper couplers; kappa and gamma are the matching cross-coupling
     amplitudes. theta is the round-trip phase (stored reduced mod 2*pi)
     and phi the phase partition between the two half-trips.
+
+    Construction checks, in this order, that tau and eta lie in [-1, 1]
+    (DomainError), that |tau * eta| < 1 (PoleError: the on-resonance
+    pole), that theta and phi are finite, and that each cross coupling
+    meets reciprocity with its transmission (DomainError). These are the
+    checks, and the messages, of every ring the package builds.
     """
 
     tau: float
@@ -47,10 +62,10 @@ class RingCoupler:
             if not -1.0 <= value <= 1.0:
                 raise DomainError(f"{name} must lie in [-1, 1], got {value}")
         if abs(self.tau * self.eta) >= 1.0:
-            raise PoleError(
-                f"|tau*eta| = {abs(self.tau * self.eta)} puts the resonance "
-                "denominator at zero"
-            )
+            raise PoleError(f"|tau*eta| = {abs(self.tau * self.eta)}: on-resonance pole")
+        for name, value in (("theta", self.theta), ("phi", self.phi)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         for t, k, label in ((self.tau, self.kappa, "kappa"),
                             (self.eta, self.gamma, "gamma")):
             if not abs(abs(k) ** 2 + t * t - 1.0) <= _RECIPROCITY_TOL:
@@ -60,8 +75,7 @@ class RingCoupler:
 
     def flipped(self) -> "RingCoupler":
         """Same ring mounted mirror-imaged: the two buses trade roles."""
-        return replace(self, tau=self.eta, eta=self.tau,
-                       kappa=self.gamma, gamma=self.kappa)
+        return replace(self, **{name: getattr(self, _FLIPPED[name]) for name in _FLIPPED})
 
 
 @dataclass(frozen=True)
@@ -85,6 +99,16 @@ class EffectiveCoupling(NamedTuple):
     r: float
 
 
+def _coupler_fields(tau, eta, theta, phi, sqrt) -> tuple:
+    """The fields of the ring ``build_coupler`` makes, in field order, from
+    floats (with ``sqrt = cmath.sqrt``) or arrays (``np.sqrt``): the cross
+    couplings fixed by reciprocity, theta reduced mod 2*pi, and phi, which
+    defaults to half the unreduced theta. A transmission outside [-1, 1]
+    gives a coupling the construction check rejects, not an error here."""
+    return (tau, eta, theta % TWO_PI, 0.5 * theta if phi is None else phi,
+            1j * sqrt(1.0 - tau * tau), 1j * sqrt(1.0 - eta * eta))
+
+
 def build_coupler(tau: float, eta: float, theta: float,
                   phi: float | None = None) -> RingCoupler:
     """Construct a ring from real coupler transmissions and a round-trip phase.
@@ -96,40 +120,23 @@ def build_coupler(tau: float, eta: float, theta: float,
     Raises
     ------
     DomainError
-        If tau or eta falls outside [-1, 1].
+        If tau or eta falls outside [-1, 1], or theta or phi is not finite.
     PoleError
         If |tau * eta| = 1, which collapses the resonance denominator.
     """
-    if not -1.0 <= tau <= 1.0:
-        raise DomainError(f"tau must lie in [-1, 1], got {tau}")
-    if not -1.0 <= eta <= 1.0:
-        raise DomainError(f"eta must lie in [-1, 1], got {eta}")
-    if abs(tau * eta) >= 1.0:
-        raise PoleError(f"|tau*eta| = {abs(tau * eta)}: on-resonance pole")
-    if phi is None:
-        phi = 0.5 * theta
-    return RingCoupler(
-        tau=float(tau),
-        eta=float(eta),
-        theta=float(theta) % TWO_PI,
-        phi=float(phi),
-        kappa=1j * math.sqrt(1.0 - tau * tau),
-        gamma=1j * math.sqrt(1.0 - eta * eta),
-    )
-
-
-_COUPLER_DTYPES = {"tau": float, "eta": float, "theta": float, "phi": float,
-                   "kappa": complex, "gamma": complex}
+    return RingCoupler(*_coupler_fields(float(tau), float(eta), float(theta),
+                                        None if phi is None else float(phi), cmath.sqrt))
 
 
 @dataclass(frozen=True, eq=False)
 class CouplerStack:
     """N rings as parallel 1-D arrays: the stacked form of RingCoupler.
 
-    Every member passes the checks of RingCoupler on construction (domain,
-    pole, reciprocity); the error names the first failing value, and NaN
-    fails every check. The field arrays are read-only views. A NetworkStack
-    mounts its three slots in one CouplerStack, evaluated in one call.
+    Every member passes the checks of RingCoupler on construction, and a
+    stack with a failing member raises RingCoupler's error for the first
+    one; a NaN field fails. The field arrays are read-only views. A
+    NetworkStack mounts its three slots in one CouplerStack, evaluated in
+    one call.
     """
 
     tau: np.ndarray
@@ -147,21 +154,18 @@ class CouplerStack:
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise DomainError(f"coupler fields must be 1-D arrays of one length, "
                               f"got shapes {sorted(shapes)}")
-        for name, value in (("tau", self.tau), ("eta", self.eta)):
-            bad = ~(np.abs(value) <= 1.0)
-            if bad.any():
-                raise DomainError(f"{name} must lie in [-1, 1], got {value[bad][0]}")
-        product = np.abs(self.tau * self.eta)
-        bad = ~(product < 1.0)
-        if bad.any():
-            raise PoleError(f"|tau*eta| = {product[bad][0]} puts the resonance "
-                            "denominator at zero")
-        for t, k, label in ((self.tau, self.kappa, "kappa"),
-                            (self.eta, self.gamma, "gamma")):
-            if not np.all(np.abs(np.abs(k) ** 2 + t * t - 1.0) <= _RECIPROCITY_TOL):
-                raise DomainError(f"|{label}|^2 + transmission^2 != 1")
-            if not np.all(np.abs(k * t + k.conj() * t) <= _RECIPROCITY_TOL):
-                raise DomainError(f"{label} violates the reciprocity phase condition")
+        tau, eta = self.tau, self.eta
+        # A member with an infinite field fails; it needs no warning.
+        with np.errstate(invalid="ignore", over="ignore"):
+            passes = ((np.abs(tau) <= 1.0) & (np.abs(eta) <= 1.0) & (np.abs(tau * eta) < 1.0)
+                      & np.isfinite(self.theta) & np.isfinite(self.phi))
+            for t, k in ((tau, self.kappa), (eta, self.gamma)):
+                passes &= np.abs(np.abs(k) ** 2 + t * t - 1.0) <= _RECIPROCITY_TOL
+                passes &= np.abs(k * t + k.conj() * t) <= _RECIPROCITY_TOL
+        # RingCoupler's check raises, and names the failure: the mask only
+        # finds the members to put to it.
+        for i in np.flatnonzero(~passes):
+            RingCoupler(**{name: getattr(self, name)[i].item() for name in _COUPLER_DTYPES})
 
     @classmethod
     def _checked_already(cls, **fields) -> "CouplerStack":
@@ -182,18 +186,6 @@ class CouplerStack:
     def __len__(self) -> int:
         return len(self.tau)
 
-    def member(self, i: int) -> RingCoupler:
-        """The i-th ring as a RingCoupler."""
-        return RingCoupler(tau=float(self.tau[i]), eta=float(self.eta[i]),
-                           theta=float(self.theta[i]), phi=float(self.phi[i]),
-                           kappa=complex(self.kappa[i]), gamma=complex(self.gamma[i]))
-
-    def flipped(self) -> "CouplerStack":
-        """Every ring mounted mirror-imaged, as RingCoupler.flipped."""
-        # The checks are symmetric under the swap, so they are not repeated.
-        return self._checked_already(tau=self.eta, eta=self.tau, theta=self.theta,
-                                     phi=self.phi, kappa=self.gamma, gamma=self.kappa)
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """``a`` if it is read-only (as a read-only array's slices are), else a read-only view."""
@@ -212,12 +204,21 @@ def build_couplers(tau, eta, theta) -> CouplerStack:
     """
     tau, eta, theta = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (tau, eta, theta)))
-    # Out-of-domain members give NaN here and are rejected by CouplerStack.
+    # Out-of-domain or non-finite members give NaN here and are rejected by
+    # CouplerStack.
     with np.errstate(invalid="ignore"):
-        kappa = 1j * np.sqrt(1.0 - tau * tau)
-        gamma = 1j * np.sqrt(1.0 - eta * eta)
-    return CouplerStack(tau=tau, eta=eta, theta=theta % TWO_PI, phi=0.5 * theta,
-                        kappa=kappa, gamma=gamma)
+        fields = _coupler_fields(tau, eta, theta, None, np.sqrt)
+    return CouplerStack(*fields)
+
+
+def _through(eta, tau, z, den=None):
+    """Through amplitude (eta - tau z) / (1 - eta tau z) of rings with
+    transmissions eta and tau and round-trip phasor z = e^{-i theta}, and
+    its denominator. A ring's transfer [0, 0] is (eta, tau) and its [1, 1]
+    (tau, eta), with the same den: eta tau and tau eta round the same."""
+    if den is None:
+        den = 1.0 - eta * tau * z
+    return (eta - tau * z) / den, den
 
 
 def transfer_matrix_stack(couplers: CouplerStack) -> np.ndarray:
@@ -229,13 +230,12 @@ def transfer_matrix_stack(couplers: CouplerStack) -> np.ndarray:
     """
     tau, eta, theta, phi = couplers.tau, couplers.eta, couplers.theta, couplers.phi
     z = np.exp(-1j * theta)
-    den = 1.0 - eta * tau * z
     cross = couplers.gamma * couplers.kappa.conj()
     out = np.empty((len(couplers), 2, 2), dtype=complex)
-    out[:, 0, 0] = (eta - tau * z) / den
+    out[:, 0, 0], den = _through(eta, tau, z)
     out[:, 0, 1] = -cross * np.exp(-1j * phi) / den
     out[:, 1, 0] = -couplers.kappa * couplers.gamma.conj() * np.exp(-1j * (theta - phi)) / den
-    out[:, 1, 1] = (tau - eta * z) / den
+    out[:, 1, 1], _ = _through(tau, eta, z, den)
     return out
 
 
@@ -267,6 +267,15 @@ def effective_coupling(tau: float, eta: float) -> EffectiveCoupling:
     return EffectiveCoupling(t=t, r=r)
 
 
+def _inverse(t, tau):
+    """Upper transmission eta = (t + tau) / (1 + t tau) of the ring with
+    effective transmission t and lower transmission tau, and its
+    denominator, over numpy floats or arrays (a Python float raises at the
+    pole den = 0)."""
+    den = 1.0 + t * tau
+    return (t + tau) / den, den
+
+
 def invert_effective(t: float, tau: float) -> float:
     """Upper transmission eta that realizes effective transmission t given tau.
 
@@ -282,23 +291,9 @@ def invert_effective(t: float, tau: float) -> float:
     """
     if not -1.0 <= t <= 1.0 or not -1.0 <= tau <= 1.0:
         raise DomainError("arguments must lie in [-1, 1]")
-    den = 1.0 + t * tau
+    # At the pole the quotient is inf or NaN: it is checked after, not raised.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta, den = _inverse(np.float64(t), tau)
     if abs(den) < 1e-15:
         raise PoleError("t * tau = -1: inversion undefined")
-    return (t + tau) / den
-
-
-def on_resonance_transfer(t: float, slot: int) -> RingTransfer:
-    """Resonant transfer matrix expressed through the effective transmission.
-
-    Slots 1 and 3 give [[t, r], [r, -t]]; slot 2 is the mirror-mounted ring
-    and gives [[-t, r], [r, t]], with r = sqrt(1 - t^2).
-    """
-    if slot not in (1, 2, 3):
-        raise DomainError(f"slot must be 1, 2 or 3, got {slot}")
-    if not -1.0 <= t <= 1.0:
-        raise DomainError(f"|t| <= 1 required, got {t}")
-    r = math.sqrt(1.0 - t * t)
-    if slot == 2:
-        return RingTransfer(a=-t, b=r, c=r, d=t)
-    return RingTransfer(a=t, b=r, c=r, d=-t)
+    return float(eta)

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringsim import (SUCCESS_PATTERN, NetworkParams, NlpsgInput, T1_OPTIMAL,
-                     T2_OPTIMAL, build_coupler, compensated_network,
+from ringsim import (SUCCESS_PATTERN, CouplerStack, NetworkParams, NlpsgInput,
+                     T1_OPTIMAL, T2_OPTIMAL, build_coupler, compensated_network_stack,
                      compose_scattering, curve_network, curve_ring, evolve,
                      invert_effective, project, surface_theta)
 from ringsim import _csv, cli, fock
@@ -124,6 +124,24 @@ def test_smatrix_pole_is_numerical_error(tmp_path, capsys):
                      ring_entry(2), ring_entry(3)]}
     assert main(["smatrix", "--config", write_config(tmp_path, cfg)]) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["smatrix", "verify", "cnot"])
+@pytest.mark.parametrize("ring, code, err", [
+    ({"tau": 1.2, "eta": 0.5, "theta": TWO_PI}, 2,
+     "config error: {where}[0]: tau must lie in [-1, 1], got 1.2\n"),
+    ({"tau": 1.0, "eta": 1.0, "theta": TWO_PI}, 3,
+     "numerical error: |tau*eta| = 1.0: on-resonance pole\n"),
+])
+def test_bad_coupler_stderr_is_pinned(tmp_path, capsys, command, ring, code, err):
+    cfg = {"rings": [ring, ring_entry(2), ring_entry(3)]}
+    where = "rings"
+    if command == "cnot":
+        cfg, where = {"gate_a": cfg}, "gate_a.rings"
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err.format(where=where)
 
 
 @pytest.mark.parametrize("eta", [0.4, 0.4 + 1e-8])
@@ -407,7 +425,8 @@ def _rebuild_surface(ring, grid):
             for theta in surface_theta(transmission, eta, tau):
                 rings = [curve_ring(s, 0.0) for s in (1, 2, 3)]
                 rings[ring - 1] = build_coupler(tau, eta, theta)
-                net = compensated_network(*rings)
+                stack = compensated_network_stack(tuple(CouplerStack.of([r]) for r in rings))
+                net = NetworkParams(rings=tuple(rings), deltas=tuple(stack.deltas[0].tolist()))
                 lines.append(",".join([str(ring), _fmt(tau), _fmt(eta), _fmt(theta),
                                        _fmt(_rebuilt_success(net))]))
     return lines

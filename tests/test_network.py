@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ringsim import (
+    CouplerStack,
     NetworkParams,
+    NetworkStack,
     PoleError,
     RESONANT_THETA,
     SingularPivotError,
@@ -17,7 +19,6 @@ from ringsim import (
     effective_coupling,
     invert_effective,
     mode_swap3,
-    on_resonance_transfer,
     transfer_matrix,
     unitarity_residual,
 )
@@ -94,10 +95,12 @@ def test_mode_swap_rejects_bad_input():
 
 
 def test_block_transfer_examples():
-    swap = on_resonance_transfer(0.0, 1)
+    # Resonant rings: [[t, r], [r, -t]] at t = 0, and the flipped
+    # [[-t, r], [r, t]] at t = 1.
+    swap = np.array([[0.0, 1.0], [1.0, -0.0]])
     assert np.allclose(block_transfer(1, swap, 0.0),
                        [[1, 0, 0], [0, 0, 1], [0, 1, 0]], atol=1e-15)
-    ident = on_resonance_transfer(1.0, 2)
+    ident = np.array([[-1.0, 0.0], [0.0, 1.0]])
     b2 = block_transfer(2, ident, np.pi)
     assert np.allclose(b2, np.diag([-1.0, 1.0, -1.0]), atol=1e-12)
     b3 = block_transfer(3, swap, 0.0)
@@ -106,7 +109,7 @@ def test_block_transfer_examples():
 
 def test_block_transfer_bad_block():
     with pytest.raises(DomainError):
-        block_transfer(4, on_resonance_transfer(0.5, 1), 0.0)
+        block_transfer(4, np.array([[0.5, np.sqrt(0.75)], [np.sqrt(0.75), -0.5]]), 0.0)
 
 
 def test_compose_optimal_entries():
@@ -214,3 +217,13 @@ def test_unitarity_residual_result_per_input_shape():
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
     assert unitarity_residual(np.zeros((0, 0))) == 0.0
     assert unitarity_residual(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_line_phase_is_a_domain_error(bad):
+    ring = build_coupler(0.3, 0.7, 1.0)
+    with pytest.raises(DomainError, match="^line phases must be finite, got "):
+        NetworkParams(rings=(ring, ring, ring), deltas=(0.0, bad, 0.0))
+    stack = CouplerStack.of([ring])
+    with pytest.raises(DomainError, match="^line phases must be finite, got "):
+        NetworkStack(rings=(stack, stack, stack), deltas=[[0.0, 0.0, 0.0], [0.0, bad, 0.0]])

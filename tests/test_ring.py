@@ -1,16 +1,19 @@
 """Tests for the single-ring coupler and its 2x2 transfer matrix."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from ringsim import (
+    CouplerStack,
     DomainError,
     PoleError,
     RingCoupler,
     build_coupler,
+    build_couplers,
     effective_coupling,
     invert_effective,
-    on_resonance_transfer,
     transfer_matrix,
 )
 
@@ -52,6 +55,31 @@ def test_build_coupler_rejects_out_of_range():
 def test_build_coupler_pole():
     with pytest.raises(PoleError):
         build_coupler(1.0, 1.0, 0.0)
+
+
+def test_pole_ring_gets_one_message_by_every_route():
+    # The built ring, the ring as given, and either as a member of a stack.
+    fields = dict(tau=1.0, eta=1.0, theta=0.3, phi=0.15, kappa=0j, gamma=0j)
+    for build in (lambda: build_coupler(1.0, 1.0, 0.3),
+                  lambda: RingCoupler(**fields),
+                  lambda: build_couplers([0.2, 1.0], [0.2, 1.0], 0.3),
+                  lambda: CouplerStack(**{k: [v, v] for k, v in fields.items()})):
+        with pytest.raises(PoleError, match=r"^\|tau\*eta\| = 1.0: on-resonance pole$"):
+            build()
+
+
+@pytest.mark.parametrize("theta, phi, name", [
+    (np.inf, None, "theta"), (np.nan, None, "theta"), (-np.inf, 0.2, "theta"),
+    (0.3, np.nan, "phi"), (0.3, np.inf, "phi"),
+])
+def test_non_finite_phase_is_a_domain_error_naming_it(theta, phi, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got "):
+            build_coupler(0.3, 0.7, theta, phi)
+        if phi is None:
+            with pytest.raises(DomainError, match=f"^{name} must be finite, got "):
+                build_couplers([0.3, 0.3], [0.7, 0.7], [1.0, theta])
 
 
 @pytest.mark.parametrize("field", ["kappa", "gamma"])
@@ -153,37 +181,18 @@ def test_invert_effective_pole():
         invert_effective(1.0, -1.0)
 
 
-def test_on_resonance_transfer_slots():
-    t, r = 0.5, np.sqrt(0.75)
-    assert np.allclose(on_resonance_transfer(0.5, 1).matrix,
-                       [[t, r], [r, -t]], atol=1e-12)
-    assert np.allclose(on_resonance_transfer(0.5, 2).matrix,
-                       [[-t, r], [r, t]], atol=1e-12)
-    assert np.allclose(on_resonance_transfer(0.5, 3).matrix,
-                       on_resonance_transfer(0.5, 1).matrix)
-
-
-def test_on_resonance_transfer_unit_coupling():
-    assert np.allclose(on_resonance_transfer(1.0, 1).matrix, [[1, 0], [0, -1]])
-
-
-def test_on_resonance_transfer_bad_slot():
-    with pytest.raises(DomainError):
-        on_resonance_transfer(0.5, 0)
-    with pytest.raises(DomainError):
-        on_resonance_transfer(1.2, 1)
-
-
 def test_on_resonance_consistency_with_full_transfer():
-    # The resonant closed form must match the full matrix, with slot 2
-    # realized by the geometrically flipped coupler.
+    # On resonance a ring is the beam splitter [[t, r], [r, -t]] of its
+    # effective transmission t, r = sqrt(1 - t^2); the flipped coupler, as
+    # mounted in slot 2, is [[-t, r], [r, t]].
     rng = np.random.default_rng(41)
     for _ in range(200):
         tau = rng.uniform(0.05, 0.95)
         eta = rng.uniform(0.05, 0.95)
         t, _ = effective_coupling(tau, eta)
         coupler = build_coupler(tau, eta, TWO_PI)
+        r = np.sqrt(1.0 - t * t)
         m = transfer_matrix(coupler).matrix
-        assert np.max(np.abs(m - on_resonance_transfer(t, 1).matrix)) < 1e-12
+        assert np.max(np.abs(m - [[t, r], [r, -t]])) < 1e-12
         m_flip = transfer_matrix(coupler.flipped()).matrix
-        assert np.max(np.abs(m_flip - on_resonance_transfer(t, 2).matrix)) < 1e-12
+        assert np.max(np.abs(m_flip - [[-t, r], [r, t]])) < 1e-12

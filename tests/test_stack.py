@@ -24,6 +24,7 @@ from ringsim import (
     NlpsgVerdict,
     PoleError,
     RESONANT_THETA,
+    RingCoupler,
     SectoredState,
     block_transfer,
     build_coupler,
@@ -143,7 +144,7 @@ def test_compose_equals_swap_chain_oracle(nets):
     # within a factor 1.4), are left out, and every other member is checked.
     # Only an example with no member left is discarded.
     rings = networks.rings
-    couplers = (rings[0], rings[1].flipped(), rings[2])
+    couplers = (rings[0], flipped(rings[1]), rings[2])
     blocks = [block_transfer(slot, transfer_matrix_stack(c), networks.deltas[:, slot - 1])
               for slot, c in zip((1, 2, 3), couplers)]
     kept = np.flatnonzero(np.all([np.abs(b[:, 1, 1]) >= 1e-3 for b in blocks], axis=0))
@@ -225,20 +226,47 @@ def test_non_unitary_matrix_in_stack_raises_scalar_error(nets, inp, data):
         heralded_success_stack(s, inp)
 
 
+_FIELDS = ("tau", "eta", "theta", "phi", "kappa", "gamma")
+
+
+def flipped(stack):
+    """Every ring of a CouplerStack mounted mirror-imaged: the buses trade roles."""
+    return CouplerStack(tau=stack.eta, eta=stack.tau, theta=stack.theta, phi=stack.phi,
+                        kappa=stack.gamma, gamma=stack.kappa)
+
+
+def member(stack, i):
+    """The i-th ring of a CouplerStack as a RingCoupler."""
+    return RingCoupler(**{name: getattr(stack, name)[i].item() for name in _FIELDS})
+
+
 @EXAMPLES
 @given(st.lists(st.tuples(transmissions, transmissions, angles), min_size=1, max_size=6),
        st.data())
 def test_bad_coupler_in_stack_raises_scalar_error(good, data):
-    bad = data.draw(st.sampled_from([(1.5, 0.2, 0.0), (0.2, np.nan, 0.0), (1.0, 1.0, 0.3)]))
+    bad = data.draw(st.sampled_from([(1.5, 0.2, 0.0), (0.2, np.nan, 0.0), (1.0, 1.0, 0.3),
+                                     (0.3, 0.7, np.inf), (0.3, 0.7, np.nan)]))
     where = data.draw(st.integers(0, len(good)))
     members = good[:where] + [bad] + good[where:]
     with pytest.raises((DomainError, PoleError)) as scalar:
         build_coupler(*bad)
-    with pytest.raises(type(scalar.value)):
+    with pytest.raises(type(scalar.value)) as stacked:
         build_couplers(*zip(*members))
-    stack = build_couplers(*zip(*good))
-    assert [stack.member(i) for i in range(len(good))] == \
-        [build_coupler(*m) for m in good]
+    assert str(stacked.value) == str(scalar.value)
+
+
+@EXAMPLES
+@given(st.lists(st.tuples(transmissions, transmissions, st.floats(-20.0, 20.0)),
+                min_size=1, max_size=6))
+def test_build_couplers_members_are_build_coupler_bit_for_bit(members):
+    # Every field, the default phase partition phi = theta/2 included.
+    stack = build_couplers(*zip(*members))
+    for i, m in enumerate(members):
+        ring = build_coupler(*m)
+        for name in _FIELDS:
+            assert getattr(stack, name)[i].tobytes() == \
+                np.asarray(getattr(ring, name)).tobytes(), name
+        assert member(flipped(stack), i) == ring.flipped()
 
 
 def random_unitary(seed, n):
@@ -309,11 +337,9 @@ def test_project_of_evolve_equals_full_lift(seed, state, pattern):
         assert np.max(np.abs(cond.sectors[n] - vec), initial=0.0) <= 1e-12
 
 
-def test_stack_members_round_trip():
+def test_network_stack_rejects_a_ring_stack_of_another_length():
     c = build_coupler(0.3, 0.7, 1.1, 0.2)
     stack = CouplerStack.of([c, c.flipped()])
-    assert stack.member(0) == c
-    assert stack.flipped().member(0) == c.flipped()
     with pytest.raises(DomainError):
         NetworkStack(rings=(stack, stack, CouplerStack.of([c] * 3)),
                      deltas=np.zeros((2, 3)))
@@ -327,13 +353,10 @@ def detuned(tau1, tau2, tau3):
                          deltas=(0.1, 0.2, 0.3))
 
 
-_FIELDS = ("tau", "eta", "theta", "phi", "kappa", "gamma")
-
-
 def test_stack_shares_its_transfers_read_only():
-    # A ring stack's fields, and those of its flipped stack, are read-only.
+    # A ring stack's fields are read-only.
     stack = build_couplers([0.2, -0.5, 0.7], [0.6, 0.3, -0.1], [0.4, 2.0, 5.9])
-    for array in (getattr(r, f) for r in (stack, stack.flipped()) for f in _FIELDS):
+    for array in (getattr(stack, f) for f in _FIELDS):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
     # A network stack mounts its three slots in one ring stack, the middle
@@ -353,7 +376,7 @@ def test_stack_shares_its_transfers_read_only():
     m, (ring1, ring2, ring3) = stacked.mounted, stacked.rings
     assert np.shares_memory(ring1.tau, m.tau) and np.shares_memory(ring3.gamma, m.gamma)
     assert np.shares_memory(ring2.tau, m.eta) and np.shares_memory(ring2.kappa, m.gamma)
-    assert ring2.member(1) == nets[1].rings[1]
+    assert member(ring2, 1) == nets[1].rings[1]
     for field in _FIELDS:
         assert np.array_equal(getattr(general.mounted, field), getattr(m, field))
     # The general constructor copies the slots: a caller's own arrays stay
@@ -499,7 +522,7 @@ def network_stacks(draw, sizes=st.integers(0, 6)):
     rng = np.random.default_rng(draw(seeds))
     rings = [_coupler_stack(rng, 1 if draw(st.booleans()) else n) for _ in range(3)]
     if draw(st.booleans()):
-        rings[1] = rings[1].flipped()
+        rings[1] = flipped(rings[1])
     deltas = rng.uniform(0.0, 2.0 * math.pi, (n, 3))
     return NetworkStack(rings=tuple(rings), deltas=deltas)
 
@@ -523,7 +546,7 @@ KERNEL_EXAMPLES = settings(deadline=None, max_examples=30)
 
 def _members(networks):
     """Each member of a NetworkStack as NetworkParams."""
-    return [NetworkParams(rings=tuple(r.member(min(i, len(r) - 1)) for r in networks.rings),
+    return [NetworkParams(rings=tuple(member(r, min(i, len(r) - 1)) for r in networks.rings),
                           deltas=tuple(networks.deltas[i])) for i in range(len(networks))]
 
 
@@ -539,7 +562,7 @@ def test_mounted_transfers_are_each_slots_transfers_bit_for_bit(networks, by_mem
     if by_members:
         networks = NetworkStack.of(_members(networks))
     rings = networks.rings
-    for got, slot in zip(networks.transfers, (rings[0], rings[1].flipped(), rings[2])):
+    for got, slot in zip(networks.transfers, (rings[0], flipped(rings[1]), rings[2])):
         assert got.shape == (len(slot), 2, 2)
         assert got.tobytes() == transfer_matrix_stack(slot).tobytes()
     # Each ring's through and loop legs, in the ring's own terms.
