@@ -4,21 +4,18 @@ Builds the three-ring heralded phase gate, verifies its success
 constraints by full Fock-space simulation, traces its optimal-operation
 parameter manifolds, and assembles the post-selected dual-rail CNOT."""
 
-from .analysis import (NlpsgVerdict, OffResonanceReport, OptimalPoint,
-                       S11_FIXED, T1_OPTIMAL, T2_OPTIMAL, beta_sq_of_t1,
-                       compensated_network_stack,
+from .analysis import (NlpsgVerdict, OffResonanceReport, S11_FIXED, T1_OPTIMAL,
+                       T2_OPTIMAL, beta_sq_of_t1, compensated_network_stack,
                        curve_network, curve_ring, curve_stack,
                        intersect_delta2, intersect_stack, off_resonance_check,
-                       optimal_point,
-                       optimize_t1,
-                       surface_stack, surface_theta, surface_theta_stack,
+                       optimize_t1, surface_stack, surface_theta, surface_theta_stack,
                        t2_from_equality, t3_of_t1, verdict, verdict_stack,
                        wrap_angle)
 from .cnot import (CnotNetwork, CoherenceReport, DualRailQubit, TruthTableRow,
                    build_cnot, conditional_logical_matrix, embed,
                    normalize_global_phase, verify_coherence, verify_truth_table)
 from .errors import (ConfigError, ConstraintError, DomainError, PoleError,
-                     RingsimError, SingularPivotError, UndefinedPhaseError)
+                     RingsimError, SingularPivotError)
 from .fock import (SUCCESS_PATTERN, MeasurementPattern, NlpsgInput,
                    OccupationBasis, SectoredState, enumerate_basis, evolve,
                    heralded_success_stack, lift_unitary, nlpsg_closed_form,
@@ -27,7 +24,7 @@ from .network import (NetworkParams, NetworkStack, block_transfer,
                       closed_form_resonant, compose_scattering,
                       compose_scattering_stack, mode_swap3, unitarity_residual)
 from .ring import (RESONANT_THETA, TWO_PI, CouplerStack, EffectiveCoupling,
-                   RingCoupler, RingTransfer, build_coupler, build_couplers,
+                   RingCoupler, build_coupler, build_couplers,
                    effective_coupling, invert_effective,
                    transfer_matrix, transfer_matrix_stack)
 
@@ -35,8 +32,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "ConstraintError", "DomainError", "PoleError",
-    "RingsimError", "SingularPivotError", "UndefinedPhaseError",
-    "RingCoupler", "RingTransfer", "EffectiveCoupling", "TWO_PI",
+    "RingsimError", "SingularPivotError",
+    "RingCoupler", "EffectiveCoupling", "TWO_PI",
     "RESONANT_THETA", "build_coupler", "transfer_matrix",
     "CouplerStack", "build_couplers", "transfer_matrix_stack",
     "effective_coupling", "invert_effective",
@@ -47,10 +44,10 @@ __all__ = [
     "SUCCESS_PATTERN", "enumerate_basis", "permanent", "lift_unitary",
     "evolve", "project", "nlpsg_closed_form",
     "heralded_success_stack",
-    "NlpsgVerdict", "OptimalPoint",
+    "NlpsgVerdict",
     "OffResonanceReport", "S11_FIXED", "T1_OPTIMAL", "T2_OPTIMAL",
     "verdict", "verdict_stack", "t3_of_t1", "beta_sq_of_t1", "optimize_t1",
-    "t2_from_equality", "optimal_point", "curve_ring", "curve_network",
+    "t2_from_equality", "curve_ring", "curve_network",
     "curve_stack", "surface_theta",
     "surface_theta_stack", "surface_stack", "compensated_network_stack",
     "off_resonance_check",

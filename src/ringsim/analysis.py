@@ -48,19 +48,6 @@ def wrap_angle(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class OptimalPoint:
-    """Effective transmissions of the fully optimal resonant network."""
-
-    t1: float
-    t2: float
-    t3: float
-
-
-def optimal_point() -> OptimalPoint:
-    return OptimalPoint(t1=T1_OPTIMAL, t2=T2_OPTIMAL, t3=T1_OPTIMAL)
-
-
-@dataclass(frozen=True)
 class NlpsgVerdict:
     """Success-constraint diagnostics of a scattering matrix or a stack.
 
@@ -236,6 +223,7 @@ def t2_from_equality(t1: float, t3: float) -> float:
 
 
 def _slot_transmission(slot: int) -> float:
+    """The optimal effective transmission of a ring slot (1, 2 or 3)."""
     return T2_OPTIMAL if slot == 2 else T1_OPTIMAL
 
 
@@ -309,8 +297,8 @@ def surface_theta_stack(transmission: float, eta, tau) -> tuple[np.ndarray, np.n
     return point[keep], branches[keep]
 
 
-def compensated_network_stack(rings: tuple[CouplerStack, CouplerStack, CouplerStack],
-                              deltas13: tuple[float, float] = (0.0, 0.0)) -> NetworkStack:
+def compensated_network_stack(
+        rings: tuple[CouplerStack, CouplerStack, CouplerStack]) -> NetworkStack:
     """Stack of networks with the middle line phase that cancels the
     internal loop phase of each.
 
@@ -318,14 +306,13 @@ def compensated_network_stack(rings: tuple[CouplerStack, CouplerStack, CouplerSt
     plus the middle ring's through leg). Detuned rings give those legs
     nonzero phases; setting the middle in-line phase to their sum makes
     the loop constructive again, which is what restores the heralded
-    amplitude to magnitude 1/2 on the detuned manifolds. Ring stacks of
-    length 1 broadcast against the others.
+    amplitude to magnitude 1/2 on the detuned manifolds. The outer line
+    phases are 0. Ring stacks of length 1 broadcast against the others.
     """
     shape = np.broadcast_shapes(*((len(r),) for r in rings))
     networks = NetworkStack(rings=rings, deltas=np.zeros(shape + (3,)))
     _, (c1, d2, b3) = networks.legs()
-    # The phases are written in place: the stack keeps the transfers they use.
-    networks.deltas[:, 0], networks.deltas[:, 2] = deltas13
+    # The phase is written in place: the stack keeps the transfers it uses.
     networks.deltas[:, 1] = (np.angle(c1) + np.angle(d2) + np.angle(b3)) % TWO_PI
     return networks
 
@@ -362,10 +349,12 @@ def _optimal_ring(slot: int) -> CouplerStack:
     return CouplerStack.of([curve_ring(slot, 0.0)])
 
 
-def curve_stack(transmission: float, tau_grid, ring: int = 1) -> NetworkStack:
-    """Networks of the resonant curve of one ring slot, one per usable grid
-    point: ``invert_effective`` and ``build_coupler`` over the whole grid,
-    with the points either would reject left out and logged.
+def curve_stack(tau_grid, ring: int = 1) -> NetworkStack:
+    """Networks of the resonant curve of one ring slot, at the slot's
+    optimal effective transmission, one per usable grid point of lower
+    couplers tau: ``curve_ring`` over the whole grid, with the points
+    ``invert_effective`` or ``build_coupler`` would reject left out and
+    logged.
 
     Raises
     ------
@@ -376,9 +365,8 @@ def curve_stack(transmission: float, tau_grid, ring: int = 1) -> NetworkStack:
         raise DomainError(f"ring must be 1, 2 or 3, got {ring}")
     tau = np.asarray(tau_grid, dtype=float).reshape(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        eta, den = _inverse(transmission, tau)
-    usable = ((abs(transmission) <= 1.0) & (np.abs(tau) <= 1.0)
-              & (np.abs(den) >= 1e-15) & (np.abs(eta) <= 1.0)
+        eta, pole = _inverse(_slot_transmission(ring), tau)
+    usable = ((np.abs(tau) <= 1.0) & ~pole & (np.abs(eta) <= 1.0)
               & (np.abs(tau * eta) < 1.0))
     skipped = np.flatnonzero(~usable)
     for i in skipped:
@@ -424,15 +412,12 @@ def off_resonance_check(ring1: CouplerStack, ring3: CouplerStack,
     return OffResonanceReport(networks, v, phases, heralded, residual)
 
 
-def intersect_delta2(delta2: float, tau2_grid=None,
-                     transmission: float = T2_OPTIMAL) -> NetworkStack:
+def intersect_delta2(delta2: float, tau2_grid) -> NetworkStack:
     """Networks of the middle rings of ``intersect_stack`` (whose solver
     residuals stay there) between the resonant optimal outer rings at tau = 0,
     with the middle line phase delta2. Each composes to a heralded amplitude
     of magnitude 1/2; delta2 = 0 degenerates to the resonant curve."""
-    if tau2_grid is None:
-        tau2_grid = np.linspace(0.0, 0.999, 401)
-    tau2, eta2, theta2, _, _ = intersect_stack(delta2, tau2_grid, transmission)
+    tau2, eta2, theta2, _, _ = intersect_stack(delta2, tau2_grid)
     return NetworkStack(
         rings=_optimal_rings_with(2, build_couplers(tau2, eta2, theta2)),
         deltas=np.tile([0.0, float(delta2), 0.0], (len(tau2), 1)))

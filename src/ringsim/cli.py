@@ -17,19 +17,18 @@ from .analysis import (T1_OPTIMAL, T2_OPTIMAL, curve_network, curve_stack,
                        intersect_stack, optimize_t1, surface_stack,
                        t2_from_equality, verdict, wrap_angle)
 from .cnot import build_cnot, verify_coherence, verify_truth_table
-from .errors import (ConfigError, ConstraintError, DomainError, PoleError,
-                     RingsimError, UndefinedPhaseError)
-from .fock import (SUCCESS_PATTERN, NlpsgInput, _require_unitary,
-                   _success_probability, evolve, nlpsg_closed_form, project)
-from .network import (NetworkParams, NetworkStack, _entries, _entry_residual,
-                      closed_form_resonant, compose_scattering, unitarity_residual)
+from .errors import ConfigError, ConstraintError, DomainError, PoleError, RingsimError
+from .fock import (SUCCESS_PATTERN, NlpsgInput, _heralded_success, evolve,
+                   nlpsg_closed_form, project)
+from .network import (NetworkParams, _entries, closed_form_resonant, compose_scattering,
+                      unitarity_residual)
 from .ring import TWO_PI, build_coupler, effective_coupling
 
 _RING_FIELDS = ("tau", "eta", "theta", "delta")
 
-# Signal superposition the manifold sweeps evaluate: equal weights on
-# zero, one and two photons.
-_SWEEP_INPUT = NlpsgInput(*[1.0 / math.sqrt(3.0)] * 3)
+# Signal superposition the manifold sweeps evaluate, and verify's default:
+# equal weights on zero, one and two photons. Its norm is exactly 1.0.
+_EQUAL_SIGNAL = NlpsgInput(*[1.0 / math.sqrt(3.0)] * 3)
 
 # Grid points per stacked batch of a sweep. Each point holds about 1 kB of
 # numpy temporaries, and each row it emits a 20-byte cell and an 8-byte
@@ -141,7 +140,6 @@ def _network_from_config(cfg: dict, where: str = "rings") -> NetworkParams:
 
 def _parse_alpha(args, cfg: dict) -> tuple[NlpsgInput, bool]:
     """The signal amplitudes, normalized, and whether they had to be."""
-    raw = None
     if getattr(args, "alpha", None):
         parts = args.alpha.split(",")
         if len(parts) != 3:
@@ -160,8 +158,8 @@ def _parse_alpha(args, cfg: dict) -> tuple[NlpsgInput, bool]:
             raw = [complex(float(re), float(im)) for re, im in pairs]
         except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"bad alpha entry: {err}", field="alpha") from err
-    if raw is None:
-        raw = [1.0 / math.sqrt(3.0)] * 3
+    else:
+        return _EQUAL_SIGNAL, False
     if not all(cmath.isfinite(z) for z in raw):
         raise ConfigError(f"alpha must be finite, got {raw}", field="alpha")
     try:
@@ -253,16 +251,6 @@ def cmd_verify(args) -> int:
     return code
 
 
-def _sweep_success(networks: NetworkStack) -> np.ndarray:
-    """Heralded success probability of every network of a sweep: what
-    ``heralded_success_stack`` gives for the composed stack, bit for bit,
-    with the same unitarity guard, read from the nine (N,) entries of S
-    with no stack built."""
-    s = _entries(networks)
-    _require_unitary(_entry_residual(s))
-    return _success_probability(s[0], s[1], s[3], s[4], _SWEEP_INPUT)
-
-
 def cmd_manifold(args) -> int:
     cfg = _load_config(args.config)
     grid = args.grid if args.grid is not None else \
@@ -285,16 +273,14 @@ def cmd_manifold(args) -> int:
         rings = (1, 2, 3) if args.ring == 0 else (args.ring,)
         chunks, rows = [b"ring,tau,eta,tau_sq,eta_sq,beta_sq\n"], 0
         for ring in rings:
-            transmission = T2_OPTIMAL if ring == 2 else T1_OPTIMAL
             for start in range(0, grid_n, _BATCH_POINTS):
-                networks = curve_stack(transmission, grid[start:start + _BATCH_POINTS],
-                                       ring=ring)
+                networks = curve_stack(grid[start:start + _BATCH_POINTS], ring)
                 swept = networks.rings[ring - 1]
                 # Squares by Python's float **, which numpy's ** 2 does not
                 # match on every float.
                 squares = [[x ** 2 for x in c.tolist()] for c in (swept.tau, swept.eta)]
-                chunks.append(_csv.rows((swept.tau, swept.eta, *squares,
-                                         _sweep_success(networks)), str(ring)))
+                success = _heralded_success(_entries(networks), _EQUAL_SIGNAL)
+                chunks.append(_csv.rows((swept.tau, swept.eta, *squares, success), str(ring)))
                 rows += len(swept)
         _write_text(args.output, b"".join(chunks).decode("ascii"))
         print(f"emitted {rows} of {len(rings) * grid_n} grid points", file=sys.stderr)
@@ -310,8 +296,8 @@ def cmd_manifold(args) -> int:
             theta, networks = surface_stack(ring, axis[point // grid_n],
                                             axis[point % grid_n])
             swept = networks.rings[ring - 1]
-            chunks.append(_csv.rows((swept.tau, swept.eta, theta,
-                                     _sweep_success(networks)), str(ring)))
+            success = _heralded_success(_entries(networks), _EQUAL_SIGNAL)
+            chunks.append(_csv.rows((swept.tau, swept.eta, theta, success), str(ring)))
             rows += len(theta)
         _write_text(args.output, b"".join(chunks).decode("ascii"))
         print(f"emitted {rows} of {2 * points} candidate branches", file=sys.stderr)
@@ -435,7 +421,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (PoleError, UndefinedPhaseError) as err:
+    except PoleError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 3
     except ConstraintError as err:

@@ -21,6 +21,7 @@ from .fock import (MeasurementPattern, _herald_table, _lift_block,
                    _require_unitary, _whole, enumerate_basis)
 from .network import (_LOOP_POLE, NetworkParams, NetworkStack,
                       compose_scattering, compose_scattering_stack, unitarity_residual)
+from .ring import _read_only
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -31,14 +32,9 @@ _COMPUTATIONAL = ((0, 0), (0, 1), (1, 0), (1, 1))
 _PHOTONS = 4
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
-
-
 # Real symmetric 50/50 splitter.
-_SPLITTER = _frozen(np.array([[_INV_SQRT2, _INV_SQRT2],
-                              [_INV_SQRT2, -_INV_SQRT2]], dtype=complex))
+_SPLITTER = _read_only(np.array([[_INV_SQRT2, _INV_SQRT2],
+                                 [_INV_SQRT2, -_INV_SQRT2]], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -102,8 +98,8 @@ def _register_table(n_modes: int, control: DualRailQubit, target: DualRailQubit,
         for occupied, _ in ancillas:
             occ[occupied] = 1
         cols.append(basis.index_of(occ))
-    return _Register(_frozen(np.array(cols)), rows, _frozen(np.array(outputs)),
-                     targets, _frozen(np.array(inputs)))
+    return _Register(_read_only(np.array(cols)), rows, _read_only(np.array(outputs)),
+                     targets, _read_only(np.array(inputs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,9 +203,9 @@ def embed(s: np.ndarray, mode_map, n_total: int) -> np.ndarray:
 # The fixed parts of build_cnot's network: the 50/50 mixer on the target
 # rails, the inner splitter between the control one-rail and the target
 # zero-rail, and the pi phase on the control one-rail.
-_TARGET_MIX = _frozen(embed(_SPLITTER, (2, 3), 8))
-_INNER = _frozen(embed(_SPLITTER, (1, 2), 8))
-_CONTROL_FLIP = _frozen(np.diag([1, -1, 1, 1, 1, 1, 1, 1]).astype(complex))
+_TARGET_MIX = _read_only(embed(_SPLITTER, (2, 3), 8))
+_INNER = _read_only(embed(_SPLITTER, (1, 2), 8))
+_CONTROL_FLIP = _read_only(np.diag([1, -1, 1, 1, 1, 1, 1, 1]).astype(complex))
 
 # build_cnot's mode assignment: the rails on modes 0-3, gate A on the control
 # one-rail (mode 1) with ancillas 4, 5, gate B on the target zero-rail
@@ -219,8 +215,8 @@ _CONTROL = DualRailQubit(0, 1)
 _TARGET = DualRailQubit(2, 3)
 _ANCILLAS = ((4, 5), (6, 7))
 _ARMS = ((1, 4, 5), (2, 6, 7))
-_GATE_ROWS = _frozen(np.repeat(_ARMS, 3))
-_GATE_COLS = _frozen(np.tile(_ARMS, 3).ravel())
+_GATE_ROWS = _read_only(np.repeat(_ARMS, 3))
+_GATE_COLS = _read_only(np.tile(_ARMS, 3).ravel())
 
 
 class _Interferometers(NamedTuple):
@@ -242,15 +238,15 @@ class _Interferometers(NamedTuple):
 @lru_cache(maxsize=None)
 def _interferometers() -> _Interferometers:
     """Built on first use, not at import: only the CNOT reads them."""
-    pre = _frozen(_INNER @ _TARGET_MIX)
-    post = _frozen(_CONTROL_FLIP @ _TARGET_MIX @ _INNER)
+    pre = _read_only(_INNER @ _TARGET_MIX)
+    post = _read_only(_CONTROL_FLIP @ _TARGET_MIX @ _INNER)
     rails = enumerate_basis(4, 2)
     reg = _register_table(8, _CONTROL, _TARGET, _ANCILLAS)
     return _Interferometers(
         pre, post,
-        _frozen(_lift_block(post[:4, :4], rails, rows=reg.targets)),
-        _frozen(_lift_block(pre[:4, :4], rails, cols=reg.inputs)),
-        _frozen(rails.occupancy[:, 1:3].T.copy()))
+        _read_only(_lift_block(post[:4, :4], rails, rows=reg.targets)),
+        _read_only(_lift_block(pre[:4, :4], rails, cols=reg.inputs)),
+        _read_only(rails.occupancy[:, 1:3].T.copy()))
 
 
 def _network_matrix(gates: np.ndarray, probe_phase: float) -> np.ndarray:
@@ -260,9 +256,8 @@ def _network_matrix(gates: np.ndarray, probe_phase: float) -> np.ndarray:
     middle = np.eye(8, dtype=complex)
     middle[_GATE_ROWS, _GATE_COLS] = gates.reshape(-1)
     middle[:, 1] *= np.exp(1j * probe_phase)  # the probe acts before gate A
-    u = fixed.post @ middle @ fixed.pre
-    u.flags.writeable = False  # the network caches what it computes from u
-    return u
+    # Read-only: the network caches what it computes from its matrix.
+    return _read_only(fixed.post @ middle @ fixed.pre)
 
 
 def _heralded_block(heralded: np.ndarray, probe_phase: float) -> np.ndarray:

@@ -30,10 +30,6 @@ class SingularPivotError(RingsimError):
         self.pivot = pivot
 
 
-class UndefinedPhaseError(RingsimError):
-    """The phase of a (numerically) zero amplitude was requested."""
-
-
 class ConstraintError(RingsimError):
     """Gate success constraints are violated.
 

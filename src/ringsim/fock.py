@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .network import unitarity_residual
+from .network import _entry_residual, unitarity_residual
+from .ring import _read_only
 
 LIFT_UNITARITY_TOL = 1e-10
 
@@ -71,14 +72,12 @@ class OccupationBasis:
         fill((), n_photons, n_modes)
         self.states = tuple(states)
         self._index = {occ: i for i, occ in enumerate(self.states)}
-        self.occupancy = np.array(self.states, dtype=np.int64)
-        self.mode_indices = np.repeat(
+        self.occupancy = _read_only(np.array(self.states, dtype=np.int64))
+        self.mode_indices = _read_only(np.repeat(
             np.tile(np.arange(n_modes), len(self.states)),
-            self.occupancy.ravel()).reshape(len(self.states), n_photons)
+            self.occupancy.ravel()).reshape(len(self.states), n_photons))
         factorials = np.array([factorial(k) for k in range(n_photons + 1)], dtype=float)
-        self.norms = np.prod(factorials[self.occupancy], axis=1)
-        for table in (self.occupancy, self.mode_indices, self.norms):
-            table.flags.writeable = False
+        self.norms = _read_only(np.prod(factorials[self.occupancy], axis=1))
 
     @property
     def size(self) -> int:
@@ -299,8 +298,7 @@ def _herald_table(n_modes: int, n_photons: int,
     remaining basis is the one-mode vacuum (0,)."""
     modes, counts = _pattern_arrays(pattern, n_modes)
     occ = enumerate_basis(n_modes, n_photons).occupancy
-    rows = np.flatnonzero(np.all(occ[:, modes] == counts, axis=1))
-    rows.flags.writeable = False
+    rows = _read_only(np.flatnonzero(np.all(occ[:, modes] == counts, axis=1)))
     rest = n_photons - int(counts.sum())
     if rest < 0:  # then no row is kept
         return _HeraldTable(rows, rows, None)
@@ -308,8 +306,7 @@ def _herald_table(n_modes: int, n_photons: int,
     remaining = enumerate_basis(max(len(keep), 1), rest)
     targets = np.array([remaining.index_of(occ[i, keep].tolist() or [0]) for i in rows],
                        dtype=np.int64)
-    targets.flags.writeable = False
-    return _HeraldTable(rows, targets, remaining)
+    return _HeraldTable(rows, _read_only(targets), remaining)
 
 
 def project(state: SectoredState, pattern: MeasurementPattern):
@@ -397,11 +394,27 @@ def _success_amplitudes(s00, s01, s10, s11, inp: NlpsgInput) -> tuple:
     return inp.alpha0 * beta0, inp.alpha1 * beta1, -inp.alpha2 * beta2
 
 
-def _success_probability(s00, s01, s10, s11, inp: NlpsgInput):
-    """|alpha0 beta0|^2 + |alpha1 beta1|^2 + |alpha2 beta2|^2, added left
-    to right, from S00, S01, S10 and S11; no unitarity check."""
-    c0, c1, c2 = _success_amplitudes(s00, s01, s10, s11, inp)
+def _probability(amplitudes) -> np.ndarray:
+    """|c0|^2 + |c1|^2 + |c2|^2 of the success amplitudes (c0, c1, c2),
+    added left to right."""
+    c0, c1, c2 = amplitudes
     return np.abs(c0) ** 2 + np.abs(c1) ** 2 + np.abs(c2) ** 2
+
+
+def _heralded_success(entries, inp: NlpsgInput) -> np.ndarray:
+    """Heralded-gate success probability of N 3x3 matrices given as their
+    nine row-major entries S_ij, each an (N,) array: the one unitarity
+    guard and sum of the success probability. heralded_success_stack reads
+    its stack's entries, and the manifold sweeps the composition's.
+
+    Raises
+    ------
+    DomainError
+        If any matrix is not unitary within LIFT_UNITARITY_TOL.
+    """
+    _require_unitary(_entry_residual(entries))
+    s00, s01, _, s10, s11 = entries[:5]
+    return _probability(_success_amplitudes(s00, s01, s10, s11, inp))
 
 
 def heralded_success_stack(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:
@@ -420,8 +433,7 @@ def heralded_success_stack(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     if s.ndim != 3 or s.shape[1:] != (3, 3):
         raise DomainError(f"expected an (N, 3, 3) stack, got shape {s.shape}")
-    _require_unitary(unitarity_residual(s))
-    return _success_probability(*_corners(s), inp)
+    return _heralded_success(np.ascontiguousarray(s.reshape(-1, 9).T), inp)
 
 
 def nlpsg_closed_form(s: np.ndarray, inp: NlpsgInput):
@@ -435,7 +447,5 @@ def nlpsg_closed_form(s: np.ndarray, inp: NlpsgInput):
     s = np.asarray(s, dtype=complex)
     if s.shape != (3, 3):
         raise DomainError(f"expected a 3x3 matrix, got shape {s.shape}")
-    corners = _corners(s[np.newaxis])
-    coeffs = np.concatenate(_success_amplitudes(*corners, inp))
-    failure_norm = 1.0 - float(_success_probability(*corners, inp)[0])
-    return coeffs, failure_norm
+    amplitudes = _success_amplitudes(*_corners(s[np.newaxis]), inp)
+    return np.concatenate(amplitudes), 1.0 - float(_probability(amplitudes)[0])

@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PoleError, SingularPivotError
-from .ring import (_COUPLER_DTYPES, _FLIPPED, CouplerStack, RingCoupler, RingTransfer,
-                   _read_only, transfer_matrix_stack)
+from .ring import (_COUPLER_DTYPES, _FLIPPED, CouplerStack, RingCoupler, _read_only,
+                   transfer_matrix_stack)
 
 SWAP_PIVOT_TOL = 1e-12
 _LOOP_POLE = "loop gain b3 c1 d2 e^(-i delta2) = 1"
@@ -168,12 +168,12 @@ def block_transfer(block: int, m, delta) -> np.ndarray:
 
     Blocks 1 and 3 put the in-line phase e^{-i delta} on the first slot and
     the ring on slots 2..3; block 2 puts the ring on slots 1..2 and the
-    phase on slot 3. ``m`` is a RingTransfer or an (N, 2, 2) stack and
-    ``delta`` a phase or N phases; a stack gives (N, 3, 3) blocks.
+    phase on slot 3. ``m`` is a (2, 2) transfer matrix or an (N, 2, 2)
+    stack and ``delta`` a phase or N phases; a stack gives (N, 3, 3) blocks.
     """
     if block not in (1, 2, 3):
         raise DomainError(f"block must be 1, 2 or 3, got {block}")
-    m = m.matrix if isinstance(m, RingTransfer) else np.asarray(m, dtype=complex)
+    m = np.asarray(m, dtype=complex)
     phase = np.exp(-1j * np.asarray(delta, dtype=float))
     out = np.zeros(np.broadcast_shapes(m.shape[:-2], phase.shape) + (3, 3),
                    dtype=complex)

@@ -78,20 +78,6 @@ class RingCoupler:
         return replace(self, **{name: getattr(self, _FLIPPED[name]) for name in _FLIPPED})
 
 
-@dataclass(frozen=True)
-class RingTransfer:
-    """Entries of the 2x2 bus-to-bus transfer matrix [[a, b], [c, d]]."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
-
-
 class EffectiveCoupling(NamedTuple):
     """On-resonance beam-splitter equivalent of a ring: t^2 + r^2 = 1."""
 
@@ -215,7 +201,8 @@ def _through(eta, tau, z, den=None):
     """Through amplitude (eta - tau z) / (1 - eta tau z) of rings with
     transmissions eta and tau and round-trip phasor z = e^{-i theta}, and
     its denominator. A ring's transfer [0, 0] is (eta, tau) and its [1, 1]
-    (tau, eta), with the same den: eta tau and tau eta round the same."""
+    (tau, eta), with the same den: eta tau and tau eta round the same. At
+    z = 1 it is the ring's effective transmission on resonance."""
     if den is None:
         den = 1.0 - eta * tau * z
     return (eta - tau * z) / den, den
@@ -239,12 +226,10 @@ def transfer_matrix_stack(couplers: CouplerStack) -> np.ndarray:
     return out
 
 
-def transfer_matrix(coupler: RingCoupler) -> RingTransfer:
-    """Bus-to-bus transfer matrix of one ring: the N = 1 case of
-    ``transfer_matrix_stack``."""
-    m = transfer_matrix_stack(CouplerStack.of([coupler]))[0]
-    return RingTransfer(a=complex(m[0, 0]), b=complex(m[0, 1]),
-                        c=complex(m[1, 0]), d=complex(m[1, 1]))
+def transfer_matrix(coupler: RingCoupler) -> np.ndarray:
+    """Bus-to-bus transfer matrix [[a, b], [c, d]] of one ring, shape (2, 2):
+    the N = 1 case of ``transfer_matrix_stack``."""
+    return transfer_matrix_stack(CouplerStack.of([coupler]))[0]
 
 
 def effective_coupling(tau: float, eta: float) -> EffectiveCoupling:
@@ -259,21 +244,25 @@ def effective_coupling(tau: float, eta: float) -> EffectiveCoupling:
     """
     if not -1.0 <= tau <= 1.0 or not -1.0 <= eta <= 1.0:
         raise DomainError("transmissions must lie in [-1, 1]")
-    den = 1.0 - eta * tau
-    if abs(den) < 1e-15:
+    # The on-resonance through amplitude. With tau and eta in [-1, 1] its
+    # denominator is exact near the pole (Sterbenz), so it is 0 only at
+    # tau * eta = 1; the 0/0 there is checked after, not raised.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t, den = _through(np.float64(eta), tau, 1.0)
+    if den == 0.0:
         raise PoleError("tau * eta = 1: effective coupling undefined")
-    t = (eta - tau) / den
     r = math.sqrt(max((1.0 - tau * tau) * (1.0 - eta * eta), 0.0)) / den
-    return EffectiveCoupling(t=t, r=r)
+    return EffectiveCoupling(t=float(t), r=float(r))
 
 
 def _inverse(t, tau):
     """Upper transmission eta = (t + tau) / (1 + t tau) of the ring with
-    effective transmission t and lower transmission tau, and its
-    denominator, over numpy floats or arrays (a Python float raises at the
-    pole den = 0)."""
+    effective transmission t and lower transmission tau, over numpy floats
+    or arrays, and whether (t, tau) is on the pole, where the denominator
+    is 0 and eta inf or NaN. With t and tau in [-1, 1] the denominator is
+    exact near the pole (Sterbenz), so it is 0 only at t tau = -1."""
     den = 1.0 + t * tau
-    return (t + tau) / den, den
+    return (t + tau) / den, den == 0.0
 
 
 def invert_effective(t: float, tau: float) -> float:
@@ -293,7 +282,7 @@ def invert_effective(t: float, tau: float) -> float:
         raise DomainError("arguments must lie in [-1, 1]")
     # At the pole the quotient is inf or NaN: it is checked after, not raised.
     with np.errstate(divide="ignore", invalid="ignore"):
-        eta, den = _inverse(np.float64(t), tau)
-    if abs(den) < 1e-15:
+        eta, pole = _inverse(np.float64(t), tau)
+    if pole:
         raise PoleError("t * tau = -1: inversion undefined")
     return float(eta)

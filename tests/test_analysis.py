@@ -25,7 +25,6 @@ from ringsim import (
     intersect_stack,
     invert_effective,
     off_resonance_check,
-    optimal_point,
     optimize_t1,
     project,
     surface_theta,
@@ -36,6 +35,7 @@ from ringsim import (
     verdict_stack,
     wrap_angle,
 )
+from ringsim.analysis import _slot_transmission
 from ringsim.errors import DomainError
 
 SQRT2 = np.sqrt(2.0)
@@ -64,12 +64,12 @@ def test_wrap_angle_zero_is_positive():
 
 
 def test_optimal_point_constants():
-    pt = optimal_point()
-    assert np.isclose(pt.t1, np.sqrt(2.0 * (SQRT2 - 1.0)), atol=1e-15)
-    assert np.isclose(pt.t2, (1.0 + 2.0 * SQRT2) / 7.0, atol=1e-15)
-    assert pt.t3 == pt.t1
-    assert np.isclose(pt.t1, 0.9101797, atol=1e-7)
-    assert np.isclose(pt.t2, 0.5469182, atol=1e-7)
+    assert np.isclose(T1_OPTIMAL, np.sqrt(2.0 * (SQRT2 - 1.0)), atol=1e-15)
+    assert np.isclose(T2_OPTIMAL, (1.0 + 2.0 * SQRT2) / 7.0, atol=1e-15)
+    # Slots 1, 2 and 3 take t1, t2 and t3 = t1.
+    assert [_slot_transmission(s) for s in (1, 2, 3)] == [T1_OPTIMAL, T2_OPTIMAL, T1_OPTIMAL]
+    assert np.isclose(T1_OPTIMAL, 0.9101797, atol=1e-7)
+    assert np.isclose(T2_OPTIMAL, 0.5469182, atol=1e-7)
 
 
 def test_verdict_at_optimum():
@@ -159,34 +159,33 @@ def test_t2_from_equality_recovers_optimum():
     assert abs(t2 - T2_OPTIMAL) < 1e-10
 
 
-def curve_matrices(transmission, taus, ring):
+def curve_matrices(taus, ring):
     """The curve networks of one ring slot, composed in one stacked call."""
-    return compose_scattering_stack(curve_stack(transmission, taus, ring=ring))
+    return compose_scattering_stack(curve_stack(taus, ring))
 
 
 def test_curve_examples():
-    networks = curve_stack(T2_OPTIMAL, [0.0], ring=2)
+    networks = curve_stack([0.0], ring=2)
     assert np.isclose(networks.rings[1].eta[0], 0.5469182, atol=1e-7)
-    networks = curve_stack(T1_OPTIMAL, [0.5], ring=1)
+    networks = curve_stack([0.5], ring=1)
     assert np.isclose(networks.rings[0].eta[0], 0.9691358, atol=1e-7)
     assert np.isclose(invert_effective(T1_OPTIMAL, 1.0), 1.0, atol=1e-15)
 
 
 def test_curve_skips_pole_points():
-    assert len(curve_stack(T1_OPTIMAL, [0.0, 0.5, 1.0], ring=1)) == 2
+    assert len(curve_stack([0.0, 0.5, 1.0], ring=1)) == 2
 
 
 def test_curve_rejects_bad_ring():
     with pytest.raises(DomainError):
-        curve_stack(T1_OPTIMAL, [0.1], ring=4)
+        curve_stack([0.1], ring=4)
 
 
 def test_curve_samples_stay_optimal():
     rng = np.random.default_rng(71)
     for ring in (1, 2, 3):
-        transmission = T2_OPTIMAL if ring == 2 else T1_OPTIMAL
         taus = rng.uniform(0.0, 0.95, size=20)
-        v = verdict_stack(curve_matrices(transmission, taus, ring))
+        v = verdict_stack(curve_matrices(taus, ring))
         assert np.all(v.residual < 1e-9)
         assert np.all(np.abs(v.success_probability - 0.25) < 1e-9)
         assert np.all(v.satisfied(1e-9))
@@ -196,14 +195,14 @@ def test_success_probability_equals_offdiagonal_product():
     # |beta0|^2 = |S21 S12|^2 / 2 everywhere on the curve.
     rng = np.random.default_rng(73)
     taus = rng.uniform(0.0, 0.9, size=20)
-    v = verdict_stack(curve_matrices(T1_OPTIMAL, taus, 1))
+    v = verdict_stack(curve_matrices(taus, 1))
     assert np.all(np.abs(v.success_probability - v.offdiag_probability) < 1e-10)
 
 
 def test_herald_transmission_locked_to_offdiagonals():
     rng = np.random.default_rng(79)
     taus = rng.uniform(0.0, 0.9, size=20)
-    s = curve_matrices(T1_OPTIMAL, taus, 3)
+    s = curve_matrices(taus, 3)
     assert np.all(np.abs(s[:, 0, 1] * s[:, 1, 0] / SQRT2 - s[:, 1, 1]) < 1e-10)
 
 
@@ -231,7 +230,7 @@ def test_surface_theta_solutions_hit_target_magnitude():
         tau = rng.uniform(0.05, 0.95)
         eta = rng.uniform(0.05, 0.95)
         for theta in surface_theta(T1_OPTIMAL, eta, tau):
-            a = transfer_matrix(build_coupler(tau, eta, theta)).a
+            a = transfer_matrix(build_coupler(tau, eta, theta))[0, 0]
             assert abs(abs(a) - T1_OPTIMAL) < 1e-10
             found += 1
 
@@ -256,7 +255,7 @@ def test_through_phase_of_transfer_matrix_matches_formula():
         tau = rng.uniform(0.05, 0.95)
         eta = rng.uniform(0.05, 0.95)
         theta = rng.uniform(0.0, 2.0 * np.pi)
-        a = transfer_matrix(build_coupler(tau, eta, theta)).a
+        a = transfer_matrix(build_coupler(tau, eta, theta))[0, 0]
         if abs(a) < 1e-6:
             continue
         assert np.isclose(through_phase(eta, tau, theta), np.angle(a), atol=1e-12)

@@ -126,6 +126,19 @@ def test_smatrix_pole_is_numerical_error(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("closed_form", [[], ["--closed-form"]])
+def test_smatrix_next_to_the_coupler_pole_composes(tmp_path, capsys, closed_form):
+    # tau = 1 - 2^-53, eta = 1 is a valid resonant ring with effective
+    # transmission exactly 1; only tau = eta = 1 is the pole.
+    cfg = {"rings": [{"tau": 1.0 - 2.0 ** -53, "eta": 1.0, "theta": TWO_PI},
+                     ring_entry(2), ring_entry(3)]}
+    assert main(["smatrix", "--config", write_config(tmp_path, cfg)] + closed_form) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if closed_form:
+        assert json.loads(captured.out)["closed_form_max_diff"] < 1e-12
+
+
 @pytest.mark.parametrize("command", ["smatrix", "verify", "cnot"])
 @pytest.mark.parametrize("ring, code, err", [
     ({"tau": 1.2, "eta": 0.5, "theta": TWO_PI}, 2,

@@ -15,6 +15,7 @@ from ringsim import (
     effective_coupling,
     invert_effective,
     transfer_matrix,
+    transfer_matrix_stack,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -100,8 +101,12 @@ def test_flipped_swaps_waveguide_and_loop_sides():
 
 
 def test_transfer_swap_example():
-    m = transfer_matrix(build_coupler(0.5, 0.5, TWO_PI, np.pi))
-    assert np.allclose(m.matrix, [[0, 1], [1, 0]], atol=1e-12)
+    coupler = build_coupler(0.5, 0.5, TWO_PI, np.pi)
+    m = transfer_matrix(coupler)
+    assert m.shape == (2, 2)
+    assert np.allclose(m, [[0, 1], [1, 0]], atol=1e-12)
+    # One ring is the N = 1 case of the stacked transfer, bit for bit.
+    assert m.tobytes() == transfer_matrix_stack(CouplerStack.of([coupler]))[0].tobytes()
 
 
 def test_transfer_balanced_through_vanishes():
@@ -109,16 +114,16 @@ def test_transfer_balanced_through_vanishes():
     for _ in range(50):
         t = rng.uniform(0.05, 0.95)
         m = transfer_matrix(build_coupler(t, t, TWO_PI, np.pi))
-        assert abs(m.a) < 1e-12
-        assert abs(m.d) < 1e-12
+        assert abs(m[0, 0]) < 1e-12
+        assert abs(m[1, 1]) < 1e-12
 
 
 def test_transfer_effective_form_example():
     m = transfer_matrix(build_coupler(0.5, 0.8, TWO_PI, np.pi))
-    assert np.isclose(m.a, 0.5, atol=1e-7)
-    assert np.isclose(m.b, 0.8660254, atol=1e-7)
-    assert np.isclose(m.c, 0.8660254, atol=1e-7)
-    assert np.isclose(m.d, -0.5, atol=1e-7)
+    assert np.isclose(m[0, 0], 0.5, atol=1e-7)
+    assert np.isclose(m[0, 1], 0.8660254, atol=1e-7)
+    assert np.isclose(m[1, 0], 0.8660254, atol=1e-7)
+    assert np.isclose(m[1, 1], -0.5, atol=1e-7)
 
 
 def test_transfer_unitary_on_random_draws():
@@ -127,7 +132,7 @@ def test_transfer_unitary_on_random_draws():
     for _ in range(1000):
         tau, eta = rng.uniform(-0.99, 0.99, size=2)
         theta = rng.uniform(0.0, TWO_PI)
-        m = transfer_matrix(build_coupler(tau, eta, theta)).matrix
+        m = transfer_matrix(build_coupler(tau, eta, theta))
         assert np.max(np.abs(m.conj().T @ m - eye)) < 1e-12
 
 
@@ -179,6 +184,30 @@ def test_invert_effective_round_trip():
 def test_invert_effective_pole():
     with pytest.raises(PoleError):
         invert_effective(1.0, -1.0)
+    with pytest.raises(PoleError):
+        invert_effective(-1.0, 1.0)
+
+
+def test_effective_coupling_pole():
+    # The 0/0 at the pole raises PoleError and no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (1.0, -1.0):
+            with pytest.raises(PoleError):
+                effective_coupling(tau, tau)
+
+
+_BELOW_ONE = 1.0 - 2.0 ** -53
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_valid_input_next_to_the_pole_is_exact(sign):
+    # With |t|, |tau| <= 1 the denominators 1 + t tau and 1 - eta tau are
+    # exact next to the corners (Sterbenz), so only the corner is a pole.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert invert_effective(-sign, sign * _BELOW_ONE) == -sign
+        assert effective_coupling(sign * _BELOW_ONE, sign) == (sign, 0.0)
 
 
 def test_on_resonance_consistency_with_full_transfer():
@@ -192,7 +221,7 @@ def test_on_resonance_consistency_with_full_transfer():
         t, _ = effective_coupling(tau, eta)
         coupler = build_coupler(tau, eta, TWO_PI)
         r = np.sqrt(1.0 - t * t)
-        m = transfer_matrix(coupler).matrix
+        m = transfer_matrix(coupler)
         assert np.max(np.abs(m - [[t, r], [r, -t]])) < 1e-12
-        m_flip = transfer_matrix(coupler.flipped()).matrix
+        m_flip = transfer_matrix(coupler.flipped())
         assert np.max(np.abs(m_flip - [[-t, r], [r, t]])) < 1e-12

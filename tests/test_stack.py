@@ -47,7 +47,7 @@ from ringsim import (
     verdict_stack,
 )
 from ringsim import cli
-from ringsim.fock import LIFT_UNITARITY_TOL, _success_probability
+from ringsim.fock import LIFT_UNITARITY_TOL, _heralded_success
 from ringsim.network import _entries, _entry_residual
 
 TOL = 1e-14
@@ -590,10 +590,12 @@ def test_stack_members_compose_as_networks_alone_bit_for_bit(networks):
 @example(_NONE, NlpsgInput(1.0, 0.0, 0.0))
 @example(_ON_CURVE, NlpsgInput(0.6, 0.8j, 0.0))
 def test_sweep_kernel_equals_the_composed_stack_bit_for_bit(networks, inp):
-    # The sweeps read S entry by entry; the result, and the guard's residual,
-    # are those of the composed (N, 3, 3) stack to the last bit.
-    assert outcome(cli._sweep_success, networks) == outcome(
-        lambda: heralded_success_stack(compose_scattering_stack(networks), cli._SWEEP_INPUT))
+    # The sweeps hand the one guarded kernel the composition's entries, and
+    # heralded_success_stack hands it its stack's: the result, or the
+    # guard's error, and the guard's residual are the same to the last bit.
+    for signal in (inp, cli._EQUAL_SIGNAL):
+        assert outcome(lambda: _heralded_success(_entries(networks), signal)) == outcome(
+            lambda: heralded_success_stack(compose_scattering_stack(networks), signal))
     assert outcome(lambda: _entry_residual(_entries(networks))) == outcome(
         lambda: unitarity_residual(compose_scattering_stack(networks)))
     try:
@@ -611,16 +613,14 @@ def test_sweep_kernel_equals_the_composed_stack_bit_for_bit(networks, inp):
                 + stack[:, 2, i].conj() * stack[:, 2, j]
             worst = np.maximum(worst, np.abs(g - 1.0 if i == j else g))
     assert worst.tobytes() == unitarity_residual(stack).tobytes()
-    if np.all(worst <= LIFT_UNITARITY_TOL):
-        assert _success_probability(s[0], s[1], s[3], s[4], inp).tobytes() == \
-            heralded_success_stack(stack, inp).tobytes()
+    assert worst.tobytes() == _entry_residual(s).tobytes()
 
 
 @KERNEL_EXAMPLES
 @given(network_stacks(st.integers(1, 6)), st.data())
 def test_sweep_guard_fails_as_the_stack_guard(networks, data):
     # A member scaled off the unitary group, or one NaN entry, fails the
-    # sweep's entry guard and the stack's guard with the same message.
+    # kernel on the sweep's entries and on the stack with the same message.
     entries = [entry.copy() for entry in _entries(networks)]
     where = data.draw(st.integers(0, len(networks) - 1))
     if data.draw(st.booleans()):
@@ -630,8 +630,23 @@ def test_sweep_guard_fails_as_the_stack_guard(networks, data):
         entries[data.draw(st.integers(0, 8))][where] = np.nan
     stack = np.stack(entries, axis=-1).reshape(-1, 3, 3)
     with pytest.raises(DomainError) as swept:
-        with mock.patch.object(cli, "_entries", lambda _: entries):
-            cli._sweep_success(networks)
+        _heralded_success(entries, cli._EQUAL_SIGNAL)
     with pytest.raises(DomainError) as stacked:
-        heralded_success_stack(stack, cli._SWEEP_INPUT)
+        heralded_success_stack(stack, cli._EQUAL_SIGNAL)
     assert str(swept.value) == str(stacked.value)
+
+
+@pytest.mark.parametrize("argv", [["curve", "--grid", "3"],
+                                  ["surface", "--ring", "2", "--grid", "5"]])
+def test_sweeps_run_the_kernel_guard(argv, capsys):
+    # Both sweeps put the composition's entries through the guarded kernel:
+    # a batch off the unitary group is an error exit, not CSV rows.
+    entries = cli._entries
+
+    def scaled(networks):
+        return [1.1 * e for e in entries(networks)]
+
+    with mock.patch.object(cli, "_entries", scaled):
+        assert cli.main(["manifold"] + argv) == 2
+    assert capsys.readouterr() == ("", "config error: scattering matrix is not "
+                                       "unitary within 1e-10\n")
