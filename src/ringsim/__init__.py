@@ -14,15 +14,13 @@ from .analysis import (NlpsgVerdict, OffResonanceReport, S11_FIXED, T1_OPTIMAL,
 from .cnot import (CnotNetwork, CoherenceReport, DualRailQubit, TruthTableRow,
                    build_cnot, conditional_logical_matrix, embed,
                    normalize_global_phase, verify_coherence, verify_truth_table)
-from .errors import (ConfigError, ConstraintError, DomainError, PoleError,
-                     RingsimError, SingularPivotError)
+from .errors import ConfigError, ConstraintError, DomainError, PoleError, RingsimError
 from .fock import (SUCCESS_PATTERN, MeasurementPattern, NlpsgInput,
                    OccupationBasis, SectoredState, enumerate_basis, evolve,
                    heralded_success_stack, lift_unitary, nlpsg_closed_form,
                    permanent, project)
-from .network import (NetworkParams, NetworkStack, block_transfer,
-                      closed_form_resonant, compose_scattering,
-                      compose_scattering_stack, mode_swap3, unitarity_residual)
+from .network import (NetworkParams, NetworkStack, closed_form_resonant,
+                      compose_scattering, compose_scattering_stack, unitarity_residual)
 from .ring import (RESONANT_THETA, TWO_PI, CouplerStack, EffectiveCoupling,
                    RingCoupler, build_coupler, build_couplers,
                    effective_coupling, invert_effective,
@@ -32,12 +30,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "ConstraintError", "DomainError", "PoleError",
-    "RingsimError", "SingularPivotError",
+    "RingsimError",
     "RingCoupler", "EffectiveCoupling", "TWO_PI",
     "RESONANT_THETA", "build_coupler", "transfer_matrix",
     "CouplerStack", "build_couplers", "transfer_matrix_stack",
     "effective_coupling", "invert_effective",
-    "NetworkParams", "mode_swap3", "block_transfer", "compose_scattering",
+    "NetworkParams", "compose_scattering",
     "NetworkStack", "compose_scattering_stack",
     "closed_form_resonant", "unitarity_residual",
     "OccupationBasis", "SectoredState", "MeasurementPattern", "NlpsgInput",

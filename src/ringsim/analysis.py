@@ -227,10 +227,9 @@ def _slot_transmission(slot: int) -> float:
     return T2_OPTIMAL if slot == 2 else T1_OPTIMAL
 
 
-def curve_ring(slot: int, tau: float, transmission: float | None = None) -> RingCoupler:
+def curve_ring(slot: int, tau: float) -> RingCoupler:
     """Resonant ring on the slot's optimal one-parameter curve."""
-    t = _slot_transmission(slot) if transmission is None else transmission
-    return build_coupler(tau, invert_effective(t, tau), RESONANT_THETA)
+    return build_coupler(tau, invert_effective(_slot_transmission(slot), tau), RESONANT_THETA)
 
 
 def curve_network(tau1: float = 0.0, tau2: float = 0.0, tau3: float = 0.0,
@@ -423,10 +422,9 @@ def intersect_delta2(delta2: float, tau2_grid) -> NetworkStack:
         deltas=np.tile([0.0, float(delta2), 0.0], (len(tau2), 1)))
 
 
-def intersect_stack(delta2: float, tau2_grid,
-                    transmission: float = T2_OPTIMAL) -> tuple[np.ndarray, ...]:
+def intersect_stack(delta2: float, tau2_grid) -> tuple[np.ndarray, ...]:
     """Middle rings whose through amplitude is A = t e^{i delta2}, with
-    t = transmission, solved in closed form over a grid of lower couplers.
+    t = T2_OPTIMAL, solved in closed form over a grid of lower couplers.
 
     Solving A = (eta - tau z) / (1 - eta tau z) for z = e^{-i theta} gives
     z = (A - eta) / (tau (A eta - 1)), and |z| = 1 is the real quadratic
@@ -445,16 +443,13 @@ def intersect_stack(delta2: float, tau2_grid,
     points in grid order, with theta2 in (-pi, pi]. The residuals are
     ||A| - t| and |arg A - delta2| (mod 2 pi) of A re-evaluated from the
     returned ring.
-
-    Raises
-    ------
-    DomainError
-        If transmission is outside (0, 1).
     """
-    if not 0.0 < transmission < 1.0:
-        raise DomainError(f"transmission must lie in (0, 1), got {transmission}")
+    return _intersect(delta2, tau2_grid, T2_OPTIMAL)
+
+
+def _intersect(delta2: float, tau2_grid, t: float) -> tuple[np.ndarray, ...]:
+    """``intersect_stack`` at the target magnitude t in (0, 1)."""
     tau = np.asarray(tau2_grid, dtype=float).reshape(-1)
-    t = transmission
     target = wrap_angle(delta2)
     a = t * cmath.exp(1j * target)
     # The quadratic as q eta^2 - 2 b eta + c = 0, with every coefficient and

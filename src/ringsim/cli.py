@@ -24,8 +24,6 @@ from .network import (NetworkParams, _entries, closed_form_resonant, compose_sca
                       unitarity_residual)
 from .ring import TWO_PI, build_coupler, effective_coupling
 
-_RING_FIELDS = ("tau", "eta", "theta", "delta")
-
 # Signal superposition the manifold sweeps evaluate, and verify's default:
 # equal weights on zero, one and two photons. Its norm is exactly 1.0.
 _EQUAL_SIGNAL = NlpsgInput(*[1.0 / math.sqrt(3.0)] * 3)

@@ -13,23 +13,6 @@ class PoleError(RingsimError, ValueError):
     """A denominator collapses for the given parameters (e.g. |tau*eta| = 1)."""
 
 
-class SingularPivotError(RingsimError):
-    """A mode-swap pivot is too small for the algebra to be meaningful.
-
-    Attributes
-    ----------
-    mode : int
-        1-based index of the mode whose pivot vanished.
-    pivot : complex
-        The offending pivot value.
-    """
-
-    def __init__(self, message, mode, pivot):
-        super().__init__(message)
-        self.mode = mode
-        self.pivot = pivot
-
-
 class ConstraintError(RingsimError):
     """Gate success constraints are violated.
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -97,23 +96,12 @@ def enumerate_basis(n_modes: int, n_photons: int) -> OccupationBasis:
     return OccupationBasis(n_modes, n_photons)
 
 
-def permanent(m: np.ndarray, method: str = "ryser") -> complex:
-    """Permanent of a square complex matrix.
-
-    ``ryser`` uses Gray-code inclusion-exclusion (O(2^k k)); ``naive`` sums
-    over permutations and is kept as an independent cross-check.
-    """
+def permanent(m: np.ndarray) -> complex:
+    """Permanent of a square complex matrix, by Ryser's formula in Gray-code
+    order (O(2^k k))."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"permanent needs a square matrix, got shape {a.shape}")
-    k = a.shape[0]
-    if k == 0:
-        return 1.0 + 0.0j
-    if method == "naive":
-        return complex(sum(np.prod([a[i, p[i]] for i in range(k)])
-                           for p in permutations(range(k))))
-    if method != "ryser":
-        raise DomainError(f"unknown permanent method {method!r}")
     return complex(_permanent_batch(a[np.newaxis])[0])
 
 

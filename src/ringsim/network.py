@@ -1,11 +1,12 @@
-"""Compose three ring blocks into the global 3x3 scattering matrix.
+"""Compose three rings into the global 3x3 scattering matrix.
 
 The rings enclose one feedback loop, so the composition is a closed form
 over that loop. The paper's mode-swap algebra, which exchanges dependent
-and independent variables of each block, gives the same matrix.
+and independent variables of each block, gives the same matrix; the tests
+keep it as an oracle (tests/oracles.py).
 
-Block embedding, the mode swap and composition all act on stacks of N
-networks; the single-network functions are the N = 1 case."""
+Composition acts on stacks of N networks; the single-network function is
+the N = 1 case."""
 
 from __future__ import annotations
 
@@ -15,11 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, PoleError, SingularPivotError
+from .errors import DomainError, PoleError
 from .ring import (_COUPLER_DTYPES, _FLIPPED, CouplerStack, RingCoupler, _read_only,
                    transfer_matrix_stack)
 
-SWAP_PIVOT_TOL = 1e-12
 _LOOP_POLE = "loop gain b3 c1 d2 e^(-i delta2) = 1"
 
 # Ring field -> mounted field per slot: the middle ring is flipped, a self-inverse swap.
@@ -119,73 +119,6 @@ class NetworkStack:
         return (a[:, 0, 0], b[:, 1, 1], c[:, 0, 0]), (a[:, 1, 0], b[:, 1, 1], c[:, 0, 1])
 
 
-def mode_swap3(g: np.ndarray, j: int) -> np.ndarray:
-    """Exchange the roles of input j and output j of a 3x3 linear relation.
-
-    Given y = G x, returns G' such that y' = G' x' where x' carries y_j in
-    slot j and x_j moves to the output side. Entries are ratios of 2x2
-    minors to the pivot g_jj; the operation is an involution.
-
-    Parameters
-    ----------
-    g : (3, 3) complex array, or an (N, 3, 3) stack swapped matrix by matrix
-    j : int
-        1-based mode index to swap.
-
-    Raises
-    ------
-    SingularPivotError
-        If |g_jj| <= SWAP_PIVOT_TOL, or is NaN, for any matrix; the error carries
-        the first such pivot.
-    """
-    g = np.asarray(g, dtype=complex)
-    if g.ndim not in (2, 3) or g.shape[-2:] != (3, 3):
-        raise DomainError(f"expected a 3x3 matrix or a stack of them, got shape {g.shape}")
-    if j not in (1, 2, 3):
-        raise DomainError(f"mode index must be 1, 2 or 3, got {j}")
-    p = j - 1
-    pivot = g[..., p:p + 1, p:p + 1]
-    bad = ~(np.abs(pivot) > SWAP_PIVOT_TOL)
-    if bad.any():
-        first = complex(pivot[bad][0])
-        raise SingularPivotError(
-            f"mode-{j} pivot magnitude {abs(first):.3e} below {SWAP_PIVOT_TOL:.1e}",
-            mode=j, pivot=first,
-        )
-    col = g[..., :, p:p + 1]
-    row = g[..., p:p + 1, :]
-    out = g * pivot
-    out -= col * row
-    out[..., p, :] = -row[..., 0, :]
-    out[..., :, p] = col[..., :, 0]
-    out[..., p, p] = 1.0
-    out /= pivot
-    return out
-
-
-def block_transfer(block: int, m, delta) -> np.ndarray:
-    """Embed ring transfers into their 3x3 network blocks.
-
-    Blocks 1 and 3 put the in-line phase e^{-i delta} on the first slot and
-    the ring on slots 2..3; block 2 puts the ring on slots 1..2 and the
-    phase on slot 3. ``m`` is a (2, 2) transfer matrix or an (N, 2, 2)
-    stack and ``delta`` a phase or N phases; a stack gives (N, 3, 3) blocks.
-    """
-    if block not in (1, 2, 3):
-        raise DomainError(f"block must be 1, 2 or 3, got {block}")
-    m = np.asarray(m, dtype=complex)
-    phase = np.exp(-1j * np.asarray(delta, dtype=float))
-    out = np.zeros(np.broadcast_shapes(m.shape[:-2], phase.shape) + (3, 3),
-                   dtype=complex)
-    if block == 2:
-        out[..., 0:2, 0:2] = m
-        out[..., 2, 2] = phase
-    else:
-        out[..., 0, 0] = phase
-        out[..., 1:3, 1:3] = m
-    return out
-
-
 def compose_scattering(params: NetworkParams) -> np.ndarray:
     """Global 3x3 scattering matrix of the three-ring network: the N = 1
     case of ``compose_scattering_stack``, which documents the errors."""
@@ -198,7 +131,8 @@ def compose_scattering_stack(networks: NetworkStack) -> np.ndarray:
     With ring transfers [[a_k, b_k], [c_k, d_k]] and line phasors
     p_k = e^{-i delta_k}, the one internal loop runs through the legs c1, d2
     and b3: every entry that crosses it carries g = 1 / (1 - L), with loop
-    gain L = b3 c1 d2 p2. The ``mode_swap3`` chain gives the same functions.
+    gain L = b3 c1 d2 p2. The paper's mode-swap elimination of the internal
+    lines gives the same functions.
 
     Raises
     ------
@@ -258,7 +192,10 @@ def closed_form_resonant(t1: float, t2: float, t3: float) -> np.ndarray:
         [-t1 * c2, -t1 * t2 * t3, t2 * c3 - c1],
         [t3 * c1 * c2, t2 * c1 - c3, -t1 * t3],
     ], dtype=complex)
-    return s / den
+    s /= den
+    # den < 0 turns the +0.0 imaginary parts into -0.0; adding 0.0 makes them +0.0.
+    s.imag += 0.0
+    return s
 
 
 def unitarity_residual(s: np.ndarray):

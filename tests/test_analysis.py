@@ -9,14 +9,12 @@ import pytest
 from ringsim import (
     CouplerStack,
     NlpsgInput,
-    S11_FIXED,
     SUCCESS_PATTERN,
     T1_OPTIMAL,
     T2_OPTIMAL,
     beta_sq_of_t1,
     build_coupler,
     closed_form_resonant,
-    compose_scattering,
     compose_scattering_stack,
     curve_ring,
     curve_stack,
@@ -35,7 +33,7 @@ from ringsim import (
     verdict_stack,
     wrap_angle,
 )
-from ringsim.analysis import _slot_transmission
+from ringsim.analysis import _intersect, _slot_transmission
 from ringsim.errors import DomainError
 
 SQRT2 = np.sqrt(2.0)
@@ -362,7 +360,7 @@ def test_intersect_drops_rows_that_miss_the_target_near_unit_coupler():
     delta2, t = -0.538, 0.0813
     body = np.linspace(0.0, 0.999, 1000)
     tail = 1.0 - np.logspace(-4, -12, 200)
-    tau, eta, theta, residual_mag, residual_arg = intersect_stack(
+    tau, eta, theta, residual_mag, residual_arg = _intersect(
         delta2, np.concatenate([body, tail]), t)
     assert np.all(residual_mag <= 1e-9) and np.all(residual_arg <= 1e-9)
     z = np.exp(-1j * theta)

@@ -1,5 +1,6 @@
 """The package's public names: ``__all__`` lists exactly what
-``ringsim/__init__.py`` binds, and every listed name resolves."""
+``ringsim/__init__.py`` binds, and every listed name resolves. The tests'
+oracles import nothing from the package."""
 
 import ast
 import inspect
@@ -31,3 +32,16 @@ def test_all_equals_the_names_init_binds():
     public = {name for name, value in vars(ringsim).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public <= set(ringsim.__all__)
+
+
+def test_oracles_import_nothing_from_ringsim():
+    # The oracles are independent only if they share no code with the package.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    assert modules
+    assert not any(m.split(".")[0] in ("ringsim", "") for m in modules), modules

@@ -221,6 +221,37 @@ def test_smatrix_output_is_pinned(tmp_path, capsys, cfg, expected):
     assert captured.err == ""
 
 
+_README_RINGS = [
+    {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586},
+    {"tau": 0.0, "eta": 0.5469181606780271, "theta": 6.283185307179586},
+    {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586}]
+
+
+@pytest.mark.parametrize("rings, expected", [
+    # The README's optimal config.
+    (_README_RINGS,
+     {"closed_form_max_diff": 1.11022302e-16, "det": [-1.0, 0.0],
+      "matrix": [[[-0.414213562, 0.0], [0.840896415, 0.0], [-0.3483107, 0.0]],
+                 [[0.840896415, 0.0], [0.5, 0.0], [0.207106781, 0.0]],
+                 [[-0.3483107, 0.0], [0.207106781, 0.0], [0.914213562, 0.0]]],
+      "unitarity_residual": 2.22044605e-16}),
+    # Ring 1 next to the coupler pole, of effective transmission exactly 1.
+    ([{"tau": 1.0 - 2.0 ** -53, "eta": 1.0, "theta": 6.283185307179586}] + _README_RINGS[1:],
+     {"closed_form_max_diff": 1.02525725e-16, "det": [-1.0, 0.0],
+      "matrix": [[[-0.546918161, 0.0], [0.761989789, 0.0], [-0.346773827, 0.0]],
+                 [[0.837186076, 0.0], [0.497793819, 0.0], [-0.22654092, 0.0]],
+                 [[-0.0, 0.0], [0.414213562, 0.0], [0.910179721, 0.0]]],
+      "unitarity_residual": 1.11022302e-16}),
+])
+def test_smatrix_closed_form_output_is_pinned(tmp_path, capsys, rings, expected):
+    # The closed form is real; its imaginary parts print as 0.0, never -0.0.
+    path = write_config(tmp_path, {"rings": rings})
+    assert main(["smatrix", "--config", path, "--closed-form"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert captured.err == ""
+
+
 def test_verify_optimal(tmp_path, capsys):
     assert main(["verify", "--config", optimal_config(tmp_path)]) == 0
     out = capsys.readouterr().out

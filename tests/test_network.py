@@ -1,4 +1,5 @@
-"""Tests for the three-ring network composition and the mode-swap algebra."""
+"""Tests for the three-ring network composition, and of the mode-swap
+oracle the composition is checked against."""
 
 import numpy as np
 import pytest
@@ -9,20 +10,18 @@ from ringsim import (
     NetworkStack,
     PoleError,
     RESONANT_THETA,
-    SingularPivotError,
     T1_OPTIMAL,
     T2_OPTIMAL,
-    block_transfer,
     build_coupler,
     closed_form_resonant,
     compose_scattering,
     effective_coupling,
     invert_effective,
-    mode_swap3,
-    transfer_matrix,
     unitarity_residual,
 )
 from ringsim.errors import DomainError
+
+from oracles import SingularPivotError, block_transfer, mode_swap3
 
 
 def random_matrix(rng, good_pivots=False):
@@ -88,9 +87,9 @@ def test_mode_swap_singular_pivot():
 
 
 def test_mode_swap_rejects_bad_input():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         mode_swap3(np.eye(4), 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         mode_swap3(np.eye(3), 0)
 
 
@@ -108,7 +107,7 @@ def test_block_transfer_examples():
 
 
 def test_block_transfer_bad_block():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         block_transfer(4, np.array([[0.5, np.sqrt(0.75)], [np.sqrt(0.75), -0.5]]), 0.0)
 
 

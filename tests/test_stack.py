@@ -26,7 +26,6 @@ from ringsim import (
     RESONANT_THETA,
     RingCoupler,
     SectoredState,
-    block_transfer,
     build_coupler,
     build_couplers,
     compose_scattering,
@@ -35,10 +34,8 @@ from ringsim import (
     enumerate_basis,
     evolve,
     heralded_success_stack,
-    intersect_stack,
     invert_effective,
     lift_unitary,
-    mode_swap3,
     nlpsg_closed_form,
     project,
     transfer_matrix_stack,
@@ -47,8 +44,11 @@ from ringsim import (
     verdict_stack,
 )
 from ringsim import cli
+from ringsim.analysis import _intersect
 from ringsim.fock import LIFT_UNITARITY_TOL, _heralded_success
 from ringsim.network import _entries, _entry_residual
+
+from oracles import block_transfer, mode_swap3
 
 TOL = 1e-14
 # Each example composes up to a dozen networks; 50 keep the suite quick.
@@ -409,7 +409,7 @@ def rounding_slack(tau, eta, theta):
 @EXAMPLES
 @given(phases, lower_couplers, targets)
 def test_intersect_rows_meet_the_target(delta2, tau2, t):
-    tau, eta, theta, residual_mag, residual_arg = intersect_stack(delta2, tau2, t)
+    tau, eta, theta, residual_mag, residual_arg = _intersect(delta2, tau2, t)
     assert np.all((eta > 0.0) & (eta < 1.0))
     assert np.all((theta > -math.pi) & (theta <= math.pi))
     z = np.exp(-1j * theta)
@@ -423,7 +423,7 @@ def test_intersect_rows_meet_the_target(delta2, tau2, t):
 @EXAMPLES
 @given(lower_couplers, targets)
 def test_intersect_at_zero_line_phase_is_the_resonant_curve(tau2, t):
-    tau, eta, theta, residual_mag, residual_arg = intersect_stack(0.0, tau2, t)
+    tau, eta, theta, residual_mag, residual_arg = _intersect(0.0, tau2, t)
     expected = {x: invert_effective(t, x) for x in tau2}
     # Only a root within rounding of eta = 1, or one in the tail within 1e-5
     # of tau2 = 1 where no ring of doubles meets the target to 1e-9, may be
