@@ -14,7 +14,7 @@ from .analysis import (NlpsgVerdict, OffResonanceReport, S11_FIXED, T1_OPTIMAL,
 from .cnot import (CnotNetwork, CoherenceReport, DualRailQubit, TruthTableRow,
                    build_cnot, conditional_logical_matrix, embed,
                    normalize_global_phase, verify_coherence, verify_truth_table)
-from .errors import ConfigError, ConstraintError, DomainError, PoleError, RingsimError
+from .errors import ConstraintError, DomainError, PoleError, RingsimError
 from .fock import (SUCCESS_PATTERN, MeasurementPattern, NlpsgInput,
                    OccupationBasis, SectoredState, enumerate_basis, evolve,
                    heralded_success_stack, lift_unitary, nlpsg_closed_form,
@@ -29,8 +29,7 @@ from .ring import (RESONANT_THETA, TWO_PI, CouplerStack, EffectiveCoupling,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "ConstraintError", "DomainError", "PoleError",
-    "RingsimError",
+    "ConstraintError", "DomainError", "PoleError", "RingsimError",
     "RingCoupler", "EffectiveCoupling", "TWO_PI",
     "RESONANT_THETA", "build_coupler", "transfer_matrix",
     "CouplerStack", "build_couplers", "transfer_matrix_stack",

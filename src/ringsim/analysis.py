@@ -20,8 +20,9 @@ from .errors import DomainError
 from .fock import _betas, _corners
 from .network import (NetworkParams, NetworkStack, closed_form_resonant,
                       compose_scattering_stack)
-from .ring import (RESONANT_THETA, TWO_PI, CouplerStack, RingCoupler, _inverse, _through,
-                   build_coupler, build_couplers, invert_effective)
+from .ring import (_COUPLER_DTYPES, RESONANT_THETA, TWO_PI, CouplerStack, RingCoupler,
+                   _coupler_fields, _inverse, _passes, _through, build_coupler,
+                   build_couplers, invert_effective)
 
 log = logging.getLogger(__name__)
 
@@ -67,7 +68,6 @@ class NlpsgVerdict:
     success_probability: float | np.ndarray
     magnitude_residual: float | np.ndarray
     s11_magnitude_residual: float | np.ndarray
-    offdiag_probability: float | np.ndarray
 
     def satisfied(self, tol: float = 1e-9) -> bool | np.ndarray:
         """Strict (complex) success criterion."""
@@ -95,7 +95,6 @@ def verdict_stack(s) -> NlpsgVerdict:
         success_probability=magnitude[:, 0] ** 2,
         magnitude_residual=np.abs(magnitude - 0.5).max(axis=1),
         s11_magnitude_residual=np.abs(np.abs(s00) - (SQRT2 - 1.0)),
-        offdiag_probability=0.5 * np.abs(s10) ** 2 * np.abs(s01) ** 2,
     )
 
 
@@ -363,17 +362,20 @@ def curve_stack(tau_grid, ring: int = 1) -> NetworkStack:
     if ring not in (1, 2, 3):
         raise DomainError(f"ring must be 1, 2 or 3, got {ring}")
     tau = np.asarray(tau_grid, dtype=float).reshape(-1)
+    # Points off the inversion's or the couplers' domain give inf or NaN
+    # fields here, unwarned: the pole flag and the ring mask leave them out.
     with np.errstate(divide="ignore", invalid="ignore"):
         eta, pole = _inverse(_slot_transmission(ring), tau)
-    usable = ((np.abs(tau) <= 1.0) & ~pole & (np.abs(eta) <= 1.0)
-              & (np.abs(tau * eta) < 1.0))
+        couplers = _coupler_fields(tau, eta, np.full(tau.shape, RESONANT_THETA), None, np.sqrt)
+    usable = ~pole & _passes(*couplers)
     skipped = np.flatnonzero(~usable)
     for i in skipped:
         log.info("curve point tau=%s skipped: inversion pole or coupler "
                  "outside its domain", tau[i])
     if skipped.size:
         log.info("curve trace skipped %d of %d grid points", skipped.size, tau.size)
-    swept = build_couplers(tau[usable], eta[usable], RESONANT_THETA)
+    swept = CouplerStack._checked_already(
+        **{name: field[usable] for name, field in zip(_COUPLER_DTYPES, couplers)})
     return NetworkStack(rings=_optimal_rings_with(ring, swept),
                         deltas=np.zeros((len(swept), 3)))
 

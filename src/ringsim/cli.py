@@ -17,7 +17,7 @@ from .analysis import (T1_OPTIMAL, T2_OPTIMAL, curve_network, curve_stack,
                        intersect_stack, optimize_t1, surface_stack,
                        t2_from_equality, verdict, wrap_angle)
 from .cnot import build_cnot, verify_coherence, verify_truth_table
-from .errors import ConfigError, ConstraintError, DomainError, PoleError, RingsimError
+from .errors import ConstraintError, DomainError, PoleError
 from .fock import (SUCCESS_PATTERN, NlpsgInput, _heralded_success, evolve,
                    nlpsg_closed_form, project)
 from .network import (NetworkParams, _entries, closed_form_resonant, compose_scattering,
@@ -55,27 +55,33 @@ def _load_config(path: str | None) -> dict:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
+        raise DomainError(f"cannot read config {path}: {err}") from err
     except ValueError as err:  # not UTF-8, not JSON, or an integer too long to convert
-        raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+        raise DomainError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise DomainError("config root must be a JSON object")
     return cfg
+
+
+def _number(value) -> float:
+    """float(value) of a JSON number; a JSON string or boolean raises TypeError."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
 
 
 def _float_field(obj: dict, name: str, where: str, default=None) -> float:
     if name not in obj:
         if default is not None:
             return default
-        raise ConfigError(f"missing field {where}.{name}", field=f"{where}.{name}")
+        raise DomainError(f"missing field {where}.{name}")
     try:
-        value = float(obj[name])
+        value = _number(obj[name])
     except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"field {where}.{name} must be a number, "
-                          f"got {obj[name]!r}", field=f"{where}.{name}") from err
+        raise DomainError(f"field {where}.{name} must be a number, "
+                          f"got {obj[name]!r}") from err
     if not math.isfinite(value):
-        raise ConfigError(f"field {where}.{name} must be finite, got {obj[name]!r}",
-                          field=f"{where}.{name}")
+        raise DomainError(f"field {where}.{name} must be finite, got {obj[name]!r}")
     return value
 
 
@@ -94,27 +100,24 @@ def _tolerance(args, cfg: dict) -> float:
     """The constraint tolerance: --tolerance, else the config's tolerance
     field, else 1e-9. The field is checked even where --tolerance wins over
     it. A tolerance <= 0 passes no gate, so it is bad input."""
-    given = [(_float_field(cfg, "tolerance", "config", default=1e-9),
-              "field config.tolerance", "config.tolerance")]
+    given = [(_float_field(cfg, "tolerance", "config", default=1e-9), "field config.tolerance")]
     if args.tolerance is not None:
-        given.append((args.tolerance, "--tolerance", "tolerance"))
-    for tol, name, field in given:
+        given.append((args.tolerance, "--tolerance"))
+    for tol, name in given:
         if not tol > 0.0:
-            raise ConfigError(f"{name} must be positive, got {tol!r}", field=field)
+            raise DomainError(f"{name} must be positive, got {tol!r}")
     return tol
 
 
 def _network_from_config(cfg: dict, where: str = "rings") -> NetworkParams:
     rings_cfg = cfg.get("rings")
     if not isinstance(rings_cfg, list) or len(rings_cfg) != 3:
-        raise ConfigError(f"{where} must be a list of exactly 3 ring objects",
-                          field=where)
+        raise DomainError(f"{where} must be a list of exactly 3 ring objects")
     rings = []
     deltas = []
     for i, ring_cfg in enumerate(rings_cfg):
         if not isinstance(ring_cfg, dict):
-            raise ConfigError(f"{where}[{i}] must be an object",
-                              field=f"{where}[{i}]")
+            raise DomainError(f"{where}[{i}] must be an object")
         label = f"{where}[{i}]"
         tau = _float_field(ring_cfg, "tau", label)
         eta = _float_field(ring_cfg, "eta", label)
@@ -132,7 +135,7 @@ def _network_from_config(cfg: dict, where: str = "rings") -> NetworkParams:
         except DomainError as err:
             # PoleError propagates: it is a numerical condition (exit 3),
             # not a malformed config (exit 2).
-            raise ConfigError(f"{label}: {err}", field=label) from err
+            raise DomainError(f"{label}: {err}") from err
     return NetworkParams(rings=tuple(rings), deltas=tuple(deltas))
 
 
@@ -141,31 +144,30 @@ def _parse_alpha(args, cfg: dict) -> tuple[NlpsgInput, bool]:
     if getattr(args, "alpha", None):
         parts = args.alpha.split(",")
         if len(parts) != 3:
-            raise ConfigError("--alpha needs 3 comma-separated complex numbers",
-                              field="alpha")
+            raise DomainError("--alpha needs 3 comma-separated complex numbers")
         try:
             raw = [complex(p.strip()) for p in parts]
         except ValueError as err:
-            raise ConfigError(f"cannot parse --alpha: {err}", field="alpha") from err
+            raise DomainError(f"cannot parse --alpha: {err}") from err
     elif "alpha" in cfg:
         pairs = cfg["alpha"]
         if not (isinstance(pairs, list) and len(pairs) == 3
                 and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
-            raise ConfigError("config alpha must be 3 [re, im] pairs", field="alpha")
+            raise DomainError("config alpha must be 3 [re, im] pairs")
         try:
-            raw = [complex(float(re), float(im)) for re, im in pairs]
+            raw = [complex(_number(re), _number(im)) for re, im in pairs]
         except (TypeError, ValueError, OverflowError) as err:
-            raise ConfigError(f"bad alpha entry: {err}", field="alpha") from err
+            raise DomainError(f"bad alpha entry: {err}") from err
     else:
         return _EQUAL_SIGNAL, False
     if not all(cmath.isfinite(z) for z in raw):
-        raise ConfigError(f"alpha must be finite, got {raw}", field="alpha")
+        raise DomainError(f"alpha must be finite, got {raw}")
     try:
         norm = math.sqrt(sum(abs(z) ** 2 for z in raw))
     except OverflowError as err:
-        raise ConfigError(f"alpha too large to normalize: {raw}", field="alpha") from err
+        raise DomainError(f"alpha too large to normalize: {raw}") from err
     if norm == 0.0:
-        raise ConfigError("alpha must not be all zero", field="alpha")
+        raise DomainError("alpha must not be all zero")
     return NlpsgInput(*(z / norm for z in raw)), not abs(norm - 1.0) <= 1e-12
 
 
@@ -177,7 +179,7 @@ def _write_text(path: str | None, text: str) -> None:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as err:
-            raise ConfigError(f"cannot write output {path}: {err}") from err
+            raise DomainError(f"cannot write output {path}: {err}") from err
 
 
 def _is_resonant(net: NetworkParams) -> bool:
@@ -193,8 +195,7 @@ def cmd_smatrix(args) -> int:
     out = {}
     if args.closed_form:
         if not _is_resonant(net):
-            raise ConfigError("--closed-form is valid on resonance with zero "
-                              "line phases only")
+            raise DomainError("--closed-form is valid on resonance with zero line phases only")
         ts = [effective_coupling(c.tau, c.eta).t for c in net.rings]
         matrix = closed_form_resonant(*ts)
         out["closed_form_max_diff"] = _round9(float(np.max(np.abs(matrix - composed))))
@@ -255,16 +256,15 @@ def cmd_manifold(args) -> int:
         _float_field(cfg, "grid", "config",
                      default=401 if args.kind != "surface" else 101)
     if grid != int(grid):
-        raise ConfigError(f"field config.grid must be a whole number, got {grid!r}",
-                          field="config.grid")
+        raise DomainError(f"field config.grid must be a whole number, got {grid!r}")
     grid_n = int(grid)
     if grid_n < 2:
-        raise ConfigError("grid must have at least 2 points", field="grid")
+        raise DomainError("grid must have at least 2 points")
     # Every row is held in memory before it is written, so the points are
     # bounded before any array is allocated; a curve counts them per ring.
     points = grid_n * grid_n if args.kind == "surface" else grid_n
     if points > 10 ** 6:
-        raise ConfigError(f"{points} grid points, more than 10^6", field="grid")
+        raise DomainError(f"{points} grid points, more than 10^6")
 
     if args.kind == "curve":
         grid = np.linspace(args.tau_min, args.tau_max, grid_n)
@@ -334,7 +334,7 @@ def cmd_cnot(args) -> int:
     for key in ("gate_a", "gate_b"):
         if key in cfg:
             if not isinstance(cfg[key], dict):
-                raise ConfigError(f"{key} must be an object", field=key)
+                raise DomainError(f"{key} must be an object")
             nets.append(_network_from_config(cfg[key], where=f"{key}.rings"))
         else:
             nets.append(curve_network())
@@ -416,7 +416,7 @@ def main(argv=None) -> int:
                "cnot": cmd_cnot}[args.command]
     try:
         return command(args)
-    except ConfigError as err:
+    except DomainError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except PoleError as err:
@@ -427,12 +427,6 @@ def main(argv=None) -> int:
         detail = "" if err.verdict is None else f"; residual = {_fmt(err.verdict.residual)}"
         print(f"constraint violation: {err}{detail}", file=sys.stderr)
         return 4
-    except DomainError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except RingsimError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

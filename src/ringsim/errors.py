@@ -1,4 +1,6 @@
-"""Exception taxonomy shared by all ringsim modules."""
+"""Exception taxonomy shared by all ringsim modules, one class per exit code
+of the command line: DomainError is bad input (exit 2), PoleError a
+numerical condition (exit 3), ConstraintError a gate that fails (exit 4)."""
 
 
 class RingsimError(Exception):
@@ -6,7 +8,9 @@ class RingsimError(Exception):
 
 
 class DomainError(RingsimError, ValueError):
-    """A parameter lies outside its physical or mathematical domain."""
+    """Bad input: a parameter lies outside its physical or mathematical
+    domain, or a run configuration or command-line option cannot be read,
+    parsed or validated."""
 
 
 class PoleError(RingsimError, ValueError):
@@ -25,17 +29,3 @@ class ConstraintError(RingsimError):
     def __init__(self, message, verdict=None):
         super().__init__(message)
         self.verdict = verdict
-
-
-class ConfigError(RingsimError):
-    """A run configuration could not be parsed or validated.
-
-    Attributes
-    ----------
-    field : str or None
-        Name of the offending field, when known.
-    """
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field

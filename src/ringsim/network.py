@@ -193,8 +193,8 @@ def closed_form_resonant(t1: float, t2: float, t3: float) -> np.ndarray:
         [t3 * c1 * c2, t2 * c1 - c3, -t1 * t3],
     ], dtype=complex)
     s /= den
-    # den < 0 turns the +0.0 imaginary parts into -0.0; adding 0.0 makes them +0.0.
-    s.imag += 0.0
+    # den < 0 turns +0.0 parts into -0.0; adding 0.0 makes them +0.0.
+    s += 0.0
     return s
 
 

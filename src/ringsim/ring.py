@@ -114,6 +114,18 @@ def build_coupler(tau: float, eta: float, theta: float,
                                         None if phi is None else float(phi), cmath.sqrt))
 
 
+def _passes(tau, eta, theta, phi, kappa, gamma) -> np.ndarray:
+    """(N,) mask of the rings, given as 1-D field arrays, that pass the
+    checks of RingCoupler. A NaN or infinite field fails, unwarned."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        passes = ((np.abs(tau) <= 1.0) & (np.abs(eta) <= 1.0) & (np.abs(tau * eta) < 1.0)
+                  & np.isfinite(theta) & np.isfinite(phi))
+        for t, k in ((tau, kappa), (eta, gamma)):
+            passes &= np.abs(np.abs(k) ** 2 + t * t - 1.0) <= _RECIPROCITY_TOL
+            passes &= np.abs(k * t + k.conj() * t) <= _RECIPROCITY_TOL
+    return passes
+
+
 @dataclass(frozen=True, eq=False)
 class CouplerStack:
     """N rings as parallel 1-D arrays: the stacked form of RingCoupler.
@@ -140,17 +152,9 @@ class CouplerStack:
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise DomainError(f"coupler fields must be 1-D arrays of one length, "
                               f"got shapes {sorted(shapes)}")
-        tau, eta = self.tau, self.eta
-        # A member with an infinite field fails; it needs no warning.
-        with np.errstate(invalid="ignore", over="ignore"):
-            passes = ((np.abs(tau) <= 1.0) & (np.abs(eta) <= 1.0) & (np.abs(tau * eta) < 1.0)
-                      & np.isfinite(self.theta) & np.isfinite(self.phi))
-            for t, k in ((tau, self.kappa), (eta, self.gamma)):
-                passes &= np.abs(np.abs(k) ** 2 + t * t - 1.0) <= _RECIPROCITY_TOL
-                passes &= np.abs(k * t + k.conj() * t) <= _RECIPROCITY_TOL
         # RingCoupler's check raises, and names the failure: the mask only
         # finds the members to put to it.
-        for i in np.flatnonzero(~passes):
+        for i in np.flatnonzero(~_passes(*(getattr(self, name) for name in _COUPLER_DTYPES))):
             RingCoupler(**{name: getattr(self, name)[i].item() for name in _COUPLER_DTYPES})
 
     @classmethod

@@ -193,8 +193,9 @@ def test_success_probability_equals_offdiagonal_product():
     # |beta0|^2 = |S21 S12|^2 / 2 everywhere on the curve.
     rng = np.random.default_rng(73)
     taus = rng.uniform(0.0, 0.9, size=20)
-    v = verdict_stack(curve_matrices(taus, 1))
-    assert np.all(np.abs(v.success_probability - v.offdiag_probability) < 1e-10)
+    s = curve_matrices(taus, 1)
+    offdiag = 0.5 * np.abs(s[:, 1, 0]) ** 2 * np.abs(s[:, 0, 1]) ** 2
+    assert np.all(np.abs(verdict_stack(s).success_probability - offdiag) < 1e-10)
 
 
 def test_herald_transmission_locked_to_offdiagonals():

@@ -240,11 +240,11 @@ _README_RINGS = [
      {"closed_form_max_diff": 1.02525725e-16, "det": [-1.0, 0.0],
       "matrix": [[[-0.546918161, 0.0], [0.761989789, 0.0], [-0.346773827, 0.0]],
                  [[0.837186076, 0.0], [0.497793819, 0.0], [-0.22654092, 0.0]],
-                 [[-0.0, 0.0], [0.414213562, 0.0], [0.910179721, 0.0]]],
+                 [[0.0, 0.0], [0.414213562, 0.0], [0.910179721, 0.0]]],
       "unitarity_residual": 1.11022302e-16}),
 ])
 def test_smatrix_closed_form_output_is_pinned(tmp_path, capsys, rings, expected):
-    # The closed form is real; its imaginary parts print as 0.0, never -0.0.
+    # The closed form is real; its zeros print as 0.0, never -0.0.
     path = write_config(tmp_path, {"rings": rings})
     assert main(["smatrix", "--config", path, "--closed-form"]) == 0
     captured = capsys.readouterr()
@@ -994,6 +994,33 @@ def test_surface_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring)
                    for field in ("tau", "eta", "theta", "phi", "kappa", "gamma"))
 
 
+def test_curve_batch_judges_each_point_once(monkeypatch, capsys):
+    # A curve batch judges its grid points with one call of the ring mask,
+    # and mounts the kept ones unchecked: no CouplerStack validates them
+    # again. The grid reaches outside [-1, 1], so the mask skips points.
+    argv = ["manifold", "curve", "--grid", "7", "--tau-min", "-1.5", "--tau-max", "1.5"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    calls, passes = [], ring_module._passes
+
+    def counted(*fields):
+        calls.append(len(fields[0]))
+        return passes(*fields)
+
+    def validated(self):
+        raise AssertionError("a curve batch built a validated CouplerStack")
+
+    analysis_module._optimal_ring.cache_clear()
+    for module in (ring_module, analysis_module):
+        monkeypatch.setattr(module, "_passes", counted)
+    monkeypatch.setattr(CouplerStack, "__post_init__", validated)
+    monkeypatch.setattr(cli, "_BATCH_POINTS", 3)
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert expected.err == "emitted 9 of 21 grid points\n"
+    assert calls == [3, 3, 1] * 3  # one call per batch, three batches per ring
+
+
 def test_cnot_evaluates_its_six_rings_in_one_transfer_call(monkeypatch, tmp_path, capsys):
     # Both gates' rings are mounted in one stack, composed in one call.
     calls = _count_transfer_calls(monkeypatch)
@@ -1252,6 +1279,105 @@ def test_config_root_must_be_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
     assert main(["smatrix", "--config", str(path)]) == 2
+
+
+def _rings_with(i, entry):
+    """The README optimal rings with ring i replaced by ``entry``."""
+    rings = list(_README_OPTIMAL_CONFIG["rings"])
+    rings[i] = entry
+    return rings
+
+
+_ON_CURVE = _README_OPTIMAL_CONFIG["rings"][0]
+_SMATRIX, _VERIFY = ["smatrix", "--config", "{cfg}"], ["verify", "--config", "{cfg}"]
+
+
+# One case per site in cli.py that reports bad input: argv ("{cfg}" is the
+# config path, "{dir}" the test's directory), the config written (raw bytes,
+# an object, or None for no file), and the whole stderr line.
+@pytest.mark.parametrize("argv, cfg, message", [
+    (["smatrix", "--config", "{dir}/none.json"], None,
+     "cannot read config {dir}/none.json: [Errno 2] No such file or directory: "
+     "'{dir}/none.json'"),
+    (_SMATRIX, b"{", "config {cfg} is not valid JSON: Expecting property name enclosed "
+                     "in double quotes: line 1 column 2 (char 1)"),
+    (_SMATRIX, [1, 2], "config root must be a JSON object"),
+    (_SMATRIX, {"rings": _rings_with(1, {"tau": 0.0, "theta": 0.0})},
+     "missing field rings[1].eta"),
+    (_SMATRIX, {"rings": _rings_with(0, dict(_ON_CURVE, tau="x"))},
+     "field rings[0].tau must be a number, got 'x'"),
+    (_SMATRIX, {"rings": _rings_with(2, dict(_ON_CURVE, delta=float("inf")))},
+     "field rings[2].delta must be finite, got inf"),
+    (_VERIFY, dict(_README_OPTIMAL_CONFIG, tolerance=0),
+     "field config.tolerance must be positive, got 0.0"),
+    (_SMATRIX, {"rings": _README_OPTIMAL_CONFIG["rings"][:2]},
+     "rings must be a list of exactly 3 ring objects"),
+    (_SMATRIX, {"rings": _rings_with(1, [0.0, 0.5])}, "rings[1] must be an object"),
+    (_SMATRIX, {"rings": _rings_with(0, dict(_ON_CURVE, eta=-1.5))},
+     "rings[0]: eta must lie in [-1, 1], got -1.5"),
+    (_VERIFY + ["--alpha", "1,2"], _README_OPTIMAL_CONFIG,
+     "--alpha needs 3 comma-separated complex numbers"),
+    (_VERIFY + ["--alpha", "1,x,1"], _README_OPTIMAL_CONFIG,
+     "cannot parse --alpha: complex() arg is a malformed string"),
+    (_VERIFY, dict(_README_OPTIMAL_CONFIG, alpha=[[1, 0], [0, 0]]),
+     "config alpha must be 3 [re, im] pairs"),
+    (_VERIFY, dict(_README_OPTIMAL_CONFIG, alpha=[[1, 0], [None, 0], [0, 0]]),
+     "bad alpha entry: float() argument must be a string or a real number, "
+     "not 'NoneType'"),
+    (_VERIFY, dict(_README_OPTIMAL_CONFIG, alpha=[[1, 0], [0, float("-inf")], [0, 0]]),
+     "alpha must be finite, got [(1+0j), -infj, 0j]"),
+    (_VERIFY + ["--alpha", "1e200,1e200,0"], _README_OPTIMAL_CONFIG,
+     "alpha too large to normalize: [(1e+200+0j), (1e+200+0j), 0j]"),
+    (_VERIFY + ["--alpha", "0,0j,-0"], _README_OPTIMAL_CONFIG, "alpha must not be all zero"),
+    (["optimize", "--output", "{dir}/none/out.txt"], None,
+     "cannot write output {dir}/none/out.txt: [Errno 2] No such file or directory: "
+     "'{dir}/none/out.txt'"),
+    (_SMATRIX + ["--closed-form"], {"rings": _rings_with(0, dict(_ON_CURVE, theta=0.3))},
+     "--closed-form is valid on resonance with zero line phases only"),
+    (["manifold", "curve", "--config", "{cfg}"], {"grid": 2.5},
+     "field config.grid must be a whole number, got 2.5"),
+    (["manifold", "surface", "--grid", "1"], None, "grid must have at least 2 points"),
+    (["manifold", "intersect", "--grid", "1000001"], None,
+     "1000001 grid points, more than 10^6"),
+    (["cnot", "--config", "{cfg}"], {"gate_b": []}, "gate_b must be an object"),
+])
+def test_config_error_sites_print_one_pinned_line(tmp_path, capsys, argv, cfg, message):
+    # Every bad input is a DomainError: exit 2, nothing on stdout and one
+    # stderr line, "config error: " and the site's message.
+    path = tmp_path / "cfg.json"
+    if cfg is not None:
+        path.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
+    names = {"cfg": path, "dir": tmp_path}
+    assert main([a.format(**names) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message.format(**names)}\n"
+
+
+@pytest.mark.parametrize("argv, cfg, message", [
+    (_SMATRIX, {"rings": _rings_with(0, dict(_ON_CURVE, tau="0.0"))},
+     "field rings[0].tau must be a number, got '0.0'"),
+    (_SMATRIX, {"rings": _rings_with(1, {"tau": 0.0, "eta": True, "theta": 0.0})},
+     "field rings[1].eta must be a number, got True"),
+    (_VERIFY, dict(_README_OPTIMAL_CONFIG, tolerance="1e-3"),
+     "field config.tolerance must be a number, got '1e-3'"),
+    (["manifold", "curve", "--config", "{cfg}"], {"grid": "5"},
+     "field config.grid must be a number, got '5'"),
+    (["manifold", "curve", "--config", "{cfg}"], {"grid": True},
+     "field config.grid must be a number, got True"),
+    (_VERIFY, dict(_README_OPTIMAL_CONFIG, alpha=[[1, 0], ["1", 0], [0, 0]]),
+     "bad alpha entry: must be a number, got '1'"),
+    (_VERIFY, dict(_README_OPTIMAL_CONFIG, alpha=[[1, 0], [0, 0], [0, False]]),
+     "bad alpha entry: must be a number, got False"),
+])
+def test_config_numbers_must_be_json_numbers(tmp_path, capsys, argv, cfg, message):
+    # float() converts the strings "0.0" and "1e-3" and the booleans true and
+    # false too; a config field that is not a JSON number is bad input.
+    path = write_config(tmp_path, cfg)
+    assert main([a.format(cfg=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
 
 
 def test_output_file_option(tmp_path):

@@ -172,7 +172,6 @@ def scalar_verdict_fields(m):
         "success_probability": abs(beta[0]) ** 2,
         "magnitude_residual": max(abs(abs(b) - 0.5) for b in beta),
         "s11_magnitude_residual": abs(abs(m[0, 0]) - (math.sqrt(2.0) - 1.0)),
-        "offdiag_probability": 0.5 * abs(m[1, 0]) ** 2 * abs(m[0, 1]) ** 2,
     }
 
 
