@@ -274,11 +274,10 @@ def cmd_manifold(args) -> int:
             for start in range(0, grid_n, _BATCH_POINTS):
                 networks = curve_stack(grid[start:start + _BATCH_POINTS], ring)
                 swept = networks.rings[ring - 1]
-                # Squares by Python's float **, which numpy's ** 2 does not
-                # match on every float.
-                squares = [[x ** 2 for x in c.tolist()] for c in (swept.tau, swept.eta)]
                 success = _heralded_success(_entries(networks), _EQUAL_SIGNAL)
-                chunks.append(_csv.rows((swept.tau, swept.eta, *squares, success), str(ring)))
+                # x * x is the correctly rounded IEEE square on every CPU.
+                chunks.append(_csv.rows((swept.tau, swept.eta, swept.tau * swept.tau,
+                                         swept.eta * swept.eta, success), str(ring)))
                 rows += len(swept)
         _write_text(args.output, b"".join(chunks).decode("ascii"))
         print(f"emitted {rows} of {len(rings) * grid_n} grid points", file=sys.stderr)

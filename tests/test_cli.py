@@ -9,6 +9,8 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from ringsim import (SUCCESS_PATTERN, CouplerStack, NetworkParams, NlpsgInput,
                      T1_OPTIMAL, T2_OPTIMAL, build_coupler, compensated_network_stack,
-                     compose_scattering, curve_network, curve_ring, evolve,
+                     compose_scattering, curve_network, curve_ring, curve_stack, evolve,
                      invert_effective, project, surface_theta)
 from ringsim import _csv, cli, fock
 from ringsim import analysis as analysis_module
@@ -484,8 +486,8 @@ def _rebuild_curve(grid):
             rings[ring - 1] = curve_ring(ring, float(tau))
             c = rings[ring - 1]
             beta_sq = _rebuilt_success(NetworkParams(rings=tuple(rings)))
-            lines.append(",".join([str(ring), _fmt(c.tau), _fmt(c.eta), _fmt(c.tau ** 2),
-                                   _fmt(c.eta ** 2), _fmt(beta_sq)]))
+            lines.append(",".join([str(ring), _fmt(c.tau), _fmt(c.eta), _fmt(c.tau * c.tau),
+                                   _fmt(c.eta * c.eta), _fmt(beta_sq)]))
     return lines
 
 
@@ -720,6 +722,57 @@ def test_sweeps_skip_the_fock_lift(monkeypatch, capsys, argv, digest, err):
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
     assert captured.err == err
+
+
+def test_manifold_curve_squares_are_correctly_rounded(monkeypatch, capsys):
+    # The oracle squares each coupler exactly in Fraction and rounds once,
+    # with neither numpy nor libm. Both the doubles handed to the formatter
+    # and the printed cells must match it.
+    grid = np.linspace(-1.0, 1.0, 1001)
+    handed = []
+    rows = _csv.rows
+
+    def recording_rows(columns, label=None):
+        handed.append((label, [np.asarray(c, dtype=float).copy() for c in columns]))
+        return rows(columns, label)
+
+    monkeypatch.setattr(_csv, "rows", recording_rows)
+    assert main(["manifold", "curve", "--ring", "0", "--grid", "1001",
+                 "--tau-min", "-1", "--tau-max", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    for ring in (1, 2, 3):
+        swept = curve_stack(grid, ring).rings[ring - 1]
+        cells = [line.split(",") for line in lines if line.startswith(f"{ring},")]
+        batches = [batch for label, batch in handed if label == str(ring)]
+        assert len(cells) == len(swept) > 0
+        for field, x in ((3, swept.tau), (4, swept.eta)):
+            exact = [float(Fraction(v) ** 2) for v in x.tolist()]
+            assert [cell[field] for cell in cells] == [_csv.NUM % v for v in exact]
+            handed_squares = np.concatenate([batch[field - 1] for batch in batches])
+            assert handed_squares.tobytes() == np.array(exact).tobytes()
+
+
+@pytest.mark.parametrize("argv, out", [
+    # Negative couplers square to positive cells.
+    (["--ring", "2", "--grid", "3", "--tau-min", "-0.5", "--tau-max", "-0.9"],
+     "ring,tau,eta,tau_sq,eta_sq,beta_sq\n"
+     "2,-5.00000000e-01,6.45774511e-02,2.50000000e-01,4.17024718e-03,2.50000000e-01\n"
+     "2,-7.00000000e-01,-2.48043477e-01,4.90000000e-01,6.15255664e-02,2.50000000e-01\n"
+     "2,-9.00000000e-01,-6.95352812e-01,8.10000000e-01,4.83515534e-01,2.50000000e-01\n"),
+    # Subnormal couplers square to an underflowed 0, unwarned.
+    (["--ring", "1", "--grid", "3", "--tau-min", "1e-320", "--tau-max", "2e-320"],
+     "ring,tau,eta,tau_sq,eta_sq,beta_sq\n"
+     "1,9.99988867e-321,9.10179721e-01,0.00000000e+00,8.28427125e-01,2.50000000e-01\n"
+     "1,1.49998330e-320,9.10179721e-01,0.00000000e+00,8.28427125e-01,2.50000000e-01\n"
+     "1,1.99997773e-320,9.10179721e-01,0.00000000e+00,8.28427125e-01,2.50000000e-01\n"),
+])
+def test_manifold_curve_edge_rows_are_pinned(capsys, argv, out):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["manifold", "curve"] + argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == "emitted 3 of 3 grid points\n"
 
 
 def _percent_rows(columns, label=None):
