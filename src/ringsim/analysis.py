@@ -115,9 +115,10 @@ def verdict(s: np.ndarray) -> NlpsgVerdict:
 def _t1_sq(t1: float) -> float:
     """t1^2, checked against the domain of the optimal t3(t1) curve."""
     u = t1 * t1
-    if u >= 1.0:
+    # Written so that a NaN t1 fails both checks.
+    if not u < 1.0:
         raise DomainError(f"|t1| must be < 1, got {t1}")
-    if u > _T1_SQ_LIMIT:
+    if not u <= _T1_SQ_LIMIT:
         raise DomainError(f"t1^2 = {u} exceeds the optimal-curve limit {_T1_SQ_LIMIT}")
     return u
 
@@ -130,7 +131,7 @@ def t3_of_t1(t1: float) -> float:
     Raises
     ------
     DomainError
-        If t1^2 exceeds 12*sqrt(2) - 16 or |t1| >= 1.
+        If t1^2 exceeds 12*sqrt(2) - 16, |t1| >= 1 or t1 is NaN.
     """
     u = _t1_sq(t1)
     return math.sqrt((_T1_SQ_LIMIT - u) / (1.0 - u))

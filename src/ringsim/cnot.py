@@ -428,6 +428,8 @@ def conditional_logical_matrix(net: CnotNetwork) -> np.ndarray:
 def normalize_global_phase(m: np.ndarray) -> np.ndarray:
     """Divide by the largest-magnitude entry, removing scale and phase."""
     m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise DomainError("cannot phase-normalize a non-finite matrix")
     pivot = m.flat[int(np.argmax(np.abs(m)))]
     if abs(pivot) == 0.0:
         raise DomainError("cannot phase-normalize a zero matrix")

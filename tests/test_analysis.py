@@ -105,6 +105,14 @@ def test_t3_of_t1_values():
         t3_of_t1(0.99)
 
 
+@pytest.mark.parametrize("t1", [math.nan, math.inf])
+def test_optimal_curve_rejects_non_finite_t1(t1):
+    # A NaN t1 fails both domain checks, not neither.
+    for f in (t3_of_t1, beta_sq_of_t1):
+        with pytest.raises(DomainError):
+            f(t1)
+
+
 def test_t3_of_t1_product_invariant():
     # The reflectivity product is constant along the curve; its square
     # root 3 - 2*sqrt(2) is the value either factor takes at the optimum.

@@ -506,16 +506,33 @@ def test_manifold_curve_equals_pointwise_rebuild(capsys):
 
 
 def test_manifold_output_independent_of_batch_size(monkeypatch, capsys):
-    argvs = (["manifold", "surface", "--ring", "2", "--grid", "5"],
-             ["manifold", "curve", "--grid", "7"])
-    whole = []
-    for argv in argvs:
+    # Small grids split into batches of 3; the default surface grid, one
+    # batch at the default size, into batches of 4096.
+    default = cli._BATCH_POINTS
+    cases = ((["manifold", "surface", "--ring", "2", "--grid", "5"], 3),
+             (["manifold", "curve", "--grid", "7"], 3),
+             *((["manifold", "surface", "--ring", str(ring), "--grid", "101"], 4096)
+               for ring in (1, 2, 3)))
+    for argv, batch in cases:
+        monkeypatch.setattr(cli, "_BATCH_POINTS", default)
         assert main(argv) == 0
-        whole.append(capsys.readouterr())
-    monkeypatch.setattr(cli, "_BATCH_POINTS", 3)
-    for argv, expected in zip(argvs, whole):
+        expected = capsys.readouterr()
+        monkeypatch.setattr(cli, "_BATCH_POINTS", batch)
         assert main(argv) == 0
         assert capsys.readouterr() == expected
+
+
+def test_default_surface_grid_runs_as_one_batch(monkeypatch, capsys):
+    sizes, surface_stack = [], cli.surface_stack
+
+    def counted(slot, eta, tau):
+        sizes.append(len(eta))
+        return surface_stack(slot, eta, tau)
+
+    monkeypatch.setattr(cli, "surface_stack", counted)
+    assert main(["manifold", "surface"]) == 0
+    capsys.readouterr()
+    assert sizes == [101 * 101]
 
 
 @pytest.mark.parametrize("argv", [
@@ -926,6 +943,7 @@ def test_table_rows_do_not_depend_on_the_simd_level(disabled):
 
 
 _SIMD_SWEEPS = (["manifold", "surface", "--ring", "2", "--grid", "21"],
+                ["manifold", "surface", "--ring", "2", "--grid", "101"],
                 ["manifold", "curve", "--grid", "51", "--tau-min", "-1", "--tau-max", "1"])
 
 # Run in a child whose numpy dispatches fewer SIMD kernels: writes, as JSON,

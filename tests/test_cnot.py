@@ -169,6 +169,18 @@ def test_conditional_matrix_agrees_with_truth_table(probe_phase):
         assert np.max(np.abs(normalize_global_phase(m) - cnot)) < 1e-9
 
 
+def test_normalize_global_phase_rejects_non_finite_and_zero_matrices():
+    # A NaN or infinite entry would be taken as the pivot, or divide every
+    # other entry to NaN.
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        m = np.eye(4, dtype=complex)
+        m[2, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            normalize_global_phase(m)
+    with pytest.raises(DomainError, match="zero matrix"):
+        normalize_global_phase(np.zeros((4, 4)))
+
+
 def test_cnot_network_validates_modes():
     u = np.eye(8, dtype=complex)
     rails = (DualRailQubit(0, 1), DualRailQubit(2, 3))
