@@ -316,15 +316,17 @@ def compensated_network_stack(
     return networks
 
 
-def surface_stack(slot: int, eta, tau) -> tuple[np.ndarray, NetworkStack]:
+def surface_stack(slot: int, eta, tau) -> tuple[np.ndarray, np.ndarray, NetworkStack]:
     """Detuned-surface branches of one ring slot over a grid of couplers.
 
     For every (eta, tau) pair the swept ring in ``slot`` (1, 2 or 3) takes
     each round-trip phase of ``surface_theta`` for the slot's optimal
     transmission; the other slots hold their resonant optimal rings at
-    tau = 0, and the middle line phase cancels the loop phase. Returns the
-    branch angles, in grid order with each pair ascending, and their
-    networks; the swept ring's couplers are in ``networks.rings[slot - 1]``.
+    tau = 0, and the middle line phase cancels the loop phase. Returns
+    (point, theta, networks): as ``surface_theta_stack``, every branch angle,
+    in grid order with each pair ascending, and the index of the (eta, tau)
+    pair it belongs to; then the branches' networks, whose swept ring's
+    couplers are in ``networks.rings[slot - 1]``.
     """
     if slot not in (1, 2, 3):
         raise DomainError(f"slot must be 1, 2 or 3, got {slot}")
@@ -332,7 +334,7 @@ def surface_stack(slot: int, eta, tau) -> tuple[np.ndarray, NetworkStack]:
                                    np.atleast_1d(np.asarray(tau, dtype=float)))
     point, theta = surface_theta_stack(_slot_transmission(slot), eta, tau)
     swept = build_couplers(tau[point], eta[point], theta)
-    return theta, compensated_network_stack(_optimal_rings_with(slot, swept))
+    return point, theta, compensated_network_stack(_optimal_rings_with(slot, swept))
 
 
 def _optimal_rings_with(slot: int, swept: CouplerStack) -> tuple[CouplerStack, ...]:
@@ -370,10 +372,10 @@ def curve_stack(tau_grid, ring: int = 1) -> NetworkStack:
         couplers = _coupler_fields(tau, eta, np.full(tau.shape, RESONANT_THETA), None, np.sqrt)
     usable = ~pole & _passes(*couplers)
     skipped = np.flatnonzero(~usable)
-    for i in skipped:
-        log.info("curve point tau=%s skipped: inversion pole or coupler "
-                 "outside its domain", tau[i])
-    if skipped.size:
+    if skipped.size and log.isEnabledFor(logging.INFO):
+        for i in skipped:
+            log.info("curve point tau=%s skipped: inversion pole or coupler "
+                     "outside its domain", tau[i])
         log.info("curve trace skipped %d of %d grid points", skipped.size, tau.size)
     swept = CouplerStack._checked_already(
         **{name: field[usable] for name, field in zip(_COUPLER_DTYPES, couplers)})

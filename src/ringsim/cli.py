@@ -32,8 +32,8 @@ _EQUAL_SIGNAL = NlpsgInput(*[1.0 / math.sqrt(3.0)] * 3)
 # any grid size. Each batch carries about 0.5 ms of fixed numpy and Python
 # work (theta solve, coupler build, mount, transfers, entries, unitarity
 # guard, CSV) and each grid point about 0.9 us, so the default 101 x 101
-# surface grid runs as one batch. Its whole sweep then peaks at 3.36 MB of
-# traced allocations, against 1.99 MB as three batches of 4096 (in process,
+# surface grid runs as one batch. Its whole sweep then peaks at 3.41 MB of
+# traced allocations, against 2.06 MB as three batches of 4096 (in process,
 # tracemalloc, numpy 2.4 on a 2-core AVX-512 x86-64).
 _BATCH_POINTS = 16384
 
@@ -292,11 +292,13 @@ def cmd_manifold(args) -> int:
         for start in range(0, points, _BATCH_POINTS):
             # Grid points in row-major (eta, tau) order, as the CSV lists them.
             point = np.arange(start, min(start + _BATCH_POINTS, points))
-            theta, networks = surface_stack(ring, axis[point // grid_n],
-                                            axis[point % grid_n])
-            swept = networks.rings[ring - 1]
+            branch, theta, networks = surface_stack(ring, axis[point // grid_n],
+                                                    axis[point % grid_n])
             success = _heralded_success(_entries(networks), _EQUAL_SIGNAL)
-            chunks.append(_csv.rows((swept.tau, swept.eta, theta, success), str(ring)))
+            # Each branch's tau and eta are the axis values at its grid indices.
+            eta_at, tau_at = np.divmod(point[branch], grid_n)
+            chunks.append(_csv.rows(((axis, tau_at), (axis, eta_at), theta, success),
+                                    str(ring)))
             rows += len(theta)
         _write_text(args.output, b"".join(chunks).decode("ascii"))
         print(f"emitted {rows} of {2 * points} candidate branches", file=sys.stderr)

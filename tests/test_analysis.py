@@ -1,6 +1,7 @@
 """Tests for the heralded-gate constraint analysis and its optimal manifolds."""
 
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from ringsim import (
     verdict_stack,
     wrap_angle,
 )
+from ringsim import analysis as analysis_module
 from ringsim.analysis import _intersect, _slot_transmission
 from ringsim.errors import DomainError
 
@@ -180,6 +182,26 @@ def test_curve_examples():
 
 def test_curve_skips_pole_points():
     assert len(curve_stack([0.0, 0.5, 1.0], ring=1)) == 2
+
+
+def test_curve_skip_messages_are_logged_at_info_only(caplog, monkeypatch):
+    grid = [-1.5, 0.0, 0.5, 1.0, 1.5]
+    with caplog.at_level(logging.INFO, logger="ringsim.analysis"):
+        assert len(curve_stack(grid, ring=1)) == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        *(f"curve point tau={tau} skipped: inversion pole or coupler outside its domain"
+          for tau in (-1.5, 1.0, 1.5)),
+        "curve trace skipped 3 of 5 grid points"]
+    caplog.clear()
+
+    # With INFO off, no message is logged, nor even formed.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("log.info called with INFO off")
+
+    monkeypatch.setattr(analysis_module.log, "info", forbidden)
+    with caplog.at_level(logging.WARNING, logger="ringsim.analysis"):
+        assert len(curve_stack(grid, ring=1)) == 2
+    assert caplog.records == []
 
 
 def test_curve_rejects_bad_ring():

@@ -824,8 +824,8 @@ _SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
 @example([struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0], math.nan,
           -math.nan, 1e308, 9.999999995e307, 1e-320, 1e-320])
 def test_column_equals_per_value_format(values):
-    # One column of the table formatter, whose repeated values are formatted
-    # once; values are told apart by their bits.
+    # One column of the table formatter, with repeated values and values that
+    # differ only in their bits: 0.0 and -0.0, NaNs of different payloads.
     expected = "".join(f"{x:.8e}\n" for x in values)
     assert _csv.rows([values]).decode("ascii") == expected
     assert _csv.rows([np.array(values, dtype=float)]).decode("ascii") == expected
@@ -856,6 +856,72 @@ def test_table_rows_edge_values(value):
         assert _csv.rows([column]).decode("ascii") == _percent_rows([column])
         assert _csv.rows([column, column[::-1]], "2").decode("ascii") == \
             _percent_rows([column, column[::-1]], "2")
+
+
+def test_table_rows_near_rounding_ties():
+    # Decimals of 10 significant digits ending in 5 lie on a tie of the
+    # 9-digit format, which the nearest float misses by under an ulp. The
+    # formatter's one-product mantissa is off by up to 1.8e-7, so these and
+    # their float neighbours must reach the per-value format through the tie
+    # band. 1073741815 is the last such digit string under 2**30, 9999999995
+    # the largest, which carries into the exponent.
+    rng = np.random.default_rng(25)
+    digits = np.concatenate([[1000000005, 1073741815, 9999999995],
+                             rng.integers(10 ** 8, 10 ** 9, 40) * 10 + 5])
+    exponents = np.arange(-289, 290)
+    ties = np.array([float(f"{d}e{e - 9}") for d in digits.tolist()
+                     for e in rng.choice(exponents, 30).tolist() + [-289, 0, 289]])
+    column = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+    column = np.concatenate([column, -column])
+    expected = "".join(_csv.NUM % x + "\n" for x in column.tolist())
+    assert _csv.rows([column]).decode("ascii") == expected
+    assert _csv.rows([column, column[::-1]], "2").decode("ascii") == \
+        _percent_rows([column.tolist(), column[::-1].tolist()], "2")
+
+
+_INDEXED_FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS + [_NAN_PAYLOAD])
+
+
+@st.composite
+def _mixed_columns(draw):
+    """Columns of equal length, each a list of floats or a (values, index)
+    pair of lists."""
+    rows, columns = draw(st.integers(0, 20)), []
+    for indexed in draw(st.lists(st.booleans(), min_size=1, max_size=5)):
+        if indexed:
+            values = draw(st.lists(_INDEXED_FLOATS, min_size=1, max_size=8))
+            columns.append((values, draw(st.lists(st.integers(0, len(values) - 1),
+                                                  min_size=rows, max_size=rows))))
+        else:
+            columns.append(draw(st.lists(st.floats(), min_size=rows, max_size=rows)))
+    return columns
+
+
+@settings(deadline=None, max_examples=200)
+@given(_mixed_columns(), st.sampled_from([None, "1", "2", "3"]))
+# Repeated indices, 0.0 and -0.0, NaN payloads; indexed columns before,
+# between and after plain ones.
+@example([([0.0, -0.0, _NAN_PAYLOAD, math.nan, -math.nan], [1, 0, 1, 2, 3, 4, 2]),
+          [1.0, -1.0, 0.0, -0.0, 1e-300, 1e300, math.inf],
+          ([2.5e-7], [0] * 7), [5e-324] * 7,
+          ([-0.0, 0.0], [0, 1, 1, 0, 0, 1, 1])], "2")
+@example([([0.5, -0.0], []), [], ([], [])], None)  # empty indices
+@example([([0.05, 0.98], [0, 0, 1]), ([0.05, 0.98], [1, 1, 0]), [0.1, 0.2, 0.3]], "1")
+def test_indexed_columns_equal_per_value_format(columns, label):
+    handed = [(np.array(c[0], dtype=float), np.array(c[1], dtype=np.intp))
+              if isinstance(c, tuple) else c for c in columns]
+    expanded = [[c[0][i] for i in c[1]] if isinstance(c, tuple) else c for c in columns]
+    assert _csv.rows(handed, label).decode("ascii") == _percent_rows(expanded, label)
+
+
+@pytest.mark.parametrize("columns", [
+    [[1.0], [1.0, 2.0]], [[1.0, 2.0], [1.0]],
+    [([1.0], [0, 0]), [1.0]], [[1.0, 2.0], ([1.0, 2.0], [1])],
+])
+def test_table_rows_reject_columns_of_unequal_length(columns):
+    # A short column must not be broadcast over the rows.
+    with pytest.raises(ValueError):
+        _csv.rows(columns)
 
 
 @pytest.mark.parametrize("error", ["ulp up", "ulp down", "+1", "-1"])
@@ -894,7 +960,8 @@ rows = _csv.rows
 def checked(columns, label=None):
     out = rows(columns, label)
     prefix = "" if label is None else label + ","
-    lists = [np.asarray(c, dtype=float).tolist() for c in columns]
+    lists = [(np.asarray(c[0], dtype=float)[c[1]] if isinstance(c, tuple)
+              else np.asarray(c, dtype=float)).tolist() for c in columns]
     if out.decode() != "".join(prefix + ",".join(_csv.NUM % x for x in row) + "\\n"
                                for row in zip(*lists)):
         sys.exit("the table differs from the per-value format")
@@ -1041,10 +1108,10 @@ def test_surface_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring)
 
     def recorded(*args):
         count = len(calls)
-        theta, networks = surface_stack(*args)
+        point, theta, networks = surface_stack(*args)
         assert calls[count:] == [networks.mounted]
         batches.append(networks)
-        return theta, networks
+        return point, theta, networks
 
     analysis_module._optimal_ring.cache_clear()
     monkeypatch.setattr(cli, "surface_stack", recorded)
