@@ -74,7 +74,7 @@ def _cells(x: np.ndarray, cell: np.ndarray) -> None:
     a writable uint32 array (or view) of shape x.shape + (_CELL // 4,)."""
     tables = _tables()
     m = np.abs(x)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(m))
     native = np.abs(e) <= _MAX_EXPONENT  # False for 0, inf and NaN
     m[~native] = 1.0

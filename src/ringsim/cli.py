@@ -50,6 +50,12 @@ def _complex_pair(z: complex) -> list[float]:
     return [_round9(z.real), _round9(z.imag)]
 
 
+def _fmt_complex(z: complex) -> str:
+    """z as "re imj" in NUM format. Adding 0.0 turns a -0.0 part into +0.0,
+    so a zero prints the same whatever the sign its arithmetic left."""
+    return f"{_fmt(z.real + 0.0)} {_fmt(z.imag + 0.0)}j"
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -58,7 +64,9 @@ def _load_config(path: str | None) -> dict:
             cfg = json.load(fh)
     except OSError as err:
         raise DomainError(f"cannot read config {path}: {err}") from err
-    except ValueError as err:  # not UTF-8, not JSON, or an integer too long to convert
+    except (ValueError, RecursionError) as err:
+        # Not UTF-8, not JSON, an integer too long to convert, or nested
+        # deeper than the decoder's recursion limit.
         raise DomainError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
         raise DomainError("config root must be a JSON object")
@@ -223,7 +231,7 @@ def cmd_verify(args) -> int:
 
     lines = []
     for i, beta in enumerate((v.beta0, v.beta1, v.beta2)):
-        lines.append(f"beta{i} = {_fmt(beta.real)} {_fmt(beta.imag)}j")
+        lines.append(f"beta{i} = {_fmt_complex(beta)}")
     lines.append(f"constraint_residual = {_fmt(v.residual)}")
     lines.append(f"s11_residual = {_fmt(v.s11_residual)}")
     lines.append(f"magnitude_residual = {_fmt(v.magnitude_residual)}")
@@ -234,7 +242,7 @@ def cmd_verify(args) -> int:
     lines.append(f"failure_norm = {_fmt(failure)}")
     for n in (0, 1, 2):
         amp = cond.amplitude_of((n,))
-        lines.append(f"conditional_{n}_photon = {_fmt(amp.real)} {_fmt(amp.imag)}j")
+        lines.append(f"conditional_{n}_photon = {_fmt_complex(amp)}")
     if v.satisfied(tol):
         lines.append("constraints satisfied")
         code = 0

@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -9,7 +8,6 @@ import os
 import struct
 import subprocess
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +18,7 @@ from hypothesis import strategies as st
 
 from ringsim import (SUCCESS_PATTERN, CouplerStack, NetworkParams, NlpsgInput,
                      T1_OPTIMAL, T2_OPTIMAL, build_coupler, compensated_network_stack,
-                     compose_scattering, curve_network, curve_ring, curve_stack, evolve,
+                     compose_scattering, curve_ring, curve_stack, evolve,
                      invert_effective, project, surface_theta)
 from ringsim import _csv, cli, fock
 from ringsim import analysis as analysis_module
@@ -29,7 +27,13 @@ from ringsim import network as network_module
 from ringsim import ring as ring_module
 from ringsim.cli import main
 
+import replay
+
 TWO_PI = 2.0 * math.pi
+
+# Every pinned CLI call, by name: the tests/golden/ corpus and the
+# deep-config calls.
+_PINNED = replay.cases()
 
 
 def ring_entry(slot, tau=0.0, theta=TWO_PI, delta=None, drop=None):
@@ -61,6 +65,13 @@ def parse_report(text):
         key, _, rest = line.partition(" = ")
         values[key] = rest
     return values
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_pinned_call(tmp_path, name):
+    # Exit code, stdout and stderr of the call, run in process with warnings
+    # turned into errors.
+    replay.replay(_PINNED[name], replay.in_process, tmp_path)
 
 
 def test_smatrix_optimal(tmp_path, capsys):
@@ -109,7 +120,7 @@ def test_smatrix_closed_form_rejected_off_resonance(tmp_path, capsys):
 def test_smatrix_closed_form_takes_line_phases_modulo_two_pi(tmp_path, capsys,
                                                              delta, code):
     # A line phase of 2 pi is no phase, as verify already takes it.
-    rings = [dict(r) for r in _README_OPTIMAL_CONFIG["rings"]]
+    rings = [dict(r) for r in _PINNED["smatrix_readme"]["config"]["rings"]]
     rings[0]["delta"] = delta
     rings[1]["delta"] = -delta
     path = write_config(tmp_path, {"rings": rings})
@@ -141,24 +152,6 @@ def test_smatrix_next_to_the_coupler_pole_composes(tmp_path, capsys, closed_form
         assert json.loads(captured.out)["closed_form_max_diff"] < 1e-12
 
 
-@pytest.mark.parametrize("command", ["smatrix", "verify", "cnot"])
-@pytest.mark.parametrize("ring, code, err", [
-    ({"tau": 1.2, "eta": 0.5, "theta": TWO_PI}, 2,
-     "config error: {where}[0]: tau must lie in [-1, 1], got 1.2\n"),
-    ({"tau": 1.0, "eta": 1.0, "theta": TWO_PI}, 3,
-     "numerical error: |tau*eta| = 1.0: on-resonance pole\n"),
-])
-def test_bad_coupler_stderr_is_pinned(tmp_path, capsys, command, ring, code, err):
-    cfg = {"rings": [ring, ring_entry(2), ring_entry(3)]}
-    where = "rings"
-    if command == "cnot":
-        cfg, where = {"gate_a": cfg}, "gate_a.rings"
-    assert main([command, "--config", write_config(tmp_path, cfg)]) == code
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == err.format(where=where)
-
-
 @pytest.mark.parametrize("eta", [0.4, 0.4 + 1e-8])
 def test_smatrix_balanced_ring_composes(tmp_path, capsys, eta):
     # eta = tau on resonance is a full-drop ring (t = 0): zero through
@@ -182,76 +175,6 @@ def test_smatrix_loop_pole_is_numerical_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical error: network 0: loop gain")
-
-
-_DETUNED_WITH_LINE_PHASES = {"rings": [
-    {"tau": 0.3, "eta": 0.8, "theta": 0.7, "delta": 0.25},
-    {"tau": 0.45, "eta": 0.6, "theta": 2.1, "phi": 0.4, "delta": 1.3},
-    {"tau": 0.2, "eta": 0.9, "theta": 5.5, "delta": -0.6}]}
-
-
-@pytest.mark.parametrize("cfg, expected", [
-    # The README's optimal config.
-    ({"rings": [
-        {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586},
-        {"tau": 0.0, "eta": 0.5469181606780271, "theta": 6.283185307179586},
-        {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586}]},
-     {"det": [-1.0, 2.46782653e-32],
-      "matrix": [[[-0.414213562, 1.24997381e-33], [0.840896415, 1.0298011e-16],
-                  [-0.3483107, -8.53115167e-17]],
-                 [[0.840896415, -1.0298011e-16], [0.5, 3.45124485e-34],
-                  [0.207106781, 2.53632657e-17]],
-                 [[-0.3483107, 8.53115167e-17], [0.207106781, -2.53632657e-17],
-                  [0.914213562, 6.3103497e-34]]],
-      "unitarity_residual": 2.22044605e-16}),
-    (_DETUNED_WITH_LINE_PHASES,
-     {"det": [0.996201698, 0.0870756916],
-      "matrix": [[[0.685598539, 0.524765556], [-0.46230334, -0.0743090973],
-                  [-0.0388170142, -0.183909689]],
-                 [[0.0925873203, 0.376803362], [0.372894586, 0.22243799],
-                  [-0.621368725, 0.524231524]],
-                 [[0.288284336, 0.144619195], [0.758240021, 0.131517367],
-                  [0.199233713, -0.513866335]]],
-      "unitarity_residual": 5.55112234e-16}),
-])
-def test_smatrix_output_is_pinned(tmp_path, capsys, cfg, expected):
-    # The whole stdout, so a change to the arithmetic of unitarity_residual
-    # shows even where the residual stays at rounding level.
-    assert main(["smatrix", "--config", write_config(tmp_path, cfg)]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
-    assert captured.err == ""
-
-
-_README_RINGS = [
-    {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586},
-    {"tau": 0.0, "eta": 0.5469181606780271, "theta": 6.283185307179586},
-    {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586}]
-
-
-@pytest.mark.parametrize("rings, expected", [
-    # The README's optimal config.
-    (_README_RINGS,
-     {"closed_form_max_diff": 1.11022302e-16, "det": [-1.0, 0.0],
-      "matrix": [[[-0.414213562, 0.0], [0.840896415, 0.0], [-0.3483107, 0.0]],
-                 [[0.840896415, 0.0], [0.5, 0.0], [0.207106781, 0.0]],
-                 [[-0.3483107, 0.0], [0.207106781, 0.0], [0.914213562, 0.0]]],
-      "unitarity_residual": 2.22044605e-16}),
-    # Ring 1 next to the coupler pole, of effective transmission exactly 1.
-    ([{"tau": 1.0 - 2.0 ** -53, "eta": 1.0, "theta": 6.283185307179586}] + _README_RINGS[1:],
-     {"closed_form_max_diff": 1.02525725e-16, "det": [-1.0, 0.0],
-      "matrix": [[[-0.546918161, 0.0], [0.761989789, 0.0], [-0.346773827, 0.0]],
-                 [[0.837186076, 0.0], [0.497793819, 0.0], [-0.22654092, 0.0]],
-                 [[0.0, 0.0], [0.414213562, 0.0], [0.910179721, 0.0]]],
-      "unitarity_residual": 1.11022302e-16}),
-])
-def test_smatrix_closed_form_output_is_pinned(tmp_path, capsys, rings, expected):
-    # The closed form is real; its zeros print as 0.0, never -0.0.
-    path = write_config(tmp_path, {"rings": rings})
-    assert main(["smatrix", "--config", path, "--closed-form"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
-    assert captured.err == ""
 
 
 def test_verify_optimal(tmp_path, capsys):
@@ -283,91 +206,9 @@ def test_verify_detuned_fails(tmp_path, capsys):
     assert "constraints not satisfied" in capsys.readouterr().out
 
 
-# The optimal config of the README, a detuned one and one whose ring 1 is
-# balanced, written out so the pinned reports below depend on nothing but
-# the simulation.
-_README_OPTIMAL_CONFIG = {"rings": [
-    {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586},
-    {"tau": 0.0, "eta": 0.5469181606780271, "theta": 6.283185307179586},
-    {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586}]}
-_DETUNED_CONFIG = {"rings": [
-    {"tau": 0.3, "eta": 0.8, "theta": 1.0, "delta": 0.2},
-    {"tau": 0.1, "eta": 0.5469181606780271, "theta": 6.283185307179586},
-    {"tau": 0.0, "eta": 0.9101797211244548, "theta": 6.283185307179586}]}
-_BALANCED_RING1_CONFIG = {"rings": [
-    {"tau": 0.5, "eta": 0.5, "theta": 6.283185307179586},
-    _README_OPTIMAL_CONFIG["rings"][1], _README_OPTIMAL_CONFIG["rings"][2]]}
-_OPTIMAL_HEAD = (
-    "beta0 = 5.00000000e-01 3.45124485e-34j\n"
-    "beta1 = 5.00000000e-01 -6.00140634e-34j\n"
-    "beta2 = 5.00000000e-01 -2.20568869e-33j\n"
-    "constraint_residual = 2.22044605e-16\n"
-    "s11_residual = 1.24997381e-33\n"
-    "magnitude_residual = 2.22044605e-16\n"
-    "success_probability_simulated = 2.50000000e-01\n"
-    "success_probability_verdict = 2.50000000e-01\n"
-    "success_probability_closed_form = 2.50000000e-01\n"
-    "failure_norm = 7.50000000e-01\n")
-
-
-@pytest.mark.parametrize("cfg, alpha, code, out", [
-    (_README_OPTIMAL_CONFIG, None, 0, _OPTIMAL_HEAD + (
-        "conditional_0_photon = 5.77350269e-01 3.98515429e-34j\n"
-        "conditional_1_photon = 5.77350269e-01 7.11639150e-33j\n"
-        "conditional_2_photon = -5.77350269e-01 -7.11639150e-33j\n"
-        "constraints satisfied\n")),
-    # A zero component leaves its sector without a kept amplitude.
-    (_README_OPTIMAL_CONFIG, "0.6,0,0.8", 0, _OPTIMAL_HEAD + (
-        "conditional_0_photon = 6.00000000e-01 4.14149382e-34j\n"
-        "conditional_1_photon = 0.00000000e+00 0.00000000e+00j\n"
-        "conditional_2_photon = -8.00000000e-01 -9.86076132e-33j\n"
-        "constraints satisfied\n")),
-    (_DETUNED_CONFIG, None, 4, (
-        "beta0 = 2.93653958e-01 6.72079560e-02j\n"
-        "beta1 = 2.60571095e-01 7.51949680e-02j\n"
-        "beta2 = 4.44851918e-01 -9.60065403e-02j\n"
-        "constraint_residual = 2.51534050e-01\n"
-        "s11_residual = 2.91955659e-01\n"
-        "magnitude_residual = 2.28796057e-01\n"
-        "success_probability_simulated = 1.23803873e-01\n"
-        "success_probability_verdict = 9.07495563e-02\n"
-        "success_probability_closed_form = 1.23803873e-01\n"
-        "failure_norm = 8.76196127e-01\n"
-        "conditional_0_photon = 4.81845841e-01 1.10279032e-01j\n"
-        "conditional_1_photon = 4.27561403e-01 1.23384622e-01j\n"
-        "conditional_2_photon = -7.29940943e-01 1.57533556e-01j\n"
-        "constraints not satisfied\n")),
-    # A balanced ring 1 never heralds: probability 0 and an empty
-    # conditional state, every amplitude printed as zero.
-    (_BALANCED_RING1_CONFIG, "1,0,0", 4, (
-        "beta0 = 0.00000000e+00 0.00000000e+00j\n"
-        "beta1 = 0.00000000e+00 0.00000000e+00j\n"
-        "beta2 = 0.00000000e+00 0.00000000e+00j\n"
-        "constraint_residual = 0.00000000e+00\n"
-        "s11_residual = 2.42640687e-01\n"
-        "magnitude_residual = 5.00000000e-01\n"
-        "success_probability_simulated = 0.00000000e+00\n"
-        "success_probability_verdict = 0.00000000e+00\n"
-        "success_probability_closed_form = 0.00000000e+00\n"
-        "failure_norm = 1.00000000e+00\n"
-        "conditional_0_photon = 0.00000000e+00 0.00000000e+00j\n"
-        "conditional_1_photon = 0.00000000e+00 0.00000000e+00j\n"
-        "conditional_2_photon = 0.00000000e+00 0.00000000e+00j\n"
-        "constraints not satisfied\n")),
-])
-def test_verify_output_is_pinned(tmp_path, capsys, cfg, alpha, code, out):
-    argv = ["verify", "--config", write_config(tmp_path, cfg)]
-    if alpha is not None:
-        argv += ["--alpha", alpha]
-    assert main(argv) == code
-    captured = capsys.readouterr()
-    assert captured.out == out
-    assert captured.err == ""
-
-
 @pytest.mark.parametrize("entry", [{"re": 1}, [1, 0, 7], [1], 1.0, "10", [10 ** 400, 0]])
 def test_config_alpha_entry_must_be_a_pair_of_numbers(tmp_path, capsys, entry):
-    cfg = dict(_README_OPTIMAL_CONFIG, alpha=[entry, [0, 0], [0, 0]])
+    cfg = dict(_PINNED["smatrix_readme"]["config"], alpha=[entry, [0, 0], [0, 0]])
     assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -549,46 +390,6 @@ def test_non_finite_option_exits_2(argv, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, config_tolerance, message", [
-    (["cnot", "--tolerance", "-1"], None, "--tolerance must be positive, got -1.0"),
-    (["cnot", "--tolerance", "0"], None, "--tolerance must be positive, got 0.0"),
-    (["verify", "--tolerance", "-1"], None, "--tolerance must be positive, got -1.0"),
-    (["verify", "--tolerance", "-0"], None, "--tolerance must be positive, got -0.0"),
-    (["verify"], -1, "field config.tolerance must be positive, got -1.0"),
-    (["verify"], 0, "field config.tolerance must be positive, got 0.0"),
-])
-def test_non_positive_tolerance_exits_2(tmp_path, capsys, argv, config_tolerance,
-                                        message):
-    # A tolerance <= 0 passes no gate: bad input, not a constraint violation.
-    if argv[0] == "verify":
-        cfg = {"rings": [ring_entry(s) for s in (1, 2, 3)]}
-        if config_tolerance is not None:
-            cfg["tolerance"] = config_tolerance
-        argv = argv + ["--config", write_config(tmp_path, cfg)]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"config error: {message}\n"
-
-
-@pytest.mark.parametrize("option", [None, "1e-9"])
-@pytest.mark.parametrize("value, message", [
-    ("abc", "field config.tolerance must be a number, got 'abc'"),
-    (-1e-3, "field config.tolerance must be positive, got -0.001"),
-])
-def test_bad_config_tolerance_exits_2_with_or_without_the_option(
-        tmp_path, capsys, option, value, message):
-    # --tolerance wins over the field, but a bad field is bad input either way.
-    cfg = {"rings": [ring_entry(s) for s in (1, 2, 3)], "tolerance": value}
-    argv = ["verify", "--config", write_config(tmp_path, cfg)]
-    if option is not None:
-        argv += ["--tolerance", option]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"config error: {message}\n"
-
-
 @pytest.mark.parametrize("field, option, code", [
     (None, None, 4),      # the default 1e-9
     (None, "1e-3", 0),
@@ -676,69 +477,17 @@ def test_manifold_intersect_row_count(capsys, delta2, rows):
         assert residual_mag < 1e-12 and residual_arg < 1e-12
 
 
-@pytest.mark.parametrize("delta2, rows, digest", [
-    ("0", 1001, "a2a1418e5dbff8fbc713ae5f43e746f24df466b7b948b77826723c246a596eec"),
-    ("0.105", 919, "b7ba503e3ba6b5a89cff57feaadfca8748f66bd906cbd515014c6bbddd108c58"),
-    ("2", 453, "6ffd2118cb2673a6cb6f7298770ac40e93a9368f257cad65e3b33388c28b56b5"),
-])
-def test_manifold_intersect_output_is_pinned(capsys, delta2, rows, digest):
-    # Every residual on the CLI grid is far below the 1e-9 drop threshold,
-    # so the CSV is the one printed before rows missing the target were
-    # dropped.
-    assert main(["manifold", "intersect", "--grid", "1001", "--delta2", delta2]) == 0
-    captured = capsys.readouterr()
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
-    assert captured.err == f"converged {rows} of 1001 grid points\n"
-
-
-@pytest.mark.parametrize("argv, digest, err", [
-    (["surface", "--ring", "1", "--grid", "101"],
-     "efc84cb6bf63ef0ff627b5a98bb41639ae33c0640f617830911fa0ac2c540c4f",
-     "emitted 6694 of 20402 candidate branches\n"),
-    (["surface", "--ring", "3", "--grid", "101"],
-     "7a4075048108e7e9890a9df1305b62661aafcfdc18efcd8fd82dec865bc37b95",
-     "emitted 6694 of 20402 candidate branches\n"),
-    (["curve", "--ring", "0", "--grid", "1001", "--tau-min", "0.01", "--tau-max", "0.99"],
-     "68fdf8cabd30f0478aaff909034dfd5c60e0245d5baeb31b42652bd71e286aaf",
-     "emitted 3003 of 3003 grid points\n"),
-    # The flipped middle ring.
-    (["surface", "--ring", "2", "--grid", "101"],
-     "8110414fe7d20084c4cfaea3a61cbcaa59dc536815340ae8e8ebbea7d12441b3",
-     "emitted 10204 of 20402 candidate branches\n"),
-    # tau = -1 and tau = 1 are skipped in every ring.
-    (["curve", "--ring", "0", "--grid", "1001", "--tau-min", "-1", "--tau-max", "1"],
-     "c98765b997f184e89fb3e1247852ee19d269a0fe9b613362cccc7ea337322edd",
-     "emitted 2997 of 3003 grid points\n"),
-])
-def test_manifold_sweep_output_is_pinned(capsys, argv, digest, err):
-    # Captured when every value was formatted on its own with f"{x:.8e}".
-    assert main(["manifold"] + argv) == 0
-    captured = capsys.readouterr()
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
-    assert captured.err == err
-
-
-@pytest.mark.parametrize("argv, digest, err", [
-    (["surface", "--ring", "1", "--grid", "5"],
-     "c12435c2976cd7c441cda5ea5e7cd6b1d1a45bb046ed5589e74e1260e8b7fe42",
-     "emitted 12 of 50 candidate branches\n"),
-    (["curve", "--grid", "7"],
-     "5e112e180c0c8aec036b91207f73cb0f33d879a038042df607fd5aa5bf24e44d",
-     "emitted 21 of 21 grid points\n"),
-])
-def test_sweeps_skip_the_fock_lift(monkeypatch, capsys, argv, digest, err):
+@pytest.mark.parametrize("name", ["manifold_surface_ring1_grid5", "manifold_curve_grid7"])
+def test_sweeps_skip_the_fock_lift(monkeypatch, tmp_path, name):
     # The sweeps read beta^2 from the stacked closed form; the permanent
-    # lift stays the oracle only. Digests captured while the sweeps still
-    # lifted every network.
+    # lift stays the oracle only. The pins were captured while the sweeps
+    # still lifted every network.
     def forbidden(*args, **kwargs):
         raise AssertionError("a sweep reached the Fock lift")
 
     monkeypatch.setattr(fock, "_lift_block", forbidden)
     monkeypatch.setattr(fock, "_permanent_batch", forbidden)
-    assert main(["manifold"] + argv) == 0
-    captured = capsys.readouterr()
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
-    assert captured.err == err
+    replay.replay(_PINNED[name], replay.in_process, tmp_path)
 
 
 def test_manifold_curve_squares_are_correctly_rounded(monkeypatch, capsys):
@@ -767,29 +516,6 @@ def test_manifold_curve_squares_are_correctly_rounded(monkeypatch, capsys):
             assert [cell[field] for cell in cells] == [_csv.NUM % v for v in exact]
             handed_squares = np.concatenate([batch[field - 1] for batch in batches])
             assert handed_squares.tobytes() == np.array(exact).tobytes()
-
-
-@pytest.mark.parametrize("argv, out", [
-    # Negative couplers square to positive cells.
-    (["--ring", "2", "--grid", "3", "--tau-min", "-0.5", "--tau-max", "-0.9"],
-     "ring,tau,eta,tau_sq,eta_sq,beta_sq\n"
-     "2,-5.00000000e-01,6.45774511e-02,2.50000000e-01,4.17024718e-03,2.50000000e-01\n"
-     "2,-7.00000000e-01,-2.48043477e-01,4.90000000e-01,6.15255664e-02,2.50000000e-01\n"
-     "2,-9.00000000e-01,-6.95352812e-01,8.10000000e-01,4.83515534e-01,2.50000000e-01\n"),
-    # Subnormal couplers square to an underflowed 0, unwarned.
-    (["--ring", "1", "--grid", "3", "--tau-min", "1e-320", "--tau-max", "2e-320"],
-     "ring,tau,eta,tau_sq,eta_sq,beta_sq\n"
-     "1,9.99988867e-321,9.10179721e-01,0.00000000e+00,8.28427125e-01,2.50000000e-01\n"
-     "1,1.49998330e-320,9.10179721e-01,0.00000000e+00,8.28427125e-01,2.50000000e-01\n"
-     "1,1.99997773e-320,9.10179721e-01,0.00000000e+00,8.28427125e-01,2.50000000e-01\n"),
-])
-def test_manifold_curve_edge_rows_are_pinned(capsys, argv, out):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["manifold", "curve"] + argv) == 0
-    captured = capsys.readouterr()
-    assert captured.out == out
-    assert captured.err == "emitted 3 of 3 grid points\n"
 
 
 def _percent_rows(columns, label=None):
@@ -982,15 +708,16 @@ sys.stdout.buffer.write(rows(np.frombuffer(sys.stdin.buffer.read()).reshape(4, -
 _SIMD_LEVELS = ["AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 X86_V3"]
 
 
-def _run_at_simd_level(disabled, child, stdin=b""):
-    """Run the child script in an interpreter whose numpy has the given CPU
-    features disabled, and return its completed process. Skips the test
-    where this numpy does not run with them disabled; the child exits 77
-    when the setting was not applied."""
+def _run_at_simd_level(disabled, child, stdin=b"", args=()):
+    """Run the child script, with warnings turned into errors, in an
+    interpreter whose numpy has the given CPU features disabled, and return
+    its completed process. Skips the test where this numpy does not run
+    with them disabled; the child exits 77 when the setting was not applied."""
+    path = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent),
+            os.environ.get("PYTHONPATH")]
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
-               PYTHONPATH=os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
-                                                        os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", child, disabled],
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", child, disabled, *args],
                           input=stdin, capture_output=True, env=env)
     if proc.returncode == 77 or b"NPY_DISABLE_CPU_FEATURES" in proc.stderr:
         pytest.skip(f"numpy here does not run with {disabled} disabled")
@@ -1001,86 +728,46 @@ def _run_at_simd_level(disabled, child, stdin=b""):
 @pytest.mark.parametrize("disabled", _SIMD_LEVELS)
 def test_table_rows_do_not_depend_on_the_simd_level(disabled):
     # log10's last bit changes with numpy's SIMD level; the formatter's bytes
-    # must not. Inputs are raw bit patterns and exactly scaled uniforms.
+    # must not. Inputs are raw bit patterns, exactly scaled uniforms and
+    # signaling NaNs, whose log10 raises "invalid" at the AVX2 and baseline
+    # levels (the child turns that warning into an error).
     rng = np.random.default_rng(16)
-    columns = np.concatenate([rng.integers(0, 2 ** 64, 6000, dtype=np.uint64).view(float),
+    signaling = np.array([0x7FF0000000000001, 0xFFF0000000000001, 0x7FF4000000000000,
+                          0x7FF7FFFFFFFFFFFF], dtype=np.uint64).view(float)
+    columns = np.concatenate([signaling,
+                              rng.integers(0, 2 ** 64, 6000, dtype=np.uint64).view(float),
                               rng.random(2000) * 2.0 - 1.0]).reshape(4, -1)
     proc = _run_at_simd_level(disabled, _SIMD_CHILD, columns.tobytes())
     assert proc.stdout.splitlines() == _csv.rows(columns).splitlines()
 
 
-_SIMD_SWEEPS = (["manifold", "surface", "--ring", "2", "--grid", "21"],
-                ["manifold", "surface", "--ring", "2", "--grid", "101"],
-                ["manifold", "curve", "--grid", "51", "--tau-min", "-1", "--tau-max", "1"])
-
-# Run in a child whose numpy dispatches fewer SIMD kernels: writes, as JSON,
-# the exit code, stdout and stderr of each call's argv read as JSON from stdin.
-_SIMD_CALLS_CHILD = """
-import contextlib, io, json, sys
+# Run in a child whose numpy dispatches fewer SIMD kernels: replays the
+# pinned calls named in argv.
+_REPLAY_CHILD = """
+import sys, tempfile
 from numpy._core._multiarray_umath import __cpu_features__
-from ringsim import cli
+import replay
 
 if any(__cpu_features__.get(f, True) for f in sys.argv[1].split()):
     sys.exit(77)  # the setting was not applied
-out = []
-for argv in json.load(sys.stdin):
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv)
-    out.append([code, stdout.getvalue(), stderr.getvalue()])
-json.dump(out, sys.stdout)
+pinned = replay.cases()
+for name in sys.argv[2:]:
+    with tempfile.TemporaryDirectory() as workdir:
+        replay.replay(pinned[name], replay.in_process, workdir)
 """
 
 
-def _calls_at_simd_level(disabled, calls, capsys):
-    """Run each argv in-process and in a child at the given SIMD level, and
-    assert that both give the same exit code, stdout and stderr."""
-    expected = []
-    for argv in calls:
-        code = main(argv)
-        captured = capsys.readouterr()
-        expected.append([code, captured.out, captured.err])
-    proc = _run_at_simd_level(disabled, _SIMD_CALLS_CHILD, json.dumps(calls).encode("ascii"))
-    assert json.loads(proc.stdout) == expected
-
-
 @pytest.mark.parametrize("disabled", _SIMD_LEVELS)
-def test_sweep_bytes_do_not_depend_on_the_simd_level(disabled, capsys):
-    # The surface and curve sweeps print the same bytes whichever numpy
-    # kernels run their arithmetic.
-    _calls_at_simd_level(disabled, _SIMD_SWEEPS, capsys)
-
-
-@pytest.mark.parametrize("disabled", _SIMD_LEVELS)
-def test_cnot_bytes_do_not_depend_on_the_simd_level(disabled, tmp_path, capsys):
-    # The CNOT composes both gates' six rings in one mounted stack; its
-    # truth table and diagnostics print the same bytes at every level.
-    path = write_config(tmp_path, _GOLDEN_CNOT_CONFIG)
-    _calls_at_simd_level(disabled, [["cnot"], ["cnot", "--probe-phase", "0.3"],
-                                    ["cnot", "--config", path],
-                                    ["cnot", "--config", path, "--probe-phase", "0.3"]],
-                         capsys)
-
-
-def test_manifold_with_no_rows_prints_the_header(capsys):
-    # tau = 1 is skipped, so both grid points of ring 1 are dropped.
-    assert main(["manifold", "curve", "--ring", "1", "--grid", "2",
-                 "--tau-min", "1", "--tau-max", "1"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == "ring,tau,eta,tau_sq,eta_sq,beta_sq\n"
-    assert captured.err == "emitted 0 of 2 grid points\n"
-
-
-@pytest.mark.parametrize("argv", [["surface", "--ring", "2", "--grid", "5"],
-                                  ["curve", "--grid", "7"],
-                                  ["intersect", "--grid", "11"]])
-def test_manifold_output_file_equals_stdout(tmp_path, capsys, argv):
-    assert main(["manifold", *argv]) == 0
-    stdout = capsys.readouterr().out
-    target = tmp_path / "sweep.csv"
-    assert main(["manifold", *argv, "--output", str(target)]) == 0
-    assert capsys.readouterr().out == ""
-    assert target.read_bytes() == stdout.encode("ascii")
+def test_pinned_calls_do_not_depend_on_the_simd_level(disabled):
+    # The surface and curve sweeps and the CNOT print their pinned bytes
+    # whichever numpy kernels run their arithmetic. The CNOT composes both
+    # gates' six rings in one mounted stack. smatrix, verify and intersect
+    # print rounding-level values whose last bits change with the level, so
+    # they are not replayed here.
+    _run_at_simd_level(disabled, _REPLAY_CHILD, args=[
+        "manifold_surface_ring2_grid21", "manifold_surface_ring2_grid101",
+        "manifold_curve_grid51_tau_-1_1", "cnot_default", "cnot_probe_phase_0.3",
+        "cnot_golden", "cnot_golden_probe_phase_0.3"])
 
 
 def _count_transfer_calls(monkeypatch):
@@ -1163,7 +850,7 @@ def test_cnot_evaluates_its_six_rings_in_one_transfer_call(monkeypatch, tmp_path
     # Both gates' rings are mounted in one stack, composed in one call.
     calls = _count_transfer_calls(monkeypatch)
     assert main(["cnot"]) == 0
-    assert main(["cnot", "--config", write_config(tmp_path, _GOLDEN_CNOT_CONFIG),
+    assert main(["cnot", "--config", write_config(tmp_path, _PINNED["cnot_golden"]["config"]),
                  "--probe-phase", "0.3"]) == 0
     capsys.readouterr()
     assert [len(c) for c in calls] == [6, 6]
@@ -1191,24 +878,7 @@ def test_optimize_report(capsys):
     assert "1 + sqrt(2)" in out
 
 
-_DEFAULT_CNOT_OUT = (
-    "control_in,target_in,control_out,target_out,probability,fidelity,leakage\n"
-    "0,0,0,0,6.25000000e-02,1.00000000e+00,0.00000000e+00\n"
-    "0,1,0,1,6.25000000e-02,1.00000000e+00,0.00000000e+00\n"
-    "1,0,1,1,6.25000000e-02,1.00000000e+00,0.00000000e+00\n"
-    "1,1,1,0,6.25000000e-02,1.00000000e+00,0.00000000e+00\n")
-_DEFAULT_CNOT_ERR = ("bell_overlap = 1.00000000e+00\n"
-                     "herald_probability = 6.25000000e-02\n")
-
-
-def test_cnot_default(capsys):
-    assert main(["cnot"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == _DEFAULT_CNOT_OUT
-    assert captured.err == _DEFAULT_CNOT_ERR
-
-
-def test_cnot_skips_the_generic_fock_state_path(monkeypatch, capsys):
+def test_cnot_skips_the_generic_fock_state_path(monkeypatch, tmp_path):
     # The CNOT checks read their heralded block directly; the generic
     # evolve/project machinery stays as their oracle only.
     def forbidden(*args, **kwargs):
@@ -1216,23 +886,13 @@ def test_cnot_skips_the_generic_fock_state_path(monkeypatch, capsys):
 
     monkeypatch.setattr(fock.SectoredState, "__init__", forbidden)
     monkeypatch.setattr(fock.SectoredState, "amplitude_of", forbidden)
-    assert main(["cnot"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == _DEFAULT_CNOT_OUT
-    assert captured.err == _DEFAULT_CNOT_ERR
-
-
-def _seeded_cnot_config():
-    rng = np.random.default_rng(15)
-    return {key: {"rings": [{"tau": r.tau, "eta": r.eta, "theta": r.theta}
-                            for r in curve_network(*rng.uniform(0.0, 0.9, 3)).rings]}
-            for key in ("gate_a", "gate_b")}
+    replay.replay(_PINNED["cnot_default"], replay.in_process, tmp_path)
 
 
 def test_cnot_skips_the_fock_lift(monkeypatch, tmp_path, capsys):
     # build_cnot reads its heralded block from the two gates' beta: once the
     # fixed interferometers' two-photon lifts are cached, no permanent runs.
-    # The digests of stdout and stderr are those of the 8-mode lift.
+    # The pins were captured from the 8-mode lift.
     assert main(["cnot"]) == 0
     capsys.readouterr()
 
@@ -1242,49 +902,8 @@ def test_cnot_skips_the_fock_lift(monkeypatch, tmp_path, capsys):
     for module, name in ((fock, "_lift_block"), (fock, "_permanent_batch"),
                          (cnot_module, "_lift_block")):
         monkeypatch.setattr(module, name, forbidden)
-    path = write_config(tmp_path, _seeded_cnot_config())
-    for argv, digest in [
-        (["cnot"], "25ea5000c20d205243922a510b45f308e1c2a99b43d7e17b34e2a3421ded4913"),
-        (["cnot", "--probe-phase", "0.3"],
-         "f08ba7e31b926cd01c18d039298fd669686bc50415fbe070bb488367556e0bc9"),
-        (["cnot", "--config", path, "--probe-phase", "-2.5"],
-         "d8e006af5f99b4efb9f5369d32ff23e3309d21b1f7a48f7568e98ae27e1f880c"),
-    ]:
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        both = json.dumps([captured.out, captured.err]).encode()
-        assert hashlib.sha256(both).hexdigest() == digest, argv
-
-
-# Two gates on the resonant optimal curve (lower couplers 0.35, 0.1, 0.6 and
-# 0.7, 0.45, 0.2), written out so the pinned output below depends on nothing
-# but the CNOT simulation.
-_GOLDEN_CNOT_CONFIG = {
-    "gate_a": {"rings": [
-        {"tau": 0.35, "eta": 0.9557221114266732, "theta": 6.283185307179586},
-        {"tau": 0.1, "eta": 0.6133717459664435, "theta": 6.283185307179586},
-        {"tau": 0.6, "eta": 0.9767622213723187, "theta": 6.283185307179586}]},
-    "gate_b": {"rings": [
-        {"tau": 0.7, "eta": 0.9835406151537832, "theta": 6.283185307179586},
-        {"tau": 0.45, "eta": 0.8000221671952046, "theta": 6.283185307179586},
-        {"tau": 0.2, "eta": 0.9392097816893757, "theta": 6.283185307179586}]},
-}
-
-
-def test_cnot_probe_phase_output_is_pinned(tmp_path, capsys):
-    # At probe phase 0 every row prints 1/16, 1 and 0 whatever the gates, so
-    # a numeric drift shows only with the interference broken.
-    path = write_config(tmp_path, _GOLDEN_CNOT_CONFIG)
-    assert main(["cnot", "--config", path, "--probe-phase", "0.3"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == (
-        "control_in,target_in,control_out,target_out,probability,fidelity,leakage\n"
-        "0,0,0,0,6.25000000e-02,9.83251183e-01,1.11658777e-02\n"
-        "0,1,0,1,6.25000000e-02,9.83251183e-01,1.11658777e-02\n"
-        "1,0,1,1,6.25000000e-02,9.39585087e-01,5.48319740e-02\n"
-        "1,1,1,0,6.25000000e-02,9.39585087e-01,5.48319740e-02\n")
-    assert captured.err == ("bell_overlap = 9.77732005e-01\n"
-                            "herald_probability = 6.25000000e-02\n")
+    for name in ("cnot_default", "cnot_probe_phase_0.3", "cnot_seeded_probe_phase_-2.5"):
+        replay.replay(_PINNED[name], replay.in_process, tmp_path)
 
 
 def test_cnot_detuned_gate_fails(tmp_path, capsys):
@@ -1390,147 +1009,12 @@ def test_missing_field_is_named(tmp_path, capsys):
     assert "rings[1].eta" in capsys.readouterr().err
 
 
-def test_invalid_json_config(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{")
-    assert main(["smatrix", "--config", str(path)]) == 2
-    assert "config error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [["smatrix"], ["verify"], ["manifold", "surface"], ["cnot"]])
-@pytest.mark.parametrize("raw, reason", [
-    (b'{"rings": "\xff"}', "'utf-8' codec can't decode"),
-    (b'\xef\xbb\xbf{"rings": []}', "Unexpected UTF-8 BOM"),
-    (b'{"grid": ' + b"1" * 5000 + b"}", "Exceeds the limit")])
-def test_config_that_is_not_utf8_json_exits_2(tmp_path, capsys, argv, raw, reason):
-    # Every subcommand that reads --config: one error line, no traceback.
-    path = tmp_path / "raw.json"
-    path.write_bytes(raw)
-    assert main([*argv, "--config", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"config error: config {path} is not valid JSON: {reason}")
-    assert len(captured.err.splitlines()) == 1
-
-
-def test_config_root_must_be_object(tmp_path, capsys):
-    path = tmp_path / "list.json"
-    path.write_text("[1, 2]")
-    assert main(["smatrix", "--config", str(path)]) == 2
-
-
-def _rings_with(i, entry):
-    """The README optimal rings with ring i replaced by ``entry``."""
-    rings = list(_README_OPTIMAL_CONFIG["rings"])
-    rings[i] = entry
-    return rings
-
-
-_ON_CURVE = _README_OPTIMAL_CONFIG["rings"][0]
-_SMATRIX, _VERIFY = ["smatrix", "--config", "{cfg}"], ["verify", "--config", "{cfg}"]
-
-
-# One case per site in cli.py that reports bad input: argv ("{cfg}" is the
-# config path, "{dir}" the test's directory), the config written (raw bytes,
-# an object, or None for no file), and the whole stderr line.
-@pytest.mark.parametrize("argv, cfg, message", [
-    (["smatrix", "--config", "{dir}/none.json"], None,
-     "cannot read config {dir}/none.json: [Errno 2] No such file or directory: "
-     "'{dir}/none.json'"),
-    (_SMATRIX, b"{", "config {cfg} is not valid JSON: Expecting property name enclosed "
-                     "in double quotes: line 1 column 2 (char 1)"),
-    (_SMATRIX, [1, 2], "config root must be a JSON object"),
-    (_SMATRIX, {"rings": _rings_with(1, {"tau": 0.0, "theta": 0.0})},
-     "missing field rings[1].eta"),
-    (_SMATRIX, {"rings": _rings_with(0, dict(_ON_CURVE, tau="x"))},
-     "field rings[0].tau must be a number, got 'x'"),
-    (_SMATRIX, {"rings": _rings_with(2, dict(_ON_CURVE, delta=float("inf")))},
-     "field rings[2].delta must be finite, got inf"),
-    (_VERIFY, dict(_README_OPTIMAL_CONFIG, tolerance=0),
-     "field config.tolerance must be positive, got 0.0"),
-    (_SMATRIX, {"rings": _README_OPTIMAL_CONFIG["rings"][:2]},
-     "rings must be a list of exactly 3 ring objects"),
-    (_SMATRIX, {"rings": _rings_with(1, [0.0, 0.5])}, "rings[1] must be an object"),
-    (_SMATRIX, {"rings": _rings_with(0, dict(_ON_CURVE, eta=-1.5))},
-     "rings[0]: eta must lie in [-1, 1], got -1.5"),
-    (_VERIFY + ["--alpha", "1,2"], _README_OPTIMAL_CONFIG,
-     "--alpha needs 3 comma-separated complex numbers"),
-    (_VERIFY + ["--alpha", "1,x,1"], _README_OPTIMAL_CONFIG,
-     "cannot parse --alpha: complex() arg is a malformed string"),
-    (_VERIFY, dict(_README_OPTIMAL_CONFIG, alpha=[[1, 0], [0, 0]]),
-     "config alpha must be 3 [re, im] pairs"),
-    (_VERIFY, dict(_README_OPTIMAL_CONFIG, alpha=[[1, 0], [None, 0], [0, 0]]),
-     "bad alpha entry: float() argument must be a string or a real number, "
-     "not 'NoneType'"),
-    (_VERIFY, dict(_README_OPTIMAL_CONFIG, alpha=[[1, 0], [0, float("-inf")], [0, 0]]),
-     "alpha must be finite, got [(1+0j), -infj, 0j]"),
-    (_VERIFY + ["--alpha", "1e200,1e200,0"], _README_OPTIMAL_CONFIG,
-     "alpha too large to normalize: [(1e+200+0j), (1e+200+0j), 0j]"),
-    (_VERIFY + ["--alpha", "0,0j,-0"], _README_OPTIMAL_CONFIG, "alpha must not be all zero"),
-    (["optimize", "--output", "{dir}/none/out.txt"], None,
-     "cannot write output {dir}/none/out.txt: [Errno 2] No such file or directory: "
-     "'{dir}/none/out.txt'"),
-    (_SMATRIX + ["--closed-form"], {"rings": _rings_with(0, dict(_ON_CURVE, theta=0.3))},
-     "--closed-form is valid on resonance with zero line phases only"),
-    (["manifold", "curve", "--config", "{cfg}"], {"grid": 2.5},
-     "field config.grid must be a whole number, got 2.5"),
-    (["manifold", "surface", "--grid", "1"], None, "grid must have at least 2 points"),
-    (["manifold", "intersect", "--grid", "1000001"], None,
-     "1000001 grid points, more than 10^6"),
-    (["cnot", "--config", "{cfg}"], {"gate_b": []}, "gate_b must be an object"),
-])
-def test_config_error_sites_print_one_pinned_line(tmp_path, capsys, argv, cfg, message):
-    # Every bad input is a DomainError: exit 2, nothing on stdout and one
-    # stderr line, "config error: " and the site's message.
-    path = tmp_path / "cfg.json"
-    if cfg is not None:
-        path.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
-    names = {"cfg": path, "dir": tmp_path}
-    assert main([a.format(**names) for a in argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"config error: {message.format(**names)}\n"
-
-
-@pytest.mark.parametrize("argv, cfg, message", [
-    (_SMATRIX, {"rings": _rings_with(0, dict(_ON_CURVE, tau="0.0"))},
-     "field rings[0].tau must be a number, got '0.0'"),
-    (_SMATRIX, {"rings": _rings_with(1, {"tau": 0.0, "eta": True, "theta": 0.0})},
-     "field rings[1].eta must be a number, got True"),
-    (_VERIFY, dict(_README_OPTIMAL_CONFIG, tolerance="1e-3"),
-     "field config.tolerance must be a number, got '1e-3'"),
-    (["manifold", "curve", "--config", "{cfg}"], {"grid": "5"},
-     "field config.grid must be a number, got '5'"),
-    (["manifold", "curve", "--config", "{cfg}"], {"grid": True},
-     "field config.grid must be a number, got True"),
-    (_VERIFY, dict(_README_OPTIMAL_CONFIG, alpha=[[1, 0], ["1", 0], [0, 0]]),
-     "bad alpha entry: must be a number, got '1'"),
-    (_VERIFY, dict(_README_OPTIMAL_CONFIG, alpha=[[1, 0], [0, 0], [0, False]]),
-     "bad alpha entry: must be a number, got False"),
-])
-def test_config_numbers_must_be_json_numbers(tmp_path, capsys, argv, cfg, message):
-    # float() converts the strings "0.0" and "1e-3" and the booleans true and
-    # false too; a config field that is not a JSON number is bad input.
-    path = write_config(tmp_path, cfg)
-    assert main([a.format(cfg=path) for a in argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"config error: {message}\n"
-
-
 def test_output_file_option(tmp_path):
     out_path = tmp_path / "matrix.json"
     assert main(["smatrix", "--config", optimal_config(tmp_path),
                  "--output", str(out_path)]) == 0
     data = json.loads(out_path.read_text())
     assert "matrix" in data
-
-
-def test_console_script_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "ringsim.cli", "optimize"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "t1_closed_form" in proc.stdout
 
 
 @pytest.mark.parametrize("command", [
@@ -1552,14 +1036,11 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, command, where, rea
     assert reason in last
 
 
-def test_console_script_unwritable_output_exits_2(tmp_path):
-    target = tmp_path / "missing" / "x"
-    proc = subprocess.run([sys.executable, "-m", "ringsim.cli", "optimize",
-                           "--output", str(target)], capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == (f"config error: cannot write output {target}: "
-                           f"[Errno 2] No such file or directory: '{target}'\n")
+@pytest.mark.parametrize("name", ["optimize", "error_unwritable_output"])
+def test_module_entry_point(tmp_path, name):
+    # python -m ringsim.cli exits with main's code, as the console script does.
+    replay.replay(_PINNED[name], replay.in_child(sys.executable, "-m", "ringsim.cli"),
+                  tmp_path)
 
 
 # The exit-code contract over random calls of the commands that read input.
