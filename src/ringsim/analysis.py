@@ -42,10 +42,11 @@ _T1_SQ_LIMIT = 12.0 * SQRT2 - 16.0
 INTERSECT_RESIDUAL_TOL = 1e-9
 
 
-def wrap_angle(x: float) -> float:
-    """Map an angle to (-pi, pi]. Zero maps to +0.0, never -0.0."""
+def wrap_angle(x):
+    """Map an angle, or each angle of an array, to (-pi, pi]. Zero maps to
+    +0.0, never -0.0. A float gives a float."""
     w = -((-x + math.pi) % TWO_PI - math.pi) + 0.0
-    return math.pi if w == -math.pi else w
+    return w + TWO_PI * (w == -math.pi)
 
 
 @dataclass(frozen=True)
@@ -154,51 +155,40 @@ def beta_sq_of_t1(t1: float, formula: str = "corrected") -> float:
     return value
 
 
-def _central_derivative(f, x: float, h: float = 1e-4) -> float:
+# Step of the Richardson central difference.
+_DERIVATIVE_STEP = 1e-4
+
+
+def _central_derivative(f, x: float) -> float:
     """Richardson-extrapolated central difference."""
+    h = _DERIVATIVE_STEP
     d1 = (f(x + h) - f(x - h)) / (2.0 * h)
     d2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
     return (4.0 * d2 - d1) / 3.0
 
 
-def optimize_t1(formula: str = "corrected") -> tuple[float, float]:
-    """Numerically maximize beta_sq_of_t1 without using the closed form.
-
-    Golden-section search brackets the peak; bisection on the numerical
-    derivative then refines the location to ~1e-12.
-    """
-    lo, hi = 1e-6, math.sqrt(_T1_SQ_LIMIT) - 1e-12
-    f = lambda t: beta_sq_of_t1(t, formula)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(60):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+def _bisect(f, a: float, b: float) -> float:
+    """A sign change of f in [a, b], where f(a) and f(b) differ in sign:
+    the bracket is halved until its ends are adjacent floats."""
+    fa = f(a)
+    mid = 0.5 * (a + b)
+    while a < mid < b:
+        if f(mid) * fa > 0.0:
+            a = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+            b = mid
+        mid = 0.5 * (a + b)
+    return mid
 
-    # The derivative changes sign across the peak; bisect on it.
-    a = max(lo, a - 1e-4)
-    b = min(hi, b + 1e-4)
-    ga = _central_derivative(f, a)
-    gb = _central_derivative(f, b)
-    if ga > 0.0 > gb:
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            gm = _central_derivative(f, mid)
-            if gm > 0.0:
-                a = mid
-            else:
-                b = mid
-    t1_star = 0.5 * (a + b)
+
+def optimize_t1(formula: str = "corrected") -> tuple[float, float]:
+    """Numerically maximize beta_sq_of_t1 without using the closed form:
+    bisection on the numerical derivative, which falls through zero once,
+    at the peak, over the whole optimal curve."""
+    f = lambda t: beta_sq_of_t1(t, formula)
+    h = _DERIVATIVE_STEP
+    t1_star = _bisect(lambda t: _central_derivative(f, t),
+                      1e-6 + h, math.sqrt(_T1_SQ_LIMIT) - 1e-12 - h)
     return t1_star, f(t1_star)
 
 
@@ -210,16 +200,9 @@ def t2_from_equality(t1: float, t3: float) -> float:
         return (beta[0] - beta[1]).real
 
     a, b = 1e-6, 1.0 - 1e-9
-    ga, gb = gap(a), gap(b)
-    if ga * gb > 0.0:
+    if gap(a) * gap(b) > 0.0:
         raise DomainError("heralded-amplitude equality does not bracket in (0, 1)")
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if gap(mid) * ga > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    return _bisect(gap, a, b)
 
 
 def _slot_transmission(slot: int) -> float:
@@ -476,8 +459,7 @@ def _intersect(delta2: float, tau2_grid, t: float) -> tuple[np.ndarray, ...]:
     eta = np.where(at_zero, t, eta)
     keep = (eta > 0.0) & (eta < 1.0) & (np.abs(tau) < 1.0) & (~at_zero | (target == 0.0))
     tau, eta = tau[keep], eta[keep]
-    # theta = -arg z, mapped to (-pi, pi] as wrap_angle does (0 as +0.0).
-    theta = -((np.angle(np.where(w == 0.0, 1.0, w)[keep]) + math.pi) % TWO_PI - math.pi) + 0.0
+    theta = wrap_angle(-np.angle(np.where(w == 0.0, 1.0, w)[keep]))
     through, _ = _through(eta, tau, np.exp(-1j * theta))
     residual_mag = np.abs(np.abs(through) - t)
     residual_arg = np.abs(np.angle(through / a))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -59,22 +60,14 @@ class OccupationBasis:
             raise DomainError(f"n_photons must be >= 0, got {n_photons}")
         self.n_modes = n_modes
         self.n_photons = n_photons
-        states: list[tuple[int, ...]] = []
-
-        def fill(prefix: tuple[int, ...], left: int, slots: int):
-            if slots == 1:
-                states.append(prefix + (left,))
-                return
-            for k in range(left, -1, -1):
-                fill(prefix + (k,), left - k, slots - 1)
-
-        fill((), n_photons, n_modes)
-        self.states = tuple(states)
+        # The sorted mode tuples, in order, list the occupations in
+        # descending lexicographic order.
+        self.mode_indices = _read_only(np.array(
+            list(combinations_with_replacement(range(n_modes), n_photons)), dtype=np.int64))
+        self.occupancy = _read_only(
+            (self.mode_indices[:, :, None] == np.arange(n_modes)).sum(axis=1))
+        self.states = tuple(map(tuple, self.occupancy.tolist()))
         self._index = {occ: i for i, occ in enumerate(self.states)}
-        self.occupancy = _read_only(np.array(self.states, dtype=np.int64))
-        self.mode_indices = _read_only(np.repeat(
-            np.tile(np.arange(n_modes), len(self.states)),
-            self.occupancy.ravel()).reshape(len(self.states), n_photons))
         factorials = np.array([factorial(k) for k in range(n_photons + 1)], dtype=float)
         self.norms = _read_only(np.prod(factorials[self.occupancy], axis=1))
 
@@ -106,22 +99,23 @@ def permanent(m: np.ndarray) -> complex:
 
 
 def _permanent_batch(stack: np.ndarray) -> np.ndarray:
-    """Ryser permanents of a (B, k, k) stack, one Gray-code sweep for all."""
+    """Ryser permanents of a (B, k, k) stack, one Gray-code sweep for all.
+    Step i flips column j, the lowest set bit of i, into the subset when
+    bit j + 1 of i is clear and out of it when set; every step flips the
+    subset size's parity, and so the sign."""
     b, k, _ = stack.shape
     if k == 0:
         return np.ones(b, dtype=complex)
     row = np.zeros((b, k), dtype=complex)
     total = np.zeros(b, dtype=complex)
-    gray = 0
-    for idx in range(1, 1 << k):
-        g = idx ^ (idx >> 1)
-        bit = (g ^ gray).bit_length() - 1
-        if g & (g ^ gray):
-            row += stack[:, :, bit]
+    sign = 1.0
+    for i in range(1, 1 << k):
+        j = (i & -i).bit_length() - 1
+        if i >> (j + 1) & 1:
+            row -= stack[:, :, j]
         else:
-            row -= stack[:, :, bit]
-        gray = g
-        sign = -1.0 if bin(g).count("1") % 2 else 1.0
+            row += stack[:, :, j]
+        sign = -sign
         total += sign * row.prod(axis=1)
     return total if k % 2 == 0 else -total
 

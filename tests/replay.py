@@ -36,6 +36,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 from ringsim.cli import main
 
@@ -59,21 +60,30 @@ def cases():
     return pinned
 
 
+# argparse wraps its usage lines at the terminal width; the pins hold them
+# at 80 columns.
+_COLUMNS = {"COLUMNS": "80"}
+
+
 def in_process(argv):
     """Exit code, stdout and stderr of ``ringsim.cli.main(argv)`` run in this
-    process with warnings turned into errors."""
+    process with warnings turned into errors; an argparse error's exit is
+    its code."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
+            contextlib.redirect_stderr(err), mock.patch.dict(os.environ, _COLUMNS):
         warnings.simplefilter("error")
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
     return code, out.getvalue(), err.getvalue()
 
 
 def in_child(*command):
     """A runner of ``command + argv`` in a child process with
-    PYTHONWARNINGS=error, giving exit code, stdout and stderr."""
-    env = dict(os.environ, PYTHONWARNINGS="error")
+    PYTHONWARNINGS=error and COLUMNS=80, giving exit code, stdout and stderr."""
+    env = dict(os.environ, PYTHONWARNINGS="error", **_COLUMNS)
 
     def run(argv):
         proc = subprocess.run([*command, *argv], capture_output=True, env=env)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ringsim import (
     CouplerStack,
@@ -26,7 +28,9 @@ from ringsim import (
     off_resonance_check,
     optimize_t1,
     project,
+    surface_stack,
     surface_theta,
+    surface_theta_stack,
     t2_from_equality,
     t3_of_t1,
     transfer_matrix,
@@ -61,6 +65,27 @@ def test_wrap_angle_zero_is_positive():
     for x in np.linspace(-20.0, 20.0, 401):
         if x != 0.0:
             assert wrap_angle(x) == -((-x + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+# Angles where the wrap is decided by one rounding: pi + 2 pi k and one float
+# either side of it, with the zeros and +-pi below.
+_CUT_ANGLES = st.builds(lambda k, step: step(math.pi + 2.0 * math.pi * k),
+                        st.integers(-1000, 1000),
+                        st.sampled_from([lambda x: x,
+                                         lambda x: math.nextafter(x, math.inf),
+                                         lambda x: math.nextafter(x, -math.inf)]))
+_ANGLES = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi]), _CUT_ANGLES,
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(_ANGLES, min_size=1, max_size=16))
+def test_wrap_angle_of_an_array_is_the_scalar_wrap_of_each_angle(angles):
+    scalar = [wrap_angle(x) for x in angles]
+    assert all(type(w) is float and -math.pi < w <= math.pi for w in scalar)
+    wrapped = wrap_angle(np.array(angles))
+    assert wrapped.dtype == float and wrapped.shape == (len(angles),)
+    # Compared as bits, so that -0.0 and +0.0 differ.
+    assert wrapped.tobytes() == np.array(scalar).tobytes()
 
 
 def test_optimal_point_constants():
@@ -165,6 +190,26 @@ def test_gradient_vanishes_at_optimum():
 def test_t2_from_equality_recovers_optimum():
     t2 = t2_from_equality(T1_OPTIMAL, T1_OPTIMAL)
     assert abs(t2 - T2_OPTIMAL) < 1e-10
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verdict_stack(np.eye(3)), "expected an (N, 3, 3) stack, got shape (3, 3)"),
+    (lambda: verdict(np.eye(2)), "expected a 3x3 matrix, got shape (2, 2)"),
+    (lambda: surface_theta_stack(1.0, [0.5], [0.5]), "|transmission| < 1 required, got 1.0"),
+    (lambda: surface_theta_stack(0.5, [1.0], [0.5]), "eta and tau must lie in (-1, 1)"),
+    (lambda: surface_theta_stack(0.5, [0.5], [-1.0]), "eta and tau must lie in (-1, 1)"),
+    (lambda: surface_stack(0, [0.5], [0.5]), "slot must be 1, 2 or 3, got 0"),
+    (lambda: surface_stack(4, [0.5], [0.5]), "slot must be 1, 2 or 3, got 4"),
+    # For small t1 = t3 = t the gap Re(beta0 - beta1) changes sign near
+    # t2 = 1 - t^2, which at t = 1e-9 lies above the bracket's end 1 - 1e-9.
+    (lambda: t2_from_equality(1e-9, 1e-9),
+     "heralded-amplitude equality does not bracket in (0, 1)"),
+], ids=["verdict_stack-shape", "verdict-shape", "transmission", "eta", "tau",
+        "slot-0", "slot-4", "t2-no-bracket"])
+def test_analysis_rejects_bad_input(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def curve_matrices(taus, ring):

@@ -1,6 +1,6 @@
 """Tests for the Fock-space engine: bases, permanents, lifts, projection."""
 
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from ringsim import (
     MeasurementPattern,
     NetworkParams,
     NlpsgInput,
+    OccupationBasis,
     SUCCESS_PATTERN,
     SectoredState,
     T1_OPTIMAL,
@@ -20,13 +21,14 @@ from ringsim import (
     compose_scattering,
     enumerate_basis,
     evolve,
+    heralded_success_stack,
     lift_unitary,
     nlpsg_closed_form,
     permanent,
     project,
 )
 from ringsim.errors import DomainError
-from ringsim.fock import _herald_table
+from ringsim.fock import _herald_table, _permanent_batch
 
 from oracles import naive_permanent
 
@@ -82,8 +84,17 @@ def test_basis_index_roundtrip():
 
 @pytest.mark.parametrize("n_modes", range(1, 9))
 def test_basis_tables_match_state_definition(n_modes):
-    for n_photons in range(5):
+    for n_photons in range(6):
         basis = enumerate_basis(n_modes, n_photons)
+        # Every occupation of n_modes modes by n_photons photons, once each,
+        # in descending lexicographic order.
+        assert basis.size == comb(n_modes + n_photons - 1, n_photons)
+        assert all(len(occ) == n_modes and min(occ) >= 0 and sum(occ) == n_photons
+                   for occ in basis.states)
+        assert all(type(c) is int for occ in basis.states for c in occ)
+        assert all(a > b for a, b in zip(basis.states, basis.states[1:]))
+        assert basis.occupancy.dtype == np.int64
+        assert basis.occupancy.tolist() == [list(occ) for occ in basis.states]
         assert basis.mode_indices.shape == (basis.size, n_photons)
         assert basis.mode_indices.dtype == np.int64
         assert basis.norms.shape == (basis.size,)
@@ -156,6 +167,36 @@ def test_permanent_empty_matrix():
 def test_permanent_rejects_non_square():
     with pytest.raises(DomainError):
         permanent(np.ones((2, 3)))
+
+
+def gray_code_permanents(stack):
+    """Ryser's formula walked in Gray-code order with the code word kept
+    as state, the flipped column found from its change and the sign from
+    its popcount: the reference for the step-index walk."""
+    b, k, _ = stack.shape
+    if k == 0:
+        return np.ones(b, dtype=complex)
+    row = np.zeros((b, k), dtype=complex)
+    total = np.zeros(b, dtype=complex)
+    gray = 0
+    for idx in range(1, 1 << k):
+        g = idx ^ (idx >> 1)
+        bit = (g ^ gray).bit_length() - 1
+        if g & (g ^ gray):
+            row += stack[:, :, bit]
+        else:
+            row -= stack[:, :, bit]
+        gray = g
+        sign = -1.0 if bin(g).count("1") % 2 else 1.0
+        total += sign * row.prod(axis=1)
+    return total if k % 2 == 0 else -total
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_permanent_batch_equals_gray_code_walk_bit_for_bit(k):
+    rng = np.random.default_rng(1000 + k)
+    stack = rng.normal(size=(6, k, k)) + 1j * rng.normal(size=(6, k, k))
+    assert _permanent_batch(stack).tobytes() == gray_code_permanents(stack).tobytes()
 
 
 def test_permanent_ryser_matches_naive():
@@ -347,6 +388,30 @@ def test_nlpsg_input_must_be_normalized():
 def test_nlpsg_input_rejects_nan():
     with pytest.raises(DomainError):
         NlpsgInput(alpha0=np.nan, alpha1=0.0, alpha2=0.0)
+
+
+_EQUAL_INPUT = NlpsgInput(*[3.0 ** -0.5] * 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: OccupationBasis(0, 1), "n_modes must be >= 1, got 0"),
+    (lambda: OccupationBasis(1, -1), "n_photons must be >= 0, got -1"),
+    (lambda: lift_unitary(np.ones((2, 3)), 1), "expected a square matrix, got shape (2, 3)"),
+    (lambda: SectoredState(3, {1: [1.0, 0.0]}), "sector 1 needs 3 amplitudes, got shape (2,)"),
+    (lambda: SectoredState.from_occupations(3, {(1, 0): 1.0}),
+     "occupation (1, 0) does not have 3 modes"),
+    (lambda: MeasurementPattern(((-1, 0),)), "mode index -1 is negative"),
+    (lambda: MeasurementPattern(((0, -1),)), "photon count -1 is negative"),
+    (lambda: heralded_success_stack(np.eye(3), _EQUAL_INPUT),
+     "expected an (N, 3, 3) stack, got shape (3, 3)"),
+    (lambda: nlpsg_closed_form(np.eye(2), _EQUAL_INPUT), "expected a 3x3 matrix, got shape (2, 2)"),
+], ids=["no-modes", "negative-photons", "lift-non-square", "sector-length",
+        "occupation-modes", "negative-mode", "negative-count", "success-stack-shape",
+        "closed-form-shape"])
+def test_fock_rejects_bad_input(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_nlpsg_closed_form_examples():

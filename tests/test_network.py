@@ -1,8 +1,12 @@
 """Tests for the three-ring network composition, and of the mode-swap
 oracle the composition is checked against."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ringsim import (
     CouplerStack,
@@ -226,3 +230,59 @@ def test_non_finite_line_phase_is_a_domain_error(bad):
     stack = CouplerStack.of([ring])
     with pytest.raises(DomainError, match="^line phases must be finite, got "):
         NetworkStack(rings=(stack, stack, stack), deltas=[[0.0, 0.0, 0.0], [0.0, bad, 0.0]])
+
+
+_RING = build_coupler(0.3, 0.7, 1.0)
+_STACK = CouplerStack.of([_RING])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NetworkParams(rings=(_RING, _RING)), "exactly 3 rings required, got 2"),
+    (lambda: NetworkParams(rings=(_RING,) * 3, deltas=(0.0, 0.0)),
+     "exactly 3 line phases required, got 2"),
+    (lambda: NetworkParams(rings=(_RING, _RING, _STACK)), "rings must be RingCoupler instances"),
+    (lambda: NetworkStack(rings=(_STACK, _STACK), deltas=np.zeros((1, 3))),
+     "exactly 3 ring stacks required, got 2"),
+    (lambda: NetworkStack(rings=(_STACK,) * 3, deltas=np.zeros((1, 2))),
+     "line phases must have shape (N, 3), got (1, 2)"),
+    (lambda: NetworkStack(rings=(_STACK, _STACK, _RING), deltas=np.zeros((1, 3))),
+     "rings must be CouplerStack instances"),
+    (lambda: closed_form_resonant(0.5, -1.5, 0.5), "t2 must lie in [-1, 1], got -1.5"),
+], ids=["two-rings", "two-line-phases", "not-a-ring", "two-ring-stacks",
+        "line-phase-shape", "not-a-stack", "closed-form-t"])
+def test_network_rejects_bad_input(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# Detuned networks: any round trip, phase partition and line phase in
+# [-7, 7], with |tau|, |eta| <= 0.999, so that no ring is within 2e-3 of its
+# pole and no loop within 5e-7 of its.
+_COUPLER = st.floats(-0.999, 0.999)
+_PHASE = st.floats(-7.0, 7.0)
+_DETUNED_RING = st.tuples(_COUPLER, _COUPLER, _PHASE, _PHASE)
+_TURNS = st.tuples(*[st.integers(-3, 3)] * 3)
+
+
+@given(st.tuples(*[_DETUNED_RING] * 3), st.tuples(*[_PHASE] * 3), _TURNS, _TURNS)
+def test_angle_representatives_compose_to_the_same_matrix(rings, deltas, turns, line_turns):
+    # theta + 2 pi k with phi + 2 pi k names the same ring, and delta + 2 pi k
+    # the same line, so S agrees to the rounding of the shifted angles
+    # (about 4e-15 rad). A ring's amplitudes move by up to about
+    # 1 / |1 - tau eta e^{-i theta}| per radian, and the loop gain
+    # g = 1 / (1 - L) enters S squared.
+    net = NetworkParams(rings=tuple(build_coupler(*ring) for ring in rings), deltas=deltas)
+    s = compose_scattering(net)
+    c1, d2, b3 = NetworkStack.of([net]).legs()[1]
+    g = 1.0 / abs(1.0 - c1[0] * d2[0] * b3[0] * np.exp(-1j * deltas[1]))
+    ring_den = min(abs(1.0 - tau * eta * np.exp(-1j * theta)) for tau, eta, theta, _ in rings)
+    bound = 1e-13 * g * g / ring_den
+    turned = NetworkParams(
+        rings=tuple(build_coupler(tau, eta, theta + 2.0 * math.pi * k, phi + 2.0 * math.pi * k)
+                    for (tau, eta, theta, phi), k in zip(rings, turns)),
+        deltas=deltas)
+    assert np.max(np.abs(compose_scattering(turned) - s)) <= bound
+    shifted = NetworkParams(rings=net.rings, deltas=tuple(
+        d + 2.0 * math.pi * k for d, k in zip(deltas, line_turns)))
+    assert np.max(np.abs(compose_scattering(shifted) - s)) <= bound

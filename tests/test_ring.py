@@ -225,3 +225,22 @@ def test_on_resonance_consistency_with_full_transfer():
         assert np.max(np.abs(m - [[t, r], [r, -t]])) < 1e-12
         m_flip = transfer_matrix(coupler.flipped())
         assert np.max(np.abs(m_flip - [[-t, r], [r, t]])) < 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    # |kappa|^2 + tau^2 = 1 holds, but a real kappa breaks the phase condition.
+    (lambda: RingCoupler(tau=0.6, eta=0.6, theta=0.0, phi=0.0, kappa=0.8 + 0j, gamma=0.8 + 0j),
+     "kappa violates the reciprocity phase condition"),
+    (lambda: CouplerStack(tau=[0.1, 0.2], eta=[0.1], theta=[0.0], phi=[0.0],
+                          kappa=[1j], gamma=[1j]),
+     "coupler fields must be 1-D arrays of one length, got shapes [(1,), (2,)]"),
+    (lambda: effective_coupling(1.5, 0.5), "transmissions must lie in [-1, 1]"),
+    (lambda: effective_coupling(0.5, -1.5), "transmissions must lie in [-1, 1]"),
+    (lambda: invert_effective(1.5, 0.5), "arguments must lie in [-1, 1]"),
+    (lambda: invert_effective(0.5, -1.5), "arguments must lie in [-1, 1]"),
+], ids=["reciprocity-phase", "stack-shapes", "effective-tau", "effective-eta",
+        "invert-t", "invert-tau"])
+def test_ring_rejects_bad_input(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
