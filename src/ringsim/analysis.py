@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, PoleError
 from .fock import _betas, _corners
 from .network import (NetworkParams, NetworkStack, closed_form_resonant,
                       compose_scattering_stack)
@@ -194,13 +194,28 @@ def optimize_t1(formula: str = "corrected") -> tuple[float, float]:
 
 def t2_from_equality(t1: float, t3: float) -> float:
     """Middle transmission equating the zero- and one-photon heralded
-    amplitudes of the resonant network, found by bisection."""
+    amplitudes of the resonant network, found by bisection on t2 in
+    [1e-6, nextafter(1, 0)].
+
+    Raises
+    ------
+    DomainError
+        If Re(beta0 - beta1) does not change sign strictly across that
+        bracket: for t1 t3 = 0, where beta0 = beta1 = 0 for every t2, and
+        where the bracket's end lies on the network's pole.
+    """
     def gap(t2: float) -> float:
         beta = _betas(*_corners(closed_form_resonant(t1, t2, t3)))
         return (beta[0] - beta[1]).real
 
-    a, b = 1e-6, 1.0 - 1e-9
-    if gap(a) * gap(b) > 0.0:
+    a, b = 1e-6, math.nextafter(1.0, 0.0)
+    try:
+        brackets = gap(a) * gap(b) < 0.0
+    except PoleError:
+        # b is within 1e-15 of the pole t2 c1 c3 = 1, so 1 - c1 c3 is below
+        # about 1e-15, and the root, near t2 = c1 c3, lies on the pole too.
+        brackets = False
+    if not brackets:
         raise DomainError("heralded-amplitude equality does not bracket in (0, 1)")
     return _bisect(gap, a, b)
 
@@ -215,12 +230,10 @@ def curve_ring(slot: int, tau: float) -> RingCoupler:
     return build_coupler(tau, invert_effective(_slot_transmission(slot), tau), RESONANT_THETA)
 
 
-def curve_network(tau1: float = 0.0, tau2: float = 0.0, tau3: float = 0.0,
-                  deltas: tuple[float, float, float] = (0.0, 0.0, 0.0)) -> NetworkParams:
+def curve_network(tau1: float = 0.0, tau2: float = 0.0, tau3: float = 0.0) -> NetworkParams:
     """Fully resonant optimal network with free lower-coupler draws."""
     return NetworkParams(
         rings=(curve_ring(1, tau1), curve_ring(2, tau2), curve_ring(3, tau3)),
-        deltas=deltas,
     )
 
 

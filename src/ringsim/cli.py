@@ -1,5 +1,6 @@
 """Command-line surface: scattering matrices, gate verification, manifold
-sweeps, the optimal constants, and the CNOT truth table, as CSV or JSON."""
+sweeps, the optimal constants, and the CNOT truth table, as CSV or JSON.
+``main`` alone reads the config and writes what each ``cmd_*`` returns."""
 
 from __future__ import annotations
 
@@ -198,8 +199,7 @@ def _is_resonant(net: NetworkParams) -> bool:
                for x in (*(c.theta for c in net.rings), *net.deltas))
 
 
-def cmd_smatrix(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_smatrix(args, cfg: dict) -> tuple[int, str, list[str]]:
     net = _network_from_config(cfg)
     composed = compose_scattering(net)
     out = {}
@@ -215,12 +215,10 @@ def cmd_smatrix(args) -> int:
                      for i in range(3)]
     out["unitarity_residual"] = _round9(unitarity_residual(matrix))
     out["det"] = _complex_pair(complex(np.linalg.det(matrix)))
-    _write_text(args.output, json.dumps(out, indent=2, sort_keys=True) + "\n")
-    return 0
+    return 0, json.dumps(out, indent=2, sort_keys=True) + "\n", []
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_verify(args, cfg: dict) -> tuple[int, str, list[str]]:
     net = _network_from_config(cfg)
     inp, renormalized = _parse_alpha(args, cfg)
     tol = _tolerance(args, cfg)
@@ -252,16 +250,11 @@ def cmd_verify(args) -> int:
     else:
         lines.append("constraints not satisfied")
         code = 4
-    _write_text(args.output, "\n".join(lines) + "\n")
-    # Diagnostics go to stderr once the output is written, so that an error
-    # exit prints the error line alone.
-    if renormalized:
-        print("warning: alpha renormalized", file=sys.stderr)
-    return code
+    notes = ["warning: alpha renormalized"] if renormalized else []
+    return code, "\n".join(lines) + "\n", notes
 
 
-def cmd_manifold(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_manifold(args, cfg: dict) -> tuple[int, str, list[str]]:
     grid = args.grid if args.grid is not None else \
         _float_field(cfg, "grid", "config",
                      default=401 if args.kind != "surface" else 101)
@@ -289,9 +282,8 @@ def cmd_manifold(args) -> int:
                 chunks.append(_csv.rows((swept.tau, swept.eta, swept.tau * swept.tau,
                                          swept.eta * swept.eta, success), str(ring)))
                 rows += len(swept)
-        _write_text(args.output, b"".join(chunks).decode("ascii"))
-        print(f"emitted {rows} of {len(rings) * grid_n} grid points", file=sys.stderr)
-        return 0
+        return 0, b"".join(chunks).decode("ascii"), \
+            [f"emitted {rows} of {len(rings) * grid_n} grid points"]
 
     if args.kind == "surface":
         ring = args.ring if args.ring != 0 else 1
@@ -308,19 +300,16 @@ def cmd_manifold(args) -> int:
             chunks.append(_csv.rows(((axis, tau_at), (axis, eta_at), theta, success),
                                     str(ring)))
             rows += len(theta)
-        _write_text(args.output, b"".join(chunks).decode("ascii"))
-        print(f"emitted {rows} of {2 * points} candidate branches", file=sys.stderr)
-        return 0
+        return 0, b"".join(chunks).decode("ascii"), \
+            [f"emitted {rows} of {2 * points} candidate branches"]
 
     columns = intersect_stack(args.delta2, np.linspace(0.0, 0.999, grid_n))
     text = (b"tau2,eta2,theta2,residual_mag,residual_arg\n"
             + _csv.rows(columns)).decode("ascii")
-    _write_text(args.output, text)
-    print(f"converged {len(columns[0])} of {grid_n} grid points", file=sys.stderr)
-    return 0
+    return 0, text, [f"converged {len(columns[0])} of {grid_n} grid points"]
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args, cfg: dict) -> tuple[int, str, list[str]]:
     t1_num, peak_corrected = optimize_t1("corrected")
     t1_printed, peak_printed = optimize_t1("printed")
     t2_num = t2_from_equality(T1_OPTIMAL, T1_OPTIMAL)
@@ -335,12 +324,10 @@ def cmd_optimize(args) -> int:
         "note: the printed profile is low by the factor 1 + sqrt(2); the "
         "corrected profile matches the scattering-matrix computation",
     ]
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return 0
+    return 0, "\n".join(lines) + "\n", []
 
 
-def cmd_cnot(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_cnot(args, cfg: dict) -> tuple[int, str, list[str]]:
     nets = []
     for key in ("gate_a", "gate_b"):
         if key in cfg:
@@ -361,10 +348,8 @@ def cmd_cnot(args) -> int:
                                _fmt(r.probability), _fmt(r.fidelity),
                                _fmt(r.leakage)]))
     report = verify_coherence(net)
-    _write_text(args.output, "\n".join(lines) + "\n")
-    print(f"bell_overlap = {_fmt(report.overlap)}", file=sys.stderr)
-    print(f"herald_probability = {_fmt(report.probability)}", file=sys.stderr)
-    return 0
+    return 0, "\n".join(lines) + "\n", [f"bell_overlap = {_fmt(report.overlap)}",
+                                         f"herald_probability = {_fmt(report.probability)}"]
 
 
 @functools.lru_cache(maxsize=1)
@@ -382,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--closed-form", action="store_true",
                    help="use the resonant closed form and report the "
                         "max difference against composition")
-    p.add_argument("--output", default=None)
 
     p = sub.add_parser("verify", help="run the success-constraint verdict and "
                                       "a full Fock simulation")
@@ -390,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None,
                    help="three comma-separated complex amplitudes")
     p.add_argument("--tolerance", type=_finite_float, default=None)
-    p.add_argument("--output", default=None)
 
     p = sub.add_parser("manifold", help="trace optimal-operation manifolds to CSV")
     p.add_argument("kind", choices=("curve", "surface", "intersect"))
@@ -402,11 +385,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-max", type=_finite_float, default=0.999)
     p.add_argument("--delta2", type=_finite_float, default=math.pi / 30.0,
                    help="middle line phase for the intersect kind")
-    p.add_argument("--output", default=None)
 
-    p = sub.add_parser("optimize", help="report the optimal transmissions and "
-                                        "both success-profile variants")
-    p.add_argument("--output", default=None)
+    sub.add_parser("optimize", help="report the optimal transmissions and "
+                                    "both success-profile variants")
 
     p = sub.add_parser("cnot", help="simulate the post-selected CNOT truth table")
     p.add_argument("--config", default=None,
@@ -414,7 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=_finite_float, default=None)
     p.add_argument("--probe-phase", type=_finite_float, default=0.0,
                    help="diagnostic phase on one interferometer arm")
-    p.add_argument("--output", default=None)
+    # Declared last, so that it ends every usage line.
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None)
     return parser
 
 
@@ -426,7 +409,8 @@ def main(argv=None) -> int:
                "manifold": cmd_manifold, "optimize": cmd_optimize,
                "cnot": cmd_cnot}[args.command]
     try:
-        return command(args)
+        code, text, notes = command(args, _load_config(getattr(args, "config", None)))
+        _write_text(args.output, text)
     except DomainError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -438,6 +422,10 @@ def main(argv=None) -> int:
         detail = "" if err.verdict is None else f"; residual = {_fmt(err.verdict.residual)}"
         print(f"constraint violation: {err}{detail}", file=sys.stderr)
         return 4
+    # Diagnostics follow the output, so that an error exit prints its line alone.
+    for note in notes:
+        print(note, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

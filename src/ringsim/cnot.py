@@ -277,14 +277,6 @@ def _heralded_block(heralded: np.ndarray, probe_phase: float) -> np.ndarray:
     return (fixed.post_rows * d) @ fixed.pre_cols
 
 
-def _compose_gate(label: str, gate: NetworkParams) -> np.ndarray:
-    """One gate's scattering matrix; a loop pole is reported under its name."""
-    try:
-        return compose_scattering(gate)
-    except PoleError as err:
-        raise PoleError(f"gate {label}: {_LOOP_POLE}") from err
-
-
 def _judge(label: str, verdicts: NlpsgVerdict, i: int, tol: float) -> None:
     """Raise ConstraintError, with the gate's own verdict, unless member i of
     a stacked verdict meets the success constraints and heralds."""
@@ -331,17 +323,20 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
     DomainError
         If the assembled network is not unitary within 1e-10.
     """
-    gates = (gate_a, gate_b)
     try:
         # One stacked call: composing each gate alone costs about 0.15 ms
         # more, nearly all of it fixed per-call work, or 9% of a cnot call.
-        matrices = compose_scattering_stack(NetworkStack.of(gates))
-    except PoleError:
-        # Composed and judged one at a time, gate B is reached only after
-        # gate A's verdict; the pole is then raised under its gate's name.
-        for label, gate in zip("AB", gates):
-            _judge(label, verdict_stack(_compose_gate(label, gate)[np.newaxis]), 0, tol)
-        raise
+        matrices = compose_scattering_stack(NetworkStack.of((gate_a, gate_b)))
+    except PoleError as err:
+        # A stack member composes bit for bit as it does alone, so gate A
+        # composed alone tells whose pole it is; gate B's pole is reported
+        # only after gate A's verdict.
+        try:
+            matrix_a = compose_scattering(gate_a)
+        except PoleError as err_a:
+            raise PoleError(f"gate A: {_LOOP_POLE}") from err_a
+        _judge("A", verdict_stack(matrix_a[np.newaxis]), 0, tol)
+        raise PoleError(f"gate B: {_LOOP_POLE}") from err
     verdicts = verdict_stack(matrices)
     for i, label in enumerate("AB"):
         _judge(label, verdicts, i, tol)

@@ -123,14 +123,13 @@ def _permanent_batch(stack: np.ndarray) -> np.ndarray:
 def _lift_block(s: np.ndarray, basis: OccupationBasis,
                 rows: np.ndarray | None = None,
                 cols: np.ndarray | None = None) -> np.ndarray:
-    """Sector matrix of s, or of each matrix of an (N, n, n) stack,
-    restricted to the given output-state rows and input-state columns (all
-    of them where None)."""
+    """Sector matrix of s restricted to the given output-state rows and
+    input-state columns (all of them where None)."""
     n = basis.n_photons
     idx, norms = basis.mode_indices, basis.norms
     rows_idx, row_norms = (idx, norms) if rows is None else (idx[rows], norms[rows])
     cols_idx, col_norms = (idx, norms) if cols is None else (idx[cols], norms[cols])
-    subs = s[..., rows_idx[:, None, :, None], cols_idx[None, :, None, :]]
+    subs = s[rows_idx[:, None, :, None], cols_idx[None, :, None, :]]
     lead = subs.shape[:-2]
     perms = _permanent_batch(subs.reshape(prod(lead), n, n)).reshape(lead)
     return perms / np.sqrt(np.outer(row_norms, col_norms))

@@ -10,6 +10,8 @@ a shared helper.
   form over the network's one feedback loop instead.
 - ``naive_permanent``: the permanent as a sum over permutations, against
   the package's Gray-code Ryser formula.
+- ``reversed_network``: the network run backwards, which by reciprocity
+  composes to the transpose of the original's scattering matrix.
 
 Bad input raises ``ValueError``; a vanishing swap pivot raises the local
 ``SingularPivotError``, also a ``ValueError``.
@@ -115,3 +117,12 @@ def naive_permanent(m) -> complex:
     k = a.shape[0]
     return complex(sum(np.prod([a[i, p[i]] for i in range(k)])
                        for p in permutations(range(k))))
+
+
+def reversed_network(rings, deltas):
+    """The rings (tau, eta, theta, phi) and line phases of the network
+    traversed from the other end: the rings in slot order 3, 2, 1, each
+    with its phase partition phi -> theta - phi, and the line phases in
+    reverse order."""
+    return ([(tau, eta, theta, theta - phi) for tau, eta, theta, phi in reversed(rings)],
+            list(reversed(deltas)))

@@ -192,6 +192,26 @@ def test_t2_from_equality_recovers_optimum():
     assert abs(t2 - T2_OPTIMAL) < 1e-10
 
 
+@pytest.mark.parametrize("t", [1e-5, 1e-6, 1e-7])
+def test_t2_from_equality_finds_a_root_next_to_one(t):
+    # The root, near 1 - t^2, lies above 1 - 1e-9 but below the pole.
+    assert abs(t2_from_equality(t, t) - (1.0 - t * t)) <= 1e-12
+
+
+@pytest.mark.parametrize("t1, t3", [(0.0, 0.5), (0.5, 0.0), (0.0, 0.0), (1e-8, 1e-8)])
+def test_t2_from_equality_without_a_sign_change_is_a_domain_error(t1, t3):
+    # t1 t3 = 0 gives beta0 = beta1 = 0 for every t2; at t1 = t3 = 1e-8, as at
+    # 1e-9 (test_analysis_rejects_bad_input), the bracket's end is on the
+    # pole. Neither is a root or a PoleError.
+    with pytest.raises(DomainError) as info:
+        t2_from_equality(t1, t3)
+    assert str(info.value) == "heralded-amplitude equality does not bracket in (0, 1)"
+
+
+def test_t2_from_equality_at_the_optimum_keeps_its_bits():
+    assert t2_from_equality(T1_OPTIMAL, T1_OPTIMAL) == 0.5469181606780271
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: verdict_stack(np.eye(3)), "expected an (N, 3, 3) stack, got shape (3, 3)"),
     (lambda: verdict(np.eye(2)), "expected a 3x3 matrix, got shape (2, 2)"),
@@ -201,7 +221,7 @@ def test_t2_from_equality_recovers_optimum():
     (lambda: surface_stack(0, [0.5], [0.5]), "slot must be 1, 2 or 3, got 0"),
     (lambda: surface_stack(4, [0.5], [0.5]), "slot must be 1, 2 or 3, got 4"),
     # For small t1 = t3 = t the gap Re(beta0 - beta1) changes sign near
-    # t2 = 1 - t^2, which at t = 1e-9 lies above the bracket's end 1 - 1e-9.
+    # t2 = 1 - t^2, which at t = 1e-9 lies on the network's pole.
     (lambda: t2_from_equality(1e-9, 1e-9),
      "heralded-amplitude equality does not bracket in (0, 1)"),
 ], ids=["verdict_stack-shape", "verdict-shape", "transmission", "eta", "tau",

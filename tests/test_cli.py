@@ -934,7 +934,9 @@ def test_cnot_errors_name_the_gate_in_gate_order(tmp_path, capsys):
              ({"gate_a": pole, "gate_b": optimal}, 3,
               "numerical error: gate A: loop gain b3 c1 d2 e^(-i delta2) = 1\n"),
              ({"gate_a": optimal, "gate_b": pole}, 3,
-              "numerical error: gate B: loop gain b3 c1 d2 e^(-i delta2) = 1\n")]
+              "numerical error: gate B: loop gain b3 c1 d2 e^(-i delta2) = 1\n"),
+             ({"gate_a": pole, "gate_b": pole}, 3,
+              "numerical error: gate A: loop gain b3 c1 d2 e^(-i delta2) = 1\n")]
     for cfg, code, message in cases:
         assert main(["cnot", "--config", write_config(tmp_path, cfg)]) == code
         assert message in capsys.readouterr().err
@@ -946,8 +948,10 @@ def test_cached_parser_keeps_calls_apart(tmp_path, monkeypatch):
     seen = []
     for name in ("cmd_smatrix", "cmd_verify", "cmd_manifold", "cmd_optimize",
                  "cmd_cnot"):
-        monkeypatch.setattr(cli, name,
-                            lambda args, name=name: seen.append((name, vars(args))) or 0)
+        monkeypatch.setattr(cli, name, lambda args, cfg, name=name:
+                            seen.append((name, vars(args))) or (0, "", []))
+    # main writes each stand-in's empty output, "x.csv" included, here.
+    monkeypatch.chdir(tmp_path)
     config = optimal_config(tmp_path)
     manifold = {"command": "manifold", "config": None, "ring": 0, "grid": None,
                 "tau_min": 0.0, "tau_max": 0.999, "delta2": math.pi / 30.0,
@@ -982,6 +986,37 @@ def test_cached_parser_keeps_calls_apart(tmp_path, monkeypatch):
             assert main(argv) == 0
             assert seen.pop() == ("cmd_" + argv[0], expected)
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ["smatrix", "--config", "{config}"],
+    ["verify", "--config", "{config}", "--alpha", "2,0,0"],
+    ["manifold", "curve", "--grid", "5"],
+    ["manifold", "surface", "--grid", "3"],
+    ["manifold", "intersect", "--grid", "5"],
+    ["optimize"],
+    ["cnot", "--probe-phase", "0.3"],
+])
+def test_commands_return_their_output_and_main_writes_it(tmp_path, capsys, argv):
+    # A command only computes: it writes nothing, and main writes the text it
+    # returns to stdout and its notes to stderr.
+    argv = [arg.replace("{config}", optimal_config(tmp_path)) for arg in argv]
+    args = cli._build_parser().parse_args(argv)
+    command = getattr(cli, "cmd_" + args.command)
+    code, text, notes = command(args, cli._load_config(getattr(args, "config", None)))
+    assert capsys.readouterr() == ("", "")
+    assert text and (notes != []) == (argv[0] in ("verify", "manifold", "cnot"))
+    assert main(argv) == code == 0
+    assert capsys.readouterr() == (text, "".join(note + "\n" for note in notes))
+
+
+def test_main_writes_the_output_then_the_notes(monkeypatch):
+    monkeypatch.setattr(cli, "cmd_optimize",
+                        lambda args, cfg: (4, "text\n", ["first", "second"]))
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        assert main(["optimize"]) == 4
+    assert both.getvalue() == "text\nfirst\nsecond\n"
 
 
 @pytest.mark.parametrize("argv", [

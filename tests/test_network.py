@@ -25,7 +25,7 @@ from ringsim import (
 )
 from ringsim.errors import DomainError
 
-from oracles import SingularPivotError, block_transfer, mode_swap3
+from oracles import SingularPivotError, block_transfer, mode_swap3, reversed_network
 
 
 def random_matrix(rng, good_pivots=False):
@@ -286,3 +286,31 @@ def test_angle_representatives_compose_to_the_same_matrix(rings, deltas, turns, 
     shifted = NetworkParams(rings=net.rings, deltas=tuple(
         d + 2.0 * math.pi * k for d, k in zip(deltas, line_turns)))
     assert np.max(np.abs(compose_scattering(shifted) - s)) <= bound
+
+
+@st.composite
+def _reciprocity_ring(draw):
+    """A detuned ring, or a balanced (eta = tau) or near-balanced one, on
+    resonance or off it."""
+    tau = draw(_COUPLER)
+    eta = draw(st.one_of(_COUPLER, st.just(tau), st.floats(-1e-6, 1e-6).map(
+        lambda step: min(max(tau + step, -0.999), 0.999))))
+    theta = draw(st.one_of(_PHASE, st.sampled_from([-2.0 * math.pi, 0.0, 2.0 * math.pi])))
+    return tau, eta, theta, draw(_PHASE)
+
+
+def _network(rings, deltas):
+    return NetworkParams(rings=tuple(build_coupler(*ring) for ring in rings),
+                         deltas=tuple(deltas))
+
+
+@given(st.tuples(*[_reciprocity_ring()] * 3), st.tuples(*[_PHASE] * 3))
+def test_reversed_network_composes_to_the_transpose(rings, deltas):
+    # Reciprocity: the network traversed from the other end has S^T. The
+    # loop gain g = 1 / (1 - L) amplifies rounding in both compositions.
+    net = _network(rings, deltas)
+    s = compose_scattering(net)
+    c1, d2, b3 = NetworkStack.of([net]).legs()[1]
+    loop = abs(1.0 - c1[0] * d2[0] * b3[0] * np.exp(-1j * deltas[1]))
+    s_rev = compose_scattering(_network(*reversed_network(rings, deltas)))
+    assert np.max(np.abs(s_rev - s.T)) <= 1e-13 / min(1.0, loop)
