@@ -114,7 +114,8 @@ def verdict(s: np.ndarray) -> NlpsgVerdict:
 
 
 def _t1_sq(t1: float) -> float:
-    """t1^2, checked against the domain of the optimal t3(t1) curve."""
+    """t1^2, checked against the domain of the optimal curve
+    (1 - t1^2)(1 - t3^2) = (3 - 2 sqrt(2))^2, on which t3 is real."""
     u = t1 * t1
     # Written so that a NaN t1 fails both checks.
     if not u < 1.0:
@@ -124,22 +125,8 @@ def _t1_sq(t1: float) -> float:
     return u
 
 
-def t3_of_t1(t1: float) -> float:
-    """Companion outer transmission keeping the resonant network optimal.
-
-    Satisfies (1 - t1^2) * (1 - t3^2) = 3 - 2*sqrt(2).
-
-    Raises
-    ------
-    DomainError
-        If t1^2 exceeds 12*sqrt(2) - 16, |t1| >= 1 or t1 is NaN.
-    """
-    u = _t1_sq(t1)
-    return math.sqrt((_T1_SQ_LIMIT - u) / (1.0 - u))
-
-
 def beta_sq_of_t1(t1: float, formula: str = "corrected") -> float:
-    """Success probability along the optimal t3(t1) relationship.
+    """Success probability along the optimal curve of t1 and t3.
 
     ``corrected`` (default) matches the scattering-matrix computation and
     peaks at 1/4. ``printed`` is a legacy normalization smaller by exactly

@@ -1,11 +1,13 @@
 """Multi-photon Fock-space evolution of a scattering matrix.
 
 States are stored per total-photon-number sector; a unitary acts on each
-sector through matrix permanents of its sub-matrices. Includes projective
-post-selection and the heralded gate's success amplitudes in closed form.
-Which rows survive a measurement pattern, and where each lands among the
-remaining modes, is one cached herald table per (modes, photons, pattern),
-which project and the CNOT read."""
+sector through matrix permanents of its sub-matrices, which evolve lifts
+only on the occupied input states and the CNOT on its fixed two-photon
+interferometers. Includes projective post-selection and the heralded
+gate's success amplitudes in closed form. Which rows survive a
+measurement pattern, and where each lands among the remaining modes, is
+one cached herald table per (modes, photons, pattern), which project
+reads."""
 
 from __future__ import annotations
 
@@ -89,15 +91,6 @@ def enumerate_basis(n_modes: int, n_photons: int) -> OccupationBasis:
     return OccupationBasis(n_modes, n_photons)
 
 
-def permanent(m: np.ndarray) -> complex:
-    """Permanent of a square complex matrix, by Ryser's formula in Gray-code
-    order (O(2^k k))."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"permanent needs a square matrix, got shape {a.shape}")
-    return complex(_permanent_batch(a[np.newaxis])[0])
-
-
 def _permanent_batch(stack: np.ndarray) -> np.ndarray:
     """Ryser permanents of a (B, k, k) stack, one Gray-code sweep for all.
     Step i flips column j, the lowest set bit of i, into the subset when
@@ -121,38 +114,20 @@ def _permanent_batch(stack: np.ndarray) -> np.ndarray:
 
 
 def _lift_block(s: np.ndarray, basis: OccupationBasis,
-                rows: np.ndarray | None = None,
                 cols: np.ndarray | None = None) -> np.ndarray:
-    """Sector matrix of s restricted to the given output-state rows and
-    input-state columns (all of them where None)."""
+    """Sector matrix of the unitary mode map s over ``basis``, restricted to
+    the given input-state columns (all of them where None).
+
+    Entry [out, in] is the permanent of the sub-matrix of s built by
+    repeating each output row and input column by its occupation, divided
+    by sqrt of the occupation factorials."""
     n = basis.n_photons
     idx, norms = basis.mode_indices, basis.norms
-    rows_idx, row_norms = (idx, norms) if rows is None else (idx[rows], norms[rows])
     cols_idx, col_norms = (idx, norms) if cols is None else (idx[cols], norms[cols])
-    subs = s[rows_idx[:, None, :, None], cols_idx[None, :, None, :]]
+    subs = s[idx[:, None, :, None], cols_idx[None, :, None, :]]
     lead = subs.shape[:-2]
     perms = _permanent_batch(subs.reshape(prod(lead), n, n)).reshape(lead)
-    return perms / np.sqrt(np.outer(row_norms, col_norms))
-
-
-def lift_unitary(s: np.ndarray, n_photons: int) -> np.ndarray:
-    """Lift a unitary mode map to the n-photon sector.
-
-    Entry [out, in] is the permanent of the sub-matrix of S built by
-    repeating each output row and input column by its occupation, divided
-    by sqrt of the occupation factorials. The one-photon sector returns S
-    itself.
-
-    Raises
-    ------
-    DomainError
-        If S is not unitary within 1e-10.
-    """
-    s = np.asarray(s, dtype=complex)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {s.shape}")
-    _require_unitary(unitarity_residual(s))
-    return _lift_block(s, enumerate_basis(s.shape[0], n_photons))
+    return perms / np.sqrt(np.outer(norms, col_norms))
 
 
 def _require_unitary(residual) -> None:
@@ -203,9 +178,6 @@ class SectoredState:
         if n not in self.sectors:
             return 0.0 + 0.0j
         return complex(self.sectors[n][enumerate_basis(self.n_modes, n).index_of(occ)])
-
-    def norm_sq(self) -> float:
-        return float(sum(np.sum(np.abs(v) ** 2) for v in self.sectors.values()))
 
 
 @dataclass(frozen=True)
@@ -385,8 +357,10 @@ def _probability(amplitudes) -> np.ndarray:
 def _heralded_success(entries, inp: NlpsgInput) -> np.ndarray:
     """Heralded-gate success probability of N 3x3 matrices given as their
     nine row-major entries S_ij, each an (N,) array: the one unitarity
-    guard and sum of the success probability. heralded_success_stack reads
-    its stack's entries, and the manifold sweeps the composition's.
+    guard and sum of the success probability, which the manifold sweeps
+    hand the composition's entries. Per matrix, the squared norm of
+    nlpsg_closed_form's amplitudes, bit for bit; the reference is
+    project(evolve(inp.state(), s), SUCCESS_PATTERN)[0].
 
     Raises
     ------
@@ -398,31 +372,12 @@ def _heralded_success(entries, inp: NlpsgInput) -> np.ndarray:
     return _probability(_success_amplitudes(s00, s01, s10, s11, inp))
 
 
-def heralded_success_stack(s: np.ndarray, inp: NlpsgInput) -> np.ndarray:
-    """Heralded-gate success probability of each matrix in an (N, 3, 3) stack.
-
-    Per matrix, the squared norm of nlpsg_closed_form's amplitudes, bit for
-    bit, from one stacked closed form: no Fock state, no permanent. The
-    reference is project(evolve(inp.state(), s), SUCCESS_PATTERN)[0].
-
-    Raises
-    ------
-    DomainError
-        If the stack has the wrong shape or any matrix is not unitary
-        within LIFT_UNITARITY_TOL.
-    """
-    s = np.asarray(s, dtype=complex)
-    if s.ndim != 3 or s.shape[1:] != (3, 3):
-        raise DomainError(f"expected an (N, 3, 3) stack, got shape {s.shape}")
-    return _heralded_success(np.ascontiguousarray(s.reshape(-1, 9).T), inp)
-
-
 def nlpsg_closed_form(s: np.ndarray, inp: NlpsgInput):
     """Success-branch amplitudes of the heralded gate, in closed form.
 
     Returns the three amplitudes of the signal mode's zero-, one- and
     two-photon components after a successful herald, plus the total norm
-    of the failure branch. The one-matrix case of heralded_success_stack's
+    of the failure branch. The one-matrix case of _heralded_success's
     closed form; evolve + project is its independent check.
     """
     s = np.asarray(s, dtype=complex)

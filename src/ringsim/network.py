@@ -101,9 +101,6 @@ class NetworkStack:
             deltas=np.array([net.deltas for net in networks], dtype=float).reshape(-1, 3))
         return stack
 
-    def __len__(self) -> int:
-        return len(self.deltas)
-
     @cached_property
     def transfers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each slot's (n_k, 2, 2) transfers, the middle ring's flipped: views

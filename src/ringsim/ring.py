@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +29,8 @@ _COUPLER_DTYPES = {"tau": float, "eta": float, "theta": float, "phi": float,
                    "kappa": complex, "gamma": complex}
 
 # Field -> the field it is read from when the ring is mounted mirror-imaged
-# and its two buses trade roles; the map is its own inverse.
+# and its two buses trade roles, as the network's middle slot is; the map
+# is its own inverse.
 _FLIPPED = {"tau": "eta", "eta": "tau", "theta": "theta", "phi": "phi",
             "kappa": "gamma", "gamma": "kappa"}
 
@@ -40,8 +41,11 @@ class RingCoupler:
 
     tau and eta are the real direct transmission amplitudes of the lower
     and upper couplers; kappa and gamma are the matching cross-coupling
-    amplitudes. theta is the round-trip phase (stored reduced mod 2*pi)
-    and phi the phase partition between the two half-trips.
+    amplitudes. theta is the round-trip phase and phi the phase partition
+    between the two half-trips. Construction stores each of them in
+    (-2*pi, 2*pi), reduced by fmod where its magnitude is 2*pi or more.
+    fmod is exact, so the half-trip phases theta - phi and phi keep every
+    digit whatever representative of the angle was given.
 
     Construction checks, in this order, that tau and eta lie in [-1, 1]
     (DomainError), that |tau * eta| < 1 (PoleError: the on-resonance
@@ -66,16 +70,14 @@ class RingCoupler:
         for name, value in (("theta", self.theta), ("phi", self.phi)):
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
+            if abs(value) >= TWO_PI:
+                object.__setattr__(self, name, math.fmod(value, TWO_PI))
         for t, k, label in ((self.tau, self.kappa, "kappa"),
                             (self.eta, self.gamma, "gamma")):
             if not abs(abs(k) ** 2 + t * t - 1.0) <= _RECIPROCITY_TOL:
                 raise DomainError(f"|{label}|^2 + transmission^2 != 1")
             if not abs(k * t + k.conjugate() * t) <= _RECIPROCITY_TOL:
                 raise DomainError(f"{label} violates the reciprocity phase condition")
-
-    def flipped(self) -> "RingCoupler":
-        """Same ring mounted mirror-imaged: the two buses trade roles."""
-        return replace(self, **{name: getattr(self, _FLIPPED[name]) for name in _FLIPPED})
 
 
 class EffectiveCoupling(NamedTuple):
@@ -101,7 +103,8 @@ def build_coupler(tau: float, eta: float, theta: float,
 
     Cross couplings are fixed by reciprocity to kappa = i*sqrt(1 - tau^2)
     and gamma = i*sqrt(1 - eta^2). When phi is omitted it defaults to half
-    the given (unreduced) round trip; theta itself is stored mod 2*pi.
+    the given (unreduced) round trip; theta itself is stored mod 2*pi, and
+    phi reduced as RingCoupler reduces it.
 
     Raises
     ------
@@ -132,7 +135,8 @@ class CouplerStack:
 
     Every member passes the checks of RingCoupler on construction, and a
     stack with a failing member raises RingCoupler's error for the first
-    one; a NaN field fails. The field arrays are read-only views. A
+    one; a NaN field fails. theta and phi are reduced as RingCoupler
+    reduces them. The field arrays are read-only views. A
     NetworkStack mounts its three slots in one CouplerStack, evaluated in
     one call.
     """
@@ -152,6 +156,15 @@ class CouplerStack:
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise DomainError(f"coupler fields must be 1-D arrays of one length, "
                               f"got shapes {sorted(shapes)}")
+        # Below 2 pi fmod is the identity, so the sweeps' angles, all in
+        # (-2 pi, 2 pi), are neither copied nor touched.
+        for name in ("theta", "phi"):
+            x = getattr(self, name)
+            big = np.flatnonzero((np.abs(x) >= TWO_PI) & np.isfinite(x))
+            if big.size:
+                x = x.copy()
+                x[big] = np.fmod(x[big], TWO_PI)
+                object.__setattr__(self, name, _read_only(x))
         # RingCoupler's check raises, and names the failure: the mask only
         # finds the members to put to it.
         for i in np.flatnonzero(~_passes(*(getattr(self, name) for name in _COUPLER_DTYPES))):
@@ -228,12 +241,6 @@ def transfer_matrix_stack(couplers: CouplerStack) -> np.ndarray:
     out[:, 1, 0] = -couplers.kappa * couplers.gamma.conj() * np.exp(-1j * (theta - phi)) / den
     out[:, 1, 1], _ = _through(tau, eta, z, den)
     return out
-
-
-def transfer_matrix(coupler: RingCoupler) -> np.ndarray:
-    """Bus-to-bus transfer matrix [[a, b], [c, d]] of one ring, shape (2, 2):
-    the N = 1 case of ``transfer_matrix_stack``."""
-    return transfer_matrix_stack(CouplerStack.of([coupler]))[0]
 
 
 def effective_coupling(tau: float, eta: float) -> EffectiveCoupling:

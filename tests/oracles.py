@@ -10,6 +10,15 @@ a shared helper.
   form over the network's one feedback loop instead.
 - ``naive_permanent``: the permanent as a sum over permutations, against
   the package's Gray-code Ryser formula.
+- ``fock_lift`` and ``cnot_kept_block``: photon-number amplitudes of a
+  mode map as permanents of its repeated rows and columns, and the CNOT's
+  heralded block as the full 8-mode, four-photon lift. The package reads
+  that block from the two gates' heralded amplitudes between two
+  two-photon interferometers instead.
+- ``embed``: a small unitary placed on listed modes of a larger network,
+  from which the tests assemble the CNOT's 8-mode matrix part by part.
+- ``t3_of_t1``: the companion outer transmission of the paper's optimal
+  curve, which the package does not compute.
 - ``reversed_network``: the network run backwards, which by reciprocity
   composes to the transpose of the original's scattering matrix.
 
@@ -17,7 +26,8 @@ Bad input raises ``ValueError``; a vanishing swap pivot raises the local
 ``SingularPivotError``, also a ``ValueError``.
 """
 
-from itertools import permutations
+import math
+from itertools import permutations, product
 
 import numpy as np
 
@@ -126,3 +136,67 @@ def reversed_network(rings, deltas):
     reverse order."""
     return ([(tau, eta, theta, theta - phi) for tau, eta, theta, phi in reversed(rings)],
             list(reversed(deltas)))
+
+
+def fock_lift(u, outputs, inputs) -> np.ndarray:
+    """Amplitudes <out|U|in> of the unitary mode map u between occupations
+    (tuples of photon counts, one per mode): the permanent of u with row m
+    repeated out[m] times and column m repeated in[m] times, divided by
+    the square root of the product of both occupations' factorials. One
+    row per output, one column per input."""
+    u = np.asarray(u, dtype=complex)
+
+    def modes(occ):
+        return [m for m, count in enumerate(occ) for _ in range(count)]
+
+    def factorials(occ):
+        return math.prod(math.factorial(count) for count in occ)
+
+    out = np.empty((len(outputs), len(inputs)), dtype=complex)
+    for i, o in enumerate(outputs):
+        for j, n in enumerate(inputs):
+            out[i, j] = (naive_permanent(u[np.ix_(modes(o), modes(n))])
+                         / math.sqrt(factorials(o) * factorials(n)))
+    return out
+
+
+# The CNOT's modes: the control on rails 0, 1, the target on rails 2, 3,
+# and ancilla pairs (4, 5) and (6, 7), each heralding one photon on its
+# first mode and none on its second.
+CNOT_HERALD = (1, 0, 1, 0)
+
+
+def cnot_kept_block(u) -> np.ndarray:
+    """The CNOT's heralded block of the 8-mode unitary u by the full
+    four-photon lift. Columns: the computational inputs |control, target>
+    in the order 00, 01, 10, 11, each with one photon in each ancilla
+    pair's first mode. Rows: the outputs the heralds keep, which leave two
+    photons on the rails, in descending lexicographic order of the rails'
+    occupations."""
+    rails = sorted((occ for occ in product(range(3), repeat=4) if sum(occ) == 2),
+                   reverse=True)
+    inputs = [(1 - c, c, 1 - t, t) + CNOT_HERALD for c, t in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    return fock_lift(u, [occ + CNOT_HERALD for occ in rails], inputs)
+
+
+def embed(s, modes, n_total: int) -> np.ndarray:
+    """The n_total-mode network that acts as the small unitary s on the
+    listed modes, in order, and as the identity elsewhere."""
+    s = np.asarray(s, dtype=complex)
+    modes = [int(m) for m in modes]
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"mode map {modes} has a collision")
+    if any(m < 0 or m >= n_total for m in modes):
+        raise ValueError(f"mode map {modes} outside 0..{n_total - 1}")
+    if s.shape != (len(modes), len(modes)):
+        raise ValueError(f"matrix shape {s.shape} does not match {len(modes)} mapped modes")
+    out = np.eye(n_total, dtype=complex)
+    out[np.ix_(modes, modes)] = s
+    return out
+
+
+def t3_of_t1(t1: float) -> float:
+    """The outer transmission t3 that keeps the resonant network optimal
+    beside t1: the paper's curve (1 - t1^2)(1 - t3^2) = (3 - 2 sqrt 2)^2,
+    solved for t3 >= 0. Raises ValueError where no real t3 exists."""
+    return math.sqrt(1.0 - (3.0 - 2.0 * math.sqrt(2.0)) ** 2 / (1.0 - t1 * t1))

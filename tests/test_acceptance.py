@@ -147,8 +147,8 @@ def test_acceptance_5_fixed_line_phase_intersection():
     networks = intersect_delta2(math.pi / 30.0, grid)
     _, _, _, solver_mag, solver_arg = intersect_stack(math.pi / 30.0, grid)
     success = verdict_stack(compose_scattering_stack(networks)).success_probability
-    ok = len(networks) > 0
-    for i in range(len(networks)):
+    ok = len(networks.deltas) > 0
+    for i in range(len(networks.deltas)):
         ok = ok and solver_mag[i] < 1e-9
         ok = ok and solver_arg[i] < 1e-9
         ok = ok and abs(success[i] - 0.25) < 1e-9

@@ -32,8 +32,7 @@ from ringsim import (
     surface_theta,
     surface_theta_stack,
     t2_from_equality,
-    t3_of_t1,
-    transfer_matrix,
+    transfer_matrix_stack,
     verdict,
     verdict_stack,
     wrap_angle,
@@ -42,7 +41,14 @@ from ringsim import analysis as analysis_module
 from ringsim.analysis import _intersect, _slot_transmission
 from ringsim.errors import DomainError
 
+from oracles import t3_of_t1
+
 SQRT2 = np.sqrt(2.0)
+
+
+def through(coupler):
+    """A ring's through amplitude, [0, 0] of its transfer matrix."""
+    return transfer_matrix_stack(CouplerStack.of([coupler]))[0, 0, 0]
 
 
 def surface_ring(slot, tau, eta, branch=0):
@@ -126,23 +132,29 @@ def test_verdict_along_curve_keeps_constraints():
 
 
 def test_t3_of_t1_values():
+    # t3(t1) is the oracle's since the package's was removed, as only tests
+    # called it; the optimal t1 sits on its curve, and t1 = 0.99 is off the
+    # domain of the curve that beta_sq_of_t1 checks.
     assert np.isclose(t3_of_t1(0.8), 0.9582434, atol=1e-7)
     assert np.isclose(t3_of_t1(T1_OPTIMAL), T1_OPTIMAL, atol=1e-12)
     with pytest.raises(DomainError):
-        t3_of_t1(0.99)
+        beta_sq_of_t1(0.99)
 
 
 @pytest.mark.parametrize("t1", [math.nan, math.inf])
 def test_optimal_curve_rejects_non_finite_t1(t1):
     # A NaN t1 fails both domain checks, not neither.
-    for f in (t3_of_t1, beta_sq_of_t1):
-        with pytest.raises(DomainError):
-            f(t1)
+    with pytest.raises(DomainError):
+        beta_sq_of_t1(t1)
 
 
 def test_t3_of_t1_product_invariant():
     # The reflectivity product is constant along the curve; its square
     # root 3 - 2*sqrt(2) is the value either factor takes at the optimum.
+    # beta_sq_of_t1 writes the curve with its limit t1^2 <= 12 sqrt(2) - 16,
+    # where t3 = 0: the product there is the same constant.
+    limit = analysis_module._T1_SQ_LIMIT
+    assert abs((1.0 - limit) - (3.0 - 2.0 * SQRT2) ** 2) < 1e-12
     for t1 in np.linspace(0.05, 0.97, 41):
         t3 = t3_of_t1(t1)
         product = (1.0 - t1 * t1) * (1.0 - t3 * t3)
@@ -246,13 +258,13 @@ def test_curve_examples():
 
 
 def test_curve_skips_pole_points():
-    assert len(curve_stack([0.0, 0.5, 1.0], ring=1)) == 2
+    assert len(curve_stack([0.0, 0.5, 1.0], ring=1).deltas) == 2
 
 
 def test_curve_skip_messages_are_logged_at_info_only(caplog, monkeypatch):
     grid = [-1.5, 0.0, 0.5, 1.0, 1.5]
     with caplog.at_level(logging.INFO, logger="ringsim.analysis"):
-        assert len(curve_stack(grid, ring=1)) == 2
+        assert len(curve_stack(grid, ring=1).deltas) == 2
     assert [r.getMessage() for r in caplog.records] == [
         *(f"curve point tau={tau} skipped: inversion pole or coupler outside its domain"
           for tau in (-1.5, 1.0, 1.5)),
@@ -265,7 +277,7 @@ def test_curve_skip_messages_are_logged_at_info_only(caplog, monkeypatch):
 
     monkeypatch.setattr(analysis_module.log, "info", forbidden)
     with caplog.at_level(logging.WARNING, logger="ringsim.analysis"):
-        assert len(curve_stack(grid, ring=1)) == 2
+        assert len(curve_stack(grid, ring=1).deltas) == 2
     assert caplog.records == []
 
 
@@ -324,7 +336,7 @@ def test_surface_theta_solutions_hit_target_magnitude():
         tau = rng.uniform(0.05, 0.95)
         eta = rng.uniform(0.05, 0.95)
         for theta in surface_theta(T1_OPTIMAL, eta, tau):
-            a = transfer_matrix(build_coupler(tau, eta, theta))[0, 0]
+            a = through(build_coupler(tau, eta, theta))
             assert abs(abs(a) - T1_OPTIMAL) < 1e-10
             found += 1
 
@@ -349,7 +361,7 @@ def test_through_phase_of_transfer_matrix_matches_formula():
         tau = rng.uniform(0.05, 0.95)
         eta = rng.uniform(0.05, 0.95)
         theta = rng.uniform(0.0, 2.0 * np.pi)
-        a = transfer_matrix(build_coupler(tau, eta, theta))[0, 0]
+        a = through(build_coupler(tau, eta, theta))
         if abs(a) < 1e-6:
             continue
         assert np.isclose(through_phase(eta, tau, theta), np.angle(a), atol=1e-12)
@@ -416,10 +428,10 @@ def test_off_resonance_check_vanishing_through_amplitude_has_phase_zero():
 def test_intersect_nonzero_line_phase():
     grid = np.linspace(0.0, 0.96, 25)
     networks = intersect_delta2(np.pi / 30.0, tau2_grid=grid)
-    assert len(networks)
+    assert len(networks.deltas)
     # The tau2 = 0 grid point carries a fixed through phase and cannot
     # meet the nonzero target, so at least one point is skipped.
-    assert len(networks) < 25
+    assert len(networks.deltas) < 25
     _, _, _, solver_mag, solver_arg = intersect_stack(np.pi / 30.0, grid)
     assert np.all(solver_mag < 1e-9)
     assert np.all(solver_arg < 1e-9)

@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringsim import (SUCCESS_PATTERN, CouplerStack, NetworkParams, NlpsgInput,
+from ringsim import (SUCCESS_PATTERN, CouplerStack, NetworkParams, NetworkStack, NlpsgInput,
                      T1_OPTIMAL, T2_OPTIMAL, build_coupler, compensated_network_stack,
                      compose_scattering, curve_ring, curve_stack, evolve,
                      invert_effective, project, surface_theta)
@@ -1183,25 +1184,33 @@ def _cli_calls(draw):
 # 30 examples keep the test under 0.5 s.
 @settings(deadline=None, max_examples=30)
 @given(_cli_calls())
-# A constraint violation, diagnostics before an unwritable output, and the
-# alpha warning before an error exit.
+# A constraint violation, diagnostics before an unwritable output, the
+# alpha warning before an error exit, and a phase partition of -1e308.
 @example((["cnot", "--config", None],
           {"gate_a": {"rings": [ring_entry(1, theta=0.3), ring_entry(2), ring_entry(3)]}}))
+@example((["smatrix", "--config", None],
+          {"rings": [{"tau": 0.3, "eta": 0.5, "theta": 1.0, "phi": -1e308},
+                     ring_entry(2), ring_entry(3, theta=1e300)]}))
 @example((["cnot", "--output", str(Path("missing", "dir", "out"))], None))
 @example((["cnot", "--config", None], b'{"gate_a": "\xff"}'))
 @example((["manifold", "curve", "--grid", "3", "--output", str(Path("missing", "out"))], None))
 @example((["verify", "--alpha", "1,1,0", "--config", None],
           {"rings": [ring_entry(1), ring_entry(2), ring_entry(3)], "tolerance": -1.0}))
 def test_cli_exit_code_contract(tmp_path_factory, call):
-    # Every call exits 0, 2, 3 or 4 with no traceback; exit 0 prints no NaN
-    # or inf. An error exit writes one stderr line, or argparse's usage and
-    # error lines; verify's exit 4 is a report on stdout.
+    # Every call exits 0, 2, 3 or 4 with no traceback and no Python warning,
+    # which is turned into an error as the corpus replay turns it; exit 0
+    # prints no NaN or inf, and smatrix's exit 0 a unitary matrix away from
+    # the band |1 - L| < 1e-3 around the loop pole. An error exit writes one
+    # stderr line, or argparse's usage and error lines; verify's exit 4 is a
+    # report on stdout.
     argv, cfg = call
     path = tmp_path_factory.getbasetemp() / "contract.json"
     path.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
     argv = [str(path) if a is None else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
         try:
             code, by_argparse = main(argv), False
         except SystemExit as exit_:
@@ -1211,6 +1220,12 @@ def test_cli_exit_code_contract(tmp_path_factory, call):
     assert "Traceback" not in err
     if code == 0:
         assert "nan" not in out.lower() and "inf" not in out.lower(), (argv, cfg, out)
+        if argv[0] == "smatrix":
+            networks = NetworkStack.of([cli._network_from_config(cfg)])
+            c1, d2, b3 = networks.legs()[1]
+            loop = abs(1.0 - c1[0] * d2[0] * b3[0] * np.exp(-1j * networks.deltas[0, 1]))
+            if loop >= 1e-3:
+                assert json.loads(out)["unitarity_residual"] <= 1e-10, (argv, cfg, out)
     elif by_argparse:
         lines = err.splitlines()
         assert code == 2 and err.startswith("usage: ringsim ")

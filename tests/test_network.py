@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringsim import (
@@ -14,6 +14,8 @@ from ringsim import (
     NetworkStack,
     PoleError,
     RESONANT_THETA,
+    TWO_PI,
+    RingCoupler,
     T1_OPTIMAL,
     T2_OPTIMAL,
     build_coupler,
@@ -21,6 +23,7 @@ from ringsim import (
     compose_scattering,
     effective_coupling,
     invert_effective,
+    transfer_matrix_stack,
     unitarity_residual,
 )
 from ringsim.errors import DomainError
@@ -286,6 +289,60 @@ def test_angle_representatives_compose_to_the_same_matrix(rings, deltas, turns, 
     shifted = NetworkParams(rings=net.rings, deltas=tuple(
         d + 2.0 * math.pi * k for d, k in zip(deltas, line_turns)))
     assert np.max(np.abs(compose_scattering(shifted) - s)) <= bound
+
+
+# Any finite angle, of any magnitude, subnormals and -0.0 included.
+_ANY_ANGLE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.tuples(*[st.tuples(_COUPLER, _COUPLER, _ANY_ANGLE, st.none() | _ANY_ANGLE)] * 3),
+       st.tuples(*[_ANY_ANGLE] * 3))
+# An explicit phi = -1e308 (the pinned smatrix call), and the default
+# phi = theta / 2 of an unreduced theta of 1e10 and of 1e300.
+@example(((0.3, 0.5, 1.0, -1e308), (0.45, 0.6, 2.1, None), (0.2, 0.9, 5.5, None)),
+         (0.0, 0.0, 0.0))
+@example(((0.3, 0.5, 1e10, None), (0.45, 0.6, 1e300, None), (0.2, 0.9, -1e15, None)),
+         (1e300, -1e10, 5e-324))
+def test_every_finite_angle_composes_to_a_unitary_matrix(rings, deltas):
+    # theta and phi are reduced once, exactly, when a ring is built, so
+    # the half-trip phases phi and theta - phi keep every digit; a line
+    # phase is a pure phase at any magnitude. The loop gain g = 1 / (1 - L)
+    # amplifies rounding.
+    net = NetworkParams(rings=tuple(build_coupler(*ring) for ring in rings), deltas=deltas)
+    for ring in net.rings:
+        assert abs(ring.theta) < TWO_PI and abs(ring.phi) < TWO_PI
+    c1, d2, b3 = NetworkStack.of([net]).legs()[1]
+    loop = abs(1.0 - c1[0] * d2[0] * b3[0] * np.exp(-1j * deltas[1]))
+    assert unitarity_residual(compose_scattering(net)) <= 1e-14 / min(1.0, loop)
+
+
+def _reduced(x):
+    """x reduced as a ring stores its theta and phi: by fmod, where |x| > pi
+    (fmod is the identity below 2 pi)."""
+    return math.fmod(x, TWO_PI) if abs(x) > math.pi else x
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(_COUPLER, _COUPLER, _ANY_ANGLE, _ANY_ANGLE), min_size=1, max_size=4))
+@example([(0.3, 0.5, 1e300, -1e308), (0.3, 0.5, -4.0, 4.0), (0.3, 0.5, math.pi, -math.pi),
+          (0.3, 0.5, TWO_PI, -TWO_PI), (0.3, 0.5, -0.0, 5e-324)])
+def test_directly_built_rings_reduce_their_angles(rings):
+    # A RingCoupler or CouplerStack built from its fields, not by
+    # build_coupler, reduces theta and phi the same way, bit for bit, and
+    # each ring's transfer matrix is unitary to rounding, amplified by
+    # 1 / |1 - tau eta e^{-i theta}|.
+    fields = [dict(tau=tau, eta=eta, theta=theta, phi=phi,
+                   kappa=1j * math.sqrt(1.0 - tau * tau), gamma=1j * math.sqrt(1.0 - eta * eta))
+              for tau, eta, theta, phi in rings]
+    singles = [RingCoupler(**f) for f in fields]
+    stack = CouplerStack(**{name: [f[name] for f in fields] for name in fields[0]})
+    for f, ring, theta, phi in zip(fields, singles, stack.theta, stack.phi):
+        assert ring.theta == theta == _reduced(f["theta"])
+        assert ring.phi == phi == _reduced(f["phi"])
+    for tau, eta, theta, m in zip(stack.tau, stack.eta, stack.theta,
+                                  transfer_matrix_stack(stack)):
+        den = abs(1.0 - tau * eta * np.exp(-1j * theta))
+        assert unitarity_residual(m) <= 1e-14 / min(1.0, den)
 
 
 @st.composite

@@ -14,11 +14,25 @@ from ringsim import (
     build_couplers,
     effective_coupling,
     invert_effective,
-    transfer_matrix,
     transfer_matrix_stack,
 )
+from ringsim.ring import _FLIPPED
 
 TWO_PI = 2.0 * np.pi
+
+
+# The tests of the public transfer_matrix and RingCoupler.flipped, which
+# only tests called, now read transfer_matrix_stack and the field map the
+# network mounts its middle slot with through these.
+def transfer_matrix(coupler):
+    """The (2, 2) transfer matrix of one ring: its stack of one."""
+    return transfer_matrix_stack(CouplerStack.of([coupler]))[0]
+
+
+def flipped(coupler):
+    """The ring mounted mirror-imaged, as the network's middle slot mounts
+    it: each field read from its partner in the package's field map."""
+    return RingCoupler(**{name: getattr(coupler, _FLIPPED[name]) for name in _FLIPPED})
 
 
 def test_build_coupler_cross_amplitudes():
@@ -94,7 +108,7 @@ def test_ring_coupler_rejects_nan_cross_amplitude(field):
 
 def test_flipped_swaps_waveguide_and_loop_sides():
     c = build_coupler(0.3, 0.7, 1.1, 0.2)
-    f = c.flipped()
+    f = flipped(c)
     assert f.tau == c.eta and f.eta == c.tau
     assert f.kappa == c.gamma and f.gamma == c.kappa
     assert f.theta == c.theta and f.phi == c.phi
@@ -105,8 +119,9 @@ def test_transfer_swap_example():
     m = transfer_matrix(coupler)
     assert m.shape == (2, 2)
     assert np.allclose(m, [[0, 1], [1, 0]], atol=1e-12)
-    # One ring is the N = 1 case of the stacked transfer, bit for bit.
-    assert m.tobytes() == transfer_matrix_stack(CouplerStack.of([coupler]))[0].tobytes()
+    # A ring alone is its member of a longer stack, bit for bit.
+    other = build_coupler(0.2, -0.7, 1.3, 0.4)
+    assert m.tobytes() == transfer_matrix_stack(CouplerStack.of([other, coupler]))[1].tobytes()
 
 
 def test_transfer_balanced_through_vanishes():
@@ -223,7 +238,7 @@ def test_on_resonance_consistency_with_full_transfer():
         r = np.sqrt(1.0 - t * t)
         m = transfer_matrix(coupler)
         assert np.max(np.abs(m - [[t, r], [r, -t]])) < 1e-12
-        m_flip = transfer_matrix(coupler.flipped())
+        m_flip = transfer_matrix(flipped(coupler))
         assert np.max(np.abs(m_flip - [[-t, r], [r, t]])) < 1e-12
 
 
