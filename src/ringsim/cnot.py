@@ -4,10 +4,11 @@ acting on a dual-rail interferometer.
 The CNOT is one fixed circuit: the control on rails 0, 1 and the target
 on rails 2, 3, gate A on the control one-rail with ancillas 4, 5 and gate
 B on the target zero-rail with ancillas 6, 7, between fixed 50/50
-interferometers. build_cnot reads the heralded block from the two gates'
-heralded amplitudes beta between two fixed two-photon interferometers on
-the rails, with no 8-mode Fock lift. The tests hold that block to an
-independent 8-mode, four-photon lift by permanents (tests/oracles.py)."""
+interferometers. The CNOT's record is its heralded block, which
+build_cnot reads from the two gates' heralded amplitudes beta between two
+fixed two-photon interferometers on the rails: no 8-mode matrix is built.
+The tests assemble that matrix from its parts and hold the block to its
+independent four-photon lift by permanents (tests/oracles.py)."""
 
 from __future__ import annotations
 
@@ -20,9 +21,9 @@ import numpy as np
 
 from .analysis import NlpsgVerdict, _member, verdict_stack
 from .errors import ConstraintError, DomainError, PoleError
-from .fock import _lift_block, _require_unitary, enumerate_basis
-from .network import (_LOOP_POLE, NetworkParams, NetworkStack,
-                      compose_scattering, compose_scattering_stack, unitarity_residual)
+from .fock import _lift_block, enumerate_basis
+from .network import (_LOOP_POLE, NetworkParams, NetworkStack, _require_unitary,
+                      compose_scattering_stack, unitarity_residual)
 from .ring import _read_only
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -41,15 +42,11 @@ _LOGICAL = _read_only(np.array([2, 3, 5, 6]))
 
 @dataclass(frozen=True, eq=False)
 class CnotNetwork:
-    """The CNOT's global 8-mode unitary and its heralded block.
+    """The CNOT's heralded block: the amplitudes of the herald-consistent
+    four-photon outputs, one row per two-photon state of the rails, one
+    column per computational input in _COMPUTATIONAL order. Every check
+    reads this one block; build_cnot fills it (see _heralded_block)."""
 
-    ``kept_block`` holds the amplitudes of the herald-consistent four-photon
-    outputs: one row per two-photon state of the rails, one column per
-    computational input in _COMPUTATIONAL order. Every check reads this one
-    block; build_cnot fills it (see _heralded_block).
-    """
-
-    matrix: np.ndarray
     kept_block: np.ndarray
 
 
@@ -78,40 +75,27 @@ _SPLITTER = _read_only(np.array([[_INV_SQRT2, _INV_SQRT2],
 
 
 def _mixer(a: int, b: int) -> np.ndarray:
-    """The 50/50 splitter on modes a and b of the 8-mode network, identity
-    elsewhere."""
-    out = np.eye(8, dtype=complex)
+    """The 50/50 splitter on rails a and b, identity on the other two."""
+    out = np.eye(4, dtype=complex)
     out[np.ix_((a, b), (a, b))] = _SPLITTER
     return _read_only(out)
 
 
-# The fixed parts of build_cnot's network: the 50/50 mixer on the target
-# rails, the inner splitter between the control one-rail and the target
-# zero-rail, and the pi phase on the control one-rail.
+# The fixed parts of build_cnot's network, which act on the rails (modes
+# 0-3) only: the 50/50 mixer on the target rails, the inner splitter
+# between the control one-rail and the target zero-rail, and the pi phase
+# on the control one-rail.
 _TARGET_MIX = _mixer(2, 3)
 _INNER = _mixer(1, 2)
-_CONTROL_FLIP = _read_only(np.diag([1, -1, 1, 1, 1, 1, 1, 1]).astype(complex))
-
-# Gate A acts on the control one-rail (mode 1) with ancillas 4, 5, gate B
-# on the target zero-rail (mode 2) with ancillas 6, 7. _GATE_ROWS and
-# _GATE_COLS place each entry of the (2, 3, 3) gate stack in the 8x8
-# network.
-_ARMS = ((1, 4, 5), (2, 6, 7))
-_GATE_ROWS = _read_only(np.repeat(_ARMS, 3))
-_GATE_COLS = _read_only(np.tile(_ARMS, 3).ravel())
+_CONTROL_FLIP = _read_only(np.diag([1, -1, 1, 1]).astype(complex))
 
 
 class _Interferometers(NamedTuple):
-    """build_cnot's fixed networks, which act on the rails (modes 0-3) only.
+    """build_cnot's fixed networks before and after the gates, lifted to
+    the rails' two-photon states, enumerate_basis(4, 2): ``post_lift`` and
+    ``pre_cols``, the latter cut to the computational inputs; and
+    ``arm_photons``, the photons on modes 1 and 2 of each two-photon state."""
 
-    ``pre`` and ``post`` are the 8x8 networks before and after the gates.
-    ``post_lift`` and ``pre_cols`` are their two-photon lifts over
-    enumerate_basis(4, 2), the latter cut to the computational inputs, and
-    ``arm_photons`` the photons on modes 1 and 2 of each two-photon
-    state."""
-
-    pre: np.ndarray
-    post: np.ndarray
     post_lift: np.ndarray
     pre_cols: np.ndarray
     arm_photons: np.ndarray
@@ -120,31 +104,18 @@ class _Interferometers(NamedTuple):
 @lru_cache(maxsize=None)
 def _interferometers() -> _Interferometers:
     """Built on first use, not at import: only the CNOT reads them."""
-    pre = _read_only(_INNER @ _TARGET_MIX)
-    post = _read_only(_CONTROL_FLIP @ _TARGET_MIX @ _INNER)
     rails = enumerate_basis(4, 2)
     return _Interferometers(
-        pre, post,
-        _read_only(_lift_block(post[:4, :4], rails)),
-        _read_only(_lift_block(pre[:4, :4], rails, cols=_LOGICAL)),
+        _read_only(_lift_block(_CONTROL_FLIP @ _TARGET_MIX @ _INNER, rails)),
+        _read_only(_lift_block(_INNER @ _TARGET_MIX, rails, cols=_LOGICAL)),
         _read_only(rails.occupancy[:, 1:3].T.copy()))
 
 
-def _network_matrix(gates: np.ndarray, probe_phase: float) -> np.ndarray:
-    """build_cnot's 8x8 unitary from its (2, 3, 3) gate stack: one matrix
-    holding both gates and the probe phase, between the fixed networks."""
-    fixed = _interferometers()
-    middle = np.eye(8, dtype=complex)
-    middle[_GATE_ROWS, _GATE_COLS] = gates.reshape(-1)
-    middle[:, 1] *= np.exp(1j * probe_phase)  # the probe acts before gate A
-    return _read_only(fixed.post @ middle @ fixed.pre)
-
-
 def _heralded_block(heralded: np.ndarray, probe_phase: float) -> np.ndarray:
-    """The kept block of _network_matrix's network, from the gates'
-    heralded amplitudes: row g of the (2, 3) array ``heralded`` is what
-    gate g's herald leaves of 0, 1 and 2 photons on its signal mode, which
-    is (beta0, beta1, -beta2) of _betas.
+    """The kept block of the CNOT network, from the gates' heralded
+    amplitudes: row g of the (2, 3) array ``heralded`` is what gate g's
+    herald leaves of 0, 1 and 2 photons on its signal mode, which is
+    (beta0, beta1, -beta2) of _betas.
 
     Once both ancilla pairs herald, each gate acts on its arm's photon
     number n as n -> h[n] n, so the block is post · diag(d) · pre over the
@@ -157,18 +128,28 @@ def _heralded_block(heralded: np.ndarray, probe_phase: float) -> np.ndarray:
     return (fixed.post_lift * d) @ fixed.pre_cols
 
 
-def _judge(label: str, verdicts: NlpsgVerdict, i: int, tol: float) -> None:
-    """Raise ConstraintError, with the gate's own verdict, unless member i of
-    a stacked verdict meets the success constraints and heralds."""
-    if not verdicts.residual[i] < tol:
-        raise ConstraintError(
-            f"gate {label} violates the success constraints "
-            f"(residual {verdicts.residual[i]:.3e} >= {tol:.1e})",
-            verdict=_member(verdicts, i))
-    if not abs(verdicts.beta0[i]) > tol:
-        raise ConstraintError(
-            f"gate {label} never heralds (|beta0| {abs(verdicts.beta0[i]):.3e} "
-            f"<= {tol:.1e})", verdict=_member(verdicts, i))
+def _checked_verdicts(networks: NetworkStack, matrices: np.ndarray,
+                     tol: float) -> NlpsgVerdict:
+    """The stacked verdict of the gates that ``networks`` composed into
+    ``matrices``, gate A first, once every gate is unitary within 1e-10
+    (else PoleError, from the one-matrix unitarity_residual that smatrix
+    prints) and then meets the success constraints and heralds (else
+    ConstraintError, with the gate's own verdict)."""
+    labels = "AB"[:len(matrices)]
+    _require_unitary(networks, [unitarity_residual(m) for m in matrices],
+                     [f"gate {label}" for label in labels])
+    verdicts = verdict_stack(matrices)
+    for i, label in enumerate(labels):
+        if not verdicts.residual[i] < tol:
+            raise ConstraintError(
+                f"gate {label} violates the success constraints "
+                f"(residual {verdicts.residual[i]:.3e} >= {tol:.1e})",
+                verdict=_member(verdicts, i))
+        if not abs(verdicts.beta0[i]) > tol:
+            raise ConstraintError(
+                f"gate {label} never heralds (|beta0| {abs(verdicts.beta0[i]):.3e} "
+                f"<= {tol:.1e})", verdict=_member(verdicts, i))
+    return verdicts
 
 
 def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
@@ -187,45 +168,43 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
     splitters; nonzero values deliberately break the interference (see
     verify_coherence).
 
-    The checks read the network's heralded block from the two gates'
+    The record is the network's heralded block, read from the two gates'
     verdict amplitudes beta between the two fixed two-photon
-    interferometers (see _heralded_block), with no 8-mode Fock lift.
+    interferometers (see _heralded_block), with no 8-mode matrix or Fock
+    lift. The fixed parts are exact splitters and a sign, so the gates are
+    what is checked, where they are composed.
 
     Raises
     ------
+    PoleError
+        If either gate's network sits on its loop pole, or composes to a
+        matrix that is not unitary within 1e-10 near it; the message names
+        the gate. Both gates' unitarity is checked before either verdict,
+        and gate B's pole after gate A's checks.
     ConstraintError
         If either gate's success constraints fail at ``tol``, or its
         heralded amplitude beta0 is at most ``tol`` so it never heralds;
         gate A is checked first and the verdict rides along on the exception.
-    PoleError
-        If either gate's network sits on its loop pole; the message names
-        the gate, and gate A's verdict comes before gate B's pole.
-    DomainError
-        If the assembled network is not unitary within 1e-10.
     """
+    networks = NetworkStack.of((gate_a, gate_b))
     try:
         # One stacked call: composing each gate alone costs about 0.15 ms
         # more, nearly all of it fixed per-call work, or 9% of a cnot call.
-        matrices = compose_scattering_stack(NetworkStack.of((gate_a, gate_b)))
+        matrices = compose_scattering_stack(networks)
     except PoleError as err:
         # A stack member composes bit for bit as it does alone, so gate A
         # composed alone tells whose pole it is; gate B's pole is reported
-        # only after gate A's verdict.
+        # only after gate A's checks.
+        alone = NetworkStack.of([gate_a])
         try:
-            matrix_a = compose_scattering(gate_a)
+            matrix_a = compose_scattering_stack(alone)
         except PoleError as err_a:
             raise PoleError(f"gate A: {_LOOP_POLE}") from err_a
-        _judge("A", verdict_stack(matrix_a[np.newaxis]), 0, tol)
+        _checked_verdicts(alone, matrix_a, tol)
         raise PoleError(f"gate B: {_LOOP_POLE}") from err
-    verdicts = verdict_stack(matrices)
-    for i, label in enumerate("AB"):
-        _judge(label, verdicts, i, tol)
-
-    matrix = _network_matrix(matrices, probe_phase)
-    _require_unitary(unitarity_residual(matrix))
+    verdicts = _checked_verdicts(networks, matrices, tol)
     heralded = np.array([verdicts.beta0, verdicts.beta1, -verdicts.beta2]).T
-    return CnotNetwork(matrix=matrix,
-                       kept_block=_read_only(_heralded_block(heralded, probe_phase)))
+    return CnotNetwork(kept_block=_read_only(_heralded_block(heralded, probe_phase)))
 
 
 def _post_selected(amps: np.ndarray):

@@ -21,10 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .network import _entry_residual, unitarity_residual
+from .network import (UNITARITY_TOL, NetworkStack, _entries, _entry_residual,
+                      _require_unitary, unitarity_residual)
 from .ring import _read_only
-
-LIFT_UNITARITY_TOL = 1e-10
 
 
 def _whole(x, what: str) -> int:
@@ -130,13 +129,6 @@ def _lift_block(s: np.ndarray, basis: OccupationBasis,
     return perms / np.sqrt(np.outer(norms, col_norms))
 
 
-def _require_unitary(residual) -> None:
-    """Raise DomainError unless a unitarity residual, or every one of an
-    array of them, is within LIFT_UNITARITY_TOL. A NaN residual fails."""
-    if not np.all(residual <= LIFT_UNITARITY_TOL):
-        raise DomainError("scattering matrix is not unitary within 1e-10")
-
-
 class SectoredState:
     """Pure multi-mode state keyed by total photon number.
 
@@ -210,13 +202,15 @@ def evolve(state: SectoredState, s: np.ndarray) -> SectoredState:
     Each sector's output is the lift restricted to the input states the
     sector occupies, applied to their amplitudes. That is never more
     permanents than the full lift, exactly the full lift when every state
-    is occupied, and zeros when none is.
+    is occupied, and zeros when none is. A matrix that is not unitary
+    within UNITARITY_TOL, or has a NaN entry, raises DomainError.
     """
     s = np.asarray(s, dtype=complex)
     if s.shape != (state.n_modes, state.n_modes):
         raise DomainError(
             f"matrix shape {s.shape} does not match {state.n_modes} modes")
-    _require_unitary(unitarity_residual(s))
+    if not unitarity_residual(s) <= UNITARITY_TOL:
+        raise DomainError("scattering matrix is not unitary within 1e-10")
     out = {}
     for n, vec in state.sectors.items():
         nz = np.flatnonzero(np.abs(vec) > 0.0)
@@ -354,20 +348,22 @@ def _probability(amplitudes) -> np.ndarray:
     return np.abs(c0) ** 2 + np.abs(c1) ** 2 + np.abs(c2) ** 2
 
 
-def _heralded_success(entries, inp: NlpsgInput) -> np.ndarray:
-    """Heralded-gate success probability of N 3x3 matrices given as their
-    nine row-major entries S_ij, each an (N,) array: the one unitarity
-    guard and sum of the success probability, which the manifold sweeps
-    hand the composition's entries. Per matrix, the squared norm of
-    nlpsg_closed_form's amplitudes, bit for bit; the reference is
+def _heralded_success(networks: NetworkStack, inp: NlpsgInput) -> np.ndarray:
+    """Heralded-gate success probability of each network of a NetworkStack:
+    the manifold sweeps' one composition, unitarity guard and sum of the
+    success probability, over the composition's nine row-major entries.
+    Per network, the squared norm of nlpsg_closed_form's amplitudes of its
+    composed matrix, bit for bit; the reference is
     project(evolve(inp.state(), s), SUCCESS_PATTERN)[0].
 
     Raises
     ------
-    DomainError
-        If any matrix is not unitary within LIFT_UNITARITY_TOL.
+    PoleError
+        If any network sits on its loop pole, or composes to a matrix that
+        is not unitary within UNITARITY_TOL near it.
     """
-    _require_unitary(_entry_residual(entries))
+    entries = _entries(networks)
+    _require_unitary(networks, _entry_residual(entries))
     s00, s01, _, s10, s11 = entries[:5]
     return _probability(_success_amplitudes(s00, s01, s10, s11, inp))
 

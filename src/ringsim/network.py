@@ -22,6 +22,10 @@ from .ring import (_COUPLER_DTYPES, _FLIPPED, CouplerStack, RingCoupler, _read_o
 
 _LOOP_POLE = "loop gain b3 c1 d2 e^(-i delta2) = 1"
 
+# Largest unitarity residual of a matrix that the Fock layer lifts, and of a
+# composed network that a command goes on with.
+UNITARITY_TOL = 1e-10
+
 # Ring field -> mounted field per slot: the middle ring is flipped, a self-inverse swap.
 _SAME = {name: name for name in _COUPLER_DTYPES}
 _MOUNTED = (_SAME, _FLIPPED, _SAME)
@@ -218,6 +222,25 @@ def unitarity_residual(s: np.ndarray):
         return float(np.max(np.abs(s.conj().T @ s - np.eye(s.shape[-1])), initial=0.0))
     # columns[j, k] = s[:, k, j]
     return _gram_residual(np.ascontiguousarray(s.transpose(2, 1, 0)), len(s))
+
+
+def _require_unitary(networks: NetworkStack, residual, names=None) -> None:
+    """Raise PoleError unless each of the composed ``networks`` has its
+    unitarity ``residual`` within UNITARITY_TOL; a NaN residual fails.
+
+    A network of valid rings loses unitarity only near its loop pole, where
+    g = 1 / (1 - L) magnifies the entries' rounding. The message names the
+    first failing network (``names[i]``, else "network i") and gives its
+    residual and |1 - L|, which is computed only here."""
+    bad = np.flatnonzero(~(np.asarray(residual) <= UNITARITY_TOL))
+    if bad.size:
+        i = bad[0]
+        # A slot's stack of one ring stands for the same ring in every network.
+        c1, d2, b3 = (leg[min(i, len(leg) - 1)] for leg in networks.legs()[1])
+        gap = abs(1.0 - b3 * c1 * d2 * np.exp(-1j * networks.deltas[i, 1]))
+        raise PoleError(f"{f'network {i}' if names is None else names[i]}: scattering "
+                        f"matrix is not unitary within 1e-10 (residual {residual[i]:.3e}) "
+                        f"near the loop pole, |1 - L| = {gap:.3e}")
 
 
 def _entry_residual(entries) -> np.ndarray:

@@ -15,23 +15,32 @@ a shared helper.
   heralded block as the full 8-mode, four-photon lift. The package reads
   that block from the two gates' heralded amplitudes between two
   two-photon interferometers instead.
-- ``embed``: a small unitary placed on listed modes of a larger network,
-  from which the tests assemble the CNOT's 8-mode matrix part by part.
+- ``embed`` and ``cnot_network``: a small unitary placed on listed modes
+  of a larger network, and the CNOT's 8-mode matrix assembled from such
+  parts. The package builds no 8-mode matrix.
 - ``t3_of_t1``: the companion outer transmission of the paper's optimal
   curve, which the package does not compute.
 - ``reversed_network``: the network run backwards, which by reciprocity
   composes to the transpose of the original's scattering matrix.
+- ``exact_scattering``: a config's 3x3 scattering matrix in mpmath at 60
+  digits, from the config's float inputs, by the mode-swap chain: the
+  reference that a printed digit is rounding of, or noise.
 
 Bad input raises ``ValueError``; a vanishing swap pivot raises the local
 ``SingularPivotError``, also a ``ValueError``.
 """
 
+import cmath
 import math
 from itertools import permutations, product
 
+import mpmath
 import numpy as np
 
 SWAP_PIVOT_TOL = 1e-12
+
+# The float 2 pi by which a ring's angles are reduced.
+TWO_PI = 2.0 * math.pi
 
 
 class SingularPivotError(ValueError):
@@ -195,8 +204,94 @@ def embed(s, modes, n_total: int) -> np.ndarray:
     return out
 
 
+def cnot_network(gate_a, gate_b, probe_phase: float) -> np.ndarray:
+    """The CNOT's 8-mode unitary around the 3x3 gates gate_a and gate_b,
+    from embedded parts: a 50/50 mixer on the target rails (2, 3), then one
+    between the control one-rail and the target zero-rail (1, 2); the
+    probe phase on mode 1; gate A on arm 1 with ancillas 4, 5 and gate B on
+    arm 2 with ancillas 6, 7; the two mixers again, in reverse order; and
+    a pi phase on the control one-rail."""
+    splitter = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    target_mix, inner = embed(splitter, (2, 3), 8), embed(splitter, (1, 2), 8)
+    probe = embed([[cmath.exp(1j * probe_phase)]], (1,), 8)
+    control_flip = embed([[-1.0]], (1,), 8)
+    return (control_flip @ target_mix @ inner @ embed(gate_b, (2, 6, 7), 8)
+            @ embed(gate_a, (1, 4, 5), 8) @ probe @ inner @ target_mix)
+
+
 def t3_of_t1(t1: float) -> float:
     """The outer transmission t3 that keeps the resonant network optimal
     beside t1: the paper's curve (1 - t1^2)(1 - t3^2) = (3 - 2 sqrt 2)^2,
     solved for t3 >= 0. Raises ValueError where no real t3 exists."""
     return math.sqrt(1.0 - (3.0 - 2.0 * math.sqrt(2.0)) ** 2 / (1.0 - t1 * t1))
+
+
+def _exact_swap(g, p: int):
+    """mode_swap3 of the mpmath 3x3 matrix g on the 0-based mode p."""
+    pivot = g[p, p]
+    if pivot == 0:
+        raise ValueError(f"mode-{p + 1} pivot is exactly 0")
+    out = mpmath.matrix(3, 3)
+    for i in range(3):
+        for j in range(3):
+            if i == p and j == p:
+                out[i, j] = 1 / pivot
+            elif i == p:
+                out[i, j] = -g[p, j] / pivot
+            elif j == p:
+                out[i, j] = g[i, p] / pivot
+            else:
+                out[i, j] = g[i, j] - g[i, p] * g[p, j] / pivot
+    return out
+
+
+def exact_scattering(config, digits: int = 60):
+    """The 3x3 scattering matrix (an mpmath matrix) of a config
+    {"rings": [ring, ring, ring]}, computed at ``digits`` digits from the
+    config's float inputs, with the command line's conventions:
+
+    - a ring {tau, eta, theta, phi?, delta?} has cross couplings
+      kappa = i sqrt(1 - tau^2) and gamma = i sqrt(1 - eta^2); theta is
+      taken mod the float 2 pi (Python's float %, which is fmod plus 2 pi
+      for a negative remainder); phi defaults to half of that theta, or
+      to half of 2 pi where it is 0, and a given phi of magnitude 2 pi or
+      more is reduced by fmod; delta defaults to 0;
+    - with z = e^{-i theta} and den = 1 - eta tau z, the ring's transfer is
+      [[(eta - tau z), -gamma conj(kappa) e^{-i phi}],
+       [-kappa conj(gamma) e^{-i (theta - phi)}, (tau - eta z)]] / den;
+    - the middle ring is mounted flipped, tau with eta and kappa with gamma
+      exchanged;
+    - ring k's line phasor e^{-i delta_k} sits on slot 1 of blocks 1 and 3,
+      beside the ring on slots 2, 3, and on slot 3 of block 2, beside the
+      ring on slots 1, 2; each block is swapped on mode 2, the chain
+      multiplied in slot order 3, 2, 1 and swapped on mode 2 again.
+
+    Raises ValueError where a swap pivot is exactly 0."""
+    with mpmath.workdps(digits):
+        chain = mpmath.eye(3)
+        for slot, ring in enumerate(config["rings"]):
+            tau, eta = mpmath.mpf(ring["tau"]), mpmath.mpf(ring["eta"])
+            theta = ring["theta"] % TWO_PI
+            phi = ring.get("phi")
+            if phi is None:
+                phi = 0.5 * (theta or TWO_PI)
+            elif abs(phi) >= TWO_PI:
+                phi = math.fmod(phi, TWO_PI)
+            if slot == 1:
+                tau, eta = eta, tau
+            kappa, gamma = 1j * mpmath.sqrt(1 - tau ** 2), 1j * mpmath.sqrt(1 - eta ** 2)
+            z = mpmath.expj(-mpmath.mpf(theta))
+            den = 1 - eta * tau * z
+            m = [[(eta - tau * z) / den,
+                  -gamma * mpmath.conj(kappa) * mpmath.expj(-mpmath.mpf(phi)) / den],
+                 [-kappa * mpmath.conj(gamma)
+                  * mpmath.expj(-(mpmath.mpf(theta) - mpmath.mpf(phi))) / den,
+                  (tau - eta * z) / den]]
+            block = mpmath.matrix(3, 3)
+            ring_at, line_at = ((0, 1), 2) if slot == 1 else ((1, 2), 0)
+            for i in range(2):
+                for j in range(2):
+                    block[ring_at[i], ring_at[j]] = m[i][j]
+            block[line_at, line_at] = mpmath.expj(-mpmath.mpf(ring.get("delta", 0.0)))
+            chain = _exact_swap(block, 1) * chain
+        return _exact_swap(chain, 1)

@@ -928,7 +928,16 @@ def test_cnot_errors_name_the_gate_in_gate_order(tmp_path, capsys):
     pole = {"rings": [{"tau": 0.5, "eta": 0.5, "theta": TWO_PI},
                       {"tau": 1.0, "eta": 0.0, "theta": TWO_PI, "delta": math.pi},
                       {"tau": 0.5, "eta": 0.5, "theta": TWO_PI}]}
-    cases = [({"gate_a": optimal, "gate_b": detuned}, 4, "gate B violates"),
+    # 1e-8 off that pole the gate composes to a matrix that is not unitary
+    # within 1e-10. Both gates' unitarity is checked before either verdict,
+    # and gate B's pole after gate A's checks.
+    near = {"rings": [{"tau": 0.5, "eta": 0.5 + 1e-8, "theta": TWO_PI},
+                      {"tau": 1.0 - 1e-8, "eta": 0.0, "theta": TWO_PI, "delta": math.pi},
+                      {"tau": 0.5, "eta": 0.5, "theta": TWO_PI}]}
+    not_unitary = "gate {}: scattering matrix is not unitary within 1e-10 (residual "
+    cases = [({"gate_a": detuned, "gate_b": near}, 3, not_unitary.format("B")),
+             ({"gate_a": near, "gate_b": pole}, 3, not_unitary.format("A")),
+             ({"gate_a": optimal, "gate_b": detuned}, 4, "gate B violates"),
              ({"gate_a": detuned, "gate_b": balanced}, 4, "gate A violates"),
              ({"gate_a": balanced, "gate_b": optimal}, 4, "gate A never heralds"),
              ({"gate_a": detuned, "gate_b": pole}, 4, "gate A violates"),
@@ -1084,10 +1093,38 @@ def test_module_entry_point(tmp_path, name):
 # strategy than drawing from it.
 _coin = st.booleans()
 _quarter = st.integers(0, 3).map(lambda k: k == 0)
+
+
+class _Raw(str):
+    """JSON text written as it is: a literal that json.dumps does not write."""
+
+
+class _Pairs(list):
+    """A JSON object written from its (key, value) pairs, a key maybe twice."""
+
+
+def _json_text(value) -> str:
+    """The JSON text of value, with _Raw literals and _Pairs objects."""
+    if isinstance(value, _Raw):
+        return str(value)
+    if isinstance(value, dict):
+        value = _Pairs(value.items())
+    if isinstance(value, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json_text, value)) + "]"
+    return json.dumps(value)
+
+
+# NaN and Infinity literals, numbers beyond the float range (1e400, 400
+# digits), both zeros, strings, nested objects and arrays, and the like.
 _junk = st.sampled_from([float("nan"), float("inf"), -float("inf"), "x", "0.5", None,
-                         [], {}, True, 1e308])
+                         [], {}, True, 1e308, _Raw("1e400"), _Raw("-1e400"), 10 ** 399,
+                         -7 * 10 ** 399, _Raw("-0"), -0.0, {"tau": [0.5]}, [[0.5], {}]])
 _numbers = st.one_of(st.floats(-1.2, 1.2), st.floats(-7.0, 7.0),
                      st.sampled_from([0.0, 1.0, -1.0, 0.5]), _junk)
+# Angles and line phases anywhere in the finite float range.
+_angles = st.one_of(_numbers, st.floats(allow_nan=False, allow_infinity=False))
 _ring_kinds = st.sampled_from(["curve", "curve", "curve", "random", "other"])
 _not_objects = st.sampled_from([None, 1.0, "ring", []])
 _curve_taus = st.floats(0.0, 0.95)
@@ -1098,7 +1135,8 @@ _dropped = st.sampled_from([None] * 15 + ["tau", "eta", "theta", "delta", "phi"]
 @st.composite
 def _ring_objects(draw, slot):
     """A ring object: on its slot's optimal curve, maybe detuned, or with
-    random or junk fields, a field missing, or not an object at all."""
+    random or junk fields, a field missing, a key given twice (the last
+    one counts), or not an object at all."""
     kind = draw(_ring_kinds)
     if kind == "other":
         return draw(_not_objects)
@@ -1106,11 +1144,16 @@ def _ring_objects(draw, slot):
         entry = ring_entry(slot, tau=draw(_curve_taus))
         entry["theta"] += draw(_detunings)
     else:
-        entry = {name: draw(_numbers) for name in ("tau", "eta", "theta")}
+        entry = {name: draw(_numbers) for name in ("tau", "eta")}
+        entry["theta"] = draw(_angles)
     for name in ("delta", "phi"):
         if draw(_quarter):
-            entry[name] = draw(_numbers)
+            entry[name] = draw(_angles)
     entry.pop(draw(_dropped), None)
+    if draw(_quarter):
+        return _Pairs([*entry.items(), (draw(st.sampled_from(["tau", "eta", "theta",
+                                                              "delta", "phi"])),
+                                        draw(_angles))])
     return entry
 
 
@@ -1205,7 +1248,7 @@ def test_cli_exit_code_contract(tmp_path_factory, call):
     # report on stdout.
     argv, cfg = call
     path = tmp_path_factory.getbasetemp() / "contract.json"
-    path.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
+    path.write_bytes(cfg if isinstance(cfg, bytes) else _json_text(cfg).encode())
     argv = [str(path) if a is None else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
@@ -1221,7 +1264,7 @@ def test_cli_exit_code_contract(tmp_path_factory, call):
     if code == 0:
         assert "nan" not in out.lower() and "inf" not in out.lower(), (argv, cfg, out)
         if argv[0] == "smatrix":
-            networks = NetworkStack.of([cli._network_from_config(cfg)])
+            networks = NetworkStack.of([cli._network_from_config(json.loads(path.read_text()))])
             c1, d2, b3 = networks.legs()[1]
             loop = abs(1.0 - c1[0] * d2[0] * b3[0] * np.exp(-1j * networks.deltas[0, 1]))
             if loop >= 1e-3:

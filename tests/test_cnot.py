@@ -17,6 +17,7 @@ from ringsim import (
     TruthTableRow,
     build_cnot,
     build_coupler,
+    compose_scattering,
     conditional_logical_matrix,
     curve_network,
     curve_ring,
@@ -28,22 +29,27 @@ from ringsim import (
     verify_coherence,
     verify_truth_table,
 )
-from ringsim.cnot import (_CONTROL_FLIP, _GATE_COLS, _GATE_ROWS, _INNER, _LOGICAL, _SPLITTER,
-                          _TARGET_MIX, _heralded_block, _interferometers,
-                          _network_matrix)
+from ringsim.cnot import (_CONTROL_FLIP, _INNER, _LOGICAL, _SPLITTER, _TARGET_MIX,
+                          _heralded_block, _interferometers)
 from ringsim.errors import DomainError
 from ringsim.fock import _betas, _corners
 
-from oracles import cnot_kept_block, embed
+from oracles import cnot_kept_block, cnot_network, embed
 
 _ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def lifted(u):
-    """The CNOT network of the 8-mode unitary u with the oracle's kept
+    """The CNOT record of the 8-mode unitary u with the oracle's kept
     block: the full four-photon lift of tests/oracles.py, which shares no
     code with the package."""
-    return CnotNetwork(matrix=u, kept_block=cnot_kept_block(u))
+    return CnotNetwork(kept_block=cnot_kept_block(u))
+
+
+def network_of(gate_a, gate_b, probe_phase=0.0):
+    """The oracle's 8-mode CNOT network (tests/oracles.py) of the two gate
+    networks' composed matrices."""
+    return cnot_network(compose_scattering(gate_a), compose_scattering(gate_b), probe_phase)
 
 
 def detuned_params():
@@ -54,9 +60,9 @@ def detuned_params():
     ))
 
 
-# embed is the oracle's (tests/oracles.py), from which the tests assemble
-# the CNOT's network part by part; the package builds its two fixed
-# splitters directly.
+# embed is the oracle's (tests/oracles.py), from which cnot_network
+# assembles the CNOT's 8-mode network part by part; the package builds no
+# 8-mode matrix.
 def test_embed_identity():
     assert np.allclose(embed(np.eye(3), (2, 5, 7), 8), np.eye(8))
 
@@ -93,9 +99,10 @@ def test_build_cnot_unitary_and_herald():
     # The kept block is what the heralds (4, 1), (5, 0), (6, 1), (7, 0)
     # leave of the network's four-photon outputs.
     net = build_cnot(curve_network(), curve_network())
-    assert unitarity_residual(net.matrix) < 1e-12
+    u = network_of(curve_network(), curve_network())
+    assert unitarity_residual(u) < 1e-12
     assert net.kept_block.shape == (10, 4)
-    assert np.max(np.abs(net.kept_block - cnot_kept_block(net.matrix))) <= 1e-15
+    assert np.max(np.abs(net.kept_block - cnot_kept_block(u))) <= 1e-15
 
 
 def test_build_cnot_rejects_detuned_gate():
@@ -260,12 +267,13 @@ optimal_gates = st.builds(curve_network, couplers, couplers, couplers)
 @example(curve_network(), curve_network(), math.pi)
 def test_checks_equal_evolve_project_oracle(gate_a, gate_b, probe_phase):
     net = build_cnot(gate_a, gate_b, probe_phase=probe_phase)
-    rows, report = _oracle_checks(net.matrix)
-    # The oracle's lift of the same matrix (tests/oracles.py) sums naive
-    # permanents, evolve and project Ryser's, and build_cnot's block comes
-    # from the gates' beta, a third exact algebra: all three agree to
-    # rounding.
-    oracle = lifted(net.matrix)
+    u = network_of(gate_a, gate_b, probe_phase)
+    rows, report = _oracle_checks(u)
+    # The oracle's lift of the network of the same gates (tests/oracles.py)
+    # sums naive permanents, evolve and project Ryser's, and build_cnot's
+    # block comes from the gates' beta, a third exact algebra: all three
+    # agree to rounding.
+    oracle = lifted(u)
     assert np.max(np.abs(net.kept_block - oracle.kept_block)) <= 1e-15
     for checked in (oracle, net):
         for row, got in zip(rows, verify_truth_table(checked)):
@@ -294,20 +302,13 @@ unitary_gates = st.lists(st.floats(min_value=-1.0, max_value=1.0),
 @example(np.eye(3)[[1, 0, 2]], np.eye(3)[[2, 1, 0]], math.pi)
 def test_heralded_block_equals_the_lift_of_the_network(gate_a, gate_b, probe_phase):
     # Any unitary gates, not only those on the manifold that build_cnot
-    # accepts. The oracle lifts the network assembled from embedded parts:
-    # 50/50 mixers on the target rails and between modes 1 and 2, gate A
-    # on arm 1 with ancillas 4, 5, gate B on arm 2 with ancillas 6, 7, and
-    # the pi phase on the control one-rail.
-    splitter = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    target_mix, inner = embed(splitter, (2, 3), 8), embed(splitter, (1, 2), 8)
-    control_flip = np.diag([1, -1, 1, 1, 1, 1, 1, 1])
-    probe = np.diag([1, np.exp(1j * probe_phase), 1, 1, 1, 1, 1, 1])
-    u = (control_flip @ target_mix @ inner @ embed(gate_b, (2, 6, 7), 8)
-         @ embed(gate_a, (1, 4, 5), 8) @ probe @ inner @ target_mix)
+    # accepts. The oracle lifts the network it assembles from embedded
+    # parts (tests/oracles.py).
     gates = np.stack([gate_a, gate_b])
-    assert np.max(np.abs(_network_matrix(gates, probe_phase) - u)) <= 1e-15
     block = _heralded_block(np.stack(_betas(*_corners(gates)), axis=-1) * [1, 1, -1],
                             probe_phase)
+    u = cnot_network(gate_a, gate_b, probe_phase)
+    assert unitarity_residual(u) < 1e-12
     assert np.max(np.abs(block - cnot_kept_block(u))) <= 1e-15
 
 
@@ -318,10 +319,10 @@ def test_tied_outputs_go_to_the_first_in_order(probe_phase):
     # one, and build_cnot's block and the lift disagree on some rows.
     rng = np.random.default_rng(3)
     for _ in range(20):
-        net = build_cnot(curve_network(*rng.uniform(0.0, 0.9, 3)),
-                         curve_network(*rng.uniform(0.0, 0.9, 3)),
-                         probe_phase=probe_phase)
-        oracle = lifted(net.matrix)
+        gates = (curve_network(*rng.uniform(0.0, 0.9, 3)),
+                 curve_network(*rng.uniform(0.0, 0.9, 3)))
+        net = build_cnot(*gates, probe_phase=probe_phase)
+        oracle = lifted(network_of(*gates, probe_phase))
         for row, other in zip(verify_truth_table(net), verify_truth_table(oracle)):
             assert (row.control_out, row.target_out) == (other.control_out,
                                                          other.target_out)
@@ -349,8 +350,7 @@ def test_logical_states_are_the_computational_rails():
 
 
 def test_cnot_constants_are_read_only():
-    constants = (_SPLITTER, _TARGET_MIX, _INNER, _CONTROL_FLIP, _GATE_ROWS, _GATE_COLS, _LOGICAL,
-                 *_interferometers())
+    constants = (_SPLITTER, _TARGET_MIX, _INNER, _CONTROL_FLIP, _LOGICAL, *_interferometers())
     before = [c.copy() for c in constants]
     for c in constants:
         assert not c.flags.writeable

@@ -1,8 +1,11 @@
 """Tests for the three-ring network composition, and of the mode-swap
 oracle the composition is checked against."""
 
+import json
 import math
+from decimal import ROUND_HALF_EVEN, Decimal
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +31,9 @@ from ringsim import (
 )
 from ringsim.errors import DomainError
 
-from oracles import SingularPivotError, block_transfer, mode_swap3, reversed_network
+from oracles import (SingularPivotError, block_transfer, exact_scattering, mode_swap3,
+                     reversed_network)
+from replay import GOLDEN
 
 
 def random_matrix(rng, good_pivots=False):
@@ -371,3 +376,57 @@ def test_reversed_network_composes_to_the_transpose(rings, deltas):
     loop = abs(1.0 - c1[0] * d2[0] * b3[0] * np.exp(-1j * deltas[1]))
     s_rev = compose_scattering(_network(*reversed_network(rings, deltas)))
     assert np.max(np.abs(s_rev - s.T)) <= 1e-13 / min(1.0, loop)
+
+
+# Printed fields whose exact value is 0 (below 1e-60 at 60 digits), so that
+# what is printed is the rounding of the float arithmetic: the diagonal
+# entries' and det's imaginary parts on resonance, and the residual. A
+# noise field must lie within _NOISE_BOUND of its exact value.
+_NOISE = {"S00.im", "S11.im", "S22.im", "det.im", "unitarity_residual"}
+_NOISE_BOUND = Decimal("1e-15")
+
+
+def _physical(printed: Decimal, exact) -> bool:
+    """Whether ``printed`` is the exact value rounded to 9 significant
+    digits, or the other neighbour of a rounding tie: one unit of the 9th
+    digit away, with the exact value within 1e-6 of a unit of the midpoint
+    (the float that was rounded lies within about 1e-7 units of it)."""
+    x = Decimal(mpmath.nstr(exact, 40))
+    if x == 0:
+        return printed == 0
+    unit = Decimal(1).scaleb(x.adjusted() - 8)
+    rounded = x.quantize(unit, rounding=ROUND_HALF_EVEN)
+    return printed == rounded or (abs(printed - rounded) == unit
+                                  and abs(x - (printed + rounded) / 2) <= unit / 10 ** 6)
+
+
+@pytest.mark.parametrize("name", ["smatrix_readme", "smatrix_detuned_line_phases",
+                                  "smatrix_phi_-1e308"])
+def test_smatrix_pins_print_exact_values_or_named_noise(name):
+    # Each number a pinned smatrix call prints is the exact value of its
+    # config's float inputs (tests/oracles.py) to 9 digits, or a named
+    # noise field within its bound.
+    case = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    printed = json.loads("".join(case["stdout"]), parse_float=Decimal)
+    with mpmath.workdps(60):
+        s = exact_scattering(case["config"])
+        gram = s.H * s - mpmath.eye(3)
+        det = mpmath.det(s)
+        exact = {"det.re": det.real, "det.im": det.imag,
+                 "unitarity_residual": max(abs(gram[i, j]) for i in range(3) for j in range(3))}
+        for i in range(3):
+            for j in range(3):
+                exact[f"S{i}{j}.re"], exact[f"S{i}{j}.im"] = s[i, j].real, s[i, j].imag
+        shown = {"det.re": printed["det"][0], "det.im": printed["det"][1],
+                 "unitarity_residual": Decimal(printed["unitarity_residual"])}
+        for i, row in enumerate(printed["matrix"]):
+            for j, (re, im) in enumerate(row):
+                shown[f"S{i}{j}.re"], shown[f"S{i}{j}.im"] = re, im
+        assert shown.keys() == exact.keys()
+        unexplained = {field: (str(value), mpmath.nstr(exact[field], 12))
+                       for field, value in shown.items()
+                       if not _physical(value, exact[field])
+                       and not (field in _NOISE
+                                and abs(value - Decimal(mpmath.nstr(exact[field], 40)))
+                                <= _NOISE_BOUND)}
+    assert not unexplained

@@ -5,6 +5,7 @@ intersection."""
 
 import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -41,10 +42,10 @@ from ringsim import (
     verdict,
     verdict_stack,
 )
-from ringsim import cli
+from ringsim import cli, fock
 from ringsim.analysis import _intersect
-from ringsim.fock import LIFT_UNITARITY_TOL, _heralded_success, _lift_block
-from ringsim.network import _entries, _entry_residual
+from ringsim.fock import _heralded_success, _lift_block
+from ringsim.network import UNITARITY_TOL, _entries, _entry_residual
 
 from oracles import block_transfer, mode_swap3
 
@@ -81,12 +82,16 @@ def composed(nets):
     return np.array([compose_scattering(n) for n in nets])
 
 
-# The tests of the public heralded_success_stack, which only tests called,
-# now hand its stack's entries to the sweeps' kernel through this.
-def success_of_stack(s, inp):
-    """The sweeps' guarded success kernel on the nine row-major entries of
-    each matrix of an (N, 3, 3) stack."""
-    return _heralded_success(np.ascontiguousarray(np.asarray(s).reshape(-1, 9).T), inp)
+def success_of_stack(s, inp, networks=None):
+    """The sweeps' guarded success kernel, _heralded_success, on the nine
+    row-major entries of each matrix of an (N, 3, 3) stack in place of the
+    composition's. ``networks`` (by default N networks on the optimal
+    curve) give the loop gain that a failing guard reports."""
+    entries = np.ascontiguousarray(np.asarray(s).reshape(-1, 9).T)
+    if networks is None:
+        networks = NetworkStack.of([curve_network()] * len(entries[0]))
+    with mock.patch.object(fock, "_entries", lambda _: entries):
+        return _heralded_success(networks, inp)
 
 
 @EXAMPLES
@@ -106,7 +111,8 @@ def test_stacked_heralded_success_equals_project(nets, inp):
         expected = [project(evolve(inp.state(), m), SUCCESS_PATTERN)[0] for m in s]
     except DomainError:
         assume(False)
-    assert np.max(np.abs(success_of_stack(s, inp) - expected)) <= TOL
+    got = _heralded_success(NetworkStack.of(nets), inp)
+    assert np.max(np.abs(got - expected)) <= TOL
 
 
 @EXAMPLES
@@ -115,7 +121,7 @@ def test_stacked_heralded_success_is_closed_form_bit_for_bit(nets, inp):
     # One code path: every member of the stack is the one-matrix closed
     # form, to the last bit.
     s = composed(nets)
-    got = success_of_stack(s, inp)
+    got = _heralded_success(NetworkStack.of(nets), inp)
     for i, m in enumerate(s):
         coeffs, _ = nlpsg_closed_form(m, inp)
         assert got[i] == np.sum(np.abs(coeffs) ** 2)
@@ -227,7 +233,7 @@ def test_non_unitary_matrix_in_stack_raises_scalar_error(nets, inp, data):
     s[where] *= data.draw(st.sampled_from([1.1, np.nan]))
     with pytest.raises(DomainError):
         evolve(inp.state(), s[where])
-    with pytest.raises(DomainError):
+    with pytest.raises(PoleError, match=f"^network {where}: "):
         success_of_stack(s, inp)
 
 
@@ -480,7 +486,7 @@ def test_non_finite_entry_fails_the_stacked_guard(s, inp, value, data):
     assert not np.isfinite(residual[where])
     others = np.arange(len(s)) != where
     assert residual[others].tobytes() == clean[others].tobytes()
-    with pytest.raises(DomainError):
+    with pytest.raises(PoleError, match=f"^network {where}: "):
         success_of_stack(s, inp)
 
 
@@ -501,14 +507,24 @@ def near_pole_network(eps):
 @example([1e-4])
 @example([1e-13])
 def test_stacked_guard_verdict_near_the_loop_pole(eps):
-    s = compose_scattering_stack(NetworkStack.of(near_pole_network(e) for e in eps))
-    alone = [unitarity_residual(m) <= LIFT_UNITARITY_TOL for m in s]
-    assert (unitarity_residual(s) <= LIFT_UNITARITY_TOL).tolist() == alone
+    # Near the pole the sweeps' guard fails as a PoleError that names the
+    # first network the one-matrix residual fails, with that residual and
+    # its |1 - L|, which is eps to rounding here.
+    networks = NetworkStack.of(near_pole_network(e) for e in eps)
+    s = compose_scattering_stack(networks)
+    alone = [unitarity_residual(m) <= UNITARITY_TOL for m in s]
+    assert (unitarity_residual(s) <= UNITARITY_TOL).tolist() == alone
     if all(alone):
-        success_of_stack(s, NlpsgInput(1.0, 0.0, 0.0))
-    else:
-        with pytest.raises(DomainError):
-            success_of_stack(s, NlpsgInput(1.0, 0.0, 0.0))
+        _heralded_success(networks, NlpsgInput(1.0, 0.0, 0.0))
+        return
+    first = alone.index(False)
+    with pytest.raises(PoleError) as info:
+        _heralded_success(networks, NlpsgInput(1.0, 0.0, 0.0))
+    message = str(info.value)
+    assert message.startswith(
+        f"network {first}: scattering matrix is not unitary within 1e-10 "
+        f"(residual {unitarity_residual(s)[first]:.3e}) near the loop pole, |1 - L| = ")
+    assert abs(float(message.rsplit(" ", 1)[1]) - eps[first]) <= 1e-15 + 1e-3 * eps[first]
 
 
 def _coupler_stack(rng, count):
@@ -596,12 +612,12 @@ def test_stack_members_compose_as_networks_alone_bit_for_bit(networks):
 @example(_NONE, NlpsgInput(1.0, 0.0, 0.0))
 @example(_ON_CURVE, NlpsgInput(0.6, 0.8j, 0.0))
 def test_sweep_kernel_equals_the_composed_stack_bit_for_bit(networks, inp):
-    # The sweeps hand the one guarded kernel the composition's entries, and
-    # success_of_stack hands it its stack's: the result, or the
+    # The sweeps' one guarded kernel composes the networks' entries, and
+    # success_of_stack hands it its stack's instead: the result, or the
     # guard's error, and the guard's residual are the same to the last bit.
     for signal in (inp, cli._EQUAL_SIGNAL):
-        assert outcome(lambda: _heralded_success(_entries(networks), signal)) == outcome(
-            lambda: success_of_stack(compose_scattering_stack(networks), signal))
+        assert outcome(lambda: _heralded_success(networks, signal)) == outcome(
+            lambda: success_of_stack(compose_scattering_stack(networks), signal, networks))
     assert outcome(lambda: _entry_residual(_entries(networks))) == outcome(
         lambda: unitarity_residual(compose_scattering_stack(networks)))
     try:
@@ -626,7 +642,8 @@ def test_sweep_kernel_equals_the_composed_stack_bit_for_bit(networks, inp):
 @given(network_stacks(st.integers(1, 6)), st.data())
 def test_sweep_guard_fails_as_the_stack_guard(networks, data):
     # A member scaled off the unitary group, or one NaN entry, fails the
-    # kernel on the sweep's entries and on the stack with the same message.
+    # sweeps' guard on the entries as the stack's residual fails it: the
+    # PoleError names the member, with its stack residual and its |1 - L|.
     entries = [entry.copy() for entry in _entries(networks)]
     where = data.draw(st.integers(0, len(networks.deltas) - 1))
     if data.draw(st.booleans()):
@@ -635,24 +652,31 @@ def test_sweep_guard_fails_as_the_stack_guard(networks, data):
     else:
         entries[data.draw(st.integers(0, 8))][where] = np.nan
     stack = np.stack(entries, axis=-1).reshape(-1, 3, 3)
-    with pytest.raises(DomainError) as swept:
-        _heralded_success(entries, cli._EQUAL_SIGNAL)
-    with pytest.raises(DomainError) as stacked:
-        success_of_stack(stack, cli._EQUAL_SIGNAL)
-    assert str(swept.value) == str(stacked.value)
+    with pytest.raises(PoleError) as swept:
+        with mock.patch.object(fock, "_entries", lambda _: entries):
+            _heralded_success(networks, cli._EQUAL_SIGNAL)
+    n = len(networks.deltas)
+    c1, d2, b3 = (np.broadcast_to(leg, n)[where] for leg in networks.legs()[1])
+    gap = abs(1.0 - b3 * c1 * d2 * np.exp(-1j * networks.deltas[where, 1]))
+    assert str(swept.value) == (
+        f"network {where}: scattering matrix is not unitary within 1e-10 (residual "
+        f"{unitarity_residual(stack)[where]:.3e}) near the loop pole, |1 - L| = {gap:.3e}")
 
 
 @pytest.mark.parametrize("argv", [["curve", "--grid", "3"],
                                   ["surface", "--ring", "2", "--grid", "5"]])
 def test_sweeps_run_the_kernel_guard(argv, capsys):
     # Both sweeps put the composition's entries through the guarded kernel:
-    # a batch off the unitary group is an error exit, not CSV rows.
-    entries = cli._entries
+    # a batch off the unitary group is a numerical error exit, not CSV rows.
+    entries = fock._entries
 
     def scaled(networks):
         return [1.1 * e for e in entries(networks)]
 
-    with mock.patch.object(cli, "_entries", scaled):
-        assert cli.main(["manifold"] + argv) == 2
-    assert capsys.readouterr() == ("", "config error: scattering matrix is not "
-                                       "unitary within 1e-10\n")
+    with mock.patch.object(fock, "_entries", scaled):
+        assert cli.main(["manifold"] + argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"numerical error: network 0: scattering matrix is not unitary "
+                        r"within 1e-10 \(residual 2\.100e-01\) near the loop pole, "
+                        r"\|1 - L\| = \d\.\d{3}e[-+]\d\d\n", err), err
