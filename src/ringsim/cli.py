@@ -21,8 +21,9 @@ from .cnot import build_cnot, verify_coherence, verify_truth_table
 from .errors import ConstraintError, DomainError, PoleError
 from .fock import (SUCCESS_PATTERN, NlpsgInput, _heralded_success, evolve,
                    nlpsg_closed_form, project)
-from .network import (NetworkParams, NetworkStack, _require_unitary, closed_form_resonant,
-                      compose_scattering, compose_scattering_stack, unitarity_residual)
+from .network import (NetworkParams, NetworkStack, _entries, _require_unitary,
+                      closed_form_resonant, compose_scattering, compose_scattering_stack,
+                      unitarity_residual)
 from .ring import TWO_PI, build_coupler, effective_coupling
 
 # Signal superposition the manifold sweeps evaluate, and verify's default:
@@ -279,7 +280,7 @@ def cmd_manifold(args, cfg: dict) -> tuple[int, str, list[str]]:
             for start in range(0, grid_n, _BATCH_POINTS):
                 networks = curve_stack(grid[start:start + _BATCH_POINTS], ring)
                 swept = networks.rings[ring - 1]
-                success = _heralded_success(networks, _EQUAL_SIGNAL)
+                success = _heralded_success(_entries(networks), _EQUAL_SIGNAL, networks)
                 # x * x is the correctly rounded IEEE square on every CPU.
                 chunks.append(_csv.rows((swept.tau, swept.eta, swept.tau * swept.tau,
                                          swept.eta * swept.eta, success), str(ring)))
@@ -296,7 +297,7 @@ def cmd_manifold(args, cfg: dict) -> tuple[int, str, list[str]]:
             point = np.arange(start, min(start + _BATCH_POINTS, points))
             branch, theta, networks = surface_stack(ring, axis[point // grid_n],
                                                     axis[point % grid_n])
-            success = _heralded_success(networks, _EQUAL_SIGNAL)
+            success = _heralded_success(_entries(networks), _EQUAL_SIGNAL, networks)
             # Each branch's tau and eta are the axis values at its grid indices.
             eta_at, tau_at = np.divmod(point[branch], grid_n)
             chunks.append(_csv.rows(((axis, tau_at), (axis, eta_at), theta, success),

@@ -131,15 +131,15 @@ def _heralded_block(heralded: np.ndarray, probe_phase: float) -> np.ndarray:
 def _checked_verdicts(networks: NetworkStack, matrices: np.ndarray,
                      tol: float) -> NlpsgVerdict:
     """The stacked verdict of the gates that ``networks`` composed into
-    ``matrices``, gate A first, once every gate is unitary within 1e-10
-    (else PoleError, from the one-matrix unitarity_residual that smatrix
-    prints) and then meets the success constraints and heralds (else
-    ConstraintError, with the gate's own verdict)."""
+    ``matrices``, checked gate by gate, A first: each gate must be unitary
+    within 1e-10 (else PoleError, from the one-matrix unitarity_residual
+    that smatrix prints), then meet the success constraints and herald
+    (else ConstraintError, with the gate's own verdict)."""
     labels = "AB"[:len(matrices)]
-    _require_unitary(networks, [unitarity_residual(m) for m in matrices],
-                     [f"gate {label}" for label in labels])
+    names, residuals = [f"gate {x}" for x in labels], [unitarity_residual(m) for m in matrices]
     verdicts = verdict_stack(matrices)
     for i, label in enumerate(labels):
+        _require_unitary(networks, residuals[:i + 1], names)
         if not verdicts.residual[i] < tol:
             raise ConstraintError(
                 f"gate {label} violates the success constraints "
@@ -179,8 +179,8 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
     PoleError
         If either gate's network sits on its loop pole, or composes to a
         matrix that is not unitary within 1e-10 near it; the message names
-        the gate. Both gates' unitarity is checked before either verdict,
-        and gate B's pole after gate A's checks.
+        the gate. Gate B's pole, and its unitarity, are checked after gate
+        A's checks.
     ConstraintError
         If either gate's success constraints fail at ``tol``, or its
         heralded amplitude beta0 is at most ``tol`` so it never heralds;

@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .network import (UNITARITY_TOL, NetworkStack, _entries, _entry_residual,
-                      _require_unitary, unitarity_residual)
+from .network import (UNITARITY_TOL, NetworkStack, _entry_residual, _require_unitary,
+                      unitarity_residual)
 from .ring import _read_only
 
 
@@ -348,21 +348,20 @@ def _probability(amplitudes) -> np.ndarray:
     return np.abs(c0) ** 2 + np.abs(c1) ** 2 + np.abs(c2) ** 2
 
 
-def _heralded_success(networks: NetworkStack, inp: NlpsgInput) -> np.ndarray:
-    """Heralded-gate success probability of each network of a NetworkStack:
-    the manifold sweeps' one composition, unitarity guard and sum of the
-    success probability, over the composition's nine row-major entries.
-    Per network, the squared norm of nlpsg_closed_form's amplitudes of its
-    composed matrix, bit for bit; the reference is
+def _heralded_success(entries, inp: NlpsgInput, networks: NetworkStack) -> np.ndarray:
+    """Heralded-gate success probability of N 3x3 matrices given as their
+    nine row-major entries S_ij, each an (N,) array: the one unitarity
+    guard and sum of the success probability, which the manifold sweeps
+    hand the composition's entries of ``networks``. Per matrix, the squared
+    norm of nlpsg_closed_form's amplitudes, bit for bit; the reference is
     project(evolve(inp.state(), s), SUCCESS_PATTERN)[0].
 
     Raises
     ------
     PoleError
-        If any network sits on its loop pole, or composes to a matrix that
-        is not unitary within UNITARITY_TOL near it.
+        If any matrix is not unitary within UNITARITY_TOL; the message
+        gives the |1 - L| of its member of ``networks``.
     """
-    entries = _entries(networks)
     _require_unitary(networks, _entry_residual(entries))
     s00, s01, _, s10, s11 = entries[:5]
     return _probability(_success_amplitudes(s00, s01, s10, s11, inp))

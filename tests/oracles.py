@@ -24,7 +24,9 @@ a shared helper.
   composes to the transpose of the original's scattering matrix.
 - ``exact_scattering``: a config's 3x3 scattering matrix in mpmath at 60
   digits, from the config's float inputs, by the mode-swap chain: the
-  reference that a printed digit is rounding of, or noise.
+  reference that a printed digit is rounding of, or noise. It alone needs
+  mpmath, a test dependency that it imports when called, so the other
+  oracles load without it.
 
 Bad input raises ``ValueError``; a vanishing swap pivot raises the local
 ``SingularPivotError``, also a ``ValueError``.
@@ -34,7 +36,6 @@ import cmath
 import math
 from itertools import permutations, product
 
-import mpmath
 import numpy as np
 
 SWAP_PIVOT_TOL = 1e-12
@@ -231,7 +232,7 @@ def _exact_swap(g, p: int):
     pivot = g[p, p]
     if pivot == 0:
         raise ValueError(f"mode-{p + 1} pivot is exactly 0")
-    out = mpmath.matrix(3, 3)
+    out = g.copy()
     for i in range(3):
         for j in range(3):
             if i == p and j == p:
@@ -267,6 +268,8 @@ def exact_scattering(config, digits: int = 60):
       multiplied in slot order 3, 2, 1 and swapped on mode 2 again.
 
     Raises ValueError where a swap pivot is exactly 0."""
+    import mpmath
+
     with mpmath.workdps(digits):
         chain = mpmath.eye(3)
         for slot, ring in enumerate(config["rings"]):

@@ -929,13 +929,14 @@ def test_cnot_errors_name_the_gate_in_gate_order(tmp_path, capsys):
                       {"tau": 1.0, "eta": 0.0, "theta": TWO_PI, "delta": math.pi},
                       {"tau": 0.5, "eta": 0.5, "theta": TWO_PI}]}
     # 1e-8 off that pole the gate composes to a matrix that is not unitary
-    # within 1e-10. Both gates' unitarity is checked before either verdict,
-    # and gate B's pole after gate A's checks.
+    # within 1e-10. Each gate's unitarity is checked just before its
+    # verdict, so gate B's, like its pole, comes after gate A's checks.
     near = {"rings": [{"tau": 0.5, "eta": 0.5 + 1e-8, "theta": TWO_PI},
                       {"tau": 1.0 - 1e-8, "eta": 0.0, "theta": TWO_PI, "delta": math.pi},
                       {"tau": 0.5, "eta": 0.5, "theta": TWO_PI}]}
     not_unitary = "gate {}: scattering matrix is not unitary within 1e-10 (residual "
-    cases = [({"gate_a": detuned, "gate_b": near}, 3, not_unitary.format("B")),
+    cases = [({"gate_a": optimal, "gate_b": near}, 3, not_unitary.format("B")),
+             ({"gate_a": detuned, "gate_b": near}, 4, "gate A violates"),
              ({"gate_a": near, "gate_b": pole}, 3, not_unitary.format("A")),
              ({"gate_a": optimal, "gate_b": detuned}, 4, "gate B violates"),
              ({"gate_a": detuned, "gate_b": balanced}, 4, "gate A violates"),

@@ -5,7 +5,6 @@ import json
 import math
 from decimal import ROUND_HALF_EVEN, Decimal
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -386,12 +385,11 @@ _NOISE = {"S00.im", "S11.im", "S22.im", "det.im", "unitarity_residual"}
 _NOISE_BOUND = Decimal("1e-15")
 
 
-def _physical(printed: Decimal, exact) -> bool:
-    """Whether ``printed`` is the exact value rounded to 9 significant
+def _physical(printed: Decimal, x: Decimal) -> bool:
+    """Whether ``printed`` is the exact value x rounded to 9 significant
     digits, or the other neighbour of a rounding tie: one unit of the 9th
-    digit away, with the exact value within 1e-6 of a unit of the midpoint
-    (the float that was rounded lies within about 1e-7 units of it)."""
-    x = Decimal(mpmath.nstr(exact, 40))
+    digit away, with x within 1e-6 of a unit of the midpoint (the float
+    that was rounded lies within about 1e-7 units of it)."""
     if x == 0:
         return printed == 0
     unit = Decimal(1).scaleb(x.adjusted() - 8)
@@ -405,7 +403,10 @@ def _physical(printed: Decimal, exact) -> bool:
 def test_smatrix_pins_print_exact_values_or_named_noise(name):
     # Each number a pinned smatrix call prints is the exact value of its
     # config's float inputs (tests/oracles.py) to 9 digits, or a named
-    # noise field within its bound.
+    # noise field within its bound. mpmath is a test dependency that only
+    # this test and its oracle need.
+    import mpmath
+
     case = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     printed = json.loads("".join(case["stdout"]), parse_float=Decimal)
     with mpmath.workdps(60):
@@ -423,10 +424,9 @@ def test_smatrix_pins_print_exact_values_or_named_noise(name):
             for j, (re, im) in enumerate(row):
                 shown[f"S{i}{j}.re"], shown[f"S{i}{j}.im"] = re, im
         assert shown.keys() == exact.keys()
-        unexplained = {field: (str(value), mpmath.nstr(exact[field], 12))
-                       for field, value in shown.items()
-                       if not _physical(value, exact[field])
-                       and not (field in _NOISE
-                                and abs(value - Decimal(mpmath.nstr(exact[field], 40)))
-                                <= _NOISE_BOUND)}
+        exact = {field: Decimal(mpmath.nstr(value, 40)) for field, value in exact.items()}
+    unexplained = {field: (str(value), str(exact[field]))
+                   for field, value in shown.items()
+                   if not _physical(value, exact[field])
+                   and not (field in _NOISE and abs(value - exact[field]) <= _NOISE_BOUND)}
     assert not unexplained

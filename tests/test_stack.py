@@ -42,7 +42,7 @@ from ringsim import (
     verdict,
     verdict_stack,
 )
-from ringsim import cli, fock
+from ringsim import cli
 from ringsim.analysis import _intersect
 from ringsim.fock import _heralded_success, _lift_block
 from ringsim.network import UNITARITY_TOL, _entries, _entry_residual
@@ -82,16 +82,12 @@ def composed(nets):
     return np.array([compose_scattering(n) for n in nets])
 
 
-def success_of_stack(s, inp, networks=None):
-    """The sweeps' guarded success kernel, _heralded_success, on the nine
-    row-major entries of each matrix of an (N, 3, 3) stack in place of the
-    composition's. ``networks`` (by default N networks on the optimal
-    curve) give the loop gain that a failing guard reports."""
-    entries = np.ascontiguousarray(np.asarray(s).reshape(-1, 9).T)
-    if networks is None:
-        networks = NetworkStack.of([curve_network()] * len(entries[0]))
-    with mock.patch.object(fock, "_entries", lambda _: entries):
-        return _heralded_success(networks, inp)
+def success_of_stack(s, inp, networks):
+    """The sweeps' guarded success kernel on the nine row-major entries of
+    each matrix of an (N, 3, 3) stack; ``networks`` are the N networks
+    whose |1 - L| a failing guard reports."""
+    return _heralded_success(np.ascontiguousarray(np.asarray(s).reshape(-1, 9).T), inp,
+                             networks)
 
 
 @EXAMPLES
@@ -111,8 +107,7 @@ def test_stacked_heralded_success_equals_project(nets, inp):
         expected = [project(evolve(inp.state(), m), SUCCESS_PATTERN)[0] for m in s]
     except DomainError:
         assume(False)
-    got = _heralded_success(NetworkStack.of(nets), inp)
-    assert np.max(np.abs(got - expected)) <= TOL
+    assert np.max(np.abs(success_of_stack(s, inp, NetworkStack.of(nets)) - expected)) <= TOL
 
 
 @EXAMPLES
@@ -121,7 +116,7 @@ def test_stacked_heralded_success_is_closed_form_bit_for_bit(nets, inp):
     # One code path: every member of the stack is the one-matrix closed
     # form, to the last bit.
     s = composed(nets)
-    got = _heralded_success(NetworkStack.of(nets), inp)
+    got = success_of_stack(s, inp, NetworkStack.of(nets))
     for i, m in enumerate(s):
         coeffs, _ = nlpsg_closed_form(m, inp)
         assert got[i] == np.sum(np.abs(coeffs) ** 2)
@@ -234,7 +229,7 @@ def test_non_unitary_matrix_in_stack_raises_scalar_error(nets, inp, data):
     with pytest.raises(DomainError):
         evolve(inp.state(), s[where])
     with pytest.raises(PoleError, match=f"^network {where}: "):
-        success_of_stack(s, inp)
+        success_of_stack(s, inp, NetworkStack.of(nets))
 
 
 _FIELDS = ("tau", "eta", "theta", "phi", "kappa", "gamma")
@@ -486,8 +481,10 @@ def test_non_finite_entry_fails_the_stacked_guard(s, inp, value, data):
     assert not np.isfinite(residual[where])
     others = np.arange(len(s)) != where
     assert residual[others].tobytes() == clean[others].tobytes()
+    # The stack's members are random unitaries, not composed networks: any
+    # N networks stand in for the loop gain the guard's message reports.
     with pytest.raises(PoleError, match=f"^network {where}: "):
-        success_of_stack(s, inp)
+        success_of_stack(s, inp, NetworkStack.of([curve_network()] * len(s)))
 
 
 def near_pole_network(eps):
@@ -515,11 +512,11 @@ def test_stacked_guard_verdict_near_the_loop_pole(eps):
     alone = [unitarity_residual(m) <= UNITARITY_TOL for m in s]
     assert (unitarity_residual(s) <= UNITARITY_TOL).tolist() == alone
     if all(alone):
-        _heralded_success(networks, NlpsgInput(1.0, 0.0, 0.0))
+        success_of_stack(s, NlpsgInput(1.0, 0.0, 0.0), networks)
         return
     first = alone.index(False)
     with pytest.raises(PoleError) as info:
-        _heralded_success(networks, NlpsgInput(1.0, 0.0, 0.0))
+        success_of_stack(s, NlpsgInput(1.0, 0.0, 0.0), networks)
     message = str(info.value)
     assert message.startswith(
         f"network {first}: scattering matrix is not unitary within 1e-10 "
@@ -612,12 +609,13 @@ def test_stack_members_compose_as_networks_alone_bit_for_bit(networks):
 @example(_NONE, NlpsgInput(1.0, 0.0, 0.0))
 @example(_ON_CURVE, NlpsgInput(0.6, 0.8j, 0.0))
 def test_sweep_kernel_equals_the_composed_stack_bit_for_bit(networks, inp):
-    # The sweeps' one guarded kernel composes the networks' entries, and
-    # success_of_stack hands it its stack's instead: the result, or the
+    # The sweeps hand the one guarded kernel the composition's entries, and
+    # success_of_stack hands it its stack's: the result, or the
     # guard's error, and the guard's residual are the same to the last bit.
     for signal in (inp, cli._EQUAL_SIGNAL):
-        assert outcome(lambda: _heralded_success(networks, signal)) == outcome(
-            lambda: success_of_stack(compose_scattering_stack(networks), signal, networks))
+        assert outcome(lambda: _heralded_success(_entries(networks), signal, networks)) \
+            == outcome(lambda: success_of_stack(compose_scattering_stack(networks), signal,
+                                                networks))
     assert outcome(lambda: _entry_residual(_entries(networks))) == outcome(
         lambda: unitarity_residual(compose_scattering_stack(networks)))
     try:
@@ -653,8 +651,10 @@ def test_sweep_guard_fails_as_the_stack_guard(networks, data):
         entries[data.draw(st.integers(0, 8))][where] = np.nan
     stack = np.stack(entries, axis=-1).reshape(-1, 3, 3)
     with pytest.raises(PoleError) as swept:
-        with mock.patch.object(fock, "_entries", lambda _: entries):
-            _heralded_success(networks, cli._EQUAL_SIGNAL)
+        _heralded_success(entries, cli._EQUAL_SIGNAL, networks)
+    with pytest.raises(PoleError) as stacked:
+        success_of_stack(stack, cli._EQUAL_SIGNAL, networks)
+    assert str(swept.value) == str(stacked.value)
     n = len(networks.deltas)
     c1, d2, b3 = (np.broadcast_to(leg, n)[where] for leg in networks.legs()[1])
     gap = abs(1.0 - b3 * c1 * d2 * np.exp(-1j * networks.deltas[where, 1]))
@@ -668,12 +668,12 @@ def test_sweep_guard_fails_as_the_stack_guard(networks, data):
 def test_sweeps_run_the_kernel_guard(argv, capsys):
     # Both sweeps put the composition's entries through the guarded kernel:
     # a batch off the unitary group is a numerical error exit, not CSV rows.
-    entries = fock._entries
+    entries = cli._entries
 
     def scaled(networks):
         return [1.1 * e for e in entries(networks)]
 
-    with mock.patch.object(fock, "_entries", scaled):
+    with mock.patch.object(cli, "_entries", scaled):
         assert cli.main(["manifold"] + argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
