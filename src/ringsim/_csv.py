@@ -106,10 +106,15 @@ def _cells(x: np.ndarray, cell: np.ndarray) -> None:
     e[text] = 0
     del m
 
-    lead, rest = np.divmod(n.astype(np.int64), 10 ** 8)
-    cell[..., 0] = tables.lead[lead + 10 * np.signbit(x)]
-    cell[..., 1] = tables.quad[rest // 10 ** 4]
-    cell[..., 2] = tables.quad[rest % 10 ** 4]
+    # The digit groups of n, below 1e9, in exact float steps: each quotient
+    # is at least 1e-8 from the next integer, far above its rounding error.
+    lead = np.floor(n / 1e8)
+    n -= lead * 1e8
+    hi = np.floor(n / 1e4)
+    n -= hi * 1e4
+    cell[..., 0] = tables.lead[lead.astype(np.intp) + 10 * np.signbit(x)]
+    cell[..., 1] = tables.quad[hi.astype(np.intp)]
+    cell[..., 2] = tables.quad[n.astype(np.intp)]
     cell[..., 3] = tables.exp[0, e + _POW_RANGE]
     cell[..., 4] = tables.exp[1, e + _POW_RANGE]
     if text.any():

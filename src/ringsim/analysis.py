@@ -328,8 +328,8 @@ def _optimal_rings_with(slot: int, swept: CouplerStack) -> tuple[CouplerStack, .
 @functools.cache
 def _optimal_ring(slot: int) -> CouplerStack:
     """The slot's resonant optimal ring at tau = 0, as a stack of one, built
-    once per process. Its arrays are read-only; every sweep batch mounts it
-    with the swept ring, and evaluates it in the batch's one transfer call."""
+    once per process. Its arrays are read-only; every sweep batch puts it
+    beside the swept ring and evaluates it with the batch's transfers."""
     return CouplerStack.of([curve_ring(slot, 0.0)])
 
 
@@ -350,7 +350,8 @@ def curve_stack(tau_grid, ring: int = 1) -> NetworkStack:
     tau = np.asarray(tau_grid, dtype=float).reshape(-1)
     # Points off the inversion's or the couplers' domain give inf or NaN
     # fields here, unwarned: the pole flag and the ring mask leave them out.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # tau * tau overflows beyond |tau| = 1.34e154.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         eta, pole = _inverse(_slot_transmission(ring), tau)
         couplers = _coupler_fields(tau, eta, np.full(tau.shape, RESONANT_THETA), None, np.sqrt)
     usable = ~pole & _passes(*couplers)

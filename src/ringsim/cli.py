@@ -273,6 +273,9 @@ def cmd_manifold(args, cfg: dict) -> tuple[int, str, list[str]]:
         raise DomainError(f"{points} grid points, more than 10^6")
 
     if args.kind == "curve":
+        if not math.isfinite(args.tau_max - args.tau_min):
+            raise DomainError(f"--tau-min {args.tau_min!r} and --tau-max {args.tau_max!r} "
+                              f"span a range that overflows a float")
         grid = np.linspace(args.tau_min, args.tau_max, grid_n)
         rings = (1, 2, 3) if args.ring == 0 else (args.ring,)
         chunks, rows = [b"ring,tau,eta,tau_sq,eta_sq,beta_sq\n"], 0

@@ -24,7 +24,7 @@ from .errors import ConstraintError, DomainError, PoleError
 from .fock import _lift_block, enumerate_basis
 from .network import (_LOOP_POLE, NetworkParams, NetworkStack, _require_unitary,
                       compose_scattering_stack, unitarity_residual)
-from .ring import _read_only
+from .ring import TWO_PI, _read_only
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -166,7 +166,8 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
 
     ``probe_phase`` inserts a diagnostic phase on arm A between the inner
     splitters; nonzero values deliberately break the interference (see
-    verify_coherence).
+    verify_coherence). It is reduced by the exact fmod mod 2*pi, as ring
+    angles are, so every representative of the phase gives the same block.
 
     The record is the network's heralded block, read from the two gates'
     verdict amplitudes beta between the two fixed two-photon
@@ -176,6 +177,8 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
 
     Raises
     ------
+    DomainError
+        If ``probe_phase`` is not finite.
     PoleError
         If either gate's network sits on its loop pole, or composes to a
         matrix that is not unitary within 1e-10 near it; the message names
@@ -186,6 +189,10 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
         heralded amplitude beta0 is at most ``tol`` so it never heralds;
         gate A is checked first and the verdict rides along on the exception.
     """
+    if not math.isfinite(probe_phase):
+        raise DomainError(f"probe_phase must be finite, got {probe_phase}")
+    # Unreduced, a phase beyond 8.99e307 overflows at two photons on arm A.
+    probe_phase = math.fmod(probe_phase, TWO_PI)
     networks = NetworkStack.of((gate_a, gate_b))
     try:
         # One stacked call: composing each gate alone costs about 0.15 ms

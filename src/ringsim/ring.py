@@ -136,8 +136,8 @@ class CouplerStack:
     Every member passes the checks of RingCoupler on construction, and a
     stack with a failing member raises RingCoupler's error for the first
     one; a NaN field fails. theta and phi are reduced as RingCoupler
-    reduces them. The field arrays are read-only views. A
-    NetworkStack mounts its three slots in one CouplerStack, evaluated in
+    reduces them. The field arrays are read-only views. ``NetworkStack.of``
+    mounts a network stack's three slots in one CouplerStack, evaluated in
     one call.
     """
 
@@ -208,8 +208,8 @@ def build_couplers(tau, eta, theta) -> CouplerStack:
     tau, eta, theta = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (tau, eta, theta)))
     # Out-of-domain or non-finite members give NaN here and are rejected by
-    # CouplerStack.
-    with np.errstate(invalid="ignore"):
+    # CouplerStack; tau * tau overflows beyond |tau| = 1.34e154.
+    with np.errstate(invalid="ignore", over="ignore"):
         fields = _coupler_fields(tau, eta, theta, None, np.sqrt)
     return CouplerStack(*fields)
 

@@ -786,38 +786,51 @@ def _count_transfer_calls(monkeypatch):
 
 @pytest.mark.parametrize("ring", [1, 2, 3])
 def test_surface_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring):
-    # Each batch mounts its three slots in one ring stack and evaluates them
-    # in one transfer call, while its networks are built: the compensating
-    # line phase and the composition share that call's read-only result. The
-    # fixed optimal rings of the other slots are built once per process, and
-    # every batch of every sweep mounts the same read-only stacks.
-    calls, batches = _count_transfer_calls(monkeypatch), []
-    surface_stack = cli.surface_stack
+    # Each batch evaluates its three slots in one transfer call each, while
+    # its networks are built: the compensating line phase and the
+    # composition share those calls' read-only results. The swept ring stack
+    # is the one its couplers were built into, evaluated on its own field
+    # arrays (the middle slot's swapped as it is mounted flipped), with no
+    # copy and no mounted stack. The fixed optimal rings of the other slots
+    # are built once per process, and every batch of every sweep evaluates
+    # the same read-only stacks of one.
+    calls, batches, built = _count_transfer_calls(monkeypatch), [], []
+    surface_stack, build_couplers = cli.surface_stack, analysis_module.build_couplers
 
     def recorded(*args):
         count = len(calls)
         point, theta, networks = surface_stack(*args)
-        assert calls[count:] == [networks.mounted]
-        batches.append(networks)
+        batches.append((networks, calls[count:]))
         return point, theta, networks
+
+    def recorded_build(*args):
+        built.append(build_couplers(*args))
+        return built[-1]
 
     analysis_module._optimal_ring.cache_clear()
     monkeypatch.setattr(cli, "surface_stack", recorded)
+    monkeypatch.setattr(analysis_module, "build_couplers", recorded_build)
     monkeypatch.setattr(cli, "_BATCH_POINTS", 10)
     for _ in range(2):
         assert main(["manifold", "surface", "--ring", str(ring), "--grid", "5"]) == 0
     capsys.readouterr()
     assert len(batches) == 6  # per sweep, batches of 10, 10 and 5 grid points
-    assert len(calls) == 6 and all(c is n.mounted for c, n in zip(calls, batches))
-    fixed = [[r for slot, r in enumerate(n.rings, 1) if slot != ring] for n in batches]
-    for networks, stacks in zip(batches, fixed):
-        mounted = networks.mounted
-        for array in (*networks.transfers, mounted.tau, mounted.eta, mounted.theta,
-                      mounted.phi, mounted.kappa, mounted.gamma):
+    assert len(calls) == 18 and len(built) == 6
+    fixed = [[r for slot, r in enumerate(n.rings, 1) if slot != ring] for n, _ in batches]
+    fields = ("tau", "eta", "theta", "phi", "kappa", "gamma")
+    for (networks, slot_calls), swept, stacks in zip(batches, built, fixed):
+        assert not hasattr(networks, "mounted")
+        assert networks.rings[ring - 1] is swept
+        assert len(slot_calls) == 3
+        for slot, (r, c) in enumerate(zip(networks.rings, slot_calls), 1):
+            mount = dict(zip(fields, ("eta", "tau", "theta", "phi", "gamma", "kappa")
+                             if slot == 2 else fields))
+            assert all(getattr(c, f) is getattr(r, mount[f]) for f in fields)
+        for array in (*networks.transfers, *(getattr(swept, f) for f in fields)):
             assert not array.flags.writeable
         assert all(a is b for a, b in zip(stacks, fixed[0]))
-        assert all(not getattr(r, field).flags.writeable for r in stacks
-                   for field in ("tau", "eta", "theta", "phi", "kappa", "gamma"))
+        assert all(len(r) == 1 for r in stacks)
+        assert all(not getattr(r, f).flags.writeable for r in stacks for f in fields)
 
 
 def test_curve_batch_judges_each_point_once(monkeypatch, capsys):
@@ -905,6 +918,19 @@ def test_cnot_skips_the_fock_lift(monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(module, name, forbidden)
     for name in ("cnot_default", "cnot_probe_phase_0.3", "cnot_seeded_probe_phase_-2.5"):
         replay.replay(_PINNED[name], replay.in_process, tmp_path)
+
+
+def test_cnot_probe_phase_prints_as_its_fmod_value(capsys):
+    # The probe phase is reduced as ring angles are: the largest float
+    # prints the bytes of its fmod value, as the cnot_probe_phase_max_float
+    # pin holds them.
+    phase = 1.7976931348623157e308
+    printed = []
+    for value in (phase, math.fmod(phase, TWO_PI)):
+        assert main(["cnot", f"--probe-phase={value!r}"]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    assert printed[0].out == "".join(_PINNED["cnot_probe_phase_max_float"]["stdout"])
 
 
 def test_cnot_detuned_gate_fails(tmp_path, capsys):
@@ -1167,8 +1193,10 @@ _networks = st.one_of(_ring_triples, _ring_triples, _ring_triples,
                       _ring_triples.map(lambda rings: rings[:2]),
                       st.sampled_from(["rings", _POLE_RINGS])).map(lambda r: {"rings": r})
 
-_option_numbers = st.one_of(st.floats(-2.0, 2.0).map(repr), st.sampled_from(
-    ["0", "-0", "1e-12", "nan", "inf", "-inf", "abc", ""]))
+# Every finite float, and strings that are no finite float.
+_option_numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                            st.sampled_from(["0", "-0", "1e-12", "nan", "inf", "-inf",
+                                             "abc", ""]))
 _alphas = st.sampled_from(["1,1,1", "1,1,0", "0,0,0", "1j,0.5,0.5", "1,2", "1,x,1",
                            "nan,0,1"])
 _commands = st.sampled_from(["smatrix", "verify", "cnot", "manifold"])
@@ -1186,7 +1214,9 @@ _raw_configs = st.one_of(st.sampled_from([b'{"rings": "\xff"}', b'\xef\xbb\xbf{"
 
 
 def _option(draw, name, values):
-    return [name, draw(values)] if draw(_coin) else []
+    # One argument, so that argparse reads a value such as -1e+308 as the
+    # option's, not as an option.
+    return [f"{name}={draw(values)}"] if draw(_coin) else []
 
 
 @st.composite
@@ -1229,7 +1259,9 @@ def _cli_calls(draw):
 @settings(deadline=None, max_examples=30)
 @given(_cli_calls())
 # A constraint violation, diagnostics before an unwritable output, the
-# alpha warning before an error exit, and a phase partition of -1e308.
+# alpha warning before an error exit, a phase partition of -1e308, the
+# largest probe phase, a tau range whose width overflows, and curve points
+# whose tau * tau overflows.
 @example((["cnot", "--config", None],
           {"gate_a": {"rings": [ring_entry(1, theta=0.3), ring_entry(2), ring_entry(3)]}}))
 @example((["smatrix", "--config", None],
@@ -1240,6 +1272,10 @@ def _cli_calls(draw):
 @example((["manifold", "curve", "--grid", "3", "--output", str(Path("missing", "out"))], None))
 @example((["verify", "--alpha", "1,1,0", "--config", None],
           {"rings": [ring_entry(1), ring_entry(2), ring_entry(3)], "tolerance": -1.0}))
+@example((["cnot", "--probe-phase=1e308"], None))
+@example((["manifold", "curve", "--ring", "1", "--grid", "3", "--tau-min=-1.7e308",
+           "--tau-max=1.7e308"], None))
+@example((["manifold", "curve", "--tau-max=1.3407807929942597e+154"], None))
 def test_cli_exit_code_contract(tmp_path_factory, call):
     # Every call exits 0, 2, 3 or 4 with no traceback and no Python warning,
     # which is turned into an error as the corpus replay turns it; exit 0

@@ -148,6 +148,22 @@ def test_probe_phase_breaks_coherence():
     assert report.overlap < 0.6
 
 
+@pytest.mark.parametrize("probe_phase", [1.7976931348623157e308, -1e308, 4.0 * math.pi, 7.5])
+def test_probe_phase_is_reduced_as_ring_angles_are(probe_phase):
+    # The phase is reduced by the exact fmod mod 2 pi, so the largest one
+    # gives the block of its fmod value, bit for bit, with no overflow.
+    gates = curve_network(0.2, 0.5, 0.8), curve_network()
+    reduced = math.fmod(probe_phase, 2.0 * math.pi)
+    assert build_cnot(*gates, probe_phase=probe_phase).kept_block.tobytes() \
+        == build_cnot(*gates, probe_phase=reduced).kept_block.tobytes()
+
+
+@pytest.mark.parametrize("probe_phase", [math.inf, -math.inf, math.nan])
+def test_probe_phase_must_be_finite(probe_phase):
+    with pytest.raises(DomainError, match="^probe_phase must be finite"):
+        build_cnot(curve_network(), curve_network(), probe_phase=probe_phase)
+
+
 def test_parameterization_independence():
     net_a = build_cnot(curve_network(), curve_network())
     net_b = build_cnot(curve_network(0.5, 0.3, 0.1), curve_network(0.2, 0.6, 0.8))

@@ -249,9 +249,12 @@ def member(stack, i):
 @EXAMPLES
 @given(st.lists(st.tuples(transmissions, transmissions, angles), min_size=1, max_size=6),
        st.data())
+@pytest.mark.filterwarnings("error")
 def test_bad_coupler_in_stack_raises_scalar_error(good, data):
+    # The error alone, with no warning: 1e200 * 1e200 overflows.
     bad = data.draw(st.sampled_from([(1.5, 0.2, 0.0), (0.2, np.nan, 0.0), (1.0, 1.0, 0.3),
-                                     (0.3, 0.7, np.inf), (0.3, 0.7, np.nan)]))
+                                     (0.3, 0.7, np.inf), (0.3, 0.7, np.nan),
+                                     (1e200, 0.2, 0.0), (0.2, -1e200, 0.0)]))
     where = data.draw(st.integers(0, len(good)))
     members = good[:where] + [bad] + good[where:]
     with pytest.raises((DomainError, PoleError)) as scalar:
@@ -366,33 +369,39 @@ def test_stack_shares_its_transfers_read_only():
     for array in (getattr(stack, f) for f in _FIELDS):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-    # A network stack mounts its three slots in one ring stack, the middle
-    # one flipped, and evaluates their transfers once. The mounted fields and
-    # transfers are read-only, as are the slots; ``of`` gives each slot as a
-    # view into the mounted stack.
+    # A network stack evaluates its slots' transfers once, read-only. ``of``
+    # mounts its three slots in one ring stack, the middle one flipped, and
+    # gives each slot as a view into it; the constructor keeps the caller's
+    # ring stacks, with no copy and no mounted stack, and gives the same
+    # transfers bit for bit.
     nets = [curve_network(0.3, 0.2, 0.1), detuned(0.2, -0.5, 0.7)]
     stacked = NetworkStack.of(nets)
     general = NetworkStack(rings=stacked.rings, deltas=stacked.deltas)
+    assert len(stacked.mounted) == 6 and not hasattr(general, "mounted")
+    assert all(a is b for a, b in zip(general.rings, stacked.rings))
     for networks in (stacked, general):
         assert networks.transfers is networks.transfers
-        assert len(networks.mounted) == 6
-        rings = (networks.mounted, *networks.rings)
-        for array in (*networks.transfers, *(getattr(r, f) for r in rings for f in _FIELDS)):
+        for array in (*networks.transfers,
+                      *(getattr(r, f) for r in networks.rings for f in _FIELDS)):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+    for array in (getattr(stacked.mounted, f) for f in _FIELDS):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert [t.tobytes() for t in general.transfers] == [t.tobytes() for t in stacked.transfers]
     m, (ring1, ring2, ring3) = stacked.mounted, stacked.rings
     assert np.shares_memory(ring1.tau, m.tau) and np.shares_memory(ring3.gamma, m.gamma)
     assert np.shares_memory(ring2.tau, m.eta) and np.shares_memory(ring2.kappa, m.gamma)
     assert member(ring2, 1) == nets[1].rings[1]
-    for field in _FIELDS:
-        assert np.array_equal(getattr(general.mounted, field), getattr(m, field))
-    # The general constructor copies the slots: a caller's own arrays stay
-    # writable, as do those of a CouplerStack's caller.
+    # The constructor reads a caller's own arrays through the ring stack's
+    # read-only views: they are not copied, and stay writable.
     tau = np.array([0.1, 0.2])
     stack = CouplerStack(tau=tau, eta=tau, theta=tau, phi=tau,
                          kappa=1j * np.sqrt(1.0 - tau * tau),
                          gamma=1j * np.sqrt(1.0 - tau * tau))
-    NetworkStack(rings=(stack, stack, stack), deltas=np.zeros((2, 3))).transfers
+    networks = NetworkStack(rings=(stack, stack, stack), deltas=np.zeros((2, 3)))
+    networks.transfers
+    assert all(np.shares_memory(r.tau, tau) for r in networks.rings)
     tau[0] = 0.3
 
 
@@ -531,24 +540,49 @@ def _coupler_stack(rng, count):
                             for _ in range(count)])
 
 
+# How a line-phase column is drawn: a phase per network, one phase for all
+# of them, or zeros whose sign is drawn per network.
+_line_columns = st.sampled_from(["own", "shared", "signed zeros"])
+
+
+def _signed_zeros(rng, n):
+    """n zeros, each +0.0 or -0.0 by a draw of rng."""
+    return np.where(rng.random(n) < 0.5, 0.0, -0.0)
+
+
 @st.composite
 def network_stacks(draw, sizes=st.integers(0, 6)):
     """0 to 6 detuned networks as one NetworkStack, with rings and line
     phases drawn from a seeded generator. Each slot holds a stack of one
-    ring per network or, by a draw, one ring for all of them; the middle
-    slot is sometimes a stack mounted flipped."""
+    ring per network or, by a draw, one ring for all of them, and by a
+    quarter's draw every slot does; the middle slot is sometimes a stack
+    mounted flipped. Each line-phase column is drawn as _line_columns says."""
     n = draw(sizes)
     rng = np.random.default_rng(draw(seeds))
-    rings = [_coupler_stack(rng, 1 if draw(st.booleans()) else n) for _ in range(3)]
+    all_shared = draw(st.integers(0, 3)) == 0
+    rings = [_coupler_stack(rng, 1 if all_shared or draw(st.booleans()) else n)
+             for _ in range(3)]
     if draw(st.booleans()):
         rings[1] = flipped(rings[1])
     deltas = rng.uniform(0.0, 2.0 * math.pi, (n, 3))
+    for k in range(3):
+        column = draw(_line_columns)
+        if column == "shared":
+            deltas[:, k] = rng.uniform(0.0, 2.0 * math.pi)
+        elif column == "signed zeros":
+            deltas[:, k] = _signed_zeros(rng, n)
     return NetworkStack(rings=tuple(rings), deltas=deltas)
 
 
 # One network on the optimal curve, and none.
 _ON_CURVE = NetworkStack.of([curve_network(0.3, 0.3, 0.3)])
 _NONE = NetworkStack(rings=_ON_CURVE.rings, deltas=np.zeros((0, 3)))
+# Five networks of one detuned ring per slot: their line phases shared,
+# column by column, or zeros of mixed sign.
+_ONE_RING = NetworkStack.of([detuned(0.2, -0.5, 0.7)]).rings
+_ALL_SHARED = NetworkStack(rings=_ONE_RING, deltas=np.tile([0.1, 0.2, 0.3], (5, 1)))
+_MIXED_ZEROS = NetworkStack(rings=_ONE_RING, deltas=np.array(
+    [[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 def outcome(f, *args):
@@ -576,8 +610,9 @@ _stack_sizes = st.one_of(st.integers(0, 2), st.integers(3, 40))
 @KERNEL_EXAMPLES
 @given(network_stacks(_stack_sizes), st.booleans())
 def test_mounted_transfers_are_each_slots_transfers_bit_for_bit(networks, by_members):
-    # The one transfer call on the mounted stack, split by slot, gives what
-    # each slot alone gives, the middle slot mounted flipped.
+    # The one transfer call on the mounted stack of ``of``, split by slot,
+    # and the constructor's call on each slot's own fields give what each
+    # slot alone gives, the middle slot mounted flipped.
     if by_members:
         networks = NetworkStack.of(_members(networks))
     rings = networks.rings
@@ -595,9 +630,15 @@ def test_mounted_transfers_are_each_slots_transfers_bit_for_bit(networks, by_mem
 
 @KERNEL_EXAMPLES
 @given(network_stacks(_stack_sizes))
+@example(_ALL_SHARED)
+@example(_MIXED_ZEROS)
 def test_stack_members_compose_as_networks_alone_bit_for_bit(networks):
+    # A line-phase column shared by every network gives one phasor; a column
+    # of +0.0 and -0.0 is not shared. Every entry has the networks' length,
+    # even where every slot and every column is shared.
     stacked = compose_scattering_stack(networks)
     members = _members(networks)
+    assert all(entry.shape == (len(networks.deltas),) for entry in _entries(networks))
     assert stacked.shape == (len(networks.deltas), 3, 3)
     for i, net in enumerate(members):
         assert stacked[i].tobytes() == compose_scattering(net).tobytes()
