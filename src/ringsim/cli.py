@@ -345,17 +345,13 @@ def cmd_cnot(args, cfg: dict) -> tuple[int, str, list[str]]:
     # cnot reads no tolerance from its config: an empty one gives the default.
     tol = _tolerance(args, {})
     net = build_cnot(nets[0], nets[1], tol=tol, probe_phase=args.probe_phase)
-    rows = verify_truth_table(net)
-    lines = ["control_in,target_in,control_out,target_out,probability,"
-             "fidelity,leakage"]
-    for r in rows:
-        lines.append(",".join([str(r.control_in), str(r.target_in),
-                               str(r.control_out), str(r.target_out),
-                               _fmt(r.probability), _fmt(r.fidelity),
-                               _fmt(r.leakage)]))
+    row = "%d,%d,%d,%d," + ",".join([_csv.NUM] * 3) + "\n"
+    text = "control_in,target_in,control_out,target_out,probability,fidelity,leakage\n" \
+        + "".join(row % (r.control_in, r.target_in, r.control_out, r.target_out,
+                         r.probability, r.fidelity, r.leakage) for r in verify_truth_table(net))
     report = verify_coherence(net)
-    return 0, "\n".join(lines) + "\n", [f"bell_overlap = {_fmt(report.overlap)}",
-                                         f"herald_probability = {_fmt(report.probability)}"]
+    return 0, text, [f"bell_overlap = {_fmt(report.overlap)}",
+                     f"herald_probability = {_fmt(report.probability)}"]
 
 
 @functools.lru_cache(maxsize=1)

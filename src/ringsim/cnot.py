@@ -23,7 +23,7 @@ from .analysis import NlpsgVerdict, _member, verdict_stack
 from .errors import ConstraintError, DomainError, PoleError
 from .fock import _lift_block, enumerate_basis
 from .network import (_LOOP_POLE, NetworkParams, NetworkStack, _require_unitary,
-                      compose_scattering_stack, unitarity_residual)
+                      compose_scattering_stack)
 from .ring import TWO_PI, _read_only
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -132,11 +132,17 @@ def _checked_verdicts(networks: NetworkStack, matrices: np.ndarray,
                      tol: float) -> NlpsgVerdict:
     """The stacked verdict of the gates that ``networks`` composed into
     ``matrices``, checked gate by gate, A first: each gate must be unitary
-    within 1e-10 (else PoleError, from the one-matrix unitarity_residual
-    that smatrix prints), then meet the success constraints and herald
-    (else ConstraintError, with the gate's own verdict)."""
+    within 1e-10 (else PoleError), then meet the success constraints and
+    herald (else ConstraintError, with the gate's own verdict).
+
+    Every gate's unitarity residual comes from one stacked product
+    m^dagger m over the (2, 3, 3) stack. numpy forms each member's product
+    as the one-matrix unitarity_residual that smatrix prints forms
+    s^dagger s, so each residual is the one smatrix prints, bit for bit."""
     labels = "AB"[:len(matrices)]
-    names, residuals = [f"gate {x}" for x in labels], [unitarity_residual(m) for m in matrices]
+    names = [f"gate {x}" for x in labels]
+    gram = matrices.conj().transpose(0, 2, 1) @ matrices
+    residuals = np.max(np.abs(gram - np.eye(3)), axis=(1, 2))
     verdicts = verdict_stack(matrices)
     for i, label in enumerate(labels):
         _require_unitary(networks, residuals[:i + 1], names)
@@ -214,18 +220,6 @@ def build_cnot(gate_a: NetworkParams, gate_b: NetworkParams,
     return CnotNetwork(kept_block=_read_only(_heralded_block(heralded, probe_phase)))
 
 
-def _post_selected(amps: np.ndarray):
-    """Herald probability of a column of kept amplitudes, and the conditional
-    amplitudes of the logical outputs, as project gives them: the
-    probability sums |amp|^2 over the nonzero entries in row order, which
-    fixes the order of the sum."""
-    nz = np.flatnonzero(np.abs(amps) > 0.0)
-    prob = float(np.sum(np.abs(amps[nz]) ** 2))
-    if prob <= 0.0:
-        return 0.0, [0j] * len(_LOGICAL)
-    return prob, (amps[_LOGICAL] * (1.0 / np.sqrt(prob))).tolist()
-
-
 # Outputs whose weight is within this of the largest tie, and the tie goes
 # to the first of them in _COMPUTATIONAL order. At probe phases such as
 # pi/2 and pi two outputs weigh exactly the same, and the last bits of
@@ -234,30 +228,34 @@ _TIE = 1e-12
 
 
 def verify_truth_table(net: CnotNetwork) -> list[TruthTableRow]:
-    """Evolve all four computational inputs and herald both ancilla pairs.
+    """Post-select all four computational columns of the heralded block.
 
     Each row reports the herald probability, the dominant logical output
     (of the outputs tied within _TIE for the largest weight, the first),
     its fidelity within the post-selected state, and the leakage outside
     the dual-rail computational subspace.
+
+    All four columns go through one array pass. A column's probability
+    sums |amp|^2 in row order: a computational column of the CNOT's block
+    has at most 6 nonzero rows (3 for control 0), and below 8 terms that
+    is the order numpy's sum over the nonzero entries takes, so each
+    probability is the one project gives. A column of probability 0 has
+    fidelity 0 and leakage 1.
     """
-    rows = []
-    for (c_in, t_in), column in zip(_COMPUTATIONAL, net.kept_block.T):
-        prob, logical = _post_selected(column)
-        weights = dict(zip(_COMPUTATIONAL, (abs(a) ** 2 for a in logical)))
-        top = max(weights.values())
-        dominant = next(b for b, w in weights.items() if w >= top - _TIE)
-        comp_weight = sum(weights.values())
-        rows.append(TruthTableRow(
-            control_in=c_in,
-            target_in=t_in,
-            probability=prob,
-            control_out=dominant[0],
-            target_out=dominant[1],
-            fidelity=weights[dominant],
-            leakage=1.0 - comp_weight,
-        ))
-    return rows
+    block = net.kept_block
+    prob = (np.abs(block) ** 2).sum(axis=0)
+    # 1 / sqrt(inf) = 0 scales a column of probability 0 to zeros.
+    logical = block[_LOGICAL] * (1.0 / np.sqrt(np.where(prob > 0.0, prob, np.inf)))
+    # abs(a) ** 2 as Python gives it, libm's hypot and pow: numpy's complex
+    # abs and x * x round some weights differently in the last bit.
+    weights = np.float_power(np.hypot(logical.real, logical.imag), 2)
+    dominant = np.argmax(weights >= weights.max(axis=0) - _TIE, axis=0)
+    fidelity = weights[dominant, range(len(_COMPUTATIONAL))]
+    leakage = 1.0 - weights.sum(axis=0)
+    return [TruthTableRow(c_in, t_in, p, *_COMPUTATIONAL[d], f, leak)
+            for (c_in, t_in), p, d, f, leak in zip(_COMPUTATIONAL, prob.tolist(),
+                                                   dominant.tolist(), fidelity.tolist(),
+                                                   leakage.tolist())]
 
 
 def verify_coherence(net: CnotNetwork) -> CoherenceReport:
@@ -265,10 +263,17 @@ def verify_coherence(net: CnotNetwork) -> CoherenceReport:
     against the maximally entangled (|00> + |11>)/sqrt(2).
 
     By linearity the heralded amplitudes are those of the inputs 00 and 10
-    from the truth table's block, summed with weight 1/sqrt(2) each."""
+    from the truth table's block, summed with weight 1/sqrt(2) each. This
+    column has up to 9 nonzero rows, so its probability is numpy's sum
+    over the nonzero entries (pairwise from 8 terms), as project gives it,
+    not a sum in row order."""
     inputs = [_COMPUTATIONAL.index((0, 0)), _COMPUTATIONAL.index((1, 0))]
-    weights = np.full(2, _INV_SQRT2, dtype=complex)
-    prob, (a00, _, _, a11) = _post_selected(net.kept_block[:, inputs] @ weights)
+    column = net.kept_block[:, inputs] @ np.full(2, _INV_SQRT2, dtype=complex)
+    mag = np.abs(column)
+    prob = float((mag[mag > 0.0] ** 2).sum())
+    if prob <= 0.0:
+        return CoherenceReport(overlap=0.0, probability=0.0)
+    a00, _, _, a11 = (column[_LOGICAL] * (1.0 / np.sqrt(prob))).tolist()
     return CoherenceReport(overlap=abs(_INV_SQRT2 * (a00 + a11)), probability=prob)
 
 

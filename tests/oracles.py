@@ -15,6 +15,9 @@ a shared helper.
   heralded block as the full 8-mode, four-photon lift. The package reads
   that block from the two gates' heralded amplitudes between two
   two-photon interferometers instead.
+- ``post_selected_checks``: the CNOT's truth table and Bell check of a
+  heralded block, post-selected one column at a time by the per-column
+  rule the package restates as one array pass.
 - ``embed`` and ``cnot_network``: a small unitary placed on listed modes
   of a larger network, and the CNOT's 8-mode matrix assembled from such
   parts. The package builds no 8-mode matrix.
@@ -24,9 +27,12 @@ a shared helper.
   composes to the transpose of the original's scattering matrix.
 - ``exact_scattering``: a config's 3x3 scattering matrix in mpmath at 60
   digits, from the config's float inputs, by the mode-swap chain: the
-  reference that a printed digit is rounding of, or noise. It alone needs
-  mpmath, a test dependency that it imports when called, so the other
-  oracles load without it.
+  reference that a printed digit is rounding of, or noise. It and
+  ``exact_cnot_block`` need mpmath, a test dependency that they import
+  when called, so the other oracles load without it.
+- ``exact_cnot_block``: the CNOT's heralded block at 60 digits from two
+  gate configs, with exact 50/50 splitters; ``is_physical`` judges a
+  printed 9-digit number against such an exact value.
 
 Bad input raises ``ValueError``; a vanishing swap pivot raises the local
 ``SingularPivotError``, also a ``ValueError``.
@@ -34,6 +40,7 @@ Bad input raises ``ValueError``; a vanishing swap pivot raises the local
 
 import cmath
 import math
+from decimal import ROUND_HALF_EVEN, Decimal
 from itertools import permutations, product
 
 import numpy as np
@@ -176,17 +183,63 @@ def fock_lift(u, outputs, inputs) -> np.ndarray:
 CNOT_HERALD = (1, 0, 1, 0)
 
 
+# The computational states |control, target> in the order 00, 01, 10, 11,
+# and the two-photon occupations of the rails (modes 0-3) that the CNOT's
+# heralds keep, in descending lexicographic order.
+CNOT_INPUTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_RAILS = sorted((occ for occ in product(range(3), repeat=4) if sum(occ) == 2), reverse=True)
+
+
+def _rails_of(c: int, t: int) -> tuple:
+    """The rails' occupation of the computational state |c, t>."""
+    return (1 - c, c, 1 - t, t)
+
+
 def cnot_kept_block(u) -> np.ndarray:
     """The CNOT's heralded block of the 8-mode unitary u by the full
-    four-photon lift. Columns: the computational inputs |control, target>
-    in the order 00, 01, 10, 11, each with one photon in each ancilla
-    pair's first mode. Rows: the outputs the heralds keep, which leave two
-    photons on the rails, in descending lexicographic order of the rails'
-    occupations."""
-    rails = sorted((occ for occ in product(range(3), repeat=4) if sum(occ) == 2),
-                   reverse=True)
-    inputs = [(1 - c, c, 1 - t, t) + CNOT_HERALD for c, t in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    return fock_lift(u, [occ + CNOT_HERALD for occ in rails], inputs)
+    four-photon lift. Columns: the computational inputs in CNOT_INPUTS
+    order, each with one photon in each ancilla pair's first mode. Rows:
+    the outputs the heralds keep, which leave two photons on the rails, in
+    descending lexicographic order of the rails' occupations."""
+    inputs = [_rails_of(c, t) + CNOT_HERALD for c, t in CNOT_INPUTS]
+    return fock_lift(u, [occ + CNOT_HERALD for occ in _RAILS], inputs)
+
+
+def _post_select(amps):
+    """Herald probability of one column of kept amplitudes and the
+    conditional amplitudes of the logical outputs, as Python complex
+    numbers: the probability is numpy's sum of |amp|^2 over the nonzero
+    entries, taken in row order; a column of probability 0 leaves zeros."""
+    nz = np.flatnonzero(np.abs(amps) > 0.0)
+    prob = float(np.sum(np.abs(amps[nz]) ** 2))
+    if prob <= 0.0:
+        return 0.0, [0j] * len(CNOT_INPUTS)
+    logical = [_RAILS.index(_rails_of(c, t)) for c, t in CNOT_INPUTS]
+    return prob, (amps[logical] * (1.0 / np.sqrt(prob))).tolist()
+
+
+def post_selected_checks(block):
+    """The CNOT's checks of its heralded (10, 4) block, one column at a
+    time: the truth table as tuples (control_in, target_in, probability,
+    control_out, target_out, fidelity, leakage) in CNOT_INPUTS order, and
+    the Bell check (overlap, probability) of the input
+    (|00> + |10>) / sqrt(2).
+
+    Each logical output weighs abs(a) ** 2 of its conditional amplitude;
+    the dominant output is the first whose weight is within 1e-12 of the
+    largest, its weight the fidelity, and the leakage 1 minus the sum of
+    the four weights."""
+    block = np.asarray(block, dtype=complex)
+    rows = []
+    for j, (c_in, t_in) in enumerate(CNOT_INPUTS):
+        prob, logical = _post_select(block[:, j])
+        weights = [abs(a) ** 2 for a in logical]
+        top = max(weights)
+        k = next(i for i, w in enumerate(weights) if w >= top - 1e-12)
+        rows.append((c_in, t_in, prob, *CNOT_INPUTS[k], weights[k], 1.0 - sum(weights)))
+    w = 1.0 / math.sqrt(2.0)
+    prob, (a00, _, _, a11) = _post_select(block[:, [0, 2]] @ np.full(2, w, dtype=complex))
+    return rows, (abs(w * (a00 + a11)) if prob > 0.0 else 0.0, prob)
 
 
 def embed(s, modes, n_total: int) -> np.ndarray:
@@ -298,3 +351,66 @@ def exact_scattering(config, digits: int = 60):
             block[line_at, line_at] = mpmath.expj(-mpmath.mpf(ring.get("delta", 0.0)))
             chain = _exact_swap(block, 1) * chain
         return _exact_swap(chain, 1)
+
+
+def exact_cnot_block(gate_a, gate_b, probe_phase: float, digits: int = 60):
+    """The CNOT's heralded block, an mpmath 10 x 4 matrix with the rows and
+    columns of cnot_kept_block, for the gate configs gate_a and gate_b
+    (each {"rings": [...]}, read as exact_scattering reads it) and a probe
+    phase taken as given, at ``digits`` digits.
+
+    Once both ancilla pairs herald, each gate acts on its arm's photon
+    number n as n -> h[n] n, with h = (S11, S00 S11 + S10 S01,
+    S00 (S00 S11 + 2 S10 S01)) of the gate's exact matrix S. So the block
+    is post · diag(d) · pre over the rails' two-photon states y, with
+    d[y] = hA[y1] hB[y2] e^{i probe_phase y1}, y1 and y2 the photons on
+    modes 1 and 2, and post and pre the two-photon lifts (2 x 2
+    permanents) of cnot_network's fixed rails parts, built from exact
+    50/50 splitters."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        h = []
+        for config in (gate_a, gate_b):
+            s = exact_scattering(config, digits)
+            cross = s[1, 0] * s[0, 1]
+            pair = s[0, 0] * s[1, 1] + cross
+            h.append((s[1, 1], pair, s[0, 0] * (pair + cross)))
+        half = 1 / mpmath.sqrt(2)
+
+        def mixer(a, b):
+            m = mpmath.eye(4)
+            m[a, a] = m[a, b] = m[b, a] = half
+            m[b, b] = -half
+            return m
+
+        def lift(u, occ_out, occ_in):
+            (i, j), (k, m) = ([mode for mode, n in enumerate(occ) for _ in range(n)]
+                              for occ in (occ_out, occ_in))
+            norm = math.prod(math.factorial(n) for n in occ_out + occ_in)
+            return (u[i, k] * u[j, m] + u[i, m] * u[j, k]) / mpmath.sqrt(norm)
+
+        post = mpmath.diag([1, -1, 1, 1]) * mixer(2, 3) * mixer(1, 2)
+        pre = mixer(1, 2) * mixer(2, 3)
+        phase = mpmath.expj(mpmath.mpf(probe_phase))
+        d = [h[0][y[1]] * h[1][y[2]] * phase ** y[1] for y in _RAILS]
+        block = mpmath.matrix(len(_RAILS), len(CNOT_INPUTS))
+        for col, (c, t) in enumerate(CNOT_INPUTS):
+            pre_col = [lift(pre, y, _rails_of(c, t)) for y in _RAILS]
+            for row, out in enumerate(_RAILS):
+                block[row, col] = mpmath.fsum(lift(post, out, y) * d[k] * pre_col[k]
+                                              for k, y in enumerate(_RAILS))
+        return block
+
+
+def is_physical(printed: Decimal, x: Decimal) -> bool:
+    """Whether ``printed`` is the exact value x rounded to 9 significant
+    digits, or the other neighbour of a rounding tie: one unit of the 9th
+    digit away, with x within 1e-6 of a unit of the midpoint (the float
+    that was rounded lies within about 1e-7 units of it)."""
+    if x == 0:
+        return printed == 0
+    unit = Decimal(1).scaleb(x.adjusted() - 8)
+    rounded = x.quantize(unit, rounding=ROUND_HALF_EVEN)
+    return printed == rounded or (abs(printed - rounded) == unit
+                                  and abs(x - (printed + rounded) / 2) <= unit / 10 ** 6)

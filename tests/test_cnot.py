@@ -1,6 +1,9 @@
 """Tests for the dual-rail CNOT built from two heralded gates."""
 
+import json
 import math
+from dataclasses import astuple
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -29,12 +32,14 @@ from ringsim import (
     verify_coherence,
     verify_truth_table,
 )
-from ringsim.cnot import (_CONTROL_FLIP, _INNER, _LOGICAL, _SPLITTER, _TARGET_MIX,
+from ringsim.cnot import (_CONTROL_FLIP, _INNER, _LOGICAL, _SPLITTER, _TARGET_MIX, _TIE,
                           _heralded_block, _interferometers)
 from ringsim.errors import DomainError
 from ringsim.fock import _betas, _corners
 
-from oracles import cnot_kept_block, cnot_network, embed
+from oracles import (cnot_kept_block, cnot_network, embed, exact_cnot_block, is_physical,
+                     post_selected_checks)
+from replay import GOLDEN
 
 _ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -308,6 +313,14 @@ def _unitary(entries):
     return np.linalg.qr(z.reshape(3, 3))[0]
 
 
+def block_of(gate_a, gate_b, probe_phase):
+    """build_cnot's heralded block of the 3x3 gate matrices gate_a and
+    gate_b, which need not meet the success constraints."""
+    gates = np.stack([gate_a, gate_b])
+    return _heralded_block(np.stack(_betas(*_corners(gates)), axis=-1) * [1, 1, -1],
+                           probe_phase)
+
+
 unitary_gates = st.lists(st.floats(min_value=-1.0, max_value=1.0),
                          min_size=18, max_size=18).map(_unitary)
 
@@ -320,12 +333,27 @@ def test_heralded_block_equals_the_lift_of_the_network(gate_a, gate_b, probe_pha
     # Any unitary gates, not only those on the manifold that build_cnot
     # accepts. The oracle lifts the network it assembles from embedded
     # parts (tests/oracles.py).
-    gates = np.stack([gate_a, gate_b])
-    block = _heralded_block(np.stack(_betas(*_corners(gates)), axis=-1) * [1, 1, -1],
-                            probe_phase)
+    block = block_of(gate_a, gate_b, probe_phase)
     u = cnot_network(gate_a, gate_b, probe_phase)
     assert unitarity_residual(u) < 1e-12
     assert np.max(np.abs(block - cnot_kept_block(u))) <= 1e-15
+
+
+@settings(deadline=None, max_examples=200)
+@given(unitary_gates, unitary_gates, st.floats(min_value=-7.0, max_value=7.0))
+@example(compose_scattering(curve_network()), compose_scattering(curve_network()), math.pi / 2)
+@example(compose_scattering(curve_network(0.3, 0.6, 0.1)), compose_scattering(curve_network()),
+         math.pi)
+@example(np.eye(3)[[0, 2, 1]], np.eye(3)[[0, 2, 1]], 0.0)
+def test_checks_equal_the_per_column_rule_bit_for_bit(gate_a, gate_b, probe_phase):
+    # The truth table post-selects all four columns in one array pass and
+    # the Bell check its one column; the oracle restates the rule one
+    # column at a time (tests/oracles.py). The examples tie two outputs
+    # (pi / 2, pi) and never herald (each ancilla pair swapped).
+    net = CnotNetwork(kept_block=block_of(gate_a, gate_b, probe_phase))
+    rows, (overlap, probability) = post_selected_checks(net.kept_block)
+    assert [astuple(row) for row in verify_truth_table(net)] == rows
+    assert verify_coherence(net) == CoherenceReport(overlap, probability)
 
 
 @pytest.mark.parametrize("probe_phase", [math.pi / 2, math.pi, -math.pi])
@@ -376,3 +404,72 @@ def test_cnot_constants_are_read_only():
         build_cnot(curve_network(0.2, 0.5, 0.8), curve_network(), probe_phase=probe_phase)
     for c, b in zip(constants, before):
         assert np.array_equal(c, b)
+
+
+# Printed cnot fields that may be noise: the leakage, 1 minus the four
+# logical weights. Its exact value for optimal gates at probe phase 0 is
+# below 1e-30 (the float inputs lie off the manifold by rounding), so what
+# is printed is the rounding of the float sum. A noise field must lie
+# within _NOISE_BOUND of its exact value.
+_NOISE = {"leakage"}
+_NOISE_BOUND = Decimal("1e-15")
+_CNOT_PINS = [path.stem for path in sorted(GOLDEN.glob("cnot_*.json"))
+              if json.loads(path.read_text(encoding="utf-8"))["exit"] == 0]
+
+
+def _exact_checks(block):
+    """The truth-table rows (control_out, target_out, probability,
+    fidelity, leakage) and the Bell (overlap, probability) of the mpmath
+    block, by the package's rule in exact arithmetic."""
+    import mpmath
+
+    def post_select(column):
+        prob = mpmath.fsum(abs(a) ** 2 for a in column)
+        return prob, [column[i] / mpmath.sqrt(prob) for i in _LOGICAL.tolist()]
+
+    rows = []
+    for col in range(len(_ORDER)):
+        prob, logical = post_select([block[i, col] for i in range(block.rows)])
+        weights = [abs(a) ** 2 for a in logical]
+        k = next(i for i, w in enumerate(weights) if w >= max(weights) - mpmath.mpf(_TIE))
+        rows.append((*_ORDER[k], prob, weights[k], 1 - mpmath.fsum(weights)))
+    half = 1 / mpmath.sqrt(2)
+    prob, (a00, _, _, a11) = post_select([(block[i, 0] + block[i, 2]) * half
+                                          for i in range(block.rows)])
+    return rows, (abs(half * (a00 + a11)), prob)
+
+
+@pytest.mark.parametrize("name", _CNOT_PINS)
+def test_cnot_pins_print_exact_values_or_named_noise(name):
+    # Each number a pinned cnot call prints is the exact value of its
+    # gates' float inputs (tests/oracles.py) to 9 digits, or a named noise
+    # field within its bound; each dominant output is the exact one. The
+    # default gates are those curve_network() builds.
+    import mpmath
+
+    case = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    default = {"rings": [{"tau": r.tau, "eta": r.eta, "theta": r.theta, "phi": r.phi}
+                         for r in curve_network().rings]}
+    gates = [case.get("config", {}).get(key, default) for key in ("gate_a", "gate_b")]
+    argv = " ".join(case["argv"]).replace("=", " ").split()
+    probe_phase = (math.fmod(float(argv[argv.index("--probe-phase") + 1]), 2.0 * math.pi)
+                   if "--probe-phase" in argv else 0.0)
+    with mpmath.workdps(60):
+        rows, (overlap, herald) = _exact_checks(exact_cnot_block(*gates, probe_phase))
+        exact, shown = {}, {}
+        for line, (c_out, t_out, *values) in zip(case["stdout"][1:], rows):
+            c_in, t_in, *printed = line.strip().split(",")
+            assert [int(x) for x in printed[:2]] == [c_out, t_out]
+            for field, value, text in zip(("probability", "fidelity", "leakage"), values,
+                                          printed[2:]):
+                key = (c_in + t_in, field)
+                exact[key], shown[key] = Decimal(mpmath.nstr(value, 40)), Decimal(text)
+        for line, value in zip(case["stderr"], (overlap, herald)):
+            field, text = line.strip().split(" = ")
+            exact[("bell", field)], shown[("bell", field)] = (Decimal(mpmath.nstr(value, 40)),
+                                                              Decimal(text))
+    assert len(shown) == 14
+    unexplained = {key: (str(value), str(exact[key])) for key, value in shown.items()
+                   if not is_physical(value, exact[key])
+                   and not (key[1] in _NOISE and abs(value - exact[key]) <= _NOISE_BOUND)}
+    assert not unexplained

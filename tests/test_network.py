@@ -3,7 +3,7 @@ oracle the composition is checked against."""
 
 import json
 import math
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -30,8 +30,8 @@ from ringsim import (
 )
 from ringsim.errors import DomainError
 
-from oracles import (SingularPivotError, block_transfer, exact_scattering, mode_swap3,
-                     reversed_network)
+from oracles import (SingularPivotError, block_transfer, exact_scattering, is_physical,
+                     mode_swap3, reversed_network)
 from replay import GOLDEN
 
 
@@ -385,19 +385,6 @@ _NOISE = {"S00.im", "S11.im", "S22.im", "det.im", "unitarity_residual"}
 _NOISE_BOUND = Decimal("1e-15")
 
 
-def _physical(printed: Decimal, x: Decimal) -> bool:
-    """Whether ``printed`` is the exact value x rounded to 9 significant
-    digits, or the other neighbour of a rounding tie: one unit of the 9th
-    digit away, with x within 1e-6 of a unit of the midpoint (the float
-    that was rounded lies within about 1e-7 units of it)."""
-    if x == 0:
-        return printed == 0
-    unit = Decimal(1).scaleb(x.adjusted() - 8)
-    rounded = x.quantize(unit, rounding=ROUND_HALF_EVEN)
-    return printed == rounded or (abs(printed - rounded) == unit
-                                  and abs(x - (printed + rounded) / 2) <= unit / 10 ** 6)
-
-
 @pytest.mark.parametrize("name", ["smatrix_readme", "smatrix_detuned_line_phases",
                                   "smatrix_phi_-1e308"])
 def test_smatrix_pins_print_exact_values_or_named_noise(name):
@@ -427,6 +414,6 @@ def test_smatrix_pins_print_exact_values_or_named_noise(name):
         exact = {field: Decimal(mpmath.nstr(value, 40)) for field, value in exact.items()}
     unexplained = {field: (str(value), str(exact[field]))
                    for field, value in shown.items()
-                   if not _physical(value, exact[field])
+                   if not is_physical(value, exact[field])
                    and not (field in _NOISE and abs(value - exact[field]) <= _NOISE_BOUND)}
     assert not unexplained
