@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError
 from .fock import _betas, _corners
-from .network import (NetworkParams, NetworkStack, closed_form_resonant,
+from .network import (NetworkParams, NetworkStack, _slot_transfers, closed_form_resonant,
                       compose_scattering_stack)
 from .ring import (_COUPLER_DTYPES, RESONANT_THETA, TWO_PI, CouplerStack, RingCoupler,
                    _coupler_fields, _inverse, _passes, _through, build_coupler,
@@ -292,9 +292,14 @@ def compensated_network_stack(
     phases are 0. Ring stacks of length 1 broadcast against the others.
     """
     shape = np.broadcast_shapes(*((len(r),) for r in rings))
-    networks = NetworkStack(rings=rings, deltas=np.zeros(shape + (3,)))
+    return _compensated(NetworkStack(rings=rings, deltas=np.zeros(shape + (3,))))
+
+
+def _compensated(networks: NetworkStack) -> NetworkStack:
+    """``networks``, of zero line phases, with the middle line phase of
+    ``compensated_network_stack`` written in place: the stack keeps the
+    transfers it uses."""
     _, (c1, d2, b3) = networks.legs()
-    # The phase is written in place: the stack keeps the transfers it uses.
     networks.deltas[:, 1] = (np.angle(c1) + np.angle(d2) + np.angle(b3)) % TWO_PI
     return networks
 
@@ -317,20 +322,36 @@ def surface_stack(slot: int, eta, tau) -> tuple[np.ndarray, np.ndarray, NetworkS
                                    np.atleast_1d(np.asarray(tau, dtype=float)))
     point, theta = surface_theta_stack(_slot_transmission(slot), eta, tau)
     swept = build_couplers(tau[point], eta[point], theta)
-    return point, theta, compensated_network_stack(_optimal_rings_with(slot, swept))
+    return point, theta, _compensated(_optimal_networks(slot, swept))
 
 
-def _optimal_rings_with(slot: int, swept: CouplerStack) -> tuple[CouplerStack, ...]:
-    """The resonant optimal rings at tau = 0, with ``swept`` in ``slot``."""
-    return tuple(swept if s == slot else _optimal_ring(s) for s in (1, 2, 3))
+def _optimal_networks(slot: int, swept: CouplerStack, delta2: float = 0.0) -> NetworkStack:
+    """Networks of ``swept`` in ``slot`` between the resonant optimal rings
+    at tau = 0, with the middle line phase delta2 and outer ones 0: one
+    transfer call, on the swept stack, and the fixed slots' transfers shared
+    from ``_optimal_transfers``."""
+    deltas = np.zeros((len(swept), 3))
+    deltas[:, 1] = delta2
+    return NetworkStack._sharing(
+        rings=tuple(swept if s == slot else _optimal_ring(s) for s in (1, 2, 3)),
+        deltas=deltas,
+        shared=tuple(None if s == slot else _optimal_transfers(s) for s in (1, 2, 3)))
 
 
 @functools.cache
 def _optimal_ring(slot: int) -> CouplerStack:
     """The slot's resonant optimal ring at tau = 0, as a stack of one, built
-    once per process. Its arrays are read-only; every sweep batch puts it
-    beside the swept ring and evaluates it with the batch's transfers."""
+    once per process. Its arrays are read-only and no caller holds a
+    writable view of them, so its transfers cannot go stale."""
     return CouplerStack.of([curve_ring(slot, 0.0)])
+
+
+@functools.cache
+def _optimal_transfers(slot: int) -> np.ndarray:
+    """The read-only (1, 2, 2) transfers of ``_optimal_ring(slot)`` as it is
+    mounted in its slot, the middle ring flipped, evaluated once per process;
+    every sweep batch shares them beside its swept ring."""
+    return _slot_transfers(_optimal_ring(slot), slot - 1)
 
 
 def curve_stack(tau_grid, ring: int = 1) -> NetworkStack:
@@ -363,8 +384,7 @@ def curve_stack(tau_grid, ring: int = 1) -> NetworkStack:
         log.info("curve trace skipped %d of %d grid points", skipped.size, tau.size)
     swept = CouplerStack._checked_already(
         **{name: field[usable] for name, field in zip(_COUPLER_DTYPES, couplers)})
-    return NetworkStack(rings=_optimal_rings_with(ring, swept),
-                        deltas=np.zeros((len(swept), 3)))
+    return _optimal_networks(ring, swept)
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,9 +426,7 @@ def intersect_delta2(delta2: float, tau2_grid) -> NetworkStack:
     with the middle line phase delta2. Each composes to a heralded amplitude
     of magnitude 1/2; delta2 = 0 degenerates to the resonant curve."""
     tau2, eta2, theta2, _, _ = intersect_stack(delta2, tau2_grid)
-    return NetworkStack(
-        rings=_optimal_rings_with(2, build_couplers(tau2, eta2, theta2)),
-        deltas=np.tile([0.0, float(delta2), 0.0], (len(tau2), 1)))
+    return _optimal_networks(2, build_couplers(tau2, eta2, theta2), delta2)
 
 
 def intersect_stack(delta2: float, tau2_grid) -> tuple[np.ndarray, ...]:

@@ -31,12 +31,15 @@ from .ring import TWO_PI, build_coupler, effective_coupling
 _EQUAL_SIGNAL = NlpsgInput(*[1.0 / math.sqrt(3.0)] * 3)
 
 # Grid points per stacked batch of a sweep; batching keeps memory flat for
-# any grid size. Each batch carries about 0.5 ms of fixed numpy and Python
-# work (theta solve, coupler build, mount, transfers, entries, unitarity
-# guard, CSV) and each grid point about 0.9 us, so the default 101 x 101
-# surface grid runs as one batch. Its whole sweep then peaks at 3.41 MB of
-# traced allocations, against 2.06 MB as three batches of 4096 (in process,
-# tracemalloc, numpy 2.4 on a 2-core AVX-512 x86-64).
+# any grid size. Each batch carries fixed numpy and Python work: about
+# 0.25 ms in a curve batch of 2 points (networks with the swept ring's one
+# transfer call 70 us, entries 50 us, unitarity guard, probability and
+# squares 50 us, CSV 50 us) and 0.41 ms in a surface batch of 4, which also
+# solves theta; the fixed rings' transfers are evaluated once per process.
+# Each grid point costs about 0.5 us, so the default 101 x 101 surface grid
+# runs as one batch. Its whole sweep then peaks at 2.98 MB of traced
+# allocations, against 1.86 MB as three batches of 4096 (in process,
+# timeit and tracemalloc, numpy 2.4 on a 2-core AVX-512 x86-64).
 _BATCH_POINTS = 16384
 
 

@@ -63,9 +63,10 @@ class NetworkStack:
 
     ``rings`` holds one CouplerStack per slot and ``deltas`` the (N, 3) line
     phases. A ring stack of length 1 stands for the same ring in all N
-    networks. The constructor, which the sweeps call, keeps the caller's
-    slots with no copy. ``of`` lays the configured networks' slots end to
-    end in one ``mounted`` stack, the middle ring flipped, for one transfer
+    networks. The constructor keeps the caller's slots with no copy; the
+    sweeps build through ``_sharing``, which is also given their fixed
+    slots' transfers. ``of`` lays the configured networks' slots end to end
+    in one ``mounted`` stack, the middle ring flipped, for one transfer
     evaluation, and gives each slot as a view into it.
     """
 
@@ -104,17 +105,29 @@ class NetworkStack:
             deltas=np.array([net.deltas for net in networks], dtype=float).reshape(-1, 3))
         return stack
 
+    @classmethod
+    def _sharing(cls, rings, deltas, shared) -> "NetworkStack":
+        """The constructor's stack, whose slot k takes ``shared[k]``, unless
+        it is None, as its transfers instead of evaluating them; the other
+        slots are evaluated here. A shared transfer is read-only, as
+        ``transfers`` gives it, of a ring stack whose arrays nothing can
+        write: the constructor keeps a caller's writable arrays, whose
+        transfers a later write would leave stale."""
+        stack = cls(rings=rings, deltas=deltas)
+        stack.__dict__["transfers"] = tuple(
+            _slot_transfers(r, k) if t is None else t
+            for k, (r, t) in enumerate(zip(stack.rings, shared)))
+        return stack
+
     @cached_property
     def transfers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each slot's (n_k, 2, 2) transfers, the middle ring's flipped, read-only:
         views of one ``transfer_matrix_stack`` call on ``mounted`` for a stack
-        from ``of``, else one call per slot on its own fields."""
+        from ``of``, else one call per slot on its own fields. A stack from
+        ``_sharing`` evaluates only the slots it was not given."""
         mounted = getattr(self, "mounted", None)
         if mounted is None:
-            a, b, c = self.rings
-            flipped = CouplerStack._checked_already(
-                **{name: getattr(b, _FLIPPED[name]) for name in _COUPLER_DTYPES})
-            return tuple(_read_only(transfer_matrix_stack(r)) for r in (a, flipped, c))
+            return tuple(_slot_transfers(r, k) for k, r in enumerate(self.rings))
         m = _read_only(transfer_matrix_stack(mounted))
         n1, n2 = len(self.rings[0]), len(self.rings[1])
         return m[:n1], m[n1:n1 + n2], m[n1 + n2:]
@@ -124,6 +137,15 @@ class NetworkStack:
         and its leg of the loop, c1, d2 and b3 of ``_entries``: views of ``transfers``."""
         a, b, c = self.transfers
         return (a[:, 0, 0], b[:, 1, 1], c[:, 0, 0]), (a[:, 1, 0], b[:, 1, 1], c[:, 0, 1])
+
+
+def _slot_transfers(ring: CouplerStack, k: int) -> np.ndarray:
+    """The read-only (n, 2, 2) transfers of ``ring`` mounted in slot k (0, 1
+    or 2): one ``transfer_matrix_stack`` call on the ring's own field
+    arrays, swapped for the flipped middle slot."""
+    mounted = CouplerStack._checked_already(
+        **{name: getattr(ring, _MOUNTED[k][name]) for name in _COUPLER_DTYPES})
+    return _read_only(transfer_matrix_stack(mounted))
 
 
 def compose_scattering(params: NetworkParams) -> np.ndarray:

@@ -550,6 +550,15 @@ _SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
 @example(_SPECIAL_FLOATS + _SPECIAL_FLOATS[::-1])
 @example([struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0], math.nan,
           -math.nan, 1e308, 9.999999995e307, 1e-320, 1e-320])
+# A column of one printed width but for one cell: a sign slot, a third
+# exponent digit, or a text cell (inf, nan, a rounding tie) narrower or
+# wider than the numbers.
+@example([0.25, 0.5, -0.0, 0.75])
+@example([0.25, 1e-100, 0.5, 0.75])
+@example([0.25, math.inf, 0.5, 0.75])
+@example([0.25, 0.5, math.nan, 0.75])
+@example([0.25, 0.5, 0.75, 1000000005.0])
+@example([0.25, 0.5, 0.75, -1.000000005e-100])
 def test_column_equals_per_value_format(values):
     # One column of the table formatter, with repeated values and values that
     # differ only in their bits: 0.0 and -0.0, NaNs of different payloads.
@@ -562,6 +571,10 @@ def test_column_equals_per_value_format(values):
 @given(st.integers(0, 40).flatmap(lambda rows: st.lists(
            st.lists(st.floats(), min_size=rows, max_size=rows), min_size=1, max_size=6)),
        st.sampled_from([None, "1", "2", "3"]))
+# Tables whose every cell has its column's width, with and without a label.
+@example([[0.25, 0.5, 0.75], [1.5, 2.5, 3.5], [0.0, 0.0, 0.0]], None)
+@example([[0.25, 0.5, 0.75], [1.5, 2.5, 3.5], [-1.5, -2.5, -3.5]], "1")
+@example([[1e-100, 2e-100], [-1e100, -2e100]], "2")
 def test_table_rows_equal_per_value_format(columns, label):
     assert _csv.rows(columns, label).decode("ascii") == _percent_rows(columns, label)
 
@@ -634,6 +647,10 @@ def _mixed_columns(draw):
           ([-0.0, 0.0], [0, 1, 1, 0, 0, 1, 1])], "2")
 @example([([0.5, -0.0], []), [], ([], [])], None)  # empty indices
 @example([([0.05, 0.98], [0, 0, 1]), ([0.05, 0.98], [1, 1, 0]), [0.1, 0.2, 0.3]], "1")
+# Indexed values of every width: sign, third exponent digit, text cells.
+@example([([0.5, -1.0, 1e-100, -1e-100, math.inf, math.nan, 1000000005.0],
+           [0, 1, 2, 3, 4, 5, 6, 0]), [0.1] * 8], "1")
+@example([[0.1, 0.2], ([0.5, -1.0, 1e-100], [0, 0])], None)  # narrow values unused
 def test_indexed_columns_equal_per_value_format(columns, label):
     handed = [(np.array(c[0], dtype=float), np.array(c[1], dtype=np.intp))
               if isinstance(c, tuple) else c for c in columns]
@@ -696,6 +713,7 @@ def checked(columns, label=None):
 
 _csv.rows = checked
 for argv in (["surface", "--ring", "2", "--grid", "31"], ["curve", "--grid", "201"],
+             ["curve", "--grid", "201", "--tau-min", "-1", "--tau-max", "1"],
              *(["intersect", "--grid", "1001", "--delta2=" + d]
                for d in ("0", "0.105", "2", "-0.538"))):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -784,16 +802,49 @@ def _count_transfer_calls(monkeypatch):
     return calls
 
 
+def _check_batch_transfers(batches, swept_stacks, ring):
+    """Each batch of a sweep of ``ring``, as (networks, transfer calls made
+    while they were built), makes one transfer call, on its swept stack's own
+    field arrays (the middle slot's swapped, as it is mounted flipped), with
+    no copy and no mounted stack. The fixed optimal rings are evaluated once
+    per process, in the first batch, and every batch shares their read-only
+    transfers."""
+    fields = ("tau", "eta", "theta", "phi", "kappa", "gamma")
+
+    def mounted(c, r, slot):
+        swapped = ("eta", "tau", "theta", "phi", "gamma", "kappa") if slot == 2 else fields
+        return all(getattr(c, f) is getattr(r, g) for f, g in zip(fields, swapped))
+
+    fixed = [slot for slot in (1, 2, 3) if slot != ring]
+    assert [len(c) for _, c in batches] == [3] + [1] * (len(batches) - 1)
+    assert all(mounted(c, analysis_module._optimal_ring(slot), slot)
+               for c, slot in zip(batches[0][1], fixed))
+    for (networks, calls), swept in zip(batches, swept_stacks):
+        assert not hasattr(networks, "mounted")
+        assert networks.rings[ring - 1] is swept
+        assert mounted(calls[-1], swept, ring)
+        for slot in fixed:
+            assert networks.rings[slot - 1] is analysis_module._optimal_ring(slot)
+            assert networks.transfers[slot - 1] is analysis_module._optimal_transfers(slot)
+            assert len(networks.transfers[slot - 1]) == 1
+        for array in (*networks.transfers,
+                      *(getattr(r, f) for r in networks.rings for f in fields)):
+            assert not array.flags.writeable
+
+
+def _clear_optimal_rings():
+    analysis_module._optimal_ring.cache_clear()
+    analysis_module._optimal_transfers.cache_clear()
+
+
 @pytest.mark.parametrize("ring", [1, 2, 3])
 def test_surface_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring):
-    # Each batch evaluates its three slots in one transfer call each, while
-    # its networks are built: the compensating line phase and the
-    # composition share those calls' read-only results. The swept ring stack
-    # is the one its couplers were built into, evaluated on its own field
-    # arrays (the middle slot's swapped as it is mounted flipped), with no
-    # copy and no mounted stack. The fixed optimal rings of the other slots
-    # are built once per process, and every batch of every sweep evaluates
-    # the same read-only stacks of one.
+    # Each batch makes one transfer call, on the ring stack its swept
+    # couplers were built into, while its networks are built: the
+    # compensating line phase and the composition share that call's
+    # read-only result. The fixed optimal rings of the other slots are
+    # built and evaluated once per process, and every batch of every sweep
+    # shares their read-only transfers.
     calls, batches, built = _count_transfer_calls(monkeypatch), [], []
     surface_stack, build_couplers = cli.surface_stack, analysis_module.build_couplers
 
@@ -807,7 +858,7 @@ def test_surface_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring)
         built.append(build_couplers(*args))
         return built[-1]
 
-    analysis_module._optimal_ring.cache_clear()
+    _clear_optimal_rings()
     monkeypatch.setattr(cli, "surface_stack", recorded)
     monkeypatch.setattr(analysis_module, "build_couplers", recorded_build)
     monkeypatch.setattr(cli, "_BATCH_POINTS", 10)
@@ -815,22 +866,32 @@ def test_surface_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring)
         assert main(["manifold", "surface", "--ring", str(ring), "--grid", "5"]) == 0
     capsys.readouterr()
     assert len(batches) == 6  # per sweep, batches of 10, 10 and 5 grid points
-    assert len(calls) == 18 and len(built) == 6
-    fixed = [[r for slot, r in enumerate(n.rings, 1) if slot != ring] for n, _ in batches]
-    fields = ("tau", "eta", "theta", "phi", "kappa", "gamma")
-    for (networks, slot_calls), swept, stacks in zip(batches, built, fixed):
-        assert not hasattr(networks, "mounted")
-        assert networks.rings[ring - 1] is swept
-        assert len(slot_calls) == 3
-        for slot, (r, c) in enumerate(zip(networks.rings, slot_calls), 1):
-            mount = dict(zip(fields, ("eta", "tau", "theta", "phi", "gamma", "kappa")
-                             if slot == 2 else fields))
-            assert all(getattr(c, f) is getattr(r, mount[f]) for f in fields)
-        for array in (*networks.transfers, *(getattr(swept, f) for f in fields)):
-            assert not array.flags.writeable
-        assert all(a is b for a, b in zip(stacks, fixed[0]))
-        assert all(len(r) == 1 for r in stacks)
-        assert all(not getattr(r, f).flags.writeable for r in stacks for f in fields)
+    assert len(calls) == 8 and len(built) == 6
+    _check_batch_transfers(batches, built, ring)
+
+
+@pytest.mark.parametrize("ring", [1, 2, 3])
+def test_curve_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring):
+    # The curve's counterpart: one transfer call per batch, on the swept
+    # ring stack the batch mounts, beside the fixed rings' shared transfers.
+    calls, batches = _count_transfer_calls(monkeypatch), []
+    curve_stack = cli.curve_stack
+
+    def recorded(*args):
+        count = len(calls)
+        networks = curve_stack(*args)
+        batches.append((networks, calls[count:]))
+        return networks
+
+    _clear_optimal_rings()
+    monkeypatch.setattr(cli, "curve_stack", recorded)
+    monkeypatch.setattr(cli, "_BATCH_POINTS", 10)
+    for _ in range(2):
+        assert main(["manifold", "curve", "--ring", str(ring), "--grid", "25"]) == 0
+    capsys.readouterr()
+    assert len(batches) == 6  # per sweep, batches of 10, 10 and 5 grid points
+    assert len(calls) == 8
+    _check_batch_transfers(batches, [n.rings[ring - 1] for n, _ in batches], ring)
 
 
 def test_curve_batch_judges_each_point_once(monkeypatch, capsys):
@@ -849,7 +910,7 @@ def test_curve_batch_judges_each_point_once(monkeypatch, capsys):
     def validated(self):
         raise AssertionError("a curve batch built a validated CouplerStack")
 
-    analysis_module._optimal_ring.cache_clear()
+    _clear_optimal_rings()
     for module in (ring_module, analysis_module):
         monkeypatch.setattr(module, "_passes", counted)
     monkeypatch.setattr(CouplerStack, "__post_init__", validated)

@@ -405,6 +405,26 @@ def test_stack_shares_its_transfers_read_only():
     tau[0] = 0.3
 
 
+def test_stack_evaluates_a_callers_rewritten_arrays_afresh():
+    # The constructor keeps a caller's writable arrays, so no transfer is
+    # cached on a ring stack: a network stack made after the caller writes
+    # to them evaluates the new values.
+    theta = np.array([0.4, 2.0])
+    tau, eta = np.array([0.2, -0.5]), np.array([0.6, 0.3])
+    stack = build_couplers(tau, eta, theta)
+    fields = {f: np.array(getattr(stack, f)) for f in _FIELDS}
+    ring = CouplerStack(**fields)
+    zeros = np.zeros((2, 3))
+    before = NetworkStack(rings=(ring, ring, ring), deltas=zeros).transfers
+    fields["theta"][0] = fields["phi"][0] = 1.5
+    after = NetworkStack(rings=(ring, ring, ring), deltas=zeros).transfers
+    fresh = CouplerStack(**{f: a.copy() for f, a in fields.items()})
+    expected = NetworkStack(rings=(fresh, fresh, fresh), deltas=zeros).transfers
+    assert [t.tobytes() for t in after] == [t.tobytes() for t in expected]
+    assert all(not np.array_equal(a[0], b[0]) for a, b in zip(before, after))
+    assert all(np.array_equal(a[1], b[1]) for a, b in zip(before, after))
+
+
 phases = st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True)
 lower_couplers = st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
                                     exclude_max=True), min_size=1, max_size=20)
