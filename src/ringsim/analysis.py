@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError
 from .fock import _betas, _corners
-from .network import (NetworkParams, NetworkStack, _slot_transfers, closed_form_resonant,
-                      compose_scattering_stack)
+from .network import NetworkParams, NetworkStack, closed_form_resonant, compose_scattering_stack
 from .ring import (_COUPLER_DTYPES, RESONANT_THETA, TWO_PI, CouplerStack, RingCoupler,
                    _coupler_fields, _inverse, _passes, _through, build_coupler,
                    build_couplers, invert_effective)
@@ -327,31 +326,18 @@ def surface_stack(slot: int, eta, tau) -> tuple[np.ndarray, np.ndarray, NetworkS
 
 def _optimal_networks(slot: int, swept: CouplerStack, delta2: float = 0.0) -> NetworkStack:
     """Networks of ``swept`` in ``slot`` between the resonant optimal rings
-    at tau = 0, with the middle line phase delta2 and outer ones 0: one
-    transfer call, on the swept stack, and the fixed slots' transfers shared
-    from ``_optimal_transfers``."""
+    at tau = 0, with the middle line phase delta2 and outer ones 0."""
     deltas = np.zeros((len(swept), 3))
     deltas[:, 1] = delta2
-    return NetworkStack._sharing(
-        rings=tuple(swept if s == slot else _optimal_ring(s) for s in (1, 2, 3)),
-        deltas=deltas,
-        shared=tuple(None if s == slot else _optimal_transfers(s) for s in (1, 2, 3)))
+    return NetworkStack(rings=tuple(swept if s == slot else _optimal_ring(s) for s in (1, 2, 3)),
+                        deltas=deltas)
 
 
 @functools.cache
 def _optimal_ring(slot: int) -> CouplerStack:
-    """The slot's resonant optimal ring at tau = 0, as a stack of one, built
-    once per process. Its arrays are read-only and no caller holds a
-    writable view of them, so its transfers cannot go stale."""
+    """The slot's resonant optimal ring at tau = 0, as a read-only stack of
+    one, built once per process."""
     return CouplerStack.of([curve_ring(slot, 0.0)])
-
-
-@functools.cache
-def _optimal_transfers(slot: int) -> np.ndarray:
-    """The read-only (1, 2, 2) transfers of ``_optimal_ring(slot)`` as it is
-    mounted in its slot, the middle ring flipped, evaluated once per process;
-    every sweep batch shares them beside its swept ring."""
-    return _slot_transfers(_optimal_ring(slot), slot - 1)
 
 
 def curve_stack(tau_grid, ring: int = 1) -> NetworkStack:

@@ -32,14 +32,13 @@ _EQUAL_SIGNAL = NlpsgInput(*[1.0 / math.sqrt(3.0)] * 3)
 
 # Grid points per stacked batch of a sweep; batching keeps memory flat for
 # any grid size. Each batch carries fixed numpy and Python work: about
-# 0.25 ms in a curve batch of 2 points (networks with the swept ring's one
-# transfer call 70 us, entries 50 us, unitarity guard, probability and
-# squares 50 us, CSV 50 us) and 0.41 ms in a surface batch of 4, which also
-# solves theta; the fixed rings' transfers are evaluated once per process.
-# Each grid point costs about 0.5 us, so the default 101 x 101 surface grid
-# runs as one batch. Its whole sweep then peaks at 2.98 MB of traced
-# allocations, against 1.86 MB as three batches of 4096 (in process,
-# timeit and tracemalloc, numpy 2.4 on a 2-core AVX-512 x86-64).
+# 0.28 ms in a curve batch and 0.38 ms in a surface batch, which also
+# solves theta (a sweep cut into batches of 2 or 4 points, less the same
+# sweep as one batch, over the extra batches). Each grid point costs
+# about 0.5 us, so the default 101 x 101 surface grid runs as one batch.
+# Its whole sweep then peaks at 2.98 MB of traced allocations, against
+# 1.86 MB as three batches of 4096 (in process, best of 7 and
+# tracemalloc, numpy 2.4 on a 2-core AVX-512 x86-64).
 _BATCH_POINTS = 16384
 
 

@@ -246,9 +246,11 @@ def verify_truth_table(net: CnotNetwork) -> list[TruthTableRow]:
     prob = (np.abs(block) ** 2).sum(axis=0)
     # 1 / sqrt(inf) = 0 scales a column of probability 0 to zeros.
     logical = block[_LOGICAL] * (1.0 / np.sqrt(np.where(prob > 0.0, prob, np.inf)))
-    # abs(a) ** 2 as Python gives it, libm's hypot and pow: numpy's complex
-    # abs and x * x round some weights differently in the last bit.
-    weights = np.float_power(np.hypot(logical.real, logical.imag), 2)
+    # abs(a) as Python gives it, libm's hypot, squared by one correctly
+    # rounded product: numpy's complex abs rounds some magnitudes, and
+    # libm's pow(h, 2) some squares, differently in the last bit.
+    h = np.hypot(logical.real, logical.imag)
+    weights = h * h
     dominant = np.argmax(weights >= weights.max(axis=0) - _TIE, axis=0)
     fidelity = weights[dominant, range(len(_COMPUTATIONAL))]
     leakage = 1.0 - weights.sum(axis=0)

@@ -63,11 +63,11 @@ class NetworkStack:
 
     ``rings`` holds one CouplerStack per slot and ``deltas`` the (N, 3) line
     phases. A ring stack of length 1 stands for the same ring in all N
-    networks. The constructor keeps the caller's slots with no copy; the
-    sweeps build through ``_sharing``, which is also given their fixed
-    slots' transfers. ``of`` lays the configured networks' slots end to end
-    in one ``mounted`` stack, the middle ring flipped, for one transfer
-    evaluation, and gives each slot as a view into it.
+    networks. The constructor keeps the caller's slots with no copy, and
+    each slot's transfers are evaluated on its own fields. ``of`` lays the
+    configured networks' slots end to end in one ``mounted`` stack, the
+    middle ring flipped, for one transfer evaluation, and gives each slot
+    as a view into it.
     """
 
     rings: tuple[CouplerStack, CouplerStack, CouplerStack]
@@ -105,29 +105,17 @@ class NetworkStack:
             deltas=np.array([net.deltas for net in networks], dtype=float).reshape(-1, 3))
         return stack
 
-    @classmethod
-    def _sharing(cls, rings, deltas, shared) -> "NetworkStack":
-        """The constructor's stack, whose slot k takes ``shared[k]``, unless
-        it is None, as its transfers instead of evaluating them; the other
-        slots are evaluated here. A shared transfer is read-only, as
-        ``transfers`` gives it, of a ring stack whose arrays nothing can
-        write: the constructor keeps a caller's writable arrays, whose
-        transfers a later write would leave stale."""
-        stack = cls(rings=rings, deltas=deltas)
-        stack.__dict__["transfers"] = tuple(
-            _slot_transfers(r, k) if t is None else t
-            for k, (r, t) in enumerate(zip(stack.rings, shared)))
-        return stack
-
     @cached_property
     def transfers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each slot's (n_k, 2, 2) transfers, the middle ring's flipped, read-only:
         views of one ``transfer_matrix_stack`` call on ``mounted`` for a stack
-        from ``of``, else one call per slot on its own fields. A stack from
-        ``_sharing`` evaluates only the slots it was not given."""
+        from ``of``, else one call per slot on its own field arrays, swapped
+        for the middle slot."""
         mounted = getattr(self, "mounted", None)
         if mounted is None:
-            return tuple(_slot_transfers(r, k) for k, r in enumerate(self.rings))
+            return tuple(_read_only(transfer_matrix_stack(CouplerStack._checked_already(
+                **{name: getattr(r, _MOUNTED[k][name]) for name in _COUPLER_DTYPES})))
+                for k, r in enumerate(self.rings))
         m = _read_only(transfer_matrix_stack(mounted))
         n1, n2 = len(self.rings[0]), len(self.rings[1])
         return m[:n1], m[n1:n1 + n2], m[n1 + n2:]
@@ -137,15 +125,6 @@ class NetworkStack:
         and its leg of the loop, c1, d2 and b3 of ``_entries``: views of ``transfers``."""
         a, b, c = self.transfers
         return (a[:, 0, 0], b[:, 1, 1], c[:, 0, 0]), (a[:, 1, 0], b[:, 1, 1], c[:, 0, 1])
-
-
-def _slot_transfers(ring: CouplerStack, k: int) -> np.ndarray:
-    """The read-only (n, 2, 2) transfers of ``ring`` mounted in slot k (0, 1
-    or 2): one ``transfer_matrix_stack`` call on the ring's own field
-    arrays, swapped for the flipped middle slot."""
-    mounted = CouplerStack._checked_already(
-        **{name: getattr(ring, _MOUNTED[k][name]) for name in _COUPLER_DTYPES})
-    return _read_only(transfer_matrix_stack(mounted))
 
 
 def compose_scattering(params: NetworkParams) -> np.ndarray:
@@ -175,27 +154,11 @@ def compose_scattering_stack(networks: NetworkStack) -> np.ndarray:
 def _entries(networks: NetworkStack) -> list[np.ndarray]:
     """The nine entries S_ij of the networks' global matrices, in row-major
     order, each an (N,) array: the one place the closed form over the loop
-    is written. A line-phase column whose phases all have the same bits
-    gives one phasor, which broadcasts; every entry carries g, which has
-    the networks' length. Raises the PoleError of
-    ``compose_scattering_stack``."""
+    is written. Raises the PoleError of ``compose_scattering_stack``."""
     (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3) = (
         m.reshape(-1, 4).T for m in networks.transfers)
-    deltas = networks.deltas
-    bits = deltas.view(np.int64).T
-    # Laid out column by column, so that each column's test reads one
-    # contiguous row: across the (N, 3) layout the test is ten times slower.
-    shared = np.equal(bits, bits[:, :1], order="C").all(axis=1).tolist()
-    first = np.exp(-1j * deltas[:1])
-    # A shared column's phasor is the first network's, as a 0-d array: on a
-    # small stack it broadcasts as fast as a column, and twice as fast as an
-    # array of length 1.
-    p1, p2, p3 = (first[0, k, ...] if same and len(deltas) else np.exp(-1j * deltas[:, k])
-                  for k, same in enumerate(shared))
+    p1, p2, p3 = np.exp(-1j * networks.deltas.T)
     den = 1.0 - b3 * c1 * d2 * p2
-    if len(den) < len(deltas):
-        # Every slot and the middle line phase are shared.
-        den = np.broadcast_to(den, len(deltas))
     bad = np.flatnonzero(~(np.abs(den) >= 1e-15))
     if bad.size:
         raise PoleError(f"network {bad[0]}: {_LOOP_POLE}")

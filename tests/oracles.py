@@ -225,7 +225,7 @@ def post_selected_checks(block):
     the Bell check (overlap, probability) of the input
     (|00> + |10>) / sqrt(2).
 
-    Each logical output weighs abs(a) ** 2 of its conditional amplitude;
+    Each logical output weighs abs(a) * abs(a) of its conditional amplitude;
     the dominant output is the first whose weight is within 1e-12 of the
     largest, its weight the fidelity, and the leakage 1 minus the sum of
     the four weights."""
@@ -233,7 +233,7 @@ def post_selected_checks(block):
     rows = []
     for j, (c_in, t_in) in enumerate(CNOT_INPUTS):
         prob, logical = _post_select(block[:, j])
-        weights = [abs(a) ** 2 for a in logical]
+        weights = [abs(a) * abs(a) for a in logical]
         top = max(weights)
         k = next(i for i, w in enumerate(weights) if w >= top - 1e-12)
         rows.append((c_in, t_in, prob, *CNOT_INPUTS[k], weights[k], 1.0 - sum(weights)))

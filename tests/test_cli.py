@@ -778,15 +778,14 @@ for name in sys.argv[2:]:
 
 @pytest.mark.parametrize("disabled", _SIMD_LEVELS)
 def test_pinned_calls_do_not_depend_on_the_simd_level(disabled):
-    # The surface and curve sweeps and the CNOT print their pinned bytes
-    # whichever numpy kernels run their arithmetic. The CNOT composes both
-    # gates' six rings in one mounted stack. smatrix, verify and intersect
-    # print rounding-level values whose last bits change with the level, so
-    # they are not replayed here.
+    # Every surface and curve sweep and the CNOT print their pinned bytes
+    # whichever numpy kernels run their arithmetic: each network's line
+    # phasors, and the CNOT's one mounted stack of both gates' six rings.
+    # smatrix, verify and intersect print rounding-level values whose last
+    # bits change with the level, so they are not replayed here.
     _run_at_simd_level(disabled, _REPLAY_CHILD, args=[
-        "manifold_surface_ring2_grid21", "manifold_surface_ring2_grid101",
-        "manifold_curve_grid51_tau_-1_1", "cnot_default", "cnot_probe_phase_0.3",
-        "cnot_golden", "cnot_golden_probe_phase_0.3"])
+        *(name for name in _PINNED if name.startswith(("manifold_surface", "manifold_curve"))),
+        "cnot_default", "cnot_probe_phase_0.3", "cnot_golden", "cnot_golden_probe_phase_0.3"])
 
 
 def _count_transfer_calls(monkeypatch):
@@ -804,47 +803,35 @@ def _count_transfer_calls(monkeypatch):
 
 def _check_batch_transfers(batches, swept_stacks, ring):
     """Each batch of a sweep of ``ring``, as (networks, transfer calls made
-    while they were built), makes one transfer call, on its swept stack's own
-    field arrays (the middle slot's swapped, as it is mounted flipped), with
-    no copy and no mounted stack. The fixed optimal rings are evaluated once
-    per process, in the first batch, and every batch shares their read-only
-    transfers."""
+    while they were built), makes one transfer call per slot, in slot order,
+    each on its ring stack's own field arrays (the middle slot's swapped, as
+    it is mounted flipped), with no copy and no mounted stack: on its swept
+    stack in the swept slot, on ``_optimal_ring(slot)`` in each fixed slot.
+    Every transfer and field array is read-only."""
     fields = ("tau", "eta", "theta", "phi", "kappa", "gamma")
 
     def mounted(c, r, slot):
         swapped = ("eta", "tau", "theta", "phi", "gamma", "kappa") if slot == 2 else fields
         return all(getattr(c, f) is getattr(r, g) for f, g in zip(fields, swapped))
 
-    fixed = [slot for slot in (1, 2, 3) if slot != ring]
-    assert [len(c) for _, c in batches] == [3] + [1] * (len(batches) - 1)
-    assert all(mounted(c, analysis_module._optimal_ring(slot), slot)
-               for c, slot in zip(batches[0][1], fixed))
     for (networks, calls), swept in zip(batches, swept_stacks):
         assert not hasattr(networks, "mounted")
-        assert networks.rings[ring - 1] is swept
-        assert mounted(calls[-1], swept, ring)
-        for slot in fixed:
-            assert networks.rings[slot - 1] is analysis_module._optimal_ring(slot)
-            assert networks.transfers[slot - 1] is analysis_module._optimal_transfers(slot)
-            assert len(networks.transfers[slot - 1]) == 1
+        assert len(calls) == 3
+        for slot, r, c in zip((1, 2, 3), networks.rings, calls):
+            assert r is (swept if slot == ring else analysis_module._optimal_ring(slot))
+            assert mounted(c, r, slot)
         for array in (*networks.transfers,
                       *(getattr(r, f) for r in networks.rings for f in fields)):
             assert not array.flags.writeable
 
 
-def _clear_optimal_rings():
-    analysis_module._optimal_ring.cache_clear()
-    analysis_module._optimal_transfers.cache_clear()
-
-
 @pytest.mark.parametrize("ring", [1, 2, 3])
 def test_surface_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring):
-    # Each batch makes one transfer call, on the ring stack its swept
-    # couplers were built into, while its networks are built: the
-    # compensating line phase and the composition share that call's
-    # read-only result. The fixed optimal rings of the other slots are
-    # built and evaluated once per process, and every batch of every sweep
-    # shares their read-only transfers.
+    # Each batch makes one transfer call per slot while its networks are
+    # built: on the ring stack its swept couplers were built into, and on
+    # the fixed optimal rings of the other slots, which are built once per
+    # process. The compensating line phase and the composition share those
+    # calls' read-only results.
     calls, batches, built = _count_transfer_calls(monkeypatch), [], []
     surface_stack, build_couplers = cli.surface_stack, analysis_module.build_couplers
 
@@ -858,7 +845,6 @@ def test_surface_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring)
         built.append(build_couplers(*args))
         return built[-1]
 
-    _clear_optimal_rings()
     monkeypatch.setattr(cli, "surface_stack", recorded)
     monkeypatch.setattr(analysis_module, "build_couplers", recorded_build)
     monkeypatch.setattr(cli, "_BATCH_POINTS", 10)
@@ -866,31 +852,34 @@ def test_surface_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring)
         assert main(["manifold", "surface", "--ring", str(ring), "--grid", "5"]) == 0
     capsys.readouterr()
     assert len(batches) == 6  # per sweep, batches of 10, 10 and 5 grid points
-    assert len(calls) == 8 and len(built) == 6
+    assert len(calls) == 18 and len(built) == 6
     _check_batch_transfers(batches, built, ring)
 
 
 @pytest.mark.parametrize("ring", [1, 2, 3])
 def test_curve_batch_evaluates_swept_transfers_once(monkeypatch, capsys, ring):
-    # The curve's counterpart: one transfer call per batch, on the swept
-    # ring stack the batch mounts, beside the fixed rings' shared transfers.
+    # The curve's counterpart: one transfer call per slot and batch, on the
+    # swept ring stack the batch mounts and on the fixed optimal rings. A
+    # curve batch first reads its transfers when it composes, so they are
+    # read here as its networks are built; the total count shows that no
+    # call is made twice.
     calls, batches = _count_transfer_calls(monkeypatch), []
     curve_stack = cli.curve_stack
 
     def recorded(*args):
         count = len(calls)
         networks = curve_stack(*args)
+        networks.transfers
         batches.append((networks, calls[count:]))
         return networks
 
-    _clear_optimal_rings()
     monkeypatch.setattr(cli, "curve_stack", recorded)
     monkeypatch.setattr(cli, "_BATCH_POINTS", 10)
     for _ in range(2):
         assert main(["manifold", "curve", "--ring", str(ring), "--grid", "25"]) == 0
     capsys.readouterr()
     assert len(batches) == 6  # per sweep, batches of 10, 10 and 5 grid points
-    assert len(calls) == 8
+    assert len(calls) == 18
     _check_batch_transfers(batches, [n.rings[ring - 1] for n, _ in batches], ring)
 
 
@@ -910,7 +899,7 @@ def test_curve_batch_judges_each_point_once(monkeypatch, capsys):
     def validated(self):
         raise AssertionError("a curve batch built a validated CouplerStack")
 
-    _clear_optimal_rings()
+    analysis_module._optimal_ring.cache_clear()
     for module in (ring_module, analysis_module):
         monkeypatch.setattr(module, "_passes", counted)
     monkeypatch.setattr(CouplerStack, "__post_init__", validated)

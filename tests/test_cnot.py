@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import astuple
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -263,13 +264,13 @@ def _oracle_checks(u):
     for c_in, t_in in _ORDER:
         prob, amps = heralded_output({(c_in, t_in): 1.0})
         # Weights within 1e-12 of the largest tie; the first in order wins.
-        top = max(abs(a) ** 2 for a in amps.values())
-        dominant = next(b for b in _ORDER if abs(amps[b]) ** 2 >= top - 1e-12)
+        weights = {b: abs(a) * abs(a) for b, a in amps.items()}
+        top = max(weights.values())
+        dominant = next(b for b in _ORDER if weights[b] >= top - 1e-12)
         rows.append(TruthTableRow(
             control_in=c_in, target_in=t_in, probability=prob,
             control_out=dominant[0], target_out=dominant[1],
-            fidelity=abs(amps[dominant]) ** 2,
-            leakage=1.0 - sum(abs(a) ** 2 for a in amps.values())))
+            fidelity=weights[dominant], leakage=1.0 - sum(weights.values())))
     w = 1.0 / math.sqrt(2.0)
     prob, amps = heralded_output({(0, 0): w, (1, 0): w})
     report = (CoherenceReport(overlap=0.0, probability=0.0) if prob == 0.0 else
@@ -354,6 +355,23 @@ def test_checks_equal_the_per_column_rule_bit_for_bit(gate_a, gate_b, probe_phas
     rows, (overlap, probability) = post_selected_checks(net.kept_block)
     assert [astuple(row) for row in verify_truth_table(net)] == rows
     assert verify_coherence(net) == CoherenceReport(overlap, probability)
+
+
+def test_weights_are_squared_by_one_product():
+    # A logical output weighs h * h of its magnitude h, the correctly
+    # rounded square, not libm's pow(h, 2): at this h, glibc's pow, which
+    # Python's h ** 2 calls, gives a square one ulp below. The column's
+    # other row makes its probability exactly 1, so h is its own conditional
+    # amplitude.
+    h = 0.8885923720325766
+    assert float(Fraction(h) ** 2) == h * h
+    block = np.zeros((10, 4), dtype=complex)
+    block[_LOGICAL[0], 0] = h
+    block[0, 0] = math.sqrt(1.0 - h * h)
+    row = verify_truth_table(CnotNetwork(kept_block=block))[0]
+    assert (row.probability, row.control_out, row.target_out) == (1.0, 0, 0)
+    assert (row.fidelity, row.leakage) == (h * h, 1.0 - h * h)
+    assert post_selected_checks(block)[0][0] == astuple(row)
 
 
 @pytest.mark.parametrize("probe_phase", [math.pi / 2, math.pi, -math.pi])

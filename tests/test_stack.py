@@ -653,9 +653,9 @@ def test_mounted_transfers_are_each_slots_transfers_bit_for_bit(networks, by_mem
 @example(_ALL_SHARED)
 @example(_MIXED_ZEROS)
 def test_stack_members_compose_as_networks_alone_bit_for_bit(networks):
-    # A line-phase column shared by every network gives one phasor; a column
-    # of +0.0 and -0.0 is not shared. Every entry has the networks' length,
-    # even where every slot and every column is shared.
+    # Each network gets its own phasors, whether a line-phase column is
+    # shared by every network or holds +0.0 and -0.0. Every entry has the
+    # networks' length, even where every slot and every column is shared.
     stacked = compose_scattering_stack(networks)
     members = _members(networks)
     assert all(entry.shape == (len(networks.deltas),) for entry in _entries(networks))
